@@ -10,11 +10,10 @@ on problems with known solutions.
 from .analysis import (
     boundary_sharpness,
     contraction_factor,
-    envelope_fh,
-    envelope_new,
+    envelope,
     equivalence_audit,
     feasible_lambda,
-    kappa_scan,
+    optimal_lambda,
     rate_compare,
 )
 from .operators import (
@@ -37,11 +36,12 @@ from .schemes import (
     ProblemInstance,
     StepSequence,
     StoppingRule,
-    f_map,
+    casting,
     make_step_sequence,
     run_fh,
     run_mann,
     run_new,
+    run_scheme,
     run_zgy,
 )
 from .space import DimensionMismatchError, as_vector, combine, inner, norm

@@ -2,8 +2,9 @@
 
 Everything here is a pure function of immutable inputs. The contraction
 factor kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta) drives
-all of it: the feasible-lam interval is exactly the set where kappa < 1,
-error envelopes are products of per-step contraction bounds, and the rate
+all of it: the feasible-lam interval is exactly the set where kappa < 1, its
+minimiser over lam has a closed form, the error envelope of each scheme is the
+product of the per-step bounds of its (xi, mu) casting, and the rate
 comparison classifies the ratio of measured error sequences.
 """
 
@@ -13,14 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import InconsistentConstantsError
+from .schemes import casting
 
 __all__ = [
     "contraction_factor",
     "FeasibilityResult",
     "feasible_lambda",
-    "kappa_scan",
-    "envelope_fh",
-    "envelope_new",
+    "optimal_lambda",
+    "envelope",
     "BoundarySharpnessReport",
     "boundary_sharpness",
     "EnvelopeCheck",
@@ -60,7 +61,7 @@ class FeasibilityResult:
     """Outcome of the feasible-lam interval computation.
 
     ``outside_scope`` marks the s <= eta regime, where the interval formula
-    does not apply; use ``kappa_scan`` there instead.
+    does not apply; ``optimal_lambda`` covers every regime.
     """
 
     feasible: bool
@@ -101,41 +102,37 @@ def feasible_lambda(constants):
     )
 
 
-def kappa_scan(constants, lo=1e-6, hi=1e6, points=256):
-    """Direct minimization of kappa over a log grid; hypothesis-free.
+def optimal_lambda(constants):
+    """The kappa-minimising lam* = (r*gamma + eta*tau^2)/(s^2*gamma + r*eta).
 
-    Returns (best_lam, best_kappa, found_sub_one). Used in the s <= eta
-    regime where the interval formula is out of scope.
+    Returns (lam*, kappa(lam*)). The lam^2 terms cancel in d(kappa^2)/d(lam) = 0,
+    so lam* is the only stationary point on lam > 0, and kappa falls before it
+    and rises after it: lam* is the global minimiser in every regime, and the
+    constants are infeasible exactly when kappa(lam*) >= 1.
     """
-    grid = np.logspace(math.log10(lo), math.log10(hi), points)
-    kappas = [contraction_factor(constants, lam) for lam in grid]
-    i = int(np.argmin(kappas))
-    return float(grid[i]), float(kappas[i]), kappas[i] < 1.0
+    c = constants
+    lam = (c.r * c.gamma + c.eta * c.tau * c.tau) / (c.s * c.s * c.gamma + c.r * c.eta)
+    return lam, contraction_factor(constants, lam)
 
 
-def envelope_fh(kappa, e0, n):
-    """Theoretical error bound kappa^n * e0 for the one-step scheme."""
-    if not 0.0 <= kappa < 1.0:
-        raise ValueError("kappa must lie in [0, 1)")
-    if e0 < 0:
-        raise ValueError("e0 must be nonnegative")
-    return (kappa ** n) * e0
+def envelope(scheme, kappa, xi, mu, e0, n):
+    """Error bounds e0 * prod_{k<m} f_k for m = 0..n, as an array of n + 1.
 
-
-def envelope_new(kappa, mu, e0, n):
-    """kappa^n * e0 * prod_{i=1..n} [1 - mu_{i-1} (1 - kappa)].
-
-    ``mu`` is a StepSequence; with mu identically zero this collapses to the
-    one-step envelope.
+    f_k = (1 - xi_k) + xi_k * kappa * (1 - mu_k (1 - kappa)) bounds one step of
+    the relaxed two-step iteration under the (xi, mu) casting of ``scheme``:
+    kappa for FH, 1 - xi_k (1 - kappa) for MANN, kappa (1 - mu_k (1 - kappa))
+    for NEW and 1 - xi_k (1 - kappa (1 - mu_k (1 - kappa))) for ZGY. Sequences
+    a casting does not use may be None.
     """
     if not 0.0 <= kappa < 1.0:
         raise ValueError("kappa must lie in [0, 1)")
     if e0 < 0:
         raise ValueError("e0 must be nonnegative")
-    prod = 1.0
-    for i in range(1, n + 1):
-        prod *= 1.0 - mu.value(i - 1) * (1.0 - kappa)
-    return (kappa ** n) * e0 * prod
+    xi, mu = casting(scheme, xi, mu)
+    xis = np.array([xi.value(k) for k in range(n)])
+    mus = np.array([mu.value(k) for k in range(n)])
+    factors = (1.0 - xis) + xis * (kappa * (1.0 - mus * (1.0 - kappa)))
+    return e0 * np.concatenate(([1.0], np.cumprod(factors)))
 
 
 @dataclass(frozen=True)
@@ -231,7 +228,13 @@ def _censor_threshold(solution_norm):
     return 10.0 * np.finfo(float).eps * (1.0 + (solution_norm or 0.0))
 
 
-def rate_compare(trace_a, trace_b, kappa=None, mu=None,
+def _envelope_checks(trace, kappa, xi, mu, n_common, slack):
+    bounds = envelope(trace.algorithm, kappa, xi, mu, trace.errors[0], n_common - 1)
+    return [EnvelopeCheck(n, bound, measured, measured <= bound + slack)
+            for n, (bound, measured) in enumerate(zip(bounds.tolist(), trace.errors))]
+
+
+def rate_compare(trace_a, trace_b, kappa=None, xi=None, mu=None,
                  decision_margin=0.05, window_frac=0.25,
                  slack=DEFAULT_AUDIT_SLACK):
     """Compare two error traces on the same problem with known solution.
@@ -240,9 +243,9 @@ def rate_compare(trace_a, trace_b, kappa=None, mu=None,
     with fitted geometric ratio < 1 - decision_margin, ``same-rate`` when the
     fitted ratio lies within the margin of 1, ``undecided`` otherwise.
 
-    When ``kappa`` is given, envelope checks are attached: the two-step
-    envelope for trace a when ``mu`` is supplied (else the one-step
-    envelope), and the one-step envelope for trace b.
+    When ``kappa`` is given, each trace is checked against the envelope of
+    its own scheme (``trace.algorithm``) under the sequences ``xi`` and
+    ``mu``; a scheme whose casting needs a sequence not supplied is an error.
     """
     if trace_a.errors is None or trace_b.errors is None:
         raise ValueError("rate comparison requires traces with a known solution")
@@ -286,19 +289,8 @@ def rate_compare(trace_a, trace_b, kappa=None, mu=None,
 
     checks_a, checks_b = [], []
     if kappa is not None and kappa < 1.0:
-        e0a, e0b = trace_a.errors[0], trace_b.errors[0]
-        for n in range(n_common):
-            if mu is not None:
-                bound = envelope_new(kappa, mu, e0a, n)
-            else:
-                bound = envelope_fh(kappa, e0a, n)
-            measured = trace_a.errors[n]
-            checks_a.append(EnvelopeCheck(n, bound, measured, measured <= bound + slack))
-            bound_b = envelope_fh(kappa, e0b, n)
-            measured_b = trace_b.errors[n]
-            checks_b.append(
-                EnvelopeCheck(n, bound_b, measured_b, measured_b <= bound_b + slack)
-            )
+        checks_a = _envelope_checks(trace_a, kappa, xi, mu, n_common, slack)
+        checks_b = _envelope_checks(trace_b, kappa, xi, mu, n_common, slack)
 
     return RateReport(
         algorithm_a=trace_a.algorithm,

@@ -131,27 +131,16 @@ def build_problem(cfg):
 
 
 def _with_auto_lambda(inst):
-    """Replace lam with the kappa-minimizing grid point.
+    """Replace lam with the closed-form kappa minimiser lam*.
 
-    Uses a 256-point grid inside the feasible interval when one exists,
-    otherwise the hypothesis-free log-grid scan; fails with an infeasibility
-    diagnostic when no sub-1 kappa is found.
+    Fails with an infeasibility diagnostic when even kappa(lam*) >= 1.
     """
-    feas = analysis.feasible_lambda(inst.constants)
-    if feas.feasible:
-        lo, hi = feas.interval
-        width = hi - lo
-        grid = np.linspace(lo + width / 257, hi - width / 257, 256)
-        kappas = [analysis.contraction_factor(inst.constants, lam) for lam in grid]
-        best = float(grid[int(np.argmin(kappas))])
-        best_kappa = min(kappas)
-    else:
-        best, best_kappa, found = analysis.kappa_scan(inst.constants)
-        if not found:
-            raise InconsistentConstantsError(
-                "no lam with kappa < 1 found: constants are infeasible "
-                "(best kappa %.6g at lam %.6g)" % (best_kappa, best)
-            )
+    best, best_kappa = analysis.optimal_lambda(inst.constants)
+    if best_kappa >= 1.0:
+        raise InconsistentConstantsError(
+            "no lam with kappa < 1: constants are infeasible "
+            "(minimal kappa %.6g at lam %.6g)" % (best_kappa, best)
+        )
     return ProblemInstance(
         h=inst.h, a=inst.a, m=inst.m, constants=inst.constants,
         lam=best, dim=inst.dim, known_solution=inst.known_solution,
@@ -228,21 +217,14 @@ def read_trace_csv(path):
 
 
 def _envelope_summary(trace, seqs):
-    """Max excess of measured errors over the theoretical envelope."""
+    """Max excess of measured errors over the scheme's theoretical envelope."""
     if trace.errors is None or trace.kappa >= 1.0:
         return {"checked": False}
-    e0 = trace.errors[0]
-    slack = analysis.DEFAULT_AUDIT_SLACK
-    max_excess = -float("inf")
-    for n, e in enumerate(trace.errors):
-        if trace.algorithm == "NEW":
-            bound = analysis.envelope_new(trace.kappa, seqs["mu"], e0, n)
-        elif trace.algorithm == "FH":
-            bound = analysis.envelope_fh(trace.kappa, e0, n)
-        else:
-            return {"checked": False}
-        max_excess = max(max_excess, e - bound)
-    return {"checked": True, "max_excess": max_excess, "passed": max_excess <= slack}
+    bounds = analysis.envelope(trace.algorithm, trace.kappa, seqs["xi"], seqs["mu"],
+                               trace.errors[0], trace.steps_used)
+    max_excess = float(np.max(np.asarray(trace.errors) - bounds))
+    return {"checked": True, "max_excess": max_excess,
+            "passed": max_excess <= analysis.DEFAULT_AUDIT_SLACK}
 
 
 def cmd_solve(cfg, out_dir):
@@ -289,11 +271,11 @@ def cmd_compare(cfg, out_dir):
 
     trace_a = _run_algorithm(algorithms[0], problem, x0, seqs, stop)
     trace_b = _run_algorithm(algorithms[1], problem, x0, seqs, stop)
-    mu = seqs["mu"] if trace_a.algorithm in ("NEW", "ZGY") else None
     report = analysis.rate_compare(
         trace_a, trace_b,
         kappa=kappa if kappa < 1.0 else None,
-        mu=mu,
+        xi=seqs["xi"],
+        mu=seqs["mu"],
         decision_margin=float(cfg.get("decision_margin", 0.05)),
     )
 
@@ -363,40 +345,17 @@ def cmd_sweep(cfg, out_dir):
     return EXIT_OK
 
 
-def _zgy_form(name, seqs):
-    """(xi, mu) casting of an algorithm as the relaxed two-step scheme."""
-    one = make_step_sequence("constant", value=1.0)
-    zero = make_step_sequence("constant", value=0.0)
-    return {
-        "fh": (one, zero),
-        "zgy": (seqs["xi"], seqs["mu"]),
-        "mann": (seqs["xi"], zero),
-        "new": (one, seqs["mu"]),
-    }[name]
-
-
-def _new_form(name, seqs):
-    """mu casting of an algorithm as the unrelaxed two-step scheme, or None."""
-    zero = make_step_sequence("constant", value=0.0)
-    if name == "fh":
-        return zero
-    if name == "new":
-        return seqs["mu"]
-    return None
-
-
 def _recursion_params(name_a, name_b, seqs):
     """Pairing for the gap-recursion audit, when structurally applicable.
 
-    Returns (q_name, s_name, xi, mu) with q the relaxed run and s the
-    unrelaxed run sharing the same mu sequence, else None.
+    Returns (q_name, s_name, xi, mu) with q the relaxed run and s an
+    unrelaxed run (its casting's xi is the constant 1) sharing q's mu
+    sequence, else None.
     """
     for q_name, s_name in ((name_a, name_b), (name_b, name_a)):
-        mu_s = _new_form(s_name, seqs)
-        if mu_s is None:
-            continue
-        xi_q, mu_q = _zgy_form(q_name, seqs)
-        if mu_q == mu_s:
+        xi_q, mu_q = schemes.casting(q_name, **seqs)
+        xi_s, mu_s = schemes.casting(s_name, **seqs)
+        if xi_s == schemes.ONE and mu_q == mu_s:
             return q_name, s_name, xi_q, mu_q
     return None
 
@@ -434,9 +393,9 @@ def cmd_audit(cfg, out_dir):
                     kappa if kappa < 1.0 else None, gap_tol=gap_tol,
                 )
             else:
-                one = make_step_sequence("constant", value=1.0)
                 report = analysis.equivalence_audit(
-                    traces[name_a], traces[name_b], one, one, None, gap_tol=gap_tol,
+                    traces[name_a], traces[name_b], schemes.ONE, schemes.ONE, None,
+                    gap_tol=gap_tol,
                 )
             ok = report.gap_converged and report.violations == 0
             all_ok = all_ok and ok

@@ -1,12 +1,12 @@
-"""The four iterative schemes as uniform trace-producing runs.
+"""The four iterative schemes as castings of one relaxed two-step iteration.
 
 All four algorithms iterate relaxations of the fixed-point map
-F(x) = R[H x - lam*A x], where R is the resolvent of (H, lam*M):
+F(x) = R[H x - lam*A x], where R is the resolvent of (H, lam*M), through
 
-* FH:   x_{n+1} = F(x_n)
-* ZGY:  r_n = (1-mu_n) x_n + mu_n F(x_n);  x_{n+1} = (1-xi_n) x_n + xi_n F(r_n)
-* MANN: x_{n+1} = (1-xi_n) x_n + xi_n F(x_n)
-* NEW:  t_n = (1-mu_n) x_n + mu_n F(x_n);  x_{n+1} = F(t_n)
+    r_n = (1-mu_n) x_n + mu_n F(x_n);  x_{n+1} = (1-xi_n) x_n + xi_n F(r_n)
+
+and differ only in the step sequences (xi, mu) they feed it (``CASTINGS``):
+FH = (1, 0), MANN = (xi, 0), NEW = (1, mu) and ZGY = (xi, mu).
 """
 
 import time
@@ -24,15 +24,17 @@ __all__ = [
     "StoppingRule",
     "ProblemInstance",
     "IterationTrace",
-    "f_map",
+    "ONE",
+    "ZERO",
+    "CASTINGS",
+    "casting",
+    "run_scheme",
     "run_fh",
     "run_zgy",
     "run_mann",
     "run_new",
     "ALGORITHMS",
 ]
-
-ALGORITHMS = ("FH", "ZGY", "MANN", "NEW")
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,34 @@ def make_step_sequence(family, value=None, offset=None, table=None):
     raise ValueError("unknown family %r" % (family,))
 
 
+ONE = make_step_sequence("constant", value=1.0)
+ZERO = make_step_sequence("constant", value=0.0)
+
+#: each scheme as the relaxed two-step iteration: name -> (xi, mu) casting
+#: built from the caller's sequences
+CASTINGS = {
+    "FH": lambda xi, mu: (ONE, ZERO),
+    "ZGY": lambda xi, mu: (xi, mu),
+    "MANN": lambda xi, mu: (xi, ZERO),
+    "NEW": lambda xi, mu: (ONE, mu),
+}
+
+ALGORITHMS = tuple(CASTINGS)
+
+
+def casting(name, xi=None, mu=None):
+    """The (xi, mu) sequences with which the relaxed two-step iteration is ``name``.
+
+    ``name`` is case-insensitive; a sequence the casting needs but which is
+    not given is an error.
+    """
+    cast = CASTINGS[name.upper()](xi, mu)
+    if None in cast:
+        raise ValueError("scheme %s needs the %s sequence"
+                         % (name.upper(), "xi" if cast[0] is None else "mu"))
+    return cast
+
+
 @dataclass(frozen=True)
 class StoppingRule:
     """Stop when the fixed-point residual ||F(x) - x|| <= tol or at the cap.
@@ -164,11 +194,6 @@ class ProblemInstance:
         return contraction_factor(self.constants, self.lam)
 
 
-def f_map(problem, x):
-    """Module-level alias for ProblemInstance.f_map."""
-    return problem.f_map(x)
-
-
 @dataclass
 class IterationTrace:
     """Per-step record of one algorithm run; immutable once returned."""
@@ -184,15 +209,18 @@ class IterationTrace:
     kappa: float
     lam: float
     solution_norm: float = None
-    wall_time: float = 0.0
 
 
-def _run(problem, x0, stop, algorithm, step_fn):
-    """Generic runner: records iterates, residuals and errors each step.
+def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
+    """Run scheme ``name`` as the relaxed two-step iteration of its casting.
 
-    ``step_fn(n, x, fx)`` produces the next iterate given the current iterate
-    and its image fx = F(x); F evaluations beyond fx are the step's own.
+    Records iterates, residuals and errors each step. A step with mu_n = 0
+    reuses F(x_n) as F(r_n), and one with xi_n = 1 takes F(r_n) as the next
+    iterate, so FH and MANN cost one F evaluation per step, NEW and ZGY two,
+    and the degenerate castings reproduce FH bit for bit.
     """
+    name = name.upper()
+    xi, mu = casting(name, xi, mu)
     stop = stop or StoppingRule()
     x = np.asarray(as_vector(x0), dtype=float)
     if x.shape[0] == 1 and problem.dim > 1:
@@ -211,7 +239,9 @@ def _run(problem, x0, stop, algorithm, step_fn):
 
     n = 0
     while residuals[-1] > stop.tol and n < stop.max_steps:
-        x = step_fn(n, x, fx)
+        xi_n, mu_n = xi.value(n), mu.value(n)
+        fr = fx if mu_n == 0.0 else problem.f_map((1.0 - mu_n) * x + mu_n * fx)
+        x = fr if xi_n == 1.0 else (1.0 - xi_n) * x + xi_n * fr
         fx = problem.f_map(x)
         iterates.append(x.copy())
         residuals.append(float(np.linalg.norm(fx - x)))
@@ -221,7 +251,7 @@ def _run(problem, x0, stop, algorithm, step_fn):
         n += 1
 
     return IterationTrace(
-        algorithm=algorithm,
+        algorithm=name,
         iterates=iterates,
         residuals=residuals,
         errors=errors,
@@ -232,48 +262,24 @@ def _run(problem, x0, stop, algorithm, step_fn):
         kappa=kappa,
         lam=problem.lam,
         solution_norm=None if xstar is None else float(np.linalg.norm(xstar)),
-        wall_time=(time.perf_counter_ns() - start) / 1e9,
     )
 
 
 def run_fh(problem, u0, stop=None):
     """One-step scheme: u_{n+1} = F(u_n)."""
-
-    def step(n, x, fx):
-        return fx
-
-    return _run(problem, u0, stop, "FH", step)
+    return run_scheme("FH", problem, u0, stop=stop)
 
 
 def run_zgy(problem, q0, xi, mu, stop=None):
     """Two-step relaxed scheme with sequences xi_n and mu_n."""
-
-    def step(n, x, fx):
-        mu_n = mu.value(n)
-        xi_n = xi.value(n)
-        r = (1.0 - mu_n) * x + mu_n * fx
-        fr = problem.f_map(r)
-        return (1.0 - xi_n) * x + xi_n * fr
-
-    return _run(problem, q0, stop, "ZGY", step)
+    return run_scheme("ZGY", problem, q0, xi, mu, stop)
 
 
 def run_mann(problem, v0, xi, stop=None):
     """One-step relaxed scheme: v_{n+1} = (1-xi_n) v_n + xi_n F(v_n)."""
-
-    def step(n, x, fx):
-        xi_n = xi.value(n)
-        return (1.0 - xi_n) * x + xi_n * fx
-
-    return _run(problem, v0, stop, "MANN", step)
+    return run_scheme("MANN", problem, v0, xi=xi, stop=stop)
 
 
 def run_new(problem, s0, mu, stop=None):
     """Two-step scheme with an unrelaxed outer application of F."""
-
-    def step(n, x, fx):
-        mu_n = mu.value(n)
-        t = (1.0 - mu_n) * x + mu_n * fx
-        return problem.f_map(t)
-
-    return _run(problem, s0, stop, "NEW", step)
+    return run_scheme("NEW", problem, s0, mu=mu, stop=stop)

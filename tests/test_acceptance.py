@@ -14,7 +14,7 @@ import pytest
 from hmsolve.analysis import (
     boundary_sharpness,
     contraction_factor,
-    envelope_new,
+    envelope,
     feasible_lambda,
 )
 from hmsolve.cli import main
@@ -22,11 +22,13 @@ from hmsolve.operators import OperatorConstants
 from hmsolve.problems import gen_scalar_affine, gen_soft_threshold, gen_spd_linear
 from hmsolve.resolvent import resolvent_lipschitz_bound
 from hmsolve.schemes import (
+    ALGORITHMS,
     StoppingRule,
     make_step_sequence,
     run_fh,
     run_mann,
     run_new,
+    run_scheme,
     run_zgy,
 )
 
@@ -85,14 +87,22 @@ def test_03_f_contraction_audit():
 
 def test_04_two_step_envelope():
     t0 = time.perf_counter()
-    p = gen_spd_linear(dim=50)
-    kappa = contraction_factor(p.constants, p.lam)
+    xi = make_step_sequence("constant", value=0.3)
     mu = make_step_sequence("constant", value=0.9)
-    trace = run_new(p, np.zeros(50), mu)
-    ok = kappa <= 0.8
-    for n, e in enumerate(trace.errors):
-        ok = ok and e <= envelope_new(kappa, mu, trace.errors[0], n) + 1e-8
-    _report("two-step errors under envelope kappa^n e0 prod[1 - mu(1-kappa)]",
+    ok = True
+    for p in (
+        gen_scalar_affine(b=2.0, lam=0.5),
+        gen_spd_linear(dim=50),
+        gen_soft_threshold(dim=50),
+    ):
+        kappa = contraction_factor(p.constants, p.lam)
+        ok = ok and kappa <= 0.8
+        for name in ALGORITHMS:
+            trace = run_scheme(name, p, np.full(p.dim, 2.5), xi, mu)
+            bounds = envelope(name, kappa, xi, mu, trace.errors[0], trace.steps_used)
+            ok = ok and all(e <= b + 1e-8 for e, b in zip(trace.errors, bounds))
+    _report("all four schemes under their envelopes e0 prod[1 - xi(1 - kappa"
+            "(1 - mu(1-kappa)))] on all three generators",
             ok, time.perf_counter() - t0, 5.0)
 
 

@@ -8,16 +8,31 @@ from hypothesis import strategies as st
 from hmsolve.analysis import (
     boundary_sharpness,
     contraction_factor,
-    envelope_fh,
-    envelope_new,
+    envelope,
     equivalence_audit,
     feasible_lambda,
-    kappa_scan,
+    optimal_lambda,
     rate_compare,
 )
 from hmsolve.operators import InconsistentConstantsError, OperatorConstants
 from hmsolve.problems import gen_scalar_affine
 from hmsolve.schemes import StoppingRule, make_step_sequence, run_fh, run_new, run_zgy
+
+
+def _consistent_constants(gamma, tau_extra, r, s_scale, eta):
+    tau = gamma + tau_extra
+    s = s_scale * max(r / tau, 1e-3)
+    return OperatorConstants(gamma=gamma, tau=tau, r=min(r, s * tau), s=s, eta=eta)
+
+
+_constants = st.builds(
+    _consistent_constants,
+    gamma=st.floats(min_value=0.1, max_value=2.0),
+    tau_extra=st.floats(min_value=0.0, max_value=2.0),
+    r=st.floats(min_value=0.1, max_value=2.0),
+    s_scale=st.floats(min_value=1.0, max_value=3.0),
+    eta=st.floats(min_value=0.1, max_value=2.0),
+)
 
 
 class TestContractionFactor:
@@ -45,18 +60,8 @@ class TestContractionFactor:
             contraction_factor(OperatorConstants(1, 1, 1, 1, 1), 0.0)
 
     @settings(max_examples=200)
-    @given(
-        gamma=st.floats(min_value=0.1, max_value=2.0),
-        tau_extra=st.floats(min_value=0.0, max_value=2.0),
-        r=st.floats(min_value=0.1, max_value=2.0),
-        s_scale=st.floats(min_value=1.0, max_value=3.0),
-        eta=st.floats(min_value=0.1, max_value=2.0),
-        lam=st.floats(min_value=1e-3, max_value=1e3),
-    )
-    def test_always_finite_nonnegative(self, gamma, tau_extra, r, s_scale, eta, lam):
-        tau = gamma + tau_extra
-        s = s_scale * max(r / tau, 1e-3)
-        c = OperatorConstants(gamma=gamma, tau=tau, r=min(r, s * tau), s=s, eta=eta)
+    @given(c=_constants, lam=st.floats(min_value=1e-3, max_value=1e3))
+    def test_always_finite_nonnegative(self, c, lam):
         k = contraction_factor(c, lam)
         assert k >= 0.0 and math.isfinite(k)
 
@@ -90,52 +95,78 @@ class TestFeasibleLambda:
         assert feas.interval[0] > 0
 
 
-class TestKappaScan:
+class TestOptimalLambda:
     def test_finds_zero_at_lam_one(self):
-        lam, kappa, ok = kappa_scan(OperatorConstants(1, 1, 1, 1, 1), lo=1e-2, hi=1e2, points=2001)
-        assert ok
-        assert kappa < 1e-2
-        assert lam == pytest.approx(1.0, rel=0.01)
+        # lam* = (1 + 1)/(1 + 1) = 1, where kappa = sqrt(1 - 2 + 1)/2 = 0
+        assert optimal_lambda(OperatorConstants(1, 1, 1, 1, 1)) == (1.0, 0.0)
 
     def test_s_le_eta_regime_still_usable(self):
-        # s < eta is out of scope for the interval formula but the scan works
+        # s < eta is out of scope for the interval formula but lam* is not:
+        # lam* = (1 + 2)/(1 + 2) = 1, kappa = sqrt(1 - 2 + 1)/3 = 0
         c = OperatorConstants(gamma=1, tau=1, r=1, s=1, eta=2)
         assert feasible_lambda(c).outside_scope
-        _, kappa, ok = kappa_scan(c)
-        assert ok and kappa < 1
+        lam, kappa = optimal_lambda(c)
+        assert lam == 1.0 and kappa < 1
 
     def test_hopeless_constants_report_failure(self):
-        # kappa -> tau/gamma = 3 for small lam and s/eta = 2 for large lam
+        # kappa -> tau/gamma = 3 for small lam and s/eta = 2 for large lam;
+        # lam* = (1 + 9)/(4 + 1) = 2 gives kappa = sqrt(21)/3
         c = OperatorConstants(gamma=1, tau=3, r=1, s=2, eta=1)
-        _, kappa, ok = kappa_scan(c)
-        assert not ok and kappa >= 1
+        lam, kappa = optimal_lambda(c)
+        assert lam == 2.0
+        assert kappa == pytest.approx(math.sqrt(21) / 3, abs=1e-15)
+        assert kappa >= 1
+
+    @settings(max_examples=300)
+    @given(c=_constants, lam=st.floats(min_value=1e-4, max_value=1e4))
+    def test_never_above_any_lambda(self, c, lam):
+        lam_star, kappa_star = optimal_lambda(c)
+        assert lam_star > 0
+        # compare squares: near kappa = 0 the square root turns rounding of
+        # order 1e-17 in the radicand into an error of order 1e-9 in kappa
+        assert kappa_star ** 2 <= contraction_factor(c, lam) ** 2 + 1e-12
 
 
 class TestEnvelopes:
     def test_fh_oracle(self):
-        assert envelope_fh(0.5, 1.0, 3) == 0.125
+        assert envelope("FH", 0.5, None, None, 1.0, 3).tolist() == [1.0, 0.5, 0.25, 0.125]
 
     def test_fh_step_zero_is_initial_error(self):
-        assert envelope_fh(0.9, 7.0, 0) == 7.0
+        assert envelope("FH", 0.9, None, None, 7.0, 0).tolist() == [7.0]
 
     def test_new_collapses_to_fh_when_mu_zero(self):
         mu = make_step_sequence("constant", value=0.0)
-        for n in range(5):
-            assert envelope_new(1 / 3, mu, 2.0, n) == envelope_fh(1 / 3, 2.0, n)
+        assert np.array_equal(envelope("NEW", 1 / 3, None, mu, 2.0, 5),
+                              envelope("FH", 1 / 3, None, None, 2.0, 5))
 
     def test_new_oracle_mu_one(self):
         # kappa = 1/3, mu = 1: each step multiplies by (1/3)*(1/3) = 1/9
         mu = make_step_sequence("constant", value=1.0)
-        assert envelope_new(1 / 3, mu, 1.0, 2) == pytest.approx(1 / 81, abs=1e-15)
+        assert envelope("NEW", 1 / 3, None, mu, 1.0, 2)[2] == pytest.approx(1 / 81, abs=1e-15)
 
     def test_new_never_above_fh(self):
         mu = make_step_sequence("constant", value=0.7)
-        for n in range(10):
-            assert envelope_new(0.6, mu, 1.0, n) <= envelope_fh(0.6, 1.0, n) + 1e-15
+        new = envelope("NEW", 0.6, None, mu, 1.0, 10)
+        assert np.all(new <= envelope("FH", 0.6, None, None, 1.0, 10) + 1e-15)
 
     def test_rejects_kappa_out_of_range(self):
         with pytest.raises(ValueError):
-            envelope_fh(1.0, 1.0, 1)
+            envelope("FH", 1.0, None, None, 1.0, 1)
+
+    def test_relaxed_oracles(self):
+        # kappa = 1/2, xi = 1/2, mu = 1/2: MANN factor 1 - 1/4 = 3/4; ZGY
+        # factor 1 - (1/2)(1 - (1/2)(3/4)) = 11/16; harmonic xi gives MANN
+        # factors 1 - (1/(k+1))(1/2) = 1/2, 3/4, 5/6 for k = 0, 1, 2
+        half = make_step_sequence("constant", value=0.5)
+        harmonic = make_step_sequence("harmonic", offset=1)
+        assert envelope("MANN", 0.5, half, None, 1.0, 2).tolist() == [1.0, 0.75, 0.5625]
+        assert envelope("zgy", 0.5, half, half, 1.0, 1).tolist() == [1.0, 11 / 16]
+        assert envelope("MANN", 0.5, harmonic, None, 1.0, 3) == pytest.approx(
+            [1.0, 1 / 2, 3 / 8, 5 / 16], rel=1e-15)
+
+    def test_missing_sequence_rejected(self):
+        with pytest.raises(ValueError):
+            envelope("ZGY", 0.5, None, make_step_sequence("constant", value=0.5), 1.0, 3)
 
 
 class TestBoundarySharpness:

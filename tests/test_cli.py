@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from hmsolve.analysis import DEFAULT_AUDIT_SLACK
 from hmsolve.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -111,6 +113,17 @@ class TestSolve:
         # b = 4 from the flag: solution 2, reached from x0 = 0
         assert summary["problem"]["b"] == 4.0
 
+    def test_envelope_checked_for_all_four_schemes(self, tmp_path):
+        code = main([
+            "solve", "--problem", "spd-linear", "--dim", "20", "--alg", "fh,zgy,mann,new",
+            "--xi", "const:0.3", "--mu", "const:0.5", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        for name in ("fh", "zgy", "mann", "new"):
+            env = summary["algorithms"][name]["envelope"]
+            assert env["checked"] and env["passed"], name
+
     def test_determinism_identical_bytes(self, tmp_path):
         args = [
             "solve", "--problem", "spd-linear", "--dim", "12", "--seed", "7",
@@ -143,6 +156,22 @@ class TestCompare:
         assert report["fitted_ratio"] < 1.0
         assert all(c["pass"] for c in report["envelope_checks"])
         assert (tmp_path / "compare.csv").exists()
+
+    @pytest.mark.parametrize("pair", ["zgy,fh", "mann,fh", "fh,zgy", "new,mann"])
+    def test_each_trace_under_its_own_envelope(self, tmp_path, pair):
+        code = main([
+            "compare", "--problem", "spd-linear", "--dim", "20", "--alg", pair,
+            "--xi", "const:0.3", "--mu", "const:0.5", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "rate_report.json").read_text())
+        assert report["envelope_checks"]
+        assert all(c["pass"] for c in report["envelope_checks"])
+        with open(tmp_path / "compare.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            assert float(row["e_b"]) <= float(row["envelope_b"]) + DEFAULT_AUDIT_SLACK
 
     def test_self_comparison_same_rate(self, tmp_path):
         code = main([

@@ -11,6 +11,7 @@ from hmsolve.schemes import (
     run_fh,
     run_mann,
     run_new,
+    run_scheme,
     run_zgy,
 )
 
@@ -172,6 +173,36 @@ class TestRunNew:
         factor = kappa * (1 - 0.7 * (1 - kappa))
         for n in range(trace.steps_used):
             assert trace.errors[n + 1] <= factor * trace.errors[n] + 1e-8
+
+
+def _counting_f_map(p):
+    """Make ``p`` record each F evaluation in the returned list."""
+    calls = []
+    f_map = p.f_map
+
+    def counting(x):
+        calls.append(1)
+        return f_map(x)
+
+    p.f_map = counting
+    return calls
+
+
+class TestFEvaluationCounts:
+    @pytest.mark.parametrize("name,per_step", [("FH", 1), ("MANN", 1), ("NEW", 2), ("ZGY", 2)])
+    def test_per_step(self, name, per_step):
+        p = gen_spd_linear(6, seed=1)
+        calls = _counting_f_map(p)
+        trace = run_scheme(name, p, np.zeros(6), HALF, HALF, StoppingRule(tol=-1.0, max_steps=10))
+        assert trace.steps_used == 10
+        # one evaluation at the start, then per_step for each of the 10 steps
+        assert len(calls) == 1 + 10 * per_step
+
+    def test_zero_mu_reuses_f_of_x(self):
+        p = gen_spd_linear(6, seed=1)
+        calls = _counting_f_map(p)
+        run_new(p, np.zeros(6), ZERO, StoppingRule(tol=-1.0, max_steps=10))
+        assert len(calls) == 11
 
 
 class TestCollapseIdentities:
