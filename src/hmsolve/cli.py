@@ -227,6 +227,16 @@ def _envelope_summary(trace, seqs):
             "passed": max_excess <= analysis.DEFAULT_AUDIT_SLACK}
 
 
+def _divergence_status(traces):
+    """EXIT_NUMERICAL, naming each run that hit a non-finite iterate, else EXIT_OK."""
+    diverged = ["%s at step %d" % (t.algorithm.lower(), t.steps_used + 1)
+                for t in traces if t.diverged]
+    if not diverged:
+        return EXIT_OK
+    print("numerical failure: non-finite iterate (%s)" % ", ".join(diverged), file=sys.stderr)
+    return EXIT_NUMERICAL
+
+
 def cmd_solve(cfg, out_dir):
     problem = build_problem(cfg)
     stop = _stopping(cfg)
@@ -242,8 +252,10 @@ def cmd_solve(cfg, out_dir):
         "problem": problem.metadata,
         "algorithms": {},
     }
+    traces = []
     for name in algorithms:
         trace = _run_algorithm(name, problem, x0, seqs, stop)
+        traces.append(trace)
         write_trace_csv(out_dir / ("trace_%s.csv" % name.lower()), trace)
         summary["algorithms"][name.lower()] = {
             "final_residual": trace.residuals[-1],
@@ -254,7 +266,7 @@ def cmd_solve(cfg, out_dir):
             "envelope": _envelope_summary(trace, seqs),
         }
     _write_json(out_dir / "summary.json", summary)
-    return EXIT_OK
+    return _divergence_status(traces)
 
 
 def cmd_compare(cfg, out_dir):
@@ -307,7 +319,7 @@ def cmd_compare(cfg, out_dir):
                 "" if env_a == "" else repr(env_a),
                 "" if env_b == "" else repr(env_b),
             ])
-    return EXIT_OK
+    return _divergence_status([trace_a, trace_b])
 
 
 def cmd_sweep(cfg, out_dir):
@@ -321,23 +333,19 @@ def cmd_sweep(cfg, out_dir):
     grid = np.linspace(lo, hi, points) if points > 1 else np.array([lo])
 
     feas = analysis.feasible_lambda(problem.constants)
-    interval = feas.interval if feas.feasible else None
-    rows = []
-    for lam in grid:
-        kappa = analysis.contraction_factor(problem.constants, float(lam))
-        in_interval = bool(interval and interval[0] < lam < interval[1])
-        rows.append((float(lam), kappa, in_interval))
-    best_lam, best_kappa, _ = min(rows, key=lambda row: row[1])
+    rows = [(float(lam), analysis.contraction_factor(problem.constants, float(lam)))
+            for lam in grid]
+    best_lam, best_kappa = min(rows, key=lambda row: row[1])
 
     with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "kappa", "in_feasible_interval"])
-        for lam, kappa, flag in rows:
-            writer.writerow([repr(lam), repr(kappa), int(flag)])
+        for lam, kappa in rows:
+            writer.writerow([repr(lam), repr(kappa), int(kappa < 1.0)])
     _write_json(out_dir / "sweep_summary.json", {
         "best_lambda": best_lam,
         "best_kappa": best_kappa,
-        "feasible_interval": interval,
+        "feasible_interval": feas.interval if feas.feasible else None,
         "all_kappa_ge_one": best_kappa >= 1.0,
     })
     if best_kappa >= 1.0:

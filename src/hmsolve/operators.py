@@ -169,12 +169,6 @@ class DiagonalNonlinear:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.diag(np.asarray(self.fprime(x), dtype=float))
 
-    def scalar(self, t):
-        return float(self.f(np.array([t]))[0])
-
-    def scalar_deriv(self, t):
-        return float(self.fprime(np.array([t]))[0])
-
     def __repr__(self):
         return "DiagonalNonlinear(deriv_range=%r)" % (self.deriv_range,)
 
@@ -187,7 +181,6 @@ class LinearMonotone:
     """M(u) = {B u} for a symmetric positive definite matrix B."""
 
     is_linear = True
-    separable = False
 
     def __init__(self, matrix):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -214,7 +207,6 @@ class ScaledIdentityMulti:
     """M(u) = {scale * u}."""
 
     is_linear = True
-    separable = True
     dim = None
 
     def __init__(self, scale):
@@ -238,12 +230,11 @@ class ShiftedSubdifferential:
     """Per-coordinate M(u) = shift*u + d|u|, genuinely multivalued at 0.
 
     ``selection`` returns the sign-based monotone selection used for
-    empirical validation; resolvents handle the full subdifferential via
-    soft-threshold case analysis.
+    empirical validation; resolvents handle the full subdifferential
+    through its dead zone.
     """
 
     is_linear = False
-    separable = True
     dim = None
 
     def __init__(self, shift):

@@ -3,10 +3,10 @@
 Three strategies, selected automatically from the operator kinds:
 
 * ``closed-form-linear``: dense LU solve when H and M are both linear/affine.
-* ``separable-scalar``: per-coordinate solves when H and M act coordinatewise;
-  the subdifferential part of a shifted-subdifferential M is handled exactly
-  by soft-threshold case analysis, nonlinear coordinates by safeguarded
-  Newton inside a bisection bracket.
+* ``separable-scalar``: one vectorised pass over all coordinates when H and
+  M = c*t + w*|t| act coordinatewise. With g(t) = H(t) + lam*c*t, the dead
+  zone |u - g(0)| <= lam*w is exactly 0 and the rest solves
+  g(x) = u - lam*w*sign(u - g(0)) by masked safeguarded Newton/bisection.
 * ``newton-general``: damped Newton with Armijo backtracking on
   G(x) = H(x) + lam*m(x) - u for the general smooth case.
 """
@@ -44,15 +44,16 @@ def resolvent_lipschitz_bound(constants, lam):
     return 1.0 / (constants.gamma + lam * constants.eta)
 
 
-def _is_diagonal_single(op):
-    return isinstance(op, (ops.ScaledIdentity, ops.DiagonalNonlinear))
+def _coordinate_failure(reason, index, failed, resid):
+    k = np.flatnonzero(failed)[0]
+    return ResolventDivergenceError("separable inner solve %s at coordinate %d: "
+                                    "|g(t) - target| = %g" % (reason, index[k], abs(resid[k])))
 
 
 class ResolventEngine:
     """Immutable solver for u in H(x) + lam*M(x); ``resolve`` is reentrant."""
 
-    def __init__(self, h_op, m_op, lam, dim, strategy=None,
-                 inner_tolerance=1e-12, max_inner_steps=100):
+    def __init__(self, h_op, m_op, lam, dim, inner_tolerance=1e-12, max_inner_steps=100):
         if not lam > 0:
             raise ValueError("lam must be strictly positive")
         if not inner_tolerance > 0:
@@ -63,8 +64,7 @@ class ResolventEngine:
         self.dim = int(dim)
         self.inner_tolerance = float(inner_tolerance)
         self.max_inner_steps = int(max_inner_steps)
-        self.strategy = strategy or self._auto_strategy()
-        self._validate_strategy()
+        self.strategy = self._auto_strategy()
         self._lu = None
         self._rhs_offset = None
         if self.strategy == CLOSED_FORM:
@@ -76,26 +76,16 @@ class ResolventEngine:
     # -- strategy selection
 
     def _auto_strategy(self):
+        coordinatewise_h = isinstance(self.h, (ops.ScaledIdentity, ops.DiagonalNonlinear))
         if isinstance(self.m, ops.ShiftedSubdifferential):
+            if not coordinatewise_h:
+                raise ValueError("a subdifferential M requires a coordinatewise H")
             return SEPARABLE
         if self.h.is_linear and self.m.is_linear:
             return CLOSED_FORM
-        if _is_diagonal_single(self.h) and isinstance(self.m, ops.ScaledIdentityMulti):
+        if coordinatewise_h and isinstance(self.m, ops.ScaledIdentityMulti):
             return SEPARABLE
         return NEWTON
-
-    def _validate_strategy(self):
-        if self.strategy == CLOSED_FORM:
-            if not (self.h.is_linear and self.m.is_linear):
-                raise ValueError("closed-form strategy requires linear H and M")
-        elif self.strategy == SEPARABLE:
-            if not _is_diagonal_single(self.h) or not getattr(self.m, "separable", False):
-                raise ValueError("separable strategy requires coordinatewise H and M")
-        elif self.strategy == NEWTON:
-            if isinstance(self.m, ops.ShiftedSubdifferential):
-                raise ValueError("newton strategy requires a smooth selection of M")
-        else:
-            raise ValueError("unknown strategy %r" % (self.strategy,))
 
     # -- solving
 
@@ -104,75 +94,61 @@ class ResolventEngine:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.shape[0] != self.dim:
             raise ValueError("dimension mismatch: %d vs %d" % (u.shape[0], self.dim))
-        if self.strategy == CLOSED_FORM:
-            return lu_solve(self._lu, u + self._rhs_offset)
+        if self.strategy == CLOSED_FORM:  # a non-finite u gives a non-finite x
+            return lu_solve(self._lu, u + self._rhs_offset, check_finite=False)
         if self.strategy == SEPARABLE:
             return self._resolve_separable(u)
         return self._resolve_newton(u)
 
     def _resolve_separable(self, u):
-        lam = self.lam
-        if isinstance(self.m, ops.ShiftedSubdifferential):
-            c = self.m.shift
-            if isinstance(self.h, ops.ScaledIdentity):
-                # h*x + lam*c*x + lam*d|x| contains u  =>  soft threshold
-                return np.sign(u) * np.maximum(np.abs(u) - lam, 0.0) / (self.h.scale + lam * c)
-            out = np.empty_like(u)
-            for i, ui in enumerate(u):
-                g = lambda t: self.h.scalar(t) + lam * c * t
-                gp = lambda t: self.h.scalar_deriv(t) + lam * c
-                g0 = g(0.0)
-                if g0 + lam < ui:
-                    out[i] = self._solve_scalar(g, gp, ui - lam)
-                elif g0 - lam > ui:
-                    out[i] = self._solve_scalar(g, gp, ui + lam)
-                else:
-                    out[i] = 0.0
-            return out
-        # smooth diagonal M (scaled identity)
-        mscale = self.m.scale
+        sub = isinstance(self.m, ops.ShiftedSubdifferential)
+        c, w = (self.m.shift, 1.0) if sub else (self.m.scale, 0.0)  # M(t) = c*t + w*|t|
+        lam, lw = self.lam, self.lam * w
         if isinstance(self.h, ops.ScaledIdentity):
-            return u / (self.h.scale + lam * mscale)
-        out = np.empty_like(u)
-        g = lambda t: self.h.scalar(t) + lam * mscale * t
-        gp = lambda t: self.h.scalar_deriv(t) + lam * mscale
-        for i, ui in enumerate(u):
-            out[i] = self._solve_scalar(g, gp, ui)
+            # h*x + lam*c*x + lam*w*d|x| contains u  =>  soft threshold
+            return np.sign(u) * np.maximum(np.abs(u) - lw, 0.0) / (self.h.scale + lam * c)
+        g = lambda t: self.h.apply(t) + lam * c * t
+        gp = lambda t: self.h.fprime(t) + lam * c
+        g0 = g(np.zeros_like(u))
+        # NaN compares false, so a NaN coordinate stays active and fails loudly
+        active = np.flatnonzero(~(np.abs(u - g0) <= lw))
+        out = np.zeros_like(u)
+        out[active] = self._solve_increasing(g, gp, (u - lw * np.sign(u - g0))[active], active)
         return out
 
-    def _solve_scalar(self, g, gp, target):
-        """Root of the increasing scalar map g(t) = target.
+    def _solve_increasing(self, g, gp, target, index):
+        """Roots of the increasing coordinatewise map g(t) = target, all at once.
 
-        Bracket by doubling, then Newton with bisection fallback whenever a
-        step leaves the bracket.
+        Joint doubling bracket, then Newton with bisection fallback; converged
+        coordinates are frozen, so each follows its own scalar iterates.
         """
-        lo, hi = -1.0, 1.0
-        for _ in range(200):
-            if g(lo) <= target:
+        lo, hi = -np.ones_like(target), np.ones_like(target)
+        for doublings in range(201):
+            g_lo, g_hi = g(lo), g(hi)
+            open_lo, open_hi = ~(g_lo <= target), ~(g_hi >= target)
+            if not (open_lo.any() or open_hi.any()):
                 break
-            lo *= 2.0
-        for _ in range(200):
-            if g(hi) >= target:
-                break
-            hi *= 2.0
+            if doublings == 200:
+                resid = np.where(open_lo, g_lo, g_hi) - target
+                raise _coordinate_failure("found no bracket after 200 doublings",
+                                          index, open_lo | open_hi, resid)
+            lo[open_lo] *= 2.0
+            hi[open_hi] *= 2.0
         t = 0.5 * (lo + hi)
         for _ in range(self.max_inner_steps):
             ft = g(t) - target
-            if abs(ft) <= self.inner_tolerance:
+            live = ~(np.abs(ft) <= self.inner_tolerance)
+            if not live.any():
                 return t
-            if ft > 0:
-                hi = t
-            else:
-                lo = t
+            hi = np.where(live & (ft > 0), t, hi)
+            lo = np.where(live & ~(ft > 0), t, lo)
             d = gp(t)
-            step = ft / d if d > 0 else 0.0
-            cand = t - step
-            if not (lo < cand < hi):
-                cand = 0.5 * (lo + hi)
-            t = cand
-        raise ResolventDivergenceError(
-            "scalar inner solve did not reach tolerance %g" % self.inner_tolerance
-        )
+            cand = t - np.divide(ft, d, out=np.zeros_like(ft), where=d > 0)
+            cand = np.where((lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
+            t = np.where(live, cand, t)
+        raise _coordinate_failure(
+            "did not reach tolerance %g within %d steps"
+            % (self.inner_tolerance, self.max_inner_steps), index, live, ft)
 
     def _resolve_newton(self, u):
         lam = self.lam

@@ -209,6 +209,7 @@ class IterationTrace:
     kappa: float
     lam: float
     solution_norm: float = None
+    diverged: bool = False
 
 
 def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
@@ -217,7 +218,8 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
     Records iterates, residuals and errors each step. A step with mu_n = 0
     reuses F(x_n) as F(r_n), and one with xi_n = 1 takes F(r_n) as the next
     iterate, so FH and MANN cost one F evaluation per step, NEW and ZGY two,
-    and the degenerate castings reproduce FH bit for bit.
+    and the degenerate castings reproduce FH bit for bit. The run stops,
+    ``diverged``, at the first non-finite iterate without evaluating F on it.
     """
     name = name.upper()
     xi, mu = casting(name, xi, mu)
@@ -238,10 +240,15 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
     wall = [time.perf_counter_ns() - start]
 
     n = 0
-    while residuals[-1] > stop.tol and n < stop.max_steps:
+    diverged = False
+    # "not <=" keeps a NaN residual going, into the non-finite iterate check
+    while not residuals[-1] <= stop.tol and n < stop.max_steps:
         xi_n, mu_n = xi.value(n), mu.value(n)
         fr = fx if mu_n == 0.0 else problem.f_map((1.0 - mu_n) * x + mu_n * fx)
         x = fr if xi_n == 1.0 else (1.0 - xi_n) * x + xi_n * fr
+        diverged = not np.isfinite(x).all()
+        if diverged:
+            break
         fx = problem.f_map(x)
         iterates.append(x.copy())
         residuals.append(float(np.linalg.norm(fx - x)))
@@ -262,6 +269,7 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
         kappa=kappa,
         lam=problem.lam,
         solution_norm=None if xstar is None else float(np.linalg.norm(xstar)),
+        diverged=diverged,
     )
 
 

@@ -124,6 +124,24 @@ class TestSolve:
             env = summary["algorithms"][name]["envelope"]
             assert env["checked"] and env["passed"], name
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_writes_artifacts_and_exits_numerical(self, tmp_path, capsys):
+        # kappa >= 1: the iterates overflow; every run stops at its first
+        # non-finite iterate and still writes its trace
+        code = main([
+            "solve", "--problem", "spd-linear", "--dim", "20", "--c-a", "5",
+            "--lambda", "50", "--alg", "fh,zgy,mann,new", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_NUMERICAL
+        assert "non-finite iterate" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["hypothesis_violated"]
+        for name in ("fh", "zgy", "mann", "new"):
+            alg = summary["algorithms"][name]
+            assert not alg["converged"]
+            rows = read_trace_csv(tmp_path / ("trace_%s.csv" % name))
+            assert len(rows) == alg["steps"] + 1
+
     def test_determinism_identical_bytes(self, tmp_path):
         args = [
             "solve", "--problem", "spd-linear", "--dim", "12", "--seed", "7",
@@ -204,6 +222,9 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "lambda,kappa,in_feasible_interval"
         assert len(lines) == 51
+        # kappa < 1 on every grid point, although s <= eta puts the
+        # closed-form feasible interval out of scope here
+        assert all(line.split(",")[2] == "1" for line in lines[1:])
 
     def test_invalid_grid(self, tmp_path):
         code = main([

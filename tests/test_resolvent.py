@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmsolve.operators import (
     AffineLinear,
@@ -24,6 +26,32 @@ def _tanh_op():
     return DiagonalNonlinear(
         lambda t: t + np.tanh(t), lambda t: 1 + 1 / np.cosh(t) ** 2, (1.0, 2.0)
     )
+
+
+def _scalar_reference(eng, u):
+    """Coordinate-by-coordinate separable resolve: the vectorised solver's oracle."""
+    c, w = (eng.m.shift, 1.0) if isinstance(eng.m, ShiftedSubdifferential) else (eng.m.scale, 0.0)
+    lam = eng.lam
+    g = lambda t: float(eng.h.f(np.array([t]))[0]) + lam * c * t
+    gp = lambda t: float(eng.h.fprime(np.array([t]))[0]) + lam * c
+    out = np.zeros_like(u)
+    for i, ui in enumerate(u):
+        if abs(ui - g(0.0)) <= lam * w:
+            continue
+        target = ui - lam * w * np.sign(ui - g(0.0))
+        lo, hi = -1.0, 1.0
+        while g(lo) > target:
+            lo *= 2.0
+        while g(hi) < target:
+            hi *= 2.0
+        t = 0.5 * (lo + hi)
+        while abs(g(t) - target) > eng.inner_tolerance:
+            ft, d = g(t) - target, gp(t)
+            hi, lo = (t, lo) if ft > 0 else (hi, t)
+            cand = t - ft / d
+            t = cand if lo < cand < hi else 0.5 * (lo + hi)
+        out[i] = t
+    return out
 
 
 class TestResolve:
@@ -57,6 +85,9 @@ class TestResolve:
         assert ResolventEngine(ScaledIdentity(1), ScaledIdentityMulti(1), 1.0, dim=2).strategy == CLOSED_FORM
         assert ResolventEngine(ScaledIdentity(1), ShiftedSubdifferential(1), 1.0, dim=2).strategy == SEPARABLE
         assert ResolventEngine(_tanh_op(), LinearMonotone(np.eye(2)), 1.0, dim=2).strategy == NEWTON
+        assert ResolventEngine(_tanh_op(), ScaledIdentityMulti(1), 1.0, dim=2).strategy == SEPARABLE
+        with pytest.raises(ValueError):
+            ResolventEngine(AffineLinear(np.eye(2)), ShiftedSubdifferential(1), 1.0, dim=2)
 
     def test_newton_matches_inclusion(self):
         eng = ResolventEngine(_tanh_op(), LinearMonotone(np.diag([1.0, 2.0])), 0.7, dim=2)
@@ -81,6 +112,28 @@ class TestResolve:
             x = np.array([0.3, -1.2, 2.0, 0.0])
             u = h.apply(x) + 0.8 * m.selection(x)
             assert np.allclose(eng.resolve(u), x, atol=1e-9)
+
+    @pytest.mark.parametrize("m", [ScaledIdentityMulti(0.7), ShiftedSubdifferential(0.7)])
+    @pytest.mark.parametrize("dim", [10, 100])
+    def test_separable_matches_scalar_reference(self, m, dim):
+        rng = np.random.default_rng(dim)
+        u = 3.0 * rng.standard_normal(dim)
+        u[::7] = 0.0
+        eng = ResolventEngine(_tanh_op(), m, 1.3, dim=dim)
+        assert np.array_equal(eng.resolve(u), _scalar_reference(eng, u))
+
+    def test_separable_cap_names_coordinate(self):
+        eng = ResolventEngine(_tanh_op(), ScaledIdentityMulti(1), 1.0, dim=2, max_inner_steps=1)
+        with pytest.raises(ResolventDivergenceError, match=r"coordinate 1: \|g\(t\) - target\|"):
+            eng.resolve(np.array([0.0, 7.5]))
+
+    @pytest.mark.parametrize("m", [ScaledIdentityMulti(0.5), ShiftedSubdifferential(0.5)])
+    @pytest.mark.parametrize("bad", [np.nan, 1e80, np.inf, -np.inf])
+    def test_separable_unsolvable_coordinate_raises(self, m, bad):
+        # NaN and +-inf have no root; 1e80 has none within 200 doublings
+        eng = ResolventEngine(_tanh_op(), m, 1.0, dim=3)
+        with pytest.raises(ResolventDivergenceError, match="coordinate 1: "):
+            eng.resolve(np.array([0.3, bad, -2.0]))
 
     def test_divergence_error_on_tiny_cap(self):
         eng = ResolventEngine(
@@ -134,3 +187,32 @@ class TestNonexpansiveness:
             v = rng.standard_normal(10)
             lhs = np.linalg.norm(eng.resolve(u) - eng.resolve(v))
             assert lhs <= bound * np.linalg.norm(u - v) + 2 * eng.inner_tolerance
+
+
+_entries = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-0.5, max_value=0.5),  # in the subdifferential dead zone for all lam
+    st.floats(min_value=-20.0, max_value=20.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    u=st.lists(_entries, min_size=1, max_size=12),
+    a=st.floats(min_value=0.0, max_value=2.0),
+    c=st.floats(min_value=0.1, max_value=2.0),
+    lam=st.floats(min_value=0.5, max_value=3.0),
+    subdifferential=st.booleans(),
+)
+def test_separable_inclusion_property(u, a, c, lam, subdifferential):
+    # H(t) = t + a*tanh(t) per coordinate, g(0) = 0: the dead zone is |u| <= lam*w
+    h = DiagonalNonlinear(lambda t: t + a * np.tanh(t),
+                          lambda t: 1.0 + a * (1.0 - np.tanh(t) ** 2), (1.0, 1.0 + a))
+    m = ShiftedSubdifferential(c) if subdifferential else ScaledIdentityMulti(c)
+    u = np.array(u)
+    eng = ResolventEngine(h, m, lam, dim=u.shape[0])
+    assert eng.strategy == SEPARABLE
+    x = eng.resolve(u)
+    assert eng.inclusion_residual(x, u) <= 10 * eng.inner_tolerance
+    dead = np.abs(u) <= (lam if subdifferential else 0.0)
+    assert np.all(x[dead] == 0.0)

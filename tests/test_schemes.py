@@ -248,3 +248,17 @@ class TestContractionOfF:
         trace = run_fh(p, [4.0], StoppingRule(tol=1e-10, max_steps=10))
         assert trace.hypothesis_violated
         assert not trace.converged
+        assert not trace.diverged
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stops_at_first_nonfinite_iterate(self):
+        # kappa >= 1 at lam = 50: the iterates grow until H x - lam*A x overflows
+        p = gen_spd_linear(20, seed=0, c_a=5.0, lam=50.0)
+        finite_inputs = []
+        f_map = p.f_map
+        p.f_map = lambda x: (finite_inputs.append(np.isfinite(x).all()), f_map(x))[1]
+        trace = run_fh(p, np.zeros(20))
+        assert trace.diverged and not trace.converged
+        assert all(finite_inputs)
+        assert len(trace.residuals) == len(trace.iterates) == trace.steps_used + 1
+        assert trace.steps_used < StoppingRule().max_steps
