@@ -10,7 +10,10 @@ Exit codes: 0 success, 1 usage error, 2 infeasible constants,
 """
 
 import argparse
+import contextlib
 import csv
+import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -28,6 +31,7 @@ from .operators import (
 )
 from .resolvent import ResolventDivergenceError
 from .schemes import ProblemInstance, StoppingRule, make_step_sequence
+from .space import as_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,6 +49,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@contextlib.contextmanager
+def _interpreting():
+    """Turn a LookupError, TypeError or ValueError into a UsageError: inputs only, never a run."""
+    try:
+        yield
+    except InconsistentConstantsError:
+        raise
+    except (LookupError, TypeError, ValueError) as exc:
+        raise UsageError(repr(exc)) from exc
+
+
 def parse_sequence(spec):
     """Parse a step-sequence spec string like ``const:0.5`` or ``harmonic:1``."""
     if isinstance(spec, dict):
@@ -55,10 +70,8 @@ def parse_sequence(spec):
     name, _, arg = str(spec).partition(":")
     if name in ("const", "constant"):
         return make_step_sequence("constant", value=float(arg))
-    if name == "harmonic":
-        return make_step_sequence("harmonic", offset=int(arg) if arg else 1)
-    if name == "one-minus-harmonic":
-        return make_step_sequence("one-minus-harmonic", offset=int(arg) if arg else 1)
+    if name in ("harmonic", "one-minus-harmonic"):
+        return make_step_sequence(name, offset=int(arg) if arg else 1)
     if name == "table":
         return make_step_sequence(
             "custom-table", table=[float(v) for v in arg.split(",") if v]
@@ -81,94 +94,26 @@ def _operator_from_dict(d, multivalued=False):
     raise UsageError("unknown operator kind %r" % (kind,))
 
 
-def build_problem(cfg):
-    """Build a ProblemInstance from the ``problem`` config section."""
-    p = cfg.get("problem") or {}
-    kind = p.get("kind")
-    lam = cfg.get("lambda", p.get("lambda"))
-    explicit_lam = lam not in (None, "auto")
-    seed = cfg.get("seed", 0)
-    if kind == "scalar-affine":
-        inst = problems.gen_scalar_affine(
-            b=p.get("b", 2.0), lam=lam if explicit_lam else 1.0
-        )
-    elif kind == "spd-linear":
-        inst = problems.gen_spd_linear(
-            dim=p.get("dim", 50),
-            eigen_range=tuple(p.get("eigen_range", (1.0, 1.2))),
-            seed=p.get("seed", seed),
-            c_a=p.get("c_a", 1.0),
-            m=p.get("m", 1.0),
-            b_scale=p.get("b_scale", 1.0),
-            lam=lam if explicit_lam else 0.6,
-        )
-    elif kind == "soft-threshold":
-        inst = problems.gen_soft_threshold(
-            dim=p.get("dim", 50),
-            c=p.get("c", 1.0),
-            b=p.get("b"),
-            seed=p.get("seed", seed),
-            lam=lam if explicit_lam else 0.5,
-        )
-    elif kind == "explicit":
-        h = _operator_from_dict(p["h"])
-        a = _operator_from_dict(p["a"])
-        m = _operator_from_dict(p["m"], multivalued=True)
-        constants = OperatorConstants(**p["constants"])
-        inst = ProblemInstance(
-            h=h, a=a, m=m, constants=constants,
-            lam=float(lam) if explicit_lam else 1.0,
-            dim=int(p["dim"]),
-            known_solution=p.get("known_solution"),
-            metadata={"kind": "explicit"},
-        )
-    else:
-        raise UsageError("unknown or missing problem kind %r" % (kind,))
-
-    if lam == "auto":
-        inst = _with_auto_lambda(inst)
-    return inst
-
-
-def _with_auto_lambda(inst):
-    """Replace lam with the closed-form kappa minimiser lam*.
-
-    Fails with an infeasibility diagnostic when even kappa(lam*) >= 1.
-    """
-    best, best_kappa = analysis.optimal_lambda(inst.constants)
-    if best_kappa >= 1.0:
-        raise InconsistentConstantsError(
-            "no lam with kappa < 1: constants are infeasible "
-            "(minimal kappa %.6g at lam %.6g)" % (best_kappa, best)
-        )
+def _explicit(dim, h, a, m, constants, lam=1.0, known_solution=None):
+    """A ProblemInstance from operators and constants given inline."""
     return ProblemInstance(
-        h=inst.h, a=inst.a, m=inst.m, constants=inst.constants,
-        lam=best, dim=inst.dim, known_solution=inst.known_solution,
-        inner_tolerance=inst.inner_tolerance,
-        metadata={**inst.metadata, "lambda_auto": True},
+        h=_operator_from_dict(h), a=_operator_from_dict(a),
+        m=_operator_from_dict(m, multivalued=True),
+        constants=OperatorConstants(**constants), lam=float(lam), dim=int(dim),
+        known_solution=known_solution, metadata={"kind": "explicit"},
     )
 
 
-def _stopping(cfg):
-    s = cfg.get("stopping") or {}
-    return StoppingRule(
-        tol=float(s.get("tol", 1e-10)), max_steps=int(s.get("max_steps", 100_000))
-    )
-
-
-def _start_vector(cfg, dim):
-    x0 = cfg.get("x0")
-    if x0 is None:
-        return np.zeros(dim)
-    arr = np.atleast_1d(np.asarray(x0, dtype=float))
-    if arr.shape[0] == 1:
-        return np.full(dim, arr[0])
-    if arr.shape[0] != dim:
-        raise UsageError("x0 dimension %d does not match problem dimension %d"
-                         % (arr.shape[0], dim))
-    return arr
-
-
+#: problem kind -> (builder, the ``problem`` keys it takes besides ``lam``). This
+#: table and ``_RUNNERS`` look ``problems.gen_*`` and ``schemes.run_*`` up at call
+#: time, so that a wrapped one is the one called.
+_GENERATORS = {
+    "scalar-affine": (lambda **kw: problems.gen_scalar_affine(**kw), ("b",)),
+    "spd-linear": (lambda **kw: problems.gen_spd_linear(**kw),
+                   ("dim", "eigen_range", "seed", "c_a", "m", "b_scale")),
+    "soft-threshold": (lambda **kw: problems.gen_soft_threshold(**kw), ("dim", "c", "b", "seed")),
+    "explicit": (_explicit, ("dim", "h", "a", "m", "constants", "known_solution")),
+}
 _RUNNERS = {
     "fh": lambda p, x0, seqs, stop: schemes.run_fh(p, x0, stop),
     "zgy": lambda p, x0, seqs, stop: schemes.run_zgy(p, x0, seqs["xi"], seqs["mu"], stop),
@@ -176,20 +121,62 @@ _RUNNERS = {
     "new": lambda p, x0, seqs, stop: schemes.run_new(p, x0, seqs["mu"], stop),
 }
 
-
-def _sequences(cfg):
-    s = cfg.get("sequences") or {}
-    return {
-        "xi": parse_sequence(s.get("xi", "const:0.5")),
-        "mu": parse_sequence(s.get("mu", "const:0.5")),
-    }
+#: the spectrum that a lone --eigen-lo or --eigen-hi completes
+_EIGEN_RANGE = inspect.signature(problems.gen_spd_linear).parameters["eigen_range"].default
 
 
-def _run_algorithm(name, problem, x0, seqs, stop):
-    name = name.lower()
-    if name not in _RUNNERS:
-        raise UsageError("unknown algorithm %r (choose from fh, zgy, mann, new)" % name)
-    return _RUNNERS[name](problem, x0, seqs, stop)
+def build_problem(cfg):
+    """Build a ProblemInstance from the ``problem`` config section.
+
+    Only the keys present are passed on, so the builders' signatures hold
+    every default; a top-level ``lambda`` wins over ``problem.lambda``, and
+    ``problem.seed`` over a top-level ``seed``. ``"auto"`` takes the
+    closed-form kappa minimiser lam*, infeasible when even kappa(lam*) >= 1.
+    """
+    p = cfg.get("problem") or {}
+    if p.get("kind") not in _GENERATORS:
+        raise UsageError("unknown or missing problem kind %r" % (p.get("kind"),))
+    make, keys = _GENERATORS[p["kind"]]
+    lam = cfg.get("lambda", p.get("lambda"))
+    given = {"seed": cfg.get("seed"), **p, "lam": None if lam == "auto" else lam}
+    inst = make(**{k: given[k] for k in keys + ("lam",) if given.get(k) is not None})
+    if lam != "auto":
+        return inst
+    best, best_kappa = analysis.optimal_lambda(inst.constants)
+    if best_kappa >= 1.0:
+        raise InconsistentConstantsError(
+            "no lam with kappa < 1: constants are infeasible "
+            "(minimal kappa %.6g at lam %.6g)" % (best_kappa, best)
+        )
+    return dataclasses.replace(inst, lam=best, metadata={**inst.metadata, "lambda_auto": True})
+
+
+def _setup(cfg, fewest=1, most=float("inf")):
+    """Interpret the inputs of a run: (problem, stop, seqs, x0, algorithms).
+
+    The algorithm names and their number, ``fewest`` to ``most``, are checked
+    first: a bad one stops the command before any run.
+    """
+    with _interpreting():
+        algorithms = [str(a).lower() for a in cfg.get("algorithms") or ["fh"]]
+        if not set(algorithms) <= set(_RUNNERS):
+            raise UsageError("unknown algorithm in %s (choose from fh, zgy, mann, new)" % algorithms)
+        if not fewest <= len(algorithms) <= most:
+            raise UsageError("this command needs %s algorithms, got %d" % (
+                "exactly %d" % most if fewest == most else "at least %d" % fewest,
+                len(algorithms)))
+        problem = build_problem(cfg)
+        stopping = cfg.get("stopping") or {}
+        stop = StoppingRule(**{key: kind(stopping[key]) for key, kind in
+                               (("tol", float), ("max_steps", int)) if key in stopping})
+        sequences = cfg.get("sequences") or {}
+        seqs = {key: parse_sequence(sequences.get(key, "const:0.5")) for key in ("xi", "mu")}
+        x0 = cfg.get("x0")
+        x0 = as_vector(0.0 if x0 is None else x0)  # one entry broadcasts
+        if x0.shape[0] not in (1, problem.dim):
+            raise UsageError("x0 dimension %d does not match problem dimension %d"
+                             % (x0.shape[0], problem.dim))
+    return problem, stop, seqs, x0, algorithms
 
 
 def write_trace_csv(path, trace):
@@ -204,16 +191,13 @@ def write_trace_csv(path, trace):
 
 def read_trace_csv(path):
     """Round-trip reader for trace CSVs (residuals and errors bit-exact)."""
-    rows = []
     with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append({
-                "n": int(row["n"]),
-                "residual": float(row["residual"]),
-                "error": None if row["error"] == "" else float(row["error"]),
-                "wall_nanos": int(row["wall_nanos"]),
-            })
-    return rows
+        return [{
+            "n": int(row["n"]),
+            "residual": float(row["residual"]),
+            "error": None if row["error"] == "" else float(row["error"]),
+            "wall_nanos": int(row["wall_nanos"]),
+        } for row in csv.DictReader(fh)]
 
 
 def _envelope_summary(trace, seqs):
@@ -238,11 +222,7 @@ def _divergence_status(traces):
 
 
 def cmd_solve(cfg, out_dir):
-    problem = build_problem(cfg)
-    stop = _stopping(cfg)
-    seqs = _sequences(cfg)
-    x0 = _start_vector(cfg, problem.dim)
-    algorithms = cfg.get("algorithms") or ["fh"]
+    problem, stop, seqs, x0, algorithms = _setup(cfg)
     kappa = problem.contraction_factor()
 
     summary = {
@@ -254,10 +234,10 @@ def cmd_solve(cfg, out_dir):
     }
     traces = []
     for name in algorithms:
-        trace = _run_algorithm(name, problem, x0, seqs, stop)
+        trace = _RUNNERS[name](problem, x0, seqs, stop)
         traces.append(trace)
-        write_trace_csv(out_dir / ("trace_%s.csv" % name.lower()), trace)
-        summary["algorithms"][name.lower()] = {
+        write_trace_csv(out_dir / ("trace_%s.csv" % name), trace)
+        summary["algorithms"][name] = {
             "final_residual": trace.residuals[-1],
             "final_error": None if trace.errors is None else trace.errors[-1],
             "steps": trace.steps_used,
@@ -270,25 +250,22 @@ def cmd_solve(cfg, out_dir):
 
 
 def cmd_compare(cfg, out_dir):
-    algorithms = cfg.get("algorithms") or []
-    if len(algorithms) != 2:
-        raise UsageError("compare requires exactly two algorithms")
-    problem = build_problem(cfg)
+    problem, stop, seqs, x0, (name_a, name_b) = _setup(cfg, fewest=2, most=2)
     if problem.known_solution is None:
         raise UsageError("compare requires a problem with a known solution")
-    stop = _stopping(cfg)
-    seqs = _sequences(cfg)
-    x0 = _start_vector(cfg, problem.dim)  # equal starts enforced
+    with _interpreting():
+        decision_margin = float(cfg.get("decision_margin", 0.05))
     kappa = problem.contraction_factor()
 
-    trace_a = _run_algorithm(algorithms[0], problem, x0, seqs, stop)
-    trace_b = _run_algorithm(algorithms[1], problem, x0, seqs, stop)
+    # both runs start from the same x0
+    trace_a = _RUNNERS[name_a](problem, x0, seqs, stop)
+    trace_b = _RUNNERS[name_b](problem, x0, seqs, stop)
     report = analysis.rate_compare(
         trace_a, trace_b,
         kappa=kappa if kappa < 1.0 else None,
         xi=seqs["xi"],
         mu=seqs["mu"],
-        decision_margin=float(cfg.get("decision_margin", 0.05)),
+        decision_margin=decision_margin,
     )
 
     _write_json(out_dir / "rate_report.json", {
@@ -308,26 +285,20 @@ def cmd_compare(cfg, out_dir):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "e_a", "e_b", "pi_n", "envelope_a", "envelope_b"])
         for n in range(n_common):
-            pi = report.pi[n]
-            env_a = (report.envelope_checks_a[n].bound
-                     if n < len(report.envelope_checks_a) else "")
-            env_b = (report.envelope_checks_b[n].bound
-                     if n < len(report.envelope_checks_b) else "")
-            writer.writerow([
-                n, repr(trace_a.errors[n]), repr(trace_b.errors[n]),
-                "" if pi is None else repr(pi),
-                "" if env_a == "" else repr(env_a),
-                "" if env_b == "" else repr(env_b),
-            ])
+            env_a, env_b = (checks[n].bound if n < len(checks) else None
+                            for checks in (report.envelope_checks_a, report.envelope_checks_b))
+            writer.writerow([n] + ["" if v is None else repr(v) for v in (
+                trace_a.errors[n], trace_b.errors[n], report.pi[n], env_a, env_b)])
     return _divergence_status([trace_a, trace_b])
 
 
 def cmd_sweep(cfg, out_dir):
-    problem = build_problem(cfg)
-    grid_cfg = cfg.get("grid") or {}
-    lo = float(grid_cfg.get("lo", 1e-3))
-    hi = float(grid_cfg.get("hi", 10.0))
-    points = int(grid_cfg.get("points", 100))
+    with _interpreting():
+        problem = build_problem(cfg)
+        grid_cfg = cfg.get("grid") or {}
+        lo = float(grid_cfg.get("lo", 1e-3))
+        hi = float(grid_cfg.get("hi", 10.0))
+        points = int(grid_cfg.get("points", 100))
     if not (0 < lo <= hi) or points < 1:
         raise UsageError("invalid lambda grid")
     grid = np.linspace(lo, hi, points) if points > 1 else np.array([lo])
@@ -369,42 +340,29 @@ def _recursion_params(name_a, name_b, seqs):
 
 
 def cmd_audit(cfg, out_dir):
-    algorithms = [a.lower() for a in (cfg.get("algorithms") or [])]
-    if len(algorithms) < 2:
-        raise UsageError("audit requires at least two algorithms")
-    problem = build_problem(cfg)
-    stop = _stopping(cfg)
-    seqs = _sequences(cfg)
-    x0 = _start_vector(cfg, problem.dim)
+    problem, stop, seqs, x0, algorithms = _setup(cfg, fewest=2)
+    with _interpreting():
+        gap_tol = float(cfg.get("gap_tol", 1e-8))
     kappa = problem.contraction_factor()
-    gap_tol = float(cfg.get("gap_tol", 1e-8))
 
     # first pass finds how long the slowest algorithm needs, second pass runs
     # all algorithms for that common length so gaps are comparable per step
-    probe = {name: _run_algorithm(name, problem, x0, seqs, stop) for name in algorithms}
+    probe = {name: _RUNNERS[name](problem, x0, seqs, stop) for name in algorithms}
     common = max(trace.steps_used for trace in probe.values())
     # negative tol disables the residual stop so every trace reaches the
     # common length; a run already at its exact fixed point just repeats it
     fixed_stop = StoppingRule(tol=-1.0, max_steps=common)
-    traces = {
-        name: _run_algorithm(name, problem, x0, seqs, fixed_stop) for name in algorithms
-    }
+    traces = {name: _RUNNERS[name](problem, x0, seqs, fixed_stop) for name in algorithms}
     pairs = []
     all_ok = True
     for i, name_a in enumerate(algorithms):
         for name_b in algorithms[i + 1:]:
             params = _recursion_params(name_a, name_b, seqs)
-            if params is not None:
-                q_name, s_name, xi, mu = params
-                report = analysis.equivalence_audit(
-                    traces[q_name], traces[s_name], xi, mu,
-                    kappa if kappa < 1.0 else None, gap_tol=gap_tol,
-                )
-            else:
-                report = analysis.equivalence_audit(
-                    traces[name_a], traces[name_b], schemes.ONE, schemes.ONE, None,
-                    gap_tol=gap_tol,
-                )
+            q_name, s_name, xi, mu = params or (name_a, name_b, schemes.ONE, schemes.ONE)
+            report = analysis.equivalence_audit(
+                traces[q_name], traces[s_name], xi, mu,
+                kappa if params and kappa < 1.0 else None, gap_tol=gap_tol,
+            )
             ok = report.gap_converged and report.violations == 0
             all_ok = all_ok and ok
             pairs.append({
@@ -438,100 +396,84 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _lambda(text):
+    return text if text == "auto" else float(text)
+
+
+def _floats(text):
+    return [float(v) for v in text.split(",")]
+
+
+def _grid(text):
+    lo, hi, points = text.split(":")
+    return {"lo": float(lo), "hi": float(hi), "points": int(points)}
+
+
+#: (flag, config path, type, help) for the flags every subcommand takes
+_FLAGS = (
+    ("--problem", ("problem", "kind"), str, "scalar-affine, spd-linear, soft-threshold or explicit"),
+    ("--dim", ("problem", "dim"), int, "problem dimension"),
+    ("--b", ("problem", "b"), float, "affine offset for scalar/soft problems"),
+    ("--c", ("problem", "c"), float, "shift of the subdifferential part"),
+    ("--m", ("problem", "m"), float, "scale of the identity-like M"),
+    ("--c-a", ("problem", "c_a"), float, "coupling scale of A to H"),
+    ("--b-scale", ("problem", "b_scale"), float, "scale of the spd-linear offset"),
+    ("--eigen-lo", ("problem", "eigen_range", 0), float, "lowest eigenvalue of spd-linear H"),
+    ("--eigen-hi", ("problem", "eigen_range", 1), float, "highest eigenvalue of spd-linear H"),
+    ("--lambda", ("lambda",), _lambda, "resolvent parameter, or 'auto'"),
+    ("--alg", ("algorithms",), lambda text: [a for a in text.split(",") if a],
+     "comma-separated algorithms (fh,zgy,mann,new)"),
+    ("--xi", ("sequences", "xi"), str, "step sequence spec, e.g. const:0.5 or harmonic:1"),
+    ("--mu", ("sequences", "mu"), str, "step sequence spec"),
+    ("--tol", ("stopping", "tol"), float, "residual tolerance"),
+    ("--max-steps", ("stopping", "max_steps"), int, "step cap"),
+    ("--seed", ("seed",), int, "problem seed"),
+    ("--x0", ("x0",), _floats, "comma-separated start vector (scalar broadcasts)"),
+    ("--out", ("output", "dir"), str, "output directory"),
+)
+_SWEEP_FLAGS = (("--grid", ("grid",), _grid, "lambda grid lo:hi:points"),)
+_SECTIONS = ("problem", "sequences", "stopping", "grid", "output")
+
+
 def _load_config(args):
-    cfg = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    # flag overrides
-    problem = dict(cfg.get("problem") or {})
-    if args.problem:
-        problem["kind"] = args.problem
-    for key in ("dim", "b", "c", "m", "c_a", "b_scale"):
-        value = getattr(args, key, None)
-        if value is not None:
-            problem[key] = value
-    if args.eigen_lo is not None or args.eigen_hi is not None:
-        lo = args.eigen_lo if args.eigen_lo is not None else 1.0
-        hi = args.eigen_hi if args.eigen_hi is not None else 1.2
-        problem["eigen_range"] = (lo, hi)
-    if problem:
-        cfg["problem"] = problem
-    if args.lam is not None:
-        cfg["lambda"] = args.lam if args.lam == "auto" else float(args.lam)
-    if args.alg:
-        cfg["algorithms"] = [a for a in args.alg.split(",") if a]
-    sequences = dict(cfg.get("sequences") or {})
-    if args.xi:
-        sequences["xi"] = args.xi
-    if args.mu:
-        sequences["mu"] = args.mu
-    if sequences:
-        cfg["sequences"] = sequences
-    stopping = dict(cfg.get("stopping") or {})
-    if args.tol is not None:
-        stopping["tol"] = args.tol
-    if args.max_steps is not None:
-        stopping["max_steps"] = args.max_steps
-    if stopping:
-        cfg["stopping"] = stopping
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.x0 is not None:
-        cfg["x0"] = [float(v) for v in args.x0.split(",")]
-    if getattr(args, "grid", None):
-        lo, hi, points = args.grid.split(":")
-        cfg["grid"] = {"lo": float(lo), "hi": float(hi), "points": int(points)}
-    if args.out is not None:
-        cfg.setdefault("output", {})["dir"] = args.out
-    return cfg
+    """The config file with the given flags laid over it, and the output directory."""
+    with _interpreting():
+        cfg = {}
+        if args.config:
+            with open(args.config, encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        if not (isinstance(cfg, dict)
+                and all(isinstance(cfg.get(key) or {}, dict) for key in _SECTIONS)):
+            raise TypeError("the config and its %s must be JSON objects" % ", ".join(_SECTIONS))
+        for flag, path, _, _ in _FLAGS + _SWEEP_FLAGS:
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None:
+                node = cfg
+                for key in path[:-1]:
+                    # a flag for one end of eigen_range keeps the other end
+                    node[key] = node.get(key) or (list(_EIGEN_RANGE) if key == "eigen_range" else {})
+                    node = node[key]
+                node[path[-1]] = value
+        return cfg, Path((cfg.get("output") or {}).get("dir", "."))
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--problem", help="problem kind (scalar-affine, spd-linear, soft-threshold, explicit)")
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--b", type=float, help="affine offset for scalar/soft problems")
-    sub.add_argument("--c", type=float, help="shift of the subdifferential part")
-    sub.add_argument("--m", type=float, help="scale of the identity-like M")
-    sub.add_argument("--c-a", dest="c_a", type=float, help="coupling scale of A to H")
-    sub.add_argument("--b-scale", dest="b_scale", type=float)
-    sub.add_argument("--eigen-lo", type=float)
-    sub.add_argument("--eigen-hi", type=float)
-    sub.add_argument("--lambda", dest="lam", help="resolvent parameter, or 'auto'")
-    sub.add_argument("--alg", help="comma-separated algorithms (fh,zgy,mann,new)")
-    sub.add_argument("--xi", help="step sequence spec, e.g. const:0.5 or harmonic:1")
-    sub.add_argument("--mu", help="step sequence spec")
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--max-steps", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--x0", help="comma-separated start vector (scalar broadcasts)")
-    sub.add_argument("--out", help="output directory")
+_COMMANDS = {"solve": cmd_solve, "compare": cmd_compare, "sweep": cmd_sweep, "audit": cmd_audit}
 
 
 def main(argv=None):
     parser = _Parser(prog="hmsolve", description=__doc__)
-    subparsers = parser.add_subparsers(dest="command")
-    for name in ("solve", "compare", "sweep", "audit"):
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
         sub = subparsers.add_parser(name)
-        _add_common(sub)
-        if name == "sweep":
-            sub.add_argument("--grid", help="lambda grid lo:hi:points")
+        sub.add_argument("--config", help="JSON config file")
+        for flag, _, kind, help_text in _FLAGS + (_SWEEP_FLAGS if name == "sweep" else ()):
+            sub.add_argument(flag, type=kind, help=help_text)
 
     try:
         args = parser.parse_args(argv)
-        if not args.command:
-            raise UsageError("a subcommand is required (solve, compare, sweep, audit)")
-        cfg = _load_config(args)
-        out_dir = Path((cfg.get("output") or {}).get("dir", "."))
+        cfg, out_dir = _load_config(args)
         out_dir.mkdir(parents=True, exist_ok=True)
-        handler = {
-            "solve": cmd_solve,
-            "compare": cmd_compare,
-            "sweep": cmd_sweep,
-            "audit": cmd_audit,
-        }[args.command]
-        return handler(cfg, out_dir)
+        return _COMMANDS[args.command](cfg, out_dir)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -541,7 +483,7 @@ def main(argv=None):
     except ResolventDivergenceError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
-    except (KeyError, ValueError, OSError) as exc:
+    except OSError as exc:  # reading the config, writing the output
         print("usage error: %r" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -44,7 +44,7 @@ def _random_orthogonal(dim, rng):
     return q * np.sign(np.diag(r))
 
 
-def gen_spd_linear(dim, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
+def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
                    b_scale=1.0, lam=0.6, inner_tolerance=1e-12):
     """SPD instance with known spectrum and A tied affinely to H.
 
@@ -88,7 +88,7 @@ def gen_spd_linear(dim, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     )
 
 
-def gen_soft_threshold(dim, c=1.0, b=None, lam=0.5, seed=0, b_range=3.0,
+def gen_soft_threshold(dim=50, c=1.0, b=None, lam=0.5, seed=0, b_range=3.0,
                        inner_tolerance=1e-12):
     """Genuinely multivalued instance: H = I, A(u) = u - b, M(u) = c*u + d|u|.
 

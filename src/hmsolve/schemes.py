@@ -170,6 +170,11 @@ class ProblemInstance:
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError("lam must be strictly positive")
+        if not self.dim >= 1:
+            raise ValueError("dim must be at least 1")
+        for op in (self.h, self.a, self.m):
+            if getattr(op, "dim", None) not in (None, self.dim):
+                raise ValueError("%r acts on dimension %d, not %d" % (op, op.dim, self.dim))
         self.engine = ResolventEngine(
             self.h, self.m, self.lam, self.dim,
             inner_tolerance=self.inner_tolerance,

@@ -1,8 +1,13 @@
 import csv
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmsolve.analysis import DEFAULT_AUDIT_SLACK
 from hmsolve.cli import (
@@ -11,6 +16,7 @@ from hmsolve.cli import (
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
+    entry,
     main,
     parse_sequence,
     read_trace_csv,
@@ -24,6 +30,17 @@ def _write_config(tmp_path, payload):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _explicit(dim, a, constants=(1, 1, 1, 1, 1)):
+    return {
+        "kind": "explicit",
+        "dim": dim,
+        "h": {"kind": "scaled-identity", "scale": 1.0},
+        "a": a,
+        "m": {"kind": "scaled-identity", "scale": 1.0},
+        "constants": dict(zip(("gamma", "tau", "r", "s", "eta"), constants)),
+    }
 
 
 class TestParseSequence:
@@ -112,6 +129,22 @@ class TestSolve:
         summary = json.loads((out / "summary.json").read_text())
         # b = 4 from the flag: solution 2, reached from x0 = 0
         assert summary["problem"]["b"] == 4.0
+
+    @pytest.mark.parametrize("config_range, flag, expected", [
+        ([1.5, 3.0], ["--eigen-lo", "2"], [2.0, 3.0]),
+        ([1.5, 3.0], ["--eigen-hi", "2"], [1.5, 2.0]),
+        (None, ["--eigen-hi", "1.5"], [1.0, 1.5]),
+    ])
+    def test_eigen_flag_overrides_only_its_endpoint(self, tmp_path, config_range, flag,
+                                                    expected):
+        problem = {"kind": "spd-linear", "dim": 10}
+        if config_range is not None:
+            problem["eigen_range"] = config_range
+        cfg = _write_config(tmp_path, {"problem": problem})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, *flag, "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["problem"]["eigen_range"] == expected
 
     def test_envelope_checked_for_all_four_schemes(self, tmp_path):
         code = main([
@@ -306,3 +339,108 @@ class TestExitCodes:
         })
         code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
         assert code == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "audit"])
+    def test_unknown_algorithm_stops_before_any_run(self, tmp_path, command):
+        out = tmp_path / "out"
+        code = main([
+            command, "--problem", "spd-linear", "--dim", "10", "--alg", "fh,zgy,bogus",
+            "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert not any(out.iterdir())
+
+    def test_operator_of_other_dimension(self, tmp_path):
+        # a 2 x 2 A on a problem declared 3-dimensional
+        cfg = _write_config(tmp_path, {
+            "problem": _explicit(3, {"kind": "affine", "matrix": [[1, 0], [0, 1]]}),
+        })
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv, code", [
+        (["solve", "--problem", "scalar-affine"], EXIT_OK),
+        (["solve", "--problem", "scalar-affine", "--dim", "two"], EXIT_USAGE),
+        (["audit", "--problem", "spd-linear", "--alg", "fh"], EXIT_USAGE),
+    ])
+    def test_entry_exit_status(self, tmp_path, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["hmsolve", *argv, "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == code
+
+
+#: config field -> (valid values, invalid values); scalar-affine ignores dim,
+#: constants and a shape the explicit kind, lambda 40 breaks kappa < 1 and the
+#: second constants admit no lambda
+_FUZZ_POOLS = {
+    "kind": (["scalar-affine", "spd-linear", "soft-threshold", "explicit"], ["bogus"]),
+    "dim": ([1, 2, 6], [0, -1]),
+    "constants": ([(1, 1, 1, 1, 1), (1, 3, 1, 2, 1)], []),
+    "a": (["affine", "scaled-identity"], []),
+    "lambda": (["auto", 0.3, 1.0, 40.0], [0, -1.0]),
+    "xi": (["const:0.5", "harmonic:1", "one-minus-harmonic:2", "table:0.2,1"],
+           ["const:1.5", "geometric:1"]),
+    "mu": (["const:0", "const:0.9", "harmonic:2"], ["const:1.5", "geometric:1"]),
+    "tol": ([1e-10, 1e-3, -1.0], []),
+    "max_steps": ([0, 1, 30], []),
+    "x0": ([None, 0.5, -2.0], [float("nan"), [1.0] * 7]),
+}
+#: command -> (valid, invalid) algorithm lists; sweep runs none, so any list is valid
+_FUZZ_ALGORITHMS = {
+    "solve": ([["fh"], ["mann", "new"], ["fh", "zgy", "mann", "new"]], [["fh", "bogus"]]),
+    "compare": ([["zgy", "fh"], ["mann", "new"]], [["fh", "bogus"], ["new"], ["fh", "zgy", "new"]]),
+    "audit": ([["zgy", "fh"], ["fh", "zgy", "mann", "new"]], [["fh", "bogus"], ["new"]]),
+    "sweep": ([["fh", "bogus"], []], []),
+}
+
+
+@st.composite
+def _fuzzed_config(draw):
+    """(command, config, whether every field came from its valid pool).
+
+    At most one field is drawn from the invalid pools, so each invalid value
+    is tried among valid ones.
+    """
+    command = draw(st.sampled_from(sorted(_FUZZ_ALGORITHMS)))
+    pools = {**_FUZZ_POOLS, "algorithms": _FUZZ_ALGORITHMS[command]}
+    broken = draw(st.none() | st.sampled_from([f for f, (_, bad) in pools.items() if bad]))
+    pick = {field: draw(st.sampled_from(invalid if field == broken else valid))
+            for field, (valid, invalid) in pools.items()}
+    if pick["kind"] == "explicit":
+        # A = I - 1 puts x* at 1/2, the dimension-agnostic A = I at 0
+        n = max(pick["dim"], 1)
+        a, xstar = {"kind": "affine", "matrix": np.eye(n).tolist(), "offset": [1.0] * n}, 0.5
+        if pick["a"] == "scaled-identity":
+            a, xstar = {"kind": "scaled-identity", "scale": 1.0}, 0.0
+        problem = _explicit(pick["dim"], a, pick["constants"])
+        if pick["dim"] >= 1:
+            problem["known_solution"] = [xstar] * pick["dim"]
+    else:
+        problem = {"kind": pick["kind"], "dim": pick["dim"]}
+    cfg = {
+        "problem": problem,
+        "lambda": pick["lambda"],
+        "algorithms": pick["algorithms"],
+        "sequences": {"xi": pick["xi"], "mu": pick["mu"]},
+        "stopping": {"tol": pick["tol"], "max_steps": pick["max_steps"]},
+        "x0": pick["x0"],
+    }
+    return command, cfg, broken is None
+
+
+class TestExitCodeFuzz:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(case=_fuzzed_config())
+    def test_exit_code_matches_input_class(self, case):
+        # main never raises; a usage error needs a field from an invalid pool
+        command, cfg, all_valid = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_NUMERICAL)
+        if all_valid:
+            assert code != EXIT_USAGE, cfg

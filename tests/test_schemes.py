@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from hmsolve.analysis import contraction_factor
-from hmsolve.operators import OperatorConstants, ScaledIdentity, ScaledIdentityMulti
+from hmsolve.operators import (
+    AffineLinear,
+    LinearMonotone,
+    OperatorConstants,
+    ScaledIdentity,
+    ScaledIdentityMulti,
+)
 from hmsolve.problems import gen_scalar_affine, gen_spd_linear
 from hmsolve.schemes import (
     ProblemInstance,
@@ -62,6 +68,22 @@ def _identity_problem(lam):
         dim=1,
         known_solution=[0.0],
     )
+
+
+class TestProblemInstance:
+    @pytest.mark.parametrize("role", ["h", "a", "m"])
+    def test_rejects_operator_of_other_dimension(self, role):
+        ops = {"h": ScaledIdentity(1), "a": ScaledIdentity(1), "m": ScaledIdentityMulti(1)}
+        ops[role] = LinearMonotone(np.eye(2)) if role == "m" else AffineLinear(np.eye(2))
+        with pytest.raises(ValueError, match="acts on dimension 2, not 3"):
+            ProblemInstance(**ops, constants=OperatorConstants(1, 1, 1, 1, 1), lam=1.0, dim=3)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_rejects_empty_dimension(self, dim):
+        # dimension-agnostic operators alone would accept any dim
+        with pytest.raises(ValueError, match="dim must be at least 1"):
+            ProblemInstance(h=ScaledIdentity(1), a=ScaledIdentity(1), m=ScaledIdentityMulti(1),
+                            constants=OperatorConstants(1, 1, 1, 1, 1), lam=1.0, dim=dim)
 
 
 class TestFMap:
