@@ -5,8 +5,8 @@ keys ``problem``, ``algorithms``, ``sequences``, ``lambda``, ``stopping``,
 ``output``, ``seed``; CLI flags override file values. All emitted artifacts
 are data-only (CSV/JSON); plotting is downstream.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible constants,
-3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 infeasible constants (or declared
+constants that sampling falsifies), 3 numerical failure.
 """
 
 import argparse
@@ -26,8 +26,8 @@ from .operators import (
     InconsistentConstantsError,
     OperatorConstants,
     ScaledIdentity,
-    ScaledIdentityMulti,
     ShiftedSubdifferential,
+    validate_constants,
 )
 from .resolvent import ResolventDivergenceError
 from .schemes import ProblemInstance, StoppingRule, make_step_sequence
@@ -81,27 +81,39 @@ def parse_sequence(spec):
 
 def _operator_from_dict(d, multivalued=False):
     kind = d["kind"]
-    if multivalued:
-        if kind == "scaled-identity":
-            return ScaledIdentityMulti(d["scale"])
-        if kind == "shifted-subdifferential":
-            return ShiftedSubdifferential(d["shift"])
-        raise UsageError("unknown multivalued operator kind %r" % (kind,))
     if kind == "scaled-identity":
         return ScaledIdentity(d["scale"])
-    if kind == "affine":
-        return AffineLinear(np.asarray(d["matrix"], float), d.get("offset"))
-    raise UsageError("unknown operator kind %r" % (kind,))
+    if multivalued and kind == "shifted-subdifferential":
+        return ShiftedSubdifferential(d["shift"])
+    if not multivalued and kind == "affine":
+        return AffineLinear(np.atleast_2d(np.asarray(d["matrix"], float)), d.get("offset"))
+    raise UsageError("unknown %soperator kind %r" % ("multivalued " if multivalued else "", kind))
+
+
+#: random pairs on which an ``explicit`` problem's declared constants must hold
+_EXPLICIT_SAMPLES = 100
 
 
 def _explicit(dim, h, a, m, constants, lam=1.0, known_solution=None):
-    """A ProblemInstance from operators and constants given inline."""
-    return ProblemInstance(
+    """A ProblemInstance from operators and constants given inline.
+
+    The declared constants are checked on seeded random pairs: an inequality
+    that sampling falsifies makes them inconsistent.
+    """
+    inst = ProblemInstance(
         h=_operator_from_dict(h), a=_operator_from_dict(a),
         m=_operator_from_dict(m, multivalued=True),
         constants=OperatorConstants(**constants), lam=float(lam), dim=int(dim),
         known_solution=known_solution, metadata={"kind": "explicit"},
     )
+    report = validate_constants(inst.h, inst.a, inst.m, inst.constants,
+                                samples=_EXPLICIT_SAMPLES, seed=0, dim=inst.dim)
+    if not report.passed:
+        v = report.violations[0]
+        raise InconsistentConstantsError(
+            "declared constants fail %s on sampled pair %d: %.6g vs %.6g"
+            % (v.check, v.sample_index, v.lhs, v.rhs))
+    return inst
 
 
 #: problem kind -> (builder, the ``problem`` keys it takes besides ``lam``). This

@@ -1,8 +1,14 @@
-"""Operator models: single-valued maps, multivalued monotone maps, constants.
+"""Operator models: linear and nonlinear maps, monotone M, constants.
 
-Single-valued operators realize the maps H and A; multivalued operators
-realize M, which the solvers only ever touch through its resolvent plus a
-monotone selection used for empirical validation.
+H and A are single-valued maps; M is multivalued, and the solvers only ever
+touch it through its resolvent plus a monotone selection used for empirical
+validation. One class, ``AffineLinear``, implements every linear map
+x -> W x - b, whatever its role: W is a positive scalar w (w*I in any
+dimension, never stored as a matrix) or a square matrix. ``ScaledIdentity``
+(alias ``ScaledIdentityMulti``) and ``LinearMonotone`` are its scalar and
+symmetric-matrix cases. ``DiagonalNonlinear`` is the nonlinear coordinatewise
+H, ``ShiftedSubdifferential`` the genuinely multivalued coordinatewise M.
+The catalog functions read the five constants off these kinds exactly.
 
 Naming convention for the five constants: gamma and tau are H's strong
 monotonicity and Lipschitz constants, r and s are A's strong monotonicity
@@ -78,70 +84,67 @@ class OperatorConstants:
 
 
 # ---------------------------------------------------------------------------
-# single-valued operators
-
-
-class ScaledIdentity:
-    """x -> scale * x. Dimension-agnostic."""
-
-    is_linear = True
-    dim = None
-
-    def __init__(self, scale):
-        scale = float(scale)
-        if not (np.isfinite(scale) and scale > 0):
-            raise ValueError("scale must be strictly positive")
-        self.scale = scale
-
-    def apply(self, x):
-        return self.scale * np.atleast_1d(np.asarray(x, dtype=float))
-
-    def jacobian(self, x):
-        n = np.atleast_1d(np.asarray(x)).shape[0]
-        return self.scale * np.eye(n)
-
-    def linear_parts(self, dim):
-        return self.scale * np.eye(dim), np.zeros(dim)
-
-    def __repr__(self):
-        return "ScaledIdentity(%g)" % self.scale
+# operators
 
 
 class AffineLinear:
-    """x -> W x - offset."""
+    """x -> W x - offset, as H, as A or as a linear (single-valued) M.
 
-    is_linear = True
+    The weight W is a positive scalar w, meaning w*I in any dimension unless
+    an offset fixes it, or a square matrix; ``scale`` and ``matrix`` hold the
+    one that applies and are None otherwise. As M, ``selection`` is ``apply``.
+    """
 
-    def __init__(self, matrix, offset=None):
-        self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("matrix must be square")
-        self.dim = self.matrix.shape[0]
-        if offset is None:
-            offset = np.zeros(self.dim)
-        self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
-        if self.offset.shape[0] != self.dim:
-            raise ValueError("offset dimension does not match matrix")
-        self.matrix.setflags(write=False)
-        self.offset.setflags(write=False)
+    def __init__(self, weight, offset=None):
+        weight = np.asarray(weight, dtype=float)
+        if weight.ndim == 0:
+            if not (np.isfinite(weight) and weight > 0):
+                raise ValueError("a scalar weight must be strictly positive")
+            self.weight = self.scale = float(weight)
+            self.matrix, self.dim = None, None
+        elif weight.ndim == 2 and weight.shape[0] == weight.shape[1]:
+            self.weight = self.matrix = weight
+            self.scale, self.dim = None, weight.shape[0]
+            weight.setflags(write=False)
+        else:
+            raise ValueError("the weight must be a scalar or a square matrix")
+        self.offset = None
+        if offset is not None:
+            self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
+            if self.dim not in (None, self.offset.shape[0]):
+                raise ValueError("offset dimension does not match matrix")
+            self.dim = self.offset.shape[0]
+            self.offset.setflags(write=False)
 
     def apply(self, x):
-        return self.matrix @ np.atleast_1d(np.asarray(x, dtype=float)) - self.offset
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        wx = self.scale * x if self.matrix is None else self.matrix @ x
+        return wx if self.offset is None else wx - self.offset
 
-    def jacobian(self, x):
-        return self.matrix
-
-    def linear_parts(self, dim):
-        if dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return self.matrix, self.offset
-
-    @property
-    def is_symmetric(self):
-        return np.allclose(self.matrix, self.matrix.T, rtol=0, atol=1e-12)
+    selection = apply
 
     def __repr__(self):
-        return "AffineLinear(dim=%d)" % self.dim
+        weight = "dim=%d" % self.dim if self.scale is None else "%g" % self.scale
+        return "%s(%s)" % (type(self).__name__, weight)
+
+
+class ScaledIdentity(AffineLinear):
+    """x -> scale * x in any dimension; as M, M(u) = {scale * u}."""
+
+    def __init__(self, scale):
+        super().__init__(float(scale))
+
+
+ScaledIdentityMulti = ScaledIdentity
+
+
+class LinearMonotone(AffineLinear):
+    """M(u) = {B u} for a symmetric positive definite matrix B."""
+
+    def __init__(self, matrix):
+        super().__init__(np.atleast_2d(np.asarray(matrix, dtype=float)))
+        if not np.allclose(self.matrix, self.matrix.T, rtol=0, atol=1e-10):
+            raise ValueError("matrix must be symmetric")
 
 
 class DiagonalNonlinear:
@@ -151,7 +154,6 @@ class DiagonalNonlinear:
     double as the strong-monotonicity and Lipschitz constants of the map.
     """
 
-    is_linear = False
     dim = None
 
     def __init__(self, f, fprime, deriv_range):
@@ -173,59 +175,6 @@ class DiagonalNonlinear:
         return "DiagonalNonlinear(deriv_range=%r)" % (self.deriv_range,)
 
 
-# ---------------------------------------------------------------------------
-# multivalued operators
-
-
-class LinearMonotone:
-    """M(u) = {B u} for a symmetric positive definite matrix B."""
-
-    is_linear = True
-
-    def __init__(self, matrix):
-        self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("matrix must be square")
-        if not np.allclose(self.matrix, self.matrix.T, rtol=0, atol=1e-10):
-            raise ValueError("matrix must be symmetric")
-        self.dim = self.matrix.shape[0]
-        self.matrix.setflags(write=False)
-
-    def selection(self, x):
-        return self.matrix @ np.atleast_1d(np.asarray(x, dtype=float))
-
-    def jacobian(self, x):
-        return self.matrix
-
-    def linear_matrix(self, dim):
-        if dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return self.matrix
-
-
-class ScaledIdentityMulti:
-    """M(u) = {scale * u}."""
-
-    is_linear = True
-    dim = None
-
-    def __init__(self, scale):
-        scale = float(scale)
-        if not (np.isfinite(scale) and scale > 0):
-            raise ValueError("scale must be strictly positive")
-        self.scale = scale
-
-    def selection(self, x):
-        return self.scale * np.atleast_1d(np.asarray(x, dtype=float))
-
-    def jacobian(self, x):
-        n = np.atleast_1d(np.asarray(x)).shape[0]
-        return self.scale * np.eye(n)
-
-    def linear_matrix(self, dim):
-        return self.scale * np.eye(dim)
-
-
 class ShiftedSubdifferential:
     """Per-coordinate M(u) = shift*u + d|u|, genuinely multivalued at 0.
 
@@ -234,7 +183,6 @@ class ShiftedSubdifferential:
     through its dead zone.
     """
 
-    is_linear = False
     dim = None
 
     def __init__(self, shift):
@@ -260,63 +208,55 @@ def _spd_extremes(matrix):
     return lo, hi
 
 
+def _weight(op, role):
+    if not isinstance(op, AffineLinear):
+        raise UnsupportedOperatorError("no cataloged constants for %r as %s" % (op, role))
+    return op.weight
+
+
 def h_constants(op):
     """(gamma, tau) for a catalog single-valued operator."""
-    if isinstance(op, ScaledIdentity):
-        return op.scale, op.scale
-    if isinstance(op, AffineLinear):
-        if not op.is_symmetric:
-            raise UnsupportedOperatorError(
-                "constants for non-symmetric affine operators are not cataloged"
-            )
-        return _spd_extremes(op.matrix)
     if isinstance(op, DiagonalNonlinear):
         return op.deriv_range
-    raise UnsupportedOperatorError("unknown operator kind: %r" % (op,))
+    w = _weight(op, "H")
+    if op.matrix is None:
+        return w, w
+    if not np.allclose(w, w.T, rtol=0, atol=1e-12):
+        raise UnsupportedOperatorError(
+            "constants for non-symmetric affine operators are not cataloged"
+        )
+    return _spd_extremes(w)
 
 
 def coupling_constants(a_op, h_op):
     """(r, s): A's strong monotonicity w.r.t. H and A's Lipschitz constant.
 
-    Cataloged combinations only; the cross-operator constant r is exact for
-    these, never estimated.
+    Cataloged for affine A and H only; the cross-operator constant r is
+    exact for these, never estimated.
     """
-    if isinstance(a_op, ScaledIdentity) and isinstance(h_op, ScaledIdentity):
-        return a_op.scale * h_op.scale, a_op.scale
-    if isinstance(a_op, ScaledIdentity) and isinstance(h_op, AffineLinear):
-        gamma, _ = h_constants(h_op)
-        return a_op.scale * gamma, a_op.scale
-    if isinstance(a_op, AffineLinear) and isinstance(h_op, ScaledIdentity):
-        if not a_op.is_symmetric:
-            raise UnsupportedOperatorError("non-symmetric A is not cataloged")
-        lo, hi = _spd_extremes(a_op.matrix)
-        return h_op.scale * lo, hi
-    if isinstance(a_op, AffineLinear) and isinstance(h_op, AffineLinear):
-        # cataloged only when A's matrix is a positive multiple of H's,
-        # where <c*W d, W d> = c ||W d||^2 >= c*gamma^2 ||d||^2 exactly
-        wa, wh = a_op.matrix, h_op.matrix
-        denom = float(np.sum(wh * wh))
-        c = float(np.sum(wa * wh)) / denom
-        if c <= 0 or not np.allclose(wa, c * wh, rtol=1e-9, atol=1e-12):
-            raise UnsupportedOperatorError(
-                "affine A must be a positive multiple of H for exact coupling constants"
-            )
-        gamma, tau = h_constants(h_op)
-        return c * gamma * gamma, c * tau
-    raise UnsupportedOperatorError(
-        "no cataloged coupling constants for %r w.r.t. %r" % (a_op, h_op)
-    )
+    wa, wh = _weight(a_op, "A"), _weight(h_op, "H")
+    if a_op.matrix is None:  # <a d, W_H d> >= a*gamma ||d||^2
+        return wa * h_constants(h_op)[0], wa
+    if h_op.matrix is None:  # <W_A d, h d> >= h*lo(W_A) ||d||^2
+        lo, hi = h_constants(a_op)
+        return wh * lo, hi
+    # cataloged only when A's matrix is a positive multiple of H's,
+    # where <c*W d, W d> = c ||W d||^2 >= c*gamma^2 ||d||^2 exactly
+    c = float(np.sum(wa * wh)) / float(np.sum(wh * wh))
+    if c <= 0 or not np.allclose(wa, c * wh, rtol=1e-9, atol=1e-12):
+        raise UnsupportedOperatorError(
+            "affine A must be a positive multiple of H for exact coupling constants"
+        )
+    gamma, tau = h_constants(h_op)
+    return c * gamma * gamma, c * tau
 
 
 def m_constant(m_op):
     """eta for a catalog multivalued operator."""
-    if isinstance(m_op, ScaledIdentityMulti):
-        return m_op.scale
     if isinstance(m_op, ShiftedSubdifferential):
         return m_op.shift
-    if isinstance(m_op, LinearMonotone):
-        return _spd_extremes(m_op.matrix)[0]
-    raise UnsupportedOperatorError("unknown multivalued kind: %r" % (m_op,))
+    w = _weight(m_op, "M")
+    return w if m_op.matrix is None else _spd_extremes(w)[0]
 
 
 def catalog_constants(h_op, a_op, m_op):

@@ -26,7 +26,7 @@ def gen_scalar_affine(b=2.0, lam=1.0, inner_tolerance=1e-12):
     constants equal one.
     """
     h = ScaledIdentity(1.0)
-    a = AffineLinear(np.eye(1), np.array([float(b)]))
+    a = AffineLinear(1.0, np.array([float(b)]))
     m = ScaledIdentityMulti(1.0)
     constants = OperatorConstants(1.0, 1.0, 1.0, 1.0, 1.0)
     return ProblemInstance(
@@ -104,7 +104,7 @@ def gen_soft_threshold(dim=50, c=1.0, b=None, lam=0.5, seed=0, b_range=3.0,
     else:
         b_vec = np.broadcast_to(np.asarray(b, dtype=float), (dim,)).copy()
     h = ScaledIdentity(1.0)
-    a = AffineLinear(np.eye(dim), b_vec)
+    a = AffineLinear(1.0, b_vec)
     m = ShiftedSubdifferential(c)
     constants = OperatorConstants(1.0, 1.0, 1.0, 1.0, float(c))
     xstar = np.sign(b_vec) * np.maximum(np.abs(b_vec) - 1.0, 0.0) / (1.0 + c)

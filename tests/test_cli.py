@@ -350,6 +350,17 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["solve", "compare", "sweep", "audit"])
+    def test_explicit_constants_falsified_by_sampling(self, tmp_path, command, capsys):
+        # an identity H is 1-Lipschitz, not 0.5: sampling falsifies tau before any run
+        problem = _explicit(2, {"kind": "scaled-identity", "scale": 1.0}, (0.5, 0.5, 0.5, 1, 1))
+        cfg = _write_config(tmp_path, {"problem": {**problem, "known_solution": [0.0, 0.0]},
+                                       "algorithms": ["fh", "zgy"]})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_INFEASIBLE
+        assert not any(out.iterdir())
+        assert "h_lipschitz" in capsys.readouterr().err
+
     def test_operator_of_other_dimension(self, tmp_path):
         # a 2 x 2 A on a problem declared 3-dimensional
         cfg = _write_config(tmp_path, {

@@ -28,6 +28,17 @@ class TestApply:
         op = AffineLinear(np.eye(2), (1, 1))
         assert np.array_equal(op.apply((0, 0)), [-1, -1])
 
+    @pytest.mark.parametrize("w", [1.0, 0.7, 2.5])
+    @pytest.mark.parametrize("n", [1, 5, 100])
+    def test_scalar_weight_matches_dense_identity(self, w, n):
+        # the dense w*I matvec is the oracle, bit for bit
+        rng = np.random.default_rng(n)
+        x, b = rng.standard_normal(n), rng.standard_normal(n)
+        op = AffineLinear(w, b)
+        assert op.matrix is None and op.dim == n
+        assert np.array_equal(op.apply(x), w * np.eye(n) @ x - b)
+        assert np.array_equal(AffineLinear(w).selection(x), w * np.eye(n) @ x)
+
     def test_diagonal_nonlinear_odd_at_origin(self):
         op = DiagonalNonlinear(
             lambda t: t + np.tanh(t), lambda t: 1 + 1 / np.cosh(t) ** 2, (1.0, 2.0)

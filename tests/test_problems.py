@@ -5,6 +5,13 @@ from hmsolve.operators import validate_constants
 from hmsolve.problems import gen_scalar_affine, gen_soft_threshold, gen_spd_linear
 
 
+@pytest.mark.parametrize("problem", [gen_scalar_affine(), gen_soft_threshold(dim=40)])
+def test_identity_a_has_no_dense_matrix(problem):
+    # A(u) = u - b keeps its weight a scalar: no n x n array anywhere on it
+    assert problem.a.matrix is None and problem.a.scale == 1.0
+    assert all(np.ndim(value) < 2 for value in vars(problem.a).values())
+
+
 class TestScalarAffine:
     def test_default_solution(self):
         # 0 in (u - b) + u  =>  u = b/2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from hmsolve.operators import (
     AffineLinear,
@@ -80,6 +81,29 @@ class TestResolve:
         x = eng.resolve([0.5])
         assert x[0] == 0.0
         assert eng.inclusion_residual(x, [0.5]) <= 1e-12
+
+    @pytest.mark.parametrize("h, m, lam", [(1.0, 1.0, 1.0), (1.5, 0.5, 0.8), (1.0, 1.0, 0.6),
+                                           (0.3, 2.0, 1 / 3)])
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_scalar_closed_form_matches_dense_lu(self, h, m, lam, n):
+        # K = (h + lam*m) I stays a scalar; the LU of the dense K is the oracle
+        rng = np.random.default_rng(n)
+        b, u = rng.standard_normal(n), 10.0 * rng.standard_normal(n)
+        eng = ResolventEngine(AffineLinear(h, b), ScaledIdentityMulti(m), lam, dim=n)
+        assert eng.strategy == CLOSED_FORM
+        dense_k = h * np.eye(n) + lam * (m * np.eye(n))
+        assert np.array_equal(eng.resolve(u), lu_solve(lu_factor(dense_k), u + b))
+
+    @pytest.mark.parametrize("m, strategy", [(ScaledIdentityMulti(0.7), CLOSED_FORM),
+                                             (ShiftedSubdifferential(0.7), SEPARABLE)])
+    def test_scalar_h_offset_resolves(self, m, strategy):
+        # H x = 1.5 x - b: a resolve that dropped b would leave residual ||b||
+        rng = np.random.default_rng(3)
+        b, u = rng.standard_normal(6), 3.0 * rng.standard_normal(6)
+        eng = ResolventEngine(AffineLinear(1.5, b), m, 0.9, dim=6)
+        assert eng.strategy == strategy
+        x = eng.resolve(u)
+        assert eng.inclusion_residual(x, u) <= 1e-12
 
     def test_strategy_auto_selection(self):
         assert ResolventEngine(ScaledIdentity(1), ScaledIdentityMulti(1), 1.0, dim=2).strategy == CLOSED_FORM

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hmsolve.analysis import contraction_factor
+from hmsolve.analysis import contraction_factor, optimal_lambda
 from hmsolve.operators import (
     AffineLinear,
     LinearMonotone,
     OperatorConstants,
     ScaledIdentity,
     ScaledIdentityMulti,
+    ShiftedSubdifferential,
+    catalog_constants,
+    validate_constants,
 )
 from hmsolve.problems import gen_scalar_affine, gen_spd_linear
 from hmsolve.schemes import (
@@ -244,7 +249,53 @@ class TestCollapseIdentities:
                 assert np.array_equal(a, b)
 
 
+@st.composite
+def _cataloged_triple(draw):
+    """(H, A, M, seed) from the catalog, with random offsets on H and A.
+
+    H is a scalar or a random SPD weight, A a scalar or a positive multiple
+    of H, M a scalar, an SPD matrix or, when H is a scalar, a subdifferential.
+    """
+    dim = draw(st.integers(min_value=1, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    scale = st.floats(min_value=0.2, max_value=3.0)
+
+    def spd():
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        w = (q * rng.uniform(0.5, 2.0, dim)) @ q.T
+        return (w + w.T) / 2.0
+
+    h = AffineLinear(spd() if draw(st.booleans()) else draw(scale), rng.standard_normal(dim))
+    a_weight = draw(scale) * (h.weight if draw(st.booleans()) else 1.0)
+    a = AffineLinear(a_weight, rng.standard_normal(dim))
+    kinds = ["scalar", "spd"] + (["subdifferential"] if h.matrix is None else [])
+    m = {"scalar": lambda: ScaledIdentityMulti(draw(scale)),
+         "spd": lambda: LinearMonotone(spd()),
+         "subdifferential": lambda: ShiftedSubdifferential(draw(scale))}[
+        draw(st.sampled_from(kinds))]()
+    return h, a, m, seed
+
+
 class TestContractionOfF:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(triple=_cataloged_triple())
+    def test_cataloged_triples_property(self, triple):
+        # the catalog's constants survive sampling, and F is a kappa(lam*)-contraction
+        h, a, m, seed = triple
+        dim = h.dim
+        constants = catalog_constants(h, a, m)
+        assert validate_constants(h, a, m, constants, samples=50, seed=seed, dim=dim).passed
+        lam, kappa = optimal_lambda(constants)
+        if not kappa < 1.0:
+            return
+        p = ProblemInstance(h=h, a=a, m=m, constants=constants, lam=lam, dim=dim)
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            x, y = 3.0 * rng.standard_normal((2, dim))
+            lhs = np.linalg.norm(p.f_map(x) - p.f_map(y))
+            assert lhs <= kappa * np.linalg.norm(x - y) + 1e-10
+
     def test_random_pair_audit(self):
         p = gen_spd_linear(15, seed=6)
         kappa = contraction_factor(p.constants, p.lam)
