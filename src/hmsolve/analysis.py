@@ -2,9 +2,10 @@
 
 Everything here is a pure function of immutable inputs. The contraction
 factor kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta) drives
-all of it: the feasible-lam interval is exactly the set where kappa < 1, its
-minimiser over lam has a closed form, the error envelope of each scheme is the
-product of the per-step bounds of its (xi, mu) casting, and the rate
+all of it: when s > eta, the feasible-lam interval is exactly the set where
+kappa < 1 (for s <= eta it is ``outside_scope``); the minimiser of kappa over
+lam has a closed form in every regime; the error envelope of each scheme is
+the product of the per-step bounds of its (xi, mu) casting; and the rate
 comparison classifies the ratio of measured error sequences.
 """
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import InconsistentConstantsError
+from .resolvent import ResolventEngine
 from .schemes import casting
 
 __all__ = [
@@ -34,11 +36,7 @@ __all__ = [
 
 #: absolute slack for inequality audits on converged runs; the second term
 #: accounts for inexact resolvents
-def audit_slack(inner_tolerance=1e-12):
-    return 1e-8 + 10.0 * inner_tolerance
-
-
-DEFAULT_AUDIT_SLACK = audit_slack()
+DEFAULT_AUDIT_SLACK = 1e-8 + 10.0 * ResolventEngine.inner_tolerance
 
 
 def contraction_factor(constants, lam):
@@ -69,8 +67,6 @@ class FeasibilityResult:
     s_greater_eta: bool = False
     discriminant_positive: bool = False
     outside_scope: bool = False
-    center: float = None
-    radius: float = None
 
 
 def feasible_lambda(constants):
@@ -97,8 +93,6 @@ def feasible_lambda(constants):
         interval=(lo, hi),
         s_greater_eta=True,
         discriminant_positive=True,
-        center=center,
-        radius=radius,
     )
 
 
@@ -137,10 +131,9 @@ def envelope(scheme, kappa, xi, mu, e0, n):
 
 @dataclass(frozen=True)
 class BoundarySharpnessReport:
-    interval: tuple
     midpoint_kappa: float
     endpoint_kappas: tuple
-    endpoint_sharp: tuple     # True when kappa = 1 within tol, or clipped at 0
+    endpoint_sharp: tuple     # True when kappa = 1 within 1e-9, or clipped at 0
     lower_clipped: bool
     exterior_kappas: tuple    # (below lower, above upper); None when clipped
     exterior_ge_one: tuple
@@ -154,13 +147,14 @@ class BoundarySharpnessReport:
         )
 
 
-def boundary_sharpness(constants, tol=1e-9, exterior_eps=1e-6):
+def boundary_sharpness(constants):
     """Check that the feasible interval is exactly the kappa < 1 region.
 
-    kappa must be < 1 at the midpoint, equal to 1 within ``tol`` at both
+    kappa must be < 1 at the midpoint, equal to 1 within 1e-9 at both
     endpoints (except a lower endpoint clipped at 0, where the lam->0 limit
-    is tau/gamma), and >= 1 just outside.
+    is tau/gamma), and >= 1 - 1e-9 at 1e-6 outside them.
     """
+    tol, eps = 1e-9, 1e-6
     feas = feasible_lambda(constants)
     if not feas.feasible:
         raise ValueError("constants admit no feasible interval")
@@ -176,12 +170,11 @@ def boundary_sharpness(constants, tol=1e-9, exterior_eps=1e-6):
     else:
         k_lo = contraction_factor(constants, lo)
         lo_sharp = abs(k_lo - 1.0) <= tol
-        ext_lo = contraction_factor(constants, lo - exterior_eps) if lo > exterior_eps else None
+        ext_lo = contraction_factor(constants, lo - eps) if lo > eps else None
         ext_lo_ok = None if ext_lo is None else ext_lo >= 1.0 - tol
     k_hi = contraction_factor(constants, hi)
-    ext_hi = contraction_factor(constants, hi + exterior_eps)
+    ext_hi = contraction_factor(constants, hi + eps)
     return BoundarySharpnessReport(
-        interval=(lo, hi),
         midpoint_kappa=mid_kappa,
         endpoint_kappas=(k_lo, k_hi),
         endpoint_sharp=(lo_sharp, abs(k_hi - 1.0) <= tol),
@@ -210,16 +203,13 @@ class RateReport:
     ``pi`` has one entry per common step; censored entries (either error
     below the floating-point noise floor) are None and excluded from the
     verdict. The verdict classifies the fitted geometric decay ratio of the
-    trailing window of pi.
+    trailing window of pi: its last quarter of uncensored entries, at least 3.
     """
 
-    algorithm_a: str
-    algorithm_b: str
     pi: list
     censored: list
     verdict: str
     fitted_ratio: float
-    kappa: float = None
     envelope_checks_a: list = field(default_factory=list)
     envelope_checks_b: list = field(default_factory=list)
 
@@ -235,8 +225,7 @@ def _envelope_checks(trace, kappa, xi, mu, n_common, slack):
 
 
 def rate_compare(trace_a, trace_b, kappa=None, xi=None, mu=None,
-                 decision_margin=0.05, window_frac=0.25,
-                 slack=DEFAULT_AUDIT_SLACK):
+                 decision_margin=0.05, slack=DEFAULT_AUDIT_SLACK):
     """Compare two error traces on the same problem with known solution.
 
     Verdicts: ``a-faster`` when the trailing window of pi is nonincreasing
@@ -266,7 +255,7 @@ def rate_compare(trace_a, trace_b, kappa=None, xi=None, mu=None,
     verdict = "undecided"
     ratio = float("nan")
     if usable:
-        w = max(3, int(math.ceil(window_frac * len(usable))))
+        w = max(3, int(math.ceil(0.25 * len(usable))))
         window = usable[-w:]
         vals = [p for _, p in window]
         if any(p == 0.0 for p in vals):
@@ -293,13 +282,10 @@ def rate_compare(trace_a, trace_b, kappa=None, xi=None, mu=None,
         checks_b = _envelope_checks(trace_b, kappa, xi, mu, n_common, slack)
 
     return RateReport(
-        algorithm_a=trace_a.algorithm,
-        algorithm_b=trace_b.algorithm,
         pi=pi,
         censored=censored,
         verdict=verdict,
         fitted_ratio=ratio,
-        kappa=kappa,
         envelope_checks_a=checks_a,
         envelope_checks_b=checks_b,
     )
@@ -315,9 +301,9 @@ class AuditReport:
 
     gaps[n] = ||q_n - s_n||. Two recursion forms are checked when both traces
     carry errors: the forward form with coefficient (1 - xi_n mu_n (1-kappa))
-    and inhomogeneity driven by the unrelaxed trace's errors, and the
-    symmetric form with coefficient (1 - mu_n (1-kappa)) driven by the
-    relaxed trace's errors. Violations are exceedances beyond the slack.
+    and inhomogeneity driven by the unrelaxed trace's errors, and the symmetric
+    form with coefficient (1 - mu_n (1-kappa)) driven by the relaxed trace's
+    errors. Violations are exceedances beyond ``DEFAULT_AUDIT_SLACK``.
     """
 
     gaps: list
@@ -336,7 +322,7 @@ class AuditReport:
 
 
 def equivalence_audit(q_trace, s_trace, xi, mu, kappa,
-                      gap_tol=1e-8, slack=DEFAULT_AUDIT_SLACK):
+                      gap_tol=1e-8):
     """Audit the equivalence-of-convergence recursions on a pair of runs.
 
     ``q_trace`` is the relaxed two-step run driven by (xi, mu); ``s_trace``
@@ -367,13 +353,13 @@ def equivalence_audit(q_trace, s_trace, xi, mu, kappa,
         rho_scale = (1.0 - xi_n) * (1.0 + kappa * shrink)
         # forward form: coefficient 1 - xi*mu*(1-kappa), driven by s-errors
         bound_f = (1.0 - xi_n * mu_n * (1.0 - kappa)) * gaps[n] + rho_scale * s_trace.errors[n]
-        excess_f = gaps[n + 1] - bound_f - slack
+        excess_f = gaps[n + 1] - bound_f - DEFAULT_AUDIT_SLACK
         if excess_f > 0:
             report.violations_forward += 1
             report.max_violation_forward = max(report.max_violation_forward, excess_f)
         # symmetric form: coefficient 1 - mu*(1-kappa), driven by q-errors
         bound_s = shrink * gaps[n] + rho_scale * q_trace.errors[n]
-        excess_s = gaps[n + 1] - bound_s - slack
+        excess_s = gaps[n + 1] - bound_s - DEFAULT_AUDIT_SLACK
         if excess_s > 0:
             report.violations_symmetric += 1
             report.max_violation_symmetric = max(report.max_violation_symmetric, excess_s)

@@ -361,6 +361,9 @@ def cmd_audit(cfg, out_dir):
     # all algorithms for that common length so gaps are comparable per step
     probe = {name: _RUNNERS[name](problem, x0, seqs, stop) for name in algorithms}
     common = max(trace.steps_used for trace in probe.values())
+    # why a probe run ended unconverged, for the failure messages
+    unfinished = {name: "diverged" if trace.diverged else "hit the step cap %d" % stop.max_steps
+                  for name, trace in probe.items() if not trace.converged}
     # negative tol disables the residual stop so every trace reaches the
     # common length; a run already at its exact fixed point just repeats it
     fixed_stop = StoppingRule(tol=-1.0, max_steps=common)
@@ -375,8 +378,17 @@ def cmd_audit(cfg, out_dir):
                 traces[q_name], traces[s_name], xi, mu,
                 kappa if params and kappa < 1.0 else None, gap_tol=gap_tol,
             )
-            ok = report.gap_converged and report.violations == 0
-            all_ok = all_ok and ok
+            max_violation = max(report.max_violation_forward, report.max_violation_symmetric)
+            causes = [] if report.gap_converged else [
+                ", ".join("%s %s" % (n, unfinished[n]) for n in (name_a, name_b) if n in unfinished)
+                or "the gap stayed above gap_tol %g" % gap_tol]
+            if report.violations:
+                causes.append("the gap recursion was violated %d times, largest excess %g"
+                              % (report.violations, max_violation))
+            if causes:
+                print("audit failure: %s,%s final gap %g: %s" % (
+                    name_a, name_b, report.final_gap, "; ".join(causes)), file=sys.stderr)
+            all_ok = all_ok and not causes
             pairs.append({
                 "a": name_a,
                 "b": name_b,
@@ -384,9 +396,7 @@ def cmd_audit(cfg, out_dir):
                 "gap_converged": report.gap_converged,
                 "recursion_checked": report.recursion_checked,
                 "violations": report.violations,
-                "max_violation": max(
-                    report.max_violation_forward, report.max_violation_symmetric
-                ),
+                "max_violation": max_violation,
             })
     _write_json(out_dir / "audit.json", {
         "kappa": kappa,
@@ -395,7 +405,8 @@ def cmd_audit(cfg, out_dir):
         "pairs": pairs,
         "all_ok": all_ok,
     })
-    return EXIT_OK if all_ok else EXIT_NUMERICAL
+    status = _divergence_status(probe.values())  # names diverged runs, even of passing pairs
+    return status if all_ok else EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------

@@ -280,9 +280,6 @@ class Violation:
 
 @dataclass
 class ValidationReport:
-    samples: int
-    dim: int
-    seed: int
     violations: list = field(default_factory=list)
 
     @property
@@ -290,7 +287,7 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_constants(h_op, a_op, m_op, constants, samples, seed, dim=None, scale=1.0):
+def validate_constants(h_op, a_op, m_op, constants, samples, seed, dim=None):
     """Falsification-only check of declared constants on random pairs.
 
     Draws ``samples`` standard-normal pairs (x, y) and tests every declared
@@ -308,11 +305,11 @@ def validate_constants(h_op, a_op, m_op, constants, samples, seed, dim=None, sca
         raise ValueError("dim is required when all operators are dimension-agnostic")
 
     rng = np.random.default_rng(seed)
-    report = ValidationReport(samples=samples, dim=dim, seed=seed)
+    report = ValidationReport()
     c = constants
     for i in range(samples):
-        x = scale * rng.standard_normal(dim)
-        y = scale * rng.standard_normal(dim)
+        x = rng.standard_normal(dim)
+        y = rng.standard_normal(dim)
         d = x - y
         dn2 = float(np.dot(d, d))
         dn = np.sqrt(dn2)

@@ -19,7 +19,7 @@ from .schemes import ProblemInstance
 __all__ = ["gen_scalar_affine", "gen_spd_linear", "gen_soft_threshold"]
 
 
-def gen_scalar_affine(b=2.0, lam=1.0, inner_tolerance=1e-12):
+def gen_scalar_affine(b=2.0, lam=1.0):
     """Scalar instance: H = I, A(u) = u - b, M = I; solution b/2.
 
     The inclusion 0 = (x - b) + x pins the solution at b/2, and all five
@@ -32,7 +32,6 @@ def gen_scalar_affine(b=2.0, lam=1.0, inner_tolerance=1e-12):
     return ProblemInstance(
         h=h, a=a, m=m, constants=constants, lam=lam, dim=1,
         known_solution=np.array([float(b) / 2.0]),
-        inner_tolerance=inner_tolerance,
         metadata={"kind": "scalar-affine", "b": float(b)},
     )
 
@@ -45,7 +44,7 @@ def _random_orthogonal(dim, rng):
 
 
 def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
-                   b_scale=1.0, lam=0.6, inner_tolerance=1e-12):
+                   b_scale=1.0, lam=0.6):
     """SPD instance with known spectrum and A tied affinely to H.
 
     H is a seeded random orthogonal conjugation of a linspace spectrum, so
@@ -76,7 +75,6 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     return ProblemInstance(
         h=h, a=a, m=mm, constants=constants, lam=lam, dim=dim,
         known_solution=xstar,
-        inner_tolerance=inner_tolerance,
         metadata={
             "kind": "spd-linear",
             "eigen_range": (lo, hi),
@@ -88,19 +86,18 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     )
 
 
-def gen_soft_threshold(dim=50, c=1.0, b=None, lam=0.5, seed=0, b_range=3.0,
-                       inner_tolerance=1e-12):
+def gen_soft_threshold(dim=50, c=1.0, b=None, lam=0.5, seed=0):
     """Genuinely multivalued instance: H = I, A(u) = u - b, M(u) = c*u + d|u|.
 
     Per coordinate the inclusion 0 in (x - b_i) + c*x + d|x| has the closed
     form x_i = softthreshold(b_i, 1)/(1 + c). ``b`` may be a scalar, a
-    vector, or None (seeded uniform draw on [-b_range, b_range]).
+    vector, or None (a seeded uniform draw on [-3, 3]).
     """
     if not c > 0:
         raise ValueError("c must be strictly positive")
     if b is None:
         rng = np.random.default_rng(seed)
-        b_vec = rng.uniform(-b_range, b_range, dim)
+        b_vec = rng.uniform(-3.0, 3.0, dim)
     else:
         b_vec = np.broadcast_to(np.asarray(b, dtype=float), (dim,)).copy()
     h = ScaledIdentity(1.0)
@@ -111,6 +108,5 @@ def gen_soft_threshold(dim=50, c=1.0, b=None, lam=0.5, seed=0, b_range=3.0,
     return ProblemInstance(
         h=h, a=a, m=m, constants=constants, lam=lam, dim=dim,
         known_solution=xstar,
-        inner_tolerance=inner_tolerance,
         metadata={"kind": "soft-threshold", "c": float(c), "seed": int(seed)},
     )

@@ -73,16 +73,15 @@ def _coordinate_failure(reason, index, failed, resid):
 class ResolventEngine:
     """Immutable solver for u in H(x) + lam*M(x); ``resolve`` is reentrant."""
 
-    def __init__(self, h_op, m_op, lam, dim, inner_tolerance=1e-12, max_inner_steps=100):
+    inner_tolerance = 1e-12  # residual at which the iterative strategies stop
+
+    def __init__(self, h_op, m_op, lam, dim, max_inner_steps=100):
         if not lam > 0:
             raise ValueError("lam must be strictly positive")
-        if not inner_tolerance > 0:
-            raise ValueError("inner_tolerance must be strictly positive")
         self.h = h_op
         self.m = m_op
         self.lam = float(lam)
         self.dim = int(dim)
-        self.inner_tolerance = float(inner_tolerance)
         self.max_inner_steps = int(max_inner_steps)
         self.strategy = self._auto_strategy()
         # affine parts W x - b move their offsets into u: u + b_H + lam*b_M. A full
@@ -204,25 +203,19 @@ class ResolventEngine:
 
     # -- residual accounting
 
-    def resolved_selection(self, x, u):
-        """Selection m(x) in M(x) that witnesses the inclusion u in H(x)+lam*M(x).
+    def inclusion_residual(self, x, u):
+        """Norm of H(x) + lam*m(x) - u for the selection m(x) in M(x) that witnesses it.
 
-        For the subdifferential part the selection at a zero coordinate is the
+        At a zero coordinate of a subdifferential part the selection is the
         clipped value forced by the inclusion, making the residual exact.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         u = np.atleast_1d(np.asarray(u, dtype=float))
+        hx = self.h.apply(x)
         if isinstance(self.m, ops.ShiftedSubdifferential):
             c = self.m.shift
-            sub = np.where(
-                x != 0.0,
-                np.sign(x),
-                np.clip((u - self.h.apply(x)) / self.lam - c * x, -1.0, 1.0),
-            )
-            return c * x + sub
-        return self.m.selection(x)
-
-    def inclusion_residual(self, x, u):
-        """Norm of H(x) + lam*m(x) - u for the resolved selection m."""
-        m = self.resolved_selection(x, u)
-        return float(np.linalg.norm(self.h.apply(x) + self.lam * m - np.atleast_1d(np.asarray(u, dtype=float))))
+            sub = np.where(x != 0.0, np.sign(x), np.clip((u - hx) / self.lam - c * x, -1.0, 1.0))
+            m = c * x + sub
+        else:
+            m = self.m.selection(x)
+        return float(np.linalg.norm(hx + self.lam * m - u))

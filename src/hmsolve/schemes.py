@@ -164,7 +164,6 @@ class ProblemInstance:
     lam: float
     dim: int
     known_solution: object = None
-    inner_tolerance: float = 1e-12
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -175,10 +174,7 @@ class ProblemInstance:
         for op in (self.h, self.a, self.m):
             if getattr(op, "dim", None) not in (None, self.dim):
                 raise ValueError("%r acts on dimension %d, not %d" % (op, op.dim, self.dim))
-        self.engine = ResolventEngine(
-            self.h, self.m, self.lam, self.dim,
-            inner_tolerance=self.inner_tolerance,
-        )
+        self.engine = ResolventEngine(self.h, self.m, self.lam, self.dim)
         if self.known_solution is not None:
             self.known_solution = as_vector(self.known_solution)
             if self.known_solution.shape[0] != self.dim:
@@ -201,7 +197,7 @@ class ProblemInstance:
 
 @dataclass
 class IterationTrace:
-    """Per-step record of one algorithm run; immutable once returned."""
+    """Per-step record of one algorithm run; mutable, but unchanged by the library once returned."""
 
     algorithm: str
     iterates: list
@@ -212,7 +208,6 @@ class IterationTrace:
     converged: bool
     hypothesis_violated: bool
     kappa: float
-    lam: float
     solution_norm: float = None
     diverged: bool = False
 
@@ -272,7 +267,6 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
         converged=residuals[-1] <= stop.tol,
         hypothesis_violated=kappa >= 1.0,
         kappa=kappa,
-        lam=problem.lam,
         solution_norm=None if xstar is None else float(np.linalg.norm(xstar)),
         diverged=diverged,
     )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmsolve import analysis
 from hmsolve.analysis import DEFAULT_AUDIT_SLACK
 from hmsolve.cli import (
     EXIT_INFEASIBLE,
@@ -302,6 +303,64 @@ class TestAudit:
         out = tmp_path / "out"
         code = main(["audit", "--config", cfg, "--out", str(out)])
         assert code == EXIT_NUMERICAL
+
+
+class TestAuditFailureCause:
+    """A failing audit names, per failing pair, why it failed and the pair's gap."""
+
+    @staticmethod
+    def _audit(tmp_path, capsys, *flags):
+        code = main(["audit", "--problem", "spd-linear", "--dim", "20", *flags,
+                     "--out", str(tmp_path)])
+        pairs = json.loads((tmp_path / "audit.json").read_text())["pairs"]
+        return code, capsys.readouterr().err.splitlines(), pairs
+
+    def test_step_cap(self, tmp_path, capsys):
+        code, err, pairs = self._audit(tmp_path, capsys, "--alg", "fh,zgy,mann,new",
+                                       "--max-steps", "5")
+        assert code == EXIT_NUMERICAL
+        assert err == ["audit failure: %s,%s final gap %g: %s hit the step cap 5, "
+                       "%s hit the step cap 5" % (p["a"], p["b"], p["final_gap"], p["a"], p["b"])
+                       for p in pairs]
+
+    def test_gap_above_tolerance(self, tmp_path, capsys):
+        code, err, (pair,) = self._audit(tmp_path, capsys, "--alg", "fh,mann", "--tol", "1e-6")
+        assert code == EXIT_NUMERICAL
+        assert pair["final_gap"] > 1e-8
+        assert err == ["audit failure: fh,mann final gap %g: the gap stayed above gap_tol 1e-08"
+                       % pair["final_gap"]]
+
+    def test_recursion_violated(self, tmp_path, capsys, monkeypatch):
+        audit = analysis.equivalence_audit
+
+        def violated(*args, **kwargs):
+            report = audit(*args, **kwargs)
+            report.violations_forward, report.max_violation_forward = 3, 0.0025
+            return report
+
+        monkeypatch.setattr(analysis, "equivalence_audit", violated)
+        code, err, (pair,) = self._audit(tmp_path, capsys, "--alg", "zgy,new", "--tol", "1e-12")
+        assert code == EXIT_NUMERICAL
+        assert pair["gap_converged"]
+        assert err == ["audit failure: zgy,new final gap %g: the gap recursion was violated "
+                       "3 times, largest excess 0.0025" % pair["final_gap"]]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_runs(self, tmp_path, capsys):
+        code, err, (pair,) = self._audit(tmp_path, capsys, "--c-a", "5", "--lambda", "50",
+                                         "--alg", "fh,new")
+        assert code == EXIT_NUMERICAL
+        assert err == ["audit failure: fh,new final gap inf: fh diverged, new diverged",
+                       "numerical failure: non-finite iterate (fh at step 403, new at step 269)"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_runs_with_equal_iterates(self, tmp_path, capsys):
+        # with xi = 1 MANN repeats FH's iterates: a zero gap, yet both runs diverge
+        code, err, (pair,) = self._audit(tmp_path, capsys, "--c-a", "5", "--lambda", "50",
+                                         "--alg", "fh,mann", "--xi", "const:1")
+        assert pair["gap_converged"]
+        assert code == EXIT_NUMERICAL
+        assert err == ["numerical failure: non-finite iterate (fh at step 403, mann at step 403)"]
 
 
 class TestExitCodes:

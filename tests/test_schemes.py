@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmsolve.analysis import contraction_factor, optimal_lambda
+from hmsolve.analysis import DEFAULT_AUDIT_SLACK, contraction_factor, envelope, optimal_lambda
 from hmsolve.operators import (
     AffineLinear,
     LinearMonotone,
@@ -275,6 +277,42 @@ def _cataloged_triple(draw):
          "subdifferential": lambda: ShiftedSubdifferential(draw(scale))}[
         draw(st.sampled_from(kinds))]()
     return h, a, m, seed
+
+
+_STEP = st.floats(min_value=0.0, max_value=1.0)
+
+#: step sequences of all four families; a table may end in 0, making its sum finite
+_SEQUENCE = st.one_of(
+    _STEP.map(lambda v: make_step_sequence("constant", value=v)),
+    st.integers(1, 5).map(lambda k: make_step_sequence("harmonic", offset=k)),
+    st.integers(1, 5).map(lambda k: make_step_sequence("one-minus-harmonic", offset=k)),
+    st.tuples(st.lists(_STEP, min_size=1, max_size=8), st.booleans()).map(
+        lambda t: make_step_sequence("custom-table", table=t[0] + [0.0] * t[1])),
+)
+
+
+class TestEnvelopeProperty:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(triple=_cataloged_triple(), xi=_SEQUENCE, mu=_SEQUENCE,
+           steps=st.integers(1, 50))
+    def test_errors_stay_under_own_envelope(self, triple, xi, mu, steps):
+        h, a, m, seed = triple
+        constants = catalog_constants(h, a, m)
+        lam, kappa = optimal_lambda(constants)
+        if not kappa < 1.0:
+            return
+        p = ProblemInstance(h=h, a=a, m=m, constants=constants, lam=lam, dim=h.dim)
+        x0 = 3.0 * np.random.default_rng(seed).standard_normal(h.dim)
+        fh = run_fh(p, x0, StoppingRule(tol=1e-13))
+        assert fh.converged
+        # the measured errors are off the true ones by at most residual/(1 - kappa),
+        # at step 0 and at step n alike
+        slack = 2.0 * fh.residuals[-1] / (1.0 - kappa) + DEFAULT_AUDIT_SLACK
+        p = dataclasses.replace(p, known_solution=fh.iterates[-1])
+        for name in ("FH", "MANN", "NEW", "ZGY"):
+            trace = run_scheme(name, p, x0, xi, mu, StoppingRule(tol=-1.0, max_steps=steps))
+            bounds = envelope(name, kappa, xi, mu, trace.errors[0], steps)
+            assert np.all(np.asarray(trace.errors) <= bounds + slack), name
 
 
 class TestContractionOfF:
