@@ -8,7 +8,6 @@ on problems with known solutions.
 """
 
 from .analysis import (
-    boundary_sharpness,
     contraction_factor,
     envelope,
     equivalence_audit,

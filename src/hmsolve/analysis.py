@@ -1,12 +1,15 @@
-"""Quantitative theory: contraction factor, feasibility, envelopes, rates.
+"""Quantitative theory: contraction factor, feasibility, envelopes, rates, audits.
 
 Everything here is a pure function of immutable inputs. The contraction
 factor kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta) drives
 all of it: when s > eta, the feasible-lam interval is exactly the set where
-kappa < 1 (for s <= eta it is ``outside_scope``); the minimiser of kappa over
-lam has a closed form in every regime; the error envelope of each scheme is
-the product of the per-step bounds of its (xi, mu) casting; and the rate
-comparison classifies the ratio of measured error sequences.
+kappa < 1, and ``feasible_lambda`` returns None when s <= eta (the interval
+formula does not apply) or when its discriminant is <= 0 (no lam gives
+kappa < 1); the minimiser of kappa over lam has a closed form in every
+regime; the error envelope of each scheme is the product of the per-step
+bounds of its (xi, mu) casting; the rate comparison classifies the ratio of
+measured error sequences; and the equivalence audit pairs two runs by their
+castings: a relaxed run q with an unrelaxed run s (xi = 1) of the same mu.
 """
 
 import math
@@ -16,16 +19,13 @@ import numpy as np
 
 from .operators import InconsistentConstantsError
 from .resolvent import ResolventEngine
-from .schemes import casting
+from .schemes import ONE, casting
 
 __all__ = [
     "contraction_factor",
-    "FeasibilityResult",
     "feasible_lambda",
     "optimal_lambda",
     "envelope",
-    "BoundarySharpnessReport",
-    "boundary_sharpness",
     "EnvelopeCheck",
     "RateReport",
     "rate_compare",
@@ -54,46 +54,26 @@ def contraction_factor(constants, lam):
     return math.sqrt(max(radicand, 0.0)) / (c.gamma + lam * c.eta)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    """Outcome of the feasible-lam interval computation.
-
-    ``outside_scope`` marks the s <= eta regime, where the interval formula
-    does not apply; ``optimal_lambda`` covers every regime.
-    """
-
-    feasible: bool
-    interval: tuple = None
-    s_greater_eta: bool = False
-    discriminant_positive: bool = False
-    outside_scope: bool = False
-
-
 def feasible_lambda(constants):
-    """Open interval of lam with kappa < 1, from center +/- radius, clipped at 0.
+    """The open interval (lo, hi) of lam with kappa < 1, or None.
 
-    Preconditions: s > eta and (r + gamma*eta)^2 > (s^2 - eta^2)(tau^2 - gamma^2).
+    lo and hi are center -/+ radius with center = (r + gamma*eta)/(s^2 - eta^2)
+    and radius = sqrt(disc)/(s^2 - eta^2), lo clipped at 0. None when s <= eta,
+    where the formula does not apply (``optimal_lambda`` covers that regime),
+    or when disc = (r + gamma*eta)^2 - (s^2 - eta^2)(tau^2 - gamma^2) <= 0,
+    where no lam gives kappa < 1.
     """
     c = constants
     if c.s <= c.eta:
-        return FeasibilityResult(feasible=False, s_greater_eta=False, outside_scope=True)
+        return None
     denom = c.s * c.s - c.eta * c.eta
     num = c.r + c.gamma * c.eta
     disc = num * num - denom * (c.tau * c.tau - c.gamma * c.gamma)
     if disc <= 0:
-        return FeasibilityResult(
-            feasible=False, s_greater_eta=True, discriminant_positive=False
-        )
+        return None
     center = num / denom
     radius = math.sqrt(disc) / denom
-    lo = max(0.0, center - radius)
-    hi = center + radius
-    return FeasibilityResult(
-        feasible=True,
-        interval=(lo, hi),
-        s_greater_eta=True,
-        discriminant_positive=True,
-    )
+    return max(0.0, center - radius), center + radius
 
 
 def optimal_lambda(constants):
@@ -107,6 +87,11 @@ def optimal_lambda(constants):
     c = constants
     lam = (c.r * c.gamma + c.eta * c.tau * c.tau) / (c.s * c.s * c.gamma + c.r * c.eta)
     return lam, contraction_factor(constants, lam)
+
+
+def _terms(seq, n):
+    """The first n terms of the step sequence ``seq``, as an array."""
+    return np.array([seq.value(k) for k in range(n)], dtype=float)
 
 
 def envelope(scheme, kappa, xi, mu, e0, n):
@@ -123,65 +108,9 @@ def envelope(scheme, kappa, xi, mu, e0, n):
     if e0 < 0:
         raise ValueError("e0 must be nonnegative")
     xi, mu = casting(scheme, xi, mu)
-    xis = np.array([xi.value(k) for k in range(n)])
-    mus = np.array([mu.value(k) for k in range(n)])
+    xis, mus = _terms(xi, n), _terms(mu, n)
     factors = (1.0 - xis) + xis * (kappa * (1.0 - mus * (1.0 - kappa)))
     return e0 * np.concatenate(([1.0], np.cumprod(factors)))
-
-
-@dataclass(frozen=True)
-class BoundarySharpnessReport:
-    midpoint_kappa: float
-    endpoint_kappas: tuple
-    endpoint_sharp: tuple     # True when kappa = 1 within 1e-9, or clipped at 0
-    lower_clipped: bool
-    exterior_kappas: tuple    # (below lower, above upper); None when clipped
-    exterior_ge_one: tuple
-
-    @property
-    def passed(self):
-        return (
-            self.midpoint_kappa < 1.0
-            and all(self.endpoint_sharp)
-            and all(ok for ok in self.exterior_ge_one if ok is not None)
-        )
-
-
-def boundary_sharpness(constants):
-    """Check that the feasible interval is exactly the kappa < 1 region.
-
-    kappa must be < 1 at the midpoint, equal to 1 within 1e-9 at both
-    endpoints (except a lower endpoint clipped at 0, where the lam->0 limit
-    is tau/gamma), and >= 1 - 1e-9 at 1e-6 outside them.
-    """
-    tol, eps = 1e-9, 1e-6
-    feas = feasible_lambda(constants)
-    if not feas.feasible:
-        raise ValueError("constants admit no feasible interval")
-    lo, hi = feas.interval
-    lower_clipped = lo == 0.0
-    mid_kappa = contraction_factor(constants, 0.5 * (lo + hi))
-
-    if lower_clipped:
-        k_lo = constants.tau / constants.gamma
-        lo_sharp = abs(k_lo - 1.0) <= tol  # limit value tau/gamma
-        ext_lo = None
-        ext_lo_ok = None
-    else:
-        k_lo = contraction_factor(constants, lo)
-        lo_sharp = abs(k_lo - 1.0) <= tol
-        ext_lo = contraction_factor(constants, lo - eps) if lo > eps else None
-        ext_lo_ok = None if ext_lo is None else ext_lo >= 1.0 - tol
-    k_hi = contraction_factor(constants, hi)
-    ext_hi = contraction_factor(constants, hi + eps)
-    return BoundarySharpnessReport(
-        midpoint_kappa=mid_kappa,
-        endpoint_kappas=(k_lo, k_hi),
-        endpoint_sharp=(lo_sharp, abs(k_hi - 1.0) <= tol),
-        lower_clipped=lower_clipped,
-        exterior_kappas=(ext_lo, ext_hi),
-        exterior_ge_one=(ext_lo_ok, ext_hi >= 1.0 - tol),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,40 +170,30 @@ def rate_compare(trace_a, trace_b, kappa=None, xi=None, mu=None,
     n_common = min(len(trace_a.errors), len(trace_b.errors))
     thresh = _censor_threshold(trace_a.solution_norm or trace_b.solution_norm)
 
-    pi, censored = [], []
-    for n in range(n_common):
-        ea, eb = trace_a.errors[n], trace_b.errors[n]
-        if eb < thresh or ea < thresh:
-            pi.append(None)
-            censored.append(True)
-        else:
-            pi.append(ea / eb)
-            censored.append(False)
-
-    usable = [(n, p) for n, p in enumerate(pi) if p is not None]
+    ea = np.asarray(trace_a.errors[:n_common], dtype=float)
+    eb = np.asarray(trace_b.errors[:n_common], dtype=float)
+    censored = (ea < thresh) | (eb < thresh)
     verdict = "undecided"
     ratio = float("nan")
-    if usable:
-        w = max(3, int(math.ceil(0.25 * len(usable))))
-        window = usable[-w:]
-        vals = [p for _, p in window]
-        if any(p == 0.0 for p in vals):
-            ratio = 0.0
-        elif len(window) >= 2:
-            ns = np.array([n for n, _ in window], dtype=float)
-            logs = np.log([p for _, p in window])
-            slope = np.polyfit(ns, logs, 1)[0]
-            ratio = float(np.exp(slope))
-        else:
-            ratio = 1.0
-        nonincreasing = all(
-            vals[i + 1] <= vals[i] * (1.0 + 1e-12) + 1e-300
-            for i in range(len(vals) - 1)
-        )
-        if ratio < 1.0 - decision_margin and nonincreasing:
-            verdict = "a-faster"
-        elif 1.0 - decision_margin <= ratio <= 1.0 + decision_margin:
-            verdict = "same-rate"
+    # inf and NaN errors propagate silently, as in scalar float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        pis = np.divide(ea, eb, out=np.zeros(n_common), where=~censored)
+        usable = np.flatnonzero(~censored)
+        if usable.size:
+            window = usable[-max(3, math.ceil(0.25 * usable.size)):]
+            vals = pis[window]
+            if (vals == 0.0).any():
+                ratio = 0.0
+            elif window.size >= 2:
+                slope = np.polyfit(window.astype(float), np.log(vals), 1)[0]
+                ratio = float(np.exp(slope))
+            else:
+                ratio = 1.0
+            nonincreasing = np.all(vals[1:] <= vals[:-1] * (1.0 + 1e-12) + 1e-300)
+            if ratio < 1.0 - decision_margin and nonincreasing:
+                verdict = "a-faster"
+            elif 1.0 - decision_margin <= ratio <= 1.0 + decision_margin:
+                verdict = "same-rate"
 
     checks_a, checks_b = [], []
     if kappa is not None and kappa < 1.0:
@@ -282,8 +201,8 @@ def rate_compare(trace_a, trace_b, kappa=None, xi=None, mu=None,
         checks_b = _envelope_checks(trace_b, kappa, xi, mu, n_common, slack)
 
     return RateReport(
-        pi=pi,
-        censored=censored,
+        pi=[None if cut else p for cut, p in zip(censored.tolist(), pis.tolist())],
+        censored=censored.tolist(),
         verdict=verdict,
         fitted_ratio=ratio,
         envelope_checks_a=checks_a,
@@ -297,13 +216,15 @@ def rate_compare(trace_a, trace_b, kappa=None, xi=None, mu=None,
 
 @dataclass
 class AuditReport:
-    """Gap recursion audit between a two-step relaxed run and an unrelaxed one.
+    """Gap recursion audit of a pair of runs, one relaxed and one unrelaxed.
 
-    gaps[n] = ||q_n - s_n||. Two recursion forms are checked when both traces
-    carry errors: the forward form with coefficient (1 - xi_n mu_n (1-kappa))
-    and inhomogeneity driven by the unrelaxed trace's errors, and the symmetric
-    form with coefficient (1 - mu_n (1-kappa)) driven by the relaxed trace's
-    errors. Violations are exceedances beyond ``DEFAULT_AUDIT_SLACK``.
+    gaps[n] = ||a_n - b_n||. When the pair is comparable (see
+    ``equivalence_audit``) and both traces carry errors, two recursion forms
+    on the gap between the relaxed run q and the unrelaxed run s are checked:
+    the forward form with coefficient (1 - xi_n mu_n (1-kappa)) and
+    inhomogeneity driven by s's errors, and the symmetric form with
+    coefficient (1 - mu_n (1-kappa)) driven by q's errors. Violations are
+    exceedances beyond ``DEFAULT_AUDIT_SLACK``; a NaN exceedance is none.
     """
 
     gaps: list
@@ -321,46 +242,46 @@ class AuditReport:
         return self.violations_forward + self.violations_symmetric
 
 
-def equivalence_audit(q_trace, s_trace, xi, mu, kappa,
-                      gap_tol=1e-8):
-    """Audit the equivalence-of-convergence recursions on a pair of runs.
+def _exceedances(excess):
+    """(count, largest) of the positive entries of ``excess``; NaN is not positive."""
+    hit = excess[excess > 0]
+    return hit.size, float(hit.max(initial=0.0))
 
-    ``q_trace`` is the relaxed two-step run driven by (xi, mu); ``s_trace``
-    is the unrelaxed two-step run driven by the same mu. Traces of unequal
-    length are truncated to the common length.
+
+def equivalence_audit(trace_a, trace_b, xi, mu, kappa, gap_tol=1e-8):
+    """Audit the equivalence-of-convergence recursions on any pair of runs.
+
+    The castings of ``trace_a.algorithm`` and ``trace_b.algorithm`` under the
+    sequences (xi, mu) that drove both runs decide the pairing. The pair is comparable when
+    one run is unrelaxed (its casting's xi is the constant 1) and both
+    castings share mu; the other run is then the relaxed q, and trace_a when
+    both are unrelaxed. The recursions are checked only for a comparable pair
+    with kappa < 1 whose traces both carry errors; every pair gets its gaps.
+    Traces of unequal length are truncated to the common length.
     """
-    n_common = min(len(q_trace.iterates), len(s_trace.iterates))
-    truncated = n_common != max(len(q_trace.iterates), len(s_trace.iterates))
-    gaps = [
-        float(np.linalg.norm(q_trace.iterates[n] - s_trace.iterates[n]))
-        for n in range(n_common)
-    ]
-
-    report = AuditReport(
-        gaps=gaps,
-        final_gap=gaps[-1],
-        gap_converged=gaps[-1] <= gap_tol,
-        truncated=truncated,
-        recursion_checked=False,
-    )
-
-    if q_trace.errors is None or s_trace.errors is None or kappa is None:
-        return report
-    report.recursion_checked = True
-    for n in range(n_common - 1):
-        xi_n, mu_n = xi.value(n), mu.value(n)
-        shrink = 1.0 - mu_n * (1.0 - kappa)
-        rho_scale = (1.0 - xi_n) * (1.0 + kappa * shrink)
-        # forward form: coefficient 1 - xi*mu*(1-kappa), driven by s-errors
-        bound_f = (1.0 - xi_n * mu_n * (1.0 - kappa)) * gaps[n] + rho_scale * s_trace.errors[n]
-        excess_f = gaps[n + 1] - bound_f - DEFAULT_AUDIT_SLACK
-        if excess_f > 0:
-            report.violations_forward += 1
-            report.max_violation_forward = max(report.max_violation_forward, excess_f)
-        # symmetric form: coefficient 1 - mu*(1-kappa), driven by q-errors
-        bound_s = shrink * gaps[n] + rho_scale * q_trace.errors[n]
-        excess_s = gaps[n + 1] - bound_s - DEFAULT_AUDIT_SLACK
-        if excess_s > 0:
-            report.violations_symmetric += 1
-            report.max_violation_symmetric = max(report.max_violation_symmetric, excess_s)
+    n_common = min(len(trace_a.iterates), len(trace_b.iterates))
+    truncated = n_common != max(len(trace_a.iterates), len(trace_b.iterates))
+    xi_a, mu_a = casting(trace_a.algorithm, xi, mu)
+    xi_b, mu_b = casting(trace_b.algorithm, xi, mu)
+    # non-finite iterates and errors propagate silently, as in scalar float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = [float(np.linalg.norm(a - b)) for a, b in zip(trace_a.iterates, trace_b.iterates)]
+        report = AuditReport(gaps=gaps, final_gap=gaps[-1], gap_converged=gaps[-1] <= gap_tol,
+                             truncated=truncated, recursion_checked=False)
+        if (mu_a != mu_b or ONE not in (xi_a, xi_b) or not kappa < 1.0
+                or trace_a.errors is None or trace_b.errors is None):
+            return report
+        q, s, xi_q = (trace_a, trace_b, xi_a) if xi_b == ONE else (trace_b, trace_a, xi_b)
+        m = n_common - 1
+        xis, mus = _terms(xi_q, m), _terms(mu_a, m)
+        g0, g1 = np.array(gaps[:-1]), np.array(gaps[1:])
+        shrink = 1.0 - mus * (1.0 - kappa)
+        rho_scale = (1.0 - xis) * (1.0 + kappa * shrink)
+        forward = (1.0 - xis * mus * (1.0 - kappa)) * g0 + rho_scale * np.asarray(s.errors[:m])
+        symmetric = shrink * g0 + rho_scale * np.asarray(q.errors[:m])
+        report.recursion_checked = True
+        report.violations_forward, report.max_violation_forward = _exceedances(
+            g1 - forward - DEFAULT_AUDIT_SLACK)
+        report.violations_symmetric, report.max_violation_symmetric = _exceedances(
+            g1 - symmetric - DEFAULT_AUDIT_SLACK)
     return report

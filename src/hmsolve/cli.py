@@ -272,13 +272,8 @@ def cmd_compare(cfg, out_dir):
     # both runs start from the same x0
     trace_a = _RUNNERS[name_a](problem, x0, seqs, stop)
     trace_b = _RUNNERS[name_b](problem, x0, seqs, stop)
-    report = analysis.rate_compare(
-        trace_a, trace_b,
-        kappa=kappa if kappa < 1.0 else None,
-        xi=seqs["xi"],
-        mu=seqs["mu"],
-        decision_margin=decision_margin,
-    )
+    report = analysis.rate_compare(trace_a, trace_b, kappa=kappa, xi=seqs["xi"], mu=seqs["mu"],
+                                   decision_margin=decision_margin)
 
     _write_json(out_dir / "rate_report.json", {
         "pi": report.pi,
@@ -315,7 +310,6 @@ def cmd_sweep(cfg, out_dir):
         raise UsageError("invalid lambda grid")
     grid = np.linspace(lo, hi, points) if points > 1 else np.array([lo])
 
-    feas = analysis.feasible_lambda(problem.constants)
     rows = [(float(lam), analysis.contraction_factor(problem.constants, float(lam)))
             for lam in grid]
     best_lam, best_kappa = min(rows, key=lambda row: row[1])
@@ -328,27 +322,12 @@ def cmd_sweep(cfg, out_dir):
     _write_json(out_dir / "sweep_summary.json", {
         "best_lambda": best_lam,
         "best_kappa": best_kappa,
-        "feasible_interval": feas.interval if feas.feasible else None,
+        "feasible_interval": analysis.feasible_lambda(problem.constants),
         "all_kappa_ge_one": best_kappa >= 1.0,
     })
     if best_kappa >= 1.0:
         print("warning: no grid point with kappa < 1", file=sys.stderr)
     return EXIT_OK
-
-
-def _recursion_params(name_a, name_b, seqs):
-    """Pairing for the gap-recursion audit, when structurally applicable.
-
-    Returns (q_name, s_name, xi, mu) with q the relaxed run and s an
-    unrelaxed run (its casting's xi is the constant 1) sharing q's mu
-    sequence, else None.
-    """
-    for q_name, s_name in ((name_a, name_b), (name_b, name_a)):
-        xi_q, mu_q = schemes.casting(q_name, **seqs)
-        xi_s, mu_s = schemes.casting(s_name, **seqs)
-        if xi_s == schemes.ONE and mu_q == mu_s:
-            return q_name, s_name, xi_q, mu_q
-    return None
 
 
 def cmd_audit(cfg, out_dir):
@@ -372,12 +351,8 @@ def cmd_audit(cfg, out_dir):
     all_ok = True
     for i, name_a in enumerate(algorithms):
         for name_b in algorithms[i + 1:]:
-            params = _recursion_params(name_a, name_b, seqs)
-            q_name, s_name, xi, mu = params or (name_a, name_b, schemes.ONE, schemes.ONE)
-            report = analysis.equivalence_audit(
-                traces[q_name], traces[s_name], xi, mu,
-                kappa if params and kappa < 1.0 else None, gap_tol=gap_tol,
-            )
+            report = analysis.equivalence_audit(traces[name_a], traces[name_b], seqs["xi"],
+                                                seqs["mu"], kappa, gap_tol=gap_tol)
             max_violation = max(report.max_violation_forward, report.max_violation_symmetric)
             causes = [] if report.gap_converged else [
                 ", ".join("%s %s" % (n, unfinished[n]) for n in (name_a, name_b) if n in unfinished)
@@ -496,7 +471,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
         cfg, out_dir = _load_config(args)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir)
+        # a run that overflows ends in a non-finite iterate or gap, which the
+        # command reports with EXIT_NUMERICAL
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](cfg, out_dir)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

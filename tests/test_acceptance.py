@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from hmsolve.analysis import (
-    boundary_sharpness,
     contraction_factor,
     envelope,
     feasible_lambda,
@@ -163,14 +162,15 @@ def test_06_equivalence_audit(tmp_path):
 def test_07_interval_sharpness():
     t0 = time.perf_counter()
     c = OperatorConstants(gamma=1, tau=1, r=1, s=2, eta=1)
-    feas = feasible_lambda(c)
-    ok = feas.feasible
-    ok = ok and abs(feas.interval[0] - 0.0) <= 1e-12
-    ok = ok and abs(feas.interval[1] - 4 / 3) <= 1e-12
-    report = boundary_sharpness(c)
-    ok = ok and report.passed
-    ok = ok and all(abs(k - 1.0) <= 1e-9 for k in report.endpoint_kappas)
-    hi = feas.interval[1]
+    interval = feasible_lambda(c)
+    ok = interval is not None
+    lo, hi = interval
+    ok = ok and abs(lo - 0.0) <= 1e-12
+    ok = ok and abs(hi - 4 / 3) <= 1e-12
+    # at the clipped lower end kappa tends to tau/gamma; 1e-6 past hi it stays >= 1
+    ok = ok and contraction_factor(c, 0.5 * (lo + hi)) < 1.0
+    ok = ok and all(abs(k - 1.0) <= 1e-9 for k in (c.tau / c.gamma, contraction_factor(c, hi)))
+    ok = ok and contraction_factor(c, hi + 1e-6) >= 1.0 - 1e-9
     for lam in np.linspace(1e-9, hi - 1e-9, 100):
         ok = ok and contraction_factor(c, float(lam)) < 1.0
     for lam in np.linspace(hi + 1e-9, hi + 2.0, 10):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmsolve.analysis import (
-    boundary_sharpness,
+    DEFAULT_AUDIT_SLACK,
     contraction_factor,
     envelope,
     equivalence_audit,
@@ -16,7 +16,17 @@ from hmsolve.analysis import (
 )
 from hmsolve.operators import InconsistentConstantsError, OperatorConstants
 from hmsolve.problems import gen_scalar_affine
-from hmsolve.schemes import StoppingRule, make_step_sequence, run_fh, run_new, run_zgy
+from hmsolve.schemes import (
+    ALGORITHMS,
+    ONE,
+    IterationTrace,
+    StoppingRule,
+    casting,
+    make_step_sequence,
+    run_fh,
+    run_new,
+    run_zgy,
+)
 
 
 def _consistent_constants(gamma, tau_extra, r, s_scale, eta):
@@ -69,30 +79,28 @@ class TestContractionFactor:
 class TestFeasibleLambda:
     def test_interval_oracle(self):
         # center = (1 + 1)/(4 - 1) = 2/3, radius = sqrt(4 - 0)/3 = 2/3
-        feas = feasible_lambda(OperatorConstants(1, 1, 1, 2, 1))
-        assert feas.feasible
-        assert feas.interval[0] == pytest.approx(0.0, abs=1e-15)
-        assert feas.interval[1] == pytest.approx(4 / 3, abs=1e-12)
+        interval = feasible_lambda(OperatorConstants(1, 1, 1, 2, 1))
+        assert interval is not None
+        assert interval[0] == pytest.approx(0.0, abs=1e-15)
+        assert interval[1] == pytest.approx(4 / 3, abs=1e-12)
 
     def test_s_equal_eta_outside_scope(self):
-        feas = feasible_lambda(OperatorConstants(1, 1, 1, 1, 1))
-        assert not feas.feasible
-        assert feas.outside_scope
+        assert feasible_lambda(OperatorConstants(1, 1, 1, 1, 1)) is None
 
     def test_negative_discriminant_infeasible(self):
         # (r + gamma*eta)^2 = 4 < (s^2 - eta^2)(tau^2 - gamma^2) = 3*8 = 24
-        feas = feasible_lambda(OperatorConstants(gamma=1, tau=3, r=1, s=2, eta=1))
-        assert not feas.feasible
-        assert feas.s_greater_eta and not feas.discriminant_positive
+        c = OperatorConstants(gamma=1, tau=3, r=1, s=2, eta=1)
+        assert c.s > c.eta
+        assert feasible_lambda(c) is None
 
     def test_unclipped_interval(self):
         # gamma=1, tau=1.05, r=1, s=2, eta=1: center 2/3,
         # radius = sqrt(4 - 3*0.1025)/3
         c = OperatorConstants(1, 1.05, 1, 2, 1)
-        feas = feasible_lambda(c)
+        interval = feasible_lambda(c)
         radius = math.sqrt(4 - 3 * (1.05 ** 2 - 1)) / 3
-        assert feas.interval == pytest.approx((2 / 3 - radius, 2 / 3 + radius), abs=1e-12)
-        assert feas.interval[0] > 0
+        assert interval == pytest.approx((2 / 3 - radius, 2 / 3 + radius), abs=1e-12)
+        assert interval[0] > 0
 
 
 class TestOptimalLambda:
@@ -104,7 +112,7 @@ class TestOptimalLambda:
         # s < eta is out of scope for the interval formula but lam* is not:
         # lam* = (1 + 2)/(1 + 2) = 1, kappa = sqrt(1 - 2 + 1)/3 = 0
         c = OperatorConstants(gamma=1, tau=1, r=1, s=1, eta=2)
-        assert feasible_lambda(c).outside_scope
+        assert feasible_lambda(c) is None
         lam, kappa = optimal_lambda(c)
         assert lam == 1.0 and kappa < 1
 
@@ -170,32 +178,40 @@ class TestEnvelopes:
 
 
 class TestBoundarySharpness:
+    """The feasible interval is exactly the kappa < 1 region: kappa is 1 within
+    1e-9 at both ends (tau/gamma, the lam -> 0 limit, at a lower end clipped at
+    0) and >= 1 - 1e-9 at 1e-6 outside them."""
+
     def test_clipped_interval_sharp(self):
-        report = boundary_sharpness(OperatorConstants(1, 1, 1, 2, 1))
-        assert report.lower_clipped
-        assert report.passed
-        assert report.midpoint_kappa < 1.0
+        c = OperatorConstants(1, 1, 1, 2, 1)
+        lo, hi = feasible_lambda(c)
+        assert lo == 0.0
+        assert abs(c.tau / c.gamma - 1.0) <= 1e-9
+        assert abs(contraction_factor(c, hi) - 1.0) <= 1e-9
+        assert contraction_factor(c, hi + 1e-6) >= 1.0 - 1e-9
         # midpoint lam = 2/3: sqrt(1 - 4/3 + 16/9)/(5/3) = sqrt(13)/5
-        assert report.midpoint_kappa == pytest.approx(math.sqrt(13) / 5, abs=1e-12)
+        assert contraction_factor(c, 0.5 * (lo + hi)) == pytest.approx(math.sqrt(13) / 5,
+                                                                      abs=1e-12)
 
     def test_unclipped_interval_sharp(self):
-        report = boundary_sharpness(OperatorConstants(1, 1.05, 1, 2, 1))
-        assert not report.lower_clipped
-        assert report.passed
-        assert all(abs(k - 1.0) <= 1e-9 for k in report.endpoint_kappas)
+        c = OperatorConstants(1, 1.05, 1, 2, 1)
+        lo, hi = feasible_lambda(c)
+        assert lo > 0.0
+        assert contraction_factor(c, 0.5 * (lo + hi)) < 1.0
+        assert all(abs(contraction_factor(c, lam) - 1.0) <= 1e-9 for lam in (lo, hi))
 
     def test_exterior_kappa_at_least_one(self):
-        report = boundary_sharpness(OperatorConstants(1, 1.05, 1, 2, 1))
-        assert report.exterior_kappas[0] >= 1.0 - 1e-9
-        assert report.exterior_kappas[1] >= 1.0 - 1e-9
+        c = OperatorConstants(1, 1.05, 1, 2, 1)
+        lo, hi = feasible_lambda(c)
+        assert contraction_factor(c, lo - 1e-6) >= 1.0 - 1e-9
+        assert contraction_factor(c, hi + 1e-6) >= 1.0 - 1e-9
 
     def test_infeasible_constants_rejected(self):
-        with pytest.raises(ValueError):
-            boundary_sharpness(OperatorConstants(gamma=1, tau=3, r=1, s=2, eta=1))
+        assert feasible_lambda(OperatorConstants(gamma=1, tau=3, r=1, s=2, eta=1)) is None
 
     def test_kappa_grid_inside_and_outside(self):
         c = OperatorConstants(1, 1, 1, 2, 1)
-        lo, hi = feasible_lambda(c).interval
+        lo, hi = feasible_lambda(c)
         for lam in np.linspace(lo + 1e-6, hi - 1e-6, 100):
             assert contraction_factor(c, lam) < 1.0
         for lam in np.linspace(hi + 1e-6, hi + 1.0, 10):
@@ -306,3 +322,104 @@ class TestEquivalenceAudit:
         report = equivalence_audit(q, s, xi, mu, p.contraction_factor())
         assert report.truncated
         assert len(report.gaps) == 9
+
+
+_STEP = st.floats(min_value=0.0, max_value=1.0)
+
+#: step sequences of all four families; a table may end in 0 or 1
+_SEQUENCE = st.one_of(
+    _STEP.map(lambda v: make_step_sequence("constant", value=v)),
+    st.integers(1, 5).map(lambda k: make_step_sequence("harmonic", offset=k)),
+    st.integers(1, 5).map(lambda k: make_step_sequence("one-minus-harmonic", offset=k)),
+    st.tuples(st.lists(_STEP, min_size=1, max_size=6), st.sampled_from([[], [0.0], [1.0]])).map(
+        lambda t: make_step_sequence("custom-table", table=t[0] + t[1])),
+)
+
+
+def _poisoned(draw, values, specials):
+    """``values`` with up to two entries replaced by non-finite ``specials``."""
+    spots = st.tuples(st.integers(0, len(values) - 1), st.sampled_from(specials))
+    for i, v in draw(st.lists(spots, max_size=2)):
+        values[i] = v
+    return values
+
+
+@st.composite
+def _trace(draw, dim):
+    """An IterationTrace built directly, with iterates and errors that may be inf or NaN."""
+    n = draw(st.integers(1, 12))
+    flat = draw(st.lists(st.floats(-10.0, 10.0), min_size=n * dim, max_size=n * dim))
+    iterates = list(np.array(_poisoned(draw, flat, [math.inf, -math.inf, math.nan])).reshape(n, dim))
+    errors = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    errors = None if draw(st.integers(0, 4)) == 0 else _poisoned(draw, errors, [math.inf, math.nan])
+    return IterationTrace(
+        algorithm=draw(st.sampled_from(ALGORITHMS)), iterates=iterates, residuals=[0.0] * n,
+        errors=errors, wall_nanos=[0] * n,
+        steps_used=n - 1, converged=False, hypothesis_violated=False, kappa=0.0,
+    )
+
+
+def _audit_loop(trace_a, trace_b, xi, mu, kappa):
+    """The audit as a per-step loop over Python floats, pairing the runs as the CLI
+    once did: the reference for ``equivalence_audit``'s array form.
+
+    Returns (gaps, recursion_checked, violations and maxima of the forward and
+    the symmetric form).
+    """
+    params = None
+    for q, s in ((trace_a, trace_b), (trace_b, trace_a)):
+        xi_q, mu_q = casting(q.algorithm, xi, mu)
+        xi_s, mu_s = casting(s.algorithm, xi, mu)
+        if xi_s == ONE and mu_q == mu_s:
+            params = q, s, xi_q, mu_q
+            break
+    q, s, xi, mu = params or (trace_a, trace_b, ONE, ONE)
+    n_common = min(len(q.iterates), len(s.iterates))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = [float(np.linalg.norm(q.iterates[n] - s.iterates[n])) for n in range(n_common)]
+    if params is None or not kappa < 1.0 or q.errors is None or s.errors is None:
+        return gaps, False, 0, 0, 0.0, 0.0
+    vf = vs = 0
+    mf = ms = 0.0
+    for n in range(n_common - 1):
+        xi_n, mu_n = xi.value(n), mu.value(n)
+        shrink = 1.0 - mu_n * (1.0 - kappa)
+        rho_scale = (1.0 - xi_n) * (1.0 + kappa * shrink)
+        bound_f = (1.0 - xi_n * mu_n * (1.0 - kappa)) * gaps[n] + rho_scale * s.errors[n]
+        excess_f = gaps[n + 1] - bound_f - DEFAULT_AUDIT_SLACK
+        if excess_f > 0:
+            vf, mf = vf + 1, max(mf, excess_f)
+        bound_s = shrink * gaps[n] + rho_scale * q.errors[n]
+        excess_s = gaps[n + 1] - bound_s - DEFAULT_AUDIT_SLACK
+        if excess_s > 0:
+            vs, ms = vs + 1, max(ms, excess_s)
+    return gaps, True, vf, vs, mf, ms
+
+
+class TestEquivalenceAuditReference:
+    @staticmethod
+    def _fields(report):
+        return (report.gaps, report.recursion_checked, report.violations_forward,
+                report.violations_symmetric, report.max_violation_forward,
+                report.max_violation_symmetric)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), xi=_SEQUENCE, mu=_SEQUENCE,
+           kappa=st.floats(0.0, 1.0, exclude_max=True))
+    def test_array_form_matches_scalar_loop(self, data, dim, xi, mu, kappa):
+        a, b = data.draw(_trace(dim)), data.draw(_trace(dim))
+        report = equivalence_audit(a, b, xi, mu, kappa)
+        swapped = equivalence_audit(b, a, xi, mu, kappa)
+        # gaps compare NaN-aware; counts and maxima exactly
+        np.testing.assert_equal(self._fields(report), _audit_loop(a, b, xi, mu, kappa))
+        np.testing.assert_equal(self._fields(swapped), _audit_loop(b, a, xi, mu, kappa))
+        # swapping the runs keeps what the audit reports. When both runs are
+        # unrelaxed, the two forms differ only in which run's errors they
+        # multiply by 1 - xi = 0, so a swap may exchange their counts.
+        np.testing.assert_equal(
+            (swapped.gaps, swapped.final_gap, swapped.gap_converged, swapped.truncated,
+             swapped.recursion_checked, swapped.violations,
+             max(swapped.max_violation_forward, swapped.max_violation_symmetric)),
+            (report.gaps, report.final_gap, report.gap_converged, report.truncated,
+             report.recursion_checked, report.violations,
+             max(report.max_violation_forward, report.max_violation_symmetric)))

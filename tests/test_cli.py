@@ -158,7 +158,6 @@ class TestSolve:
             env = summary["algorithms"][name]["envelope"]
             assert env["checked"] and env["passed"], name
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_writes_artifacts_and_exits_numerical(self, tmp_path, capsys):
         # kappa >= 1: the iterates overflow; every run stops at its first
         # non-finite iterate and still writes its trace
@@ -287,6 +286,16 @@ class TestAudit:
         assert ("fh", "mann") in checked
         assert ("zgy", "new") in checked
 
+    def test_start_at_solution_gives_zero_length_recursion(self, tmp_path):
+        # x0 = 1 is scalar-affine's solution b/2: every run stops at step 0, so
+        # the second pass is capped at 0 steps and each pair has one gap
+        code = main(["audit", "--problem", "scalar-affine", "--x0", "1",
+                     "--alg", "fh,zgy,mann,new", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        pairs = json.loads((tmp_path / "audit.json").read_text())["pairs"]
+        assert len(pairs) == 6
+        assert all(p["final_gap"] == 0.0 and p["violations"] == 0 for p in pairs)
+
     def test_single_algorithm_is_usage_error(self, tmp_path):
         code = main([
             "audit", "--problem", "scalar-affine", "--alg", "fh",
@@ -345,7 +354,6 @@ class TestAuditFailureCause:
         assert err == ["audit failure: zgy,new final gap %g: the gap recursion was violated "
                        "3 times, largest excess 0.0025" % pair["final_gap"]]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_runs(self, tmp_path, capsys):
         code, err, (pair,) = self._audit(tmp_path, capsys, "--c-a", "5", "--lambda", "50",
                                          "--alg", "fh,new")
@@ -353,7 +361,6 @@ class TestAuditFailureCause:
         assert err == ["audit failure: fh,new final gap inf: fh diverged, new diverged",
                        "numerical failure: non-finite iterate (fh at step 403, new at step 269)"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_runs_with_equal_iterates(self, tmp_path, capsys):
         # with xi = 1 MANN repeats FH's iterates: a zero gap, yet both runs diverge
         code, err, (pair,) = self._audit(tmp_path, capsys, "--c-a", "5", "--lambda", "50",
@@ -501,7 +508,6 @@ def _fuzzed_config(draw):
 
 
 class TestExitCodeFuzz:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=250, derandomize=True, deadline=None)
     @given(case=_fuzzed_config())
     def test_exit_code_matches_input_class(self, case):
