@@ -35,6 +35,7 @@ from .schemes import (
     ProblemInstance,
     StepSequence,
     StoppingRule,
+    as_vector,
     casting,
     make_step_sequence,
     run_fh,
@@ -43,6 +44,5 @@ from .schemes import (
     run_scheme,
     run_zgy,
 )
-from .space import DimensionMismatchError, as_vector, combine, inner, norm
 
 __version__ = "0.1.0"

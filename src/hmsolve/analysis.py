@@ -130,13 +130,13 @@ class RateReport:
     """Paired-trace comparison: pi_n = e_a(n)/e_b(n) plus a verdict.
 
     ``pi`` has one entry per common step; censored entries (either error
-    below the floating-point noise floor) are None and excluded from the
-    verdict. The verdict classifies the fitted geometric decay ratio of the
-    trailing window of pi: its last quarter of uncensored entries, at least 3.
+    below the floating-point noise floor or not finite) are None and excluded
+    from the verdict. The verdict classifies the fitted geometric decay ratio
+    of the trailing window of pi: its last quarter of uncensored entries, at
+    least 3. A pair with a diverged run gets no fit: the ratio is NaN.
     """
 
     pi: list
-    censored: list
     verdict: str
     fitted_ratio: float
     envelope_checks_a: list = field(default_factory=list)
@@ -172,14 +172,14 @@ def rate_compare(trace_a, trace_b, kappa=None, xi=None, mu=None,
 
     ea = np.asarray(trace_a.errors[:n_common], dtype=float)
     eb = np.asarray(trace_b.errors[:n_common], dtype=float)
-    censored = (ea < thresh) | (eb < thresh)
+    censored = ~(np.isfinite(ea) & np.isfinite(eb)) | (ea < thresh) | (eb < thresh)
     verdict = "undecided"
     ratio = float("nan")
-    # inf and NaN errors propagate silently, as in scalar float arithmetic
+    # a ratio of finite errors may still overflow, as in scalar float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         pis = np.divide(ea, eb, out=np.zeros(n_common), where=~censored)
         usable = np.flatnonzero(~censored)
-        if usable.size:
+        if usable.size and not (trace_a.diverged or trace_b.diverged):
             window = usable[-max(3, math.ceil(0.25 * usable.size)):]
             vals = pis[window]
             if (vals == 0.0).any():
@@ -202,7 +202,6 @@ def rate_compare(trace_a, trace_b, kappa=None, xi=None, mu=None,
 
     return RateReport(
         pi=[None if cut else p for cut, p in zip(censored.tolist(), pis.tolist())],
-        censored=censored.tolist(),
         verdict=verdict,
         fitted_ratio=ratio,
         envelope_checks_a=checks_a,
@@ -230,7 +229,6 @@ class AuditReport:
     gaps: list
     final_gap: float
     gap_converged: bool
-    truncated: bool
     recursion_checked: bool
     violations_forward: int = 0
     violations_symmetric: int = 0
@@ -260,14 +258,13 @@ def equivalence_audit(trace_a, trace_b, xi, mu, kappa, gap_tol=1e-8):
     Traces of unequal length are truncated to the common length.
     """
     n_common = min(len(trace_a.iterates), len(trace_b.iterates))
-    truncated = n_common != max(len(trace_a.iterates), len(trace_b.iterates))
     xi_a, mu_a = casting(trace_a.algorithm, xi, mu)
     xi_b, mu_b = casting(trace_b.algorithm, xi, mu)
     # non-finite iterates and errors propagate silently, as in scalar float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = [float(np.linalg.norm(a - b)) for a, b in zip(trace_a.iterates, trace_b.iterates)]
         report = AuditReport(gaps=gaps, final_gap=gaps[-1], gap_converged=gaps[-1] <= gap_tol,
-                             truncated=truncated, recursion_checked=False)
+                             recursion_checked=False)
         if (mu_a != mu_b or ONE not in (xi_a, xi_b) or not kappa < 1.0
                 or trace_a.errors is None or trace_b.errors is None):
             return report

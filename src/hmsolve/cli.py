@@ -30,8 +30,7 @@ from .operators import (
     validate_constants,
 )
 from .resolvent import ResolventDivergenceError
-from .schemes import ProblemInstance, StoppingRule, make_step_sequence
-from .space import as_vector
+from .schemes import ProblemInstance, StoppingRule, as_vector, make_step_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,7 +70,7 @@ def parse_sequence(spec):
     if name in ("const", "constant"):
         return make_step_sequence("constant", value=float(arg))
     if name in ("harmonic", "one-minus-harmonic"):
-        return make_step_sequence(name, offset=int(arg) if arg else 1)
+        return make_step_sequence(name, offset=int(arg) if arg else None)
     if name == "table":
         return make_step_sequence(
             "custom-table", table=[float(v) for v in arg.split(",") if v]
@@ -254,7 +253,7 @@ def cmd_solve(cfg, out_dir):
             "final_error": None if trace.errors is None else trace.errors[-1],
             "steps": trace.steps_used,
             "converged": trace.converged,
-            "hypothesis_violated": trace.hypothesis_violated,
+            "hypothesis_violated": trace.kappa >= 1.0,
             "envelope": _envelope_summary(trace, seqs),
         }
     _write_json(out_dir / "summary.json", summary)
@@ -337,16 +336,19 @@ def cmd_audit(cfg, out_dir):
     kappa = problem.contraction_factor()
 
     # first pass finds how long the slowest algorithm needs, second pass runs
-    # all algorithms for that common length so gaps are comparable per step
+    # the shorter ones for that common length so gaps are comparable per step
     probe = {name: _RUNNERS[name](problem, x0, seqs, stop) for name in algorithms}
     common = max(trace.steps_used for trace in probe.values())
     # why a probe run ended unconverged, for the failure messages
     unfinished = {name: "diverged" if trace.diverged else "hit the step cap %d" % stop.max_steps
                   for name, trace in probe.items() if not trace.converged}
-    # negative tol disables the residual stop so every trace reaches the
-    # common length; a run already at its exact fixed point just repeats it
+    # negative tol disables the residual stop so every rerun reaches the
+    # common length; a run already at its exact fixed point just repeats it.
+    # A probe of that length is kept: a fixed-length run's prefix equals the
+    # run stopped at tol, and a capped or diverged probe has the rerun's iterates
     fixed_stop = StoppingRule(tol=-1.0, max_steps=common)
-    traces = {name: _RUNNERS[name](problem, x0, seqs, fixed_stop) for name in algorithms}
+    traces = {name: trace if trace.steps_used == common
+              else _RUNNERS[name](problem, x0, seqs, fixed_stop) for name, trace in probe.items()}
     pairs = []
     all_ok = True
     for i, name_a in enumerate(algorithms):

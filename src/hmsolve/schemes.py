@@ -16,9 +16,9 @@ import numpy as np
 
 from .operators import OperatorConstants
 from .resolvent import ResolventEngine
-from .space import as_vector
 
 __all__ = [
+    "as_vector",
     "StepSequence",
     "make_step_sequence",
     "StoppingRule",
@@ -35,6 +35,21 @@ __all__ = [
     "run_new",
     "ALGORITHMS",
 ]
+
+
+def as_vector(entries):
+    """Coerce ``entries`` to an immutable 1-d float64 array.
+
+    Scalars become 1-d vectors of dimension one. Non-finite entries are
+    rejected.
+    """
+    v = np.atleast_1d(np.asarray(entries, dtype=float)).copy()
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("expected a scalar or a non-empty 1-d sequence of reals")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector entries must be finite")
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)
@@ -206,7 +221,6 @@ class IterationTrace:
     wall_nanos: list
     steps_used: int
     converged: bool
-    hypothesis_violated: bool
     kappa: float
     solution_norm: float = None
     diverged: bool = False
@@ -265,7 +279,6 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
         wall_nanos=wall,
         steps_used=n,
         converged=residuals[-1] <= stop.tol,
-        hypothesis_violated=kappa >= 1.0,
         kappa=kappa,
         solution_norm=None if xstar is None else float(np.linalg.norm(xstar)),
         diverged=diverged,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmsolve import analysis
+from hmsolve import analysis, schemes
 from hmsolve.analysis import DEFAULT_AUDIT_SLACK
 from hmsolve.cli import (
     EXIT_INFEASIBLE,
@@ -233,6 +233,18 @@ class TestCompare:
         report = json.loads((tmp_path / "rate_report.json").read_text())
         assert report["verdict"] == "same-rate"
 
+    def test_diverged_runs_get_no_fit(self, tmp_path):
+        # kappa >= 1: both errors overflow; their ratios are censored, not 0 or NaN
+        code = main([
+            "compare", "--problem", "spd-linear", "--dim", "20", "--c-a", "5",
+            "--lambda", "50", "--alg", "fh,new", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_NUMERICAL
+        report = json.loads((tmp_path / "rate_report.json").read_text())
+        assert not any(p == 0.0 or np.isnan(p) for p in report["pi"] if p is not None)
+        assert report["fitted_ratio"] is None
+        assert report["verdict"] == "undecided"
+
     def test_requires_exactly_two(self, tmp_path):
         code = main([
             "compare", "--problem", "scalar-affine", "--alg", "fh",
@@ -286,9 +298,29 @@ class TestAudit:
         assert ("fh", "mann") in checked
         assert ("zgy", "new") in checked
 
+    def test_finished_probe_runs_once(self, tmp_path, monkeypatch):
+        # a probe run that already has the common length is not run again
+        runs = {}
+
+        def counted(name, run):
+            def wrapper(*args, **kwargs):
+                runs.setdefault(name, []).append(run(*args, **kwargs))
+                return runs[name][-1]
+            return wrapper
+
+        for name in ("fh", "zgy", "mann", "new"):
+            monkeypatch.setattr(schemes, "run_" + name,
+                                counted(name, getattr(schemes, "run_" + name)))
+        code = main(["audit", "--problem", "soft-threshold", "--dim", "60", "--lambda", "auto",
+                     "--alg", "fh,zgy,mann,new", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        common = max(traces[0].steps_used for traces in runs.values())
+        for name, traces in runs.items():
+            assert len(traces) <= (1 if traces[0].steps_used == common else 2), name
+
     def test_start_at_solution_gives_zero_length_recursion(self, tmp_path):
-        # x0 = 1 is scalar-affine's solution b/2: every run stops at step 0, so
-        # the second pass is capped at 0 steps and each pair has one gap
+        # x0 = 1 is scalar-affine's solution b/2: every run stops at step 0, the
+        # common length, so no run is repeated and each pair has one gap
         code = main(["audit", "--problem", "scalar-affine", "--x0", "1",
                      "--alg", "fh,zgy,mann,new", "--out", str(tmp_path)])
         assert code == EXIT_OK
