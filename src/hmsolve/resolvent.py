@@ -1,10 +1,13 @@
 """Resolvent engine: computes x = (H + lam*M)^{-1}(u).
 
-Three strategies, selected automatically from the operator kinds:
+Three strategies, selected automatically from the operator kinds; each turns
+a non-finite u into a non-finite x without an inner solve:
 
 * ``closed-form-linear``: when H and M are both affine, K x = u + b_H + lam*b_M
   with K = W_H + lam*W_M: a division when both weights are scalars, else an
-  LU of the matrix with a scalar weight added to its diagonal only.
+  LU of the matrix with a scalar weight added to its diagonal only, factored
+  in place on the first ``resolve``. With A affine too, ``affine_map`` folds
+  the whole of F(x) = R[H x - lam*A x] into T x + c.
 * ``separable-scalar``: one vectorised pass over all coordinates when H (a
   scalar weight or ``DiagonalNonlinear``) and M = c*t + w*|t| act
   coordinatewise, affine offsets moved into u. With g(t) = H(t) + lam*c*t,
@@ -52,16 +55,30 @@ def _offset(op):
     return op.offset if has else 0.0
 
 
-def _weight_sum(a, b):
-    """a + b for weights that are each a scalar (times I) or a matrix.
+def _weight_sum(a, b, beta):
+    """a + beta*b for weights that are each a scalar (times I) or a matrix.
 
-    A scalar added to a matrix goes on its diagonal only.
+    A scalar added to a matrix goes on its diagonal only; a matrix result is a
+    new Fortran-ordered array, which LAPACK may overwrite without a copy.
     """
-    if np.ndim(a) == np.ndim(b):
-        return a + b
-    w, k = (a, np.array(b)) if np.ndim(a) == 0 else (b, np.array(a))
-    k[np.diag_indices_from(k)] += w
+    if np.ndim(a) == np.ndim(b) == 0:
+        return a + beta * b
+    mat, scale, w = (b, beta, a) if np.ndim(b) else (a, 1.0, beta * b)
+    k = np.multiply(mat, scale, order="F")
+    if np.ndim(w):
+        k += w
+    else:
+        k[np.diag_indices_from(k)] += w
     return k
+
+
+def _k_inverse(h, m, lam):
+    """b -> K^-1 b, free to overwrite b, with K = W_H + lam*W_M: a division or an in-place LU."""
+    k = _weight_sum(h.weight, m.weight, lam)
+    if not np.ndim(k):
+        return lambda b: b / k
+    lu = lu_factor(k, overwrite_a=True, check_finite=False)
+    return lambda b: lu_solve(lu, b, overwrite_b=True, check_finite=False)
 
 
 def _coordinate_failure(reason, index, failed, resid):
@@ -71,7 +88,7 @@ def _coordinate_failure(reason, index, failed, resid):
 
 
 class ResolventEngine:
-    """Immutable solver for u in H(x) + lam*M(x); ``resolve`` is reentrant."""
+    """Solver for u in H(x) + lam*M(x); the closed form keeps K's LU once ``resolve`` needs it."""
 
     inner_tolerance = 1e-12  # residual at which the iterative strategies stop
 
@@ -87,13 +104,7 @@ class ResolventEngine:
         # affine parts W x - b move their offsets into u: u + b_H + lam*b_M. A full
         # vector even when zero: without it spd-solve's peak RSS rose 7% (heap layout)
         self._shift = np.zeros(self.dim) + _offset(self.h) + self.lam * _offset(self.m)
-        self._k = self._lu = None  # K when it is a scalar, else only its LU
-        if self.strategy == CLOSED_FORM:
-            k = _weight_sum(self.h.weight, self.lam * self.m.weight)
-            if np.ndim(k):
-                self._lu = lu_factor(k)
-            else:
-                self._k = k
+        self._k_solve = None  # the closed form's b -> K^-1 b, built on the first resolve
 
     # -- strategy selection
 
@@ -122,8 +133,23 @@ class ResolventEngine:
             return self._resolve_newton(u)
         u = u + self._shift
         if self.strategy == CLOSED_FORM:  # a non-finite u gives a non-finite x
-            return u / self._k if self._lu is None else lu_solve(self._lu, u, check_finite=False)
+            if self._k_solve is None:
+                self._k_solve = _k_inverse(self.h, self.m, self.lam)
+            return self._k_solve(u)
         return self._resolve_separable(u)
+
+    def affine_map(self, a_op):
+        """(T, c) with R[H x - lam*A x] = T x + c for the closed form and an affine A.
+
+        T = K^-1 (W_H - lam*W_A) (a float if every weight is) overwrites W_H - lam*W_A;
+        c = lam*K^-1 (b_A + b_M). K's LU is ``resolve``'s if built, else dropped on return.
+        """
+        k_solve = self._k_solve or _k_inverse(self.h, self.m, self.lam)
+        w = _weight_sum(self.h.weight, a_op.weight, -self.lam)
+        if self.m.matrix is not None and not np.ndim(w):
+            w = w * np.eye(self.dim, order="F")
+        b = self.lam * (_offset(a_op) + _offset(self.m))
+        return k_solve(w), k_solve(b) if np.ndim(b) else b
 
     def _resolve_separable(self, u):
         sub = isinstance(self.m, ops.ShiftedSubdifferential)
@@ -132,10 +158,11 @@ class ResolventEngine:
         if isinstance(self.h, ops.AffineLinear):  # a scalar weight, offset already in u
             # h*x + lam*c*x + lam*w*d|x| contains u  =>  soft threshold
             return np.sign(u) * np.maximum(np.abs(u) - lw, 0.0) / (self.h.scale + lam * c)
+        if not np.isfinite(u).all():  # no root to search for
+            return np.full_like(u, np.nan)
         g = lambda t: self.h.apply(t) + lam * c * t
         gp = lambda t: self.h.fprime(t) + lam * c
         g0 = g(np.zeros_like(u))
-        # NaN compares false, so a NaN coordinate stays active and fails loudly
         active = np.flatnonzero(~(np.abs(u - g0) <= lw))
         out = np.zeros_like(u)
         out[active] = self._solve_increasing(g, gp, (u - lw * np.sign(u - g0))[active], active)
@@ -176,6 +203,8 @@ class ResolventEngine:
             % (self.inner_tolerance, self.max_inner_steps), index, live, ft)
 
     def _resolve_newton(self, u):
+        if not np.isfinite(u).all():  # no root to search for
+            return np.full_like(u, np.nan)
         lam = self.lam
         x = np.zeros(self.dim)
         g = self.h.apply(x) + lam * self.m.selection(x) - u
@@ -183,7 +212,7 @@ class ResolventEngine:
         for _ in range(self.max_inner_steps):
             if np.sqrt(phi) <= self.inner_tolerance:
                 return x
-            jac = _weight_sum(self.h.jacobian(x), lam * self.m.weight)
+            jac = _weight_sum(self.h.jacobian(x), self.m.weight, lam)
             step = np.linalg.solve(jac, g)
             t = 1.0
             while t >= 1e-12:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import OperatorConstants
-from .resolvent import ResolventEngine
+from .operators import AffineLinear, OperatorConstants
+from .resolvent import CLOSED_FORM, ResolventEngine
 
 __all__ = [
     "as_vector",
@@ -190,14 +190,24 @@ class ProblemInstance:
             if getattr(op, "dim", None) not in (None, self.dim):
                 raise ValueError("%r acts on dimension %d, not %d" % (op, op.dim, self.dim))
         self.engine = ResolventEngine(self.h, self.m, self.lam, self.dim)
+        self._affine = None  # (T, c) when F is affine, () when not; set by f_map
         if self.known_solution is not None:
             self.known_solution = as_vector(self.known_solution)
             if self.known_solution.shape[0] != self.dim:
                 raise ValueError("known_solution dimension mismatch")
 
     def f_map(self, x):
-        """F(x) = R[H x - lam*A x]."""
+        """F(x) = R[H x - lam*A x], as T x + c (one matvec) when H, A and M are affine.
+
+        T and c come from ``ResolventEngine.affine_map`` on the first call.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if self._affine is None:
+            affine = self.engine.strategy == CLOSED_FORM and isinstance(self.a, AffineLinear)
+            self._affine = self.engine.affine_map(self.a) if affine else ()
+        if self._affine:
+            t, c = self._affine
+            return (t @ x if np.ndim(t) else t * x) + c
         return self.engine.resolve(self.h.apply(x) - self.lam * self.a.apply(x))
 
     def residual(self, x):

@@ -391,7 +391,7 @@ class TestAuditFailureCause:
                                          "--alg", "fh,new")
         assert code == EXIT_NUMERICAL
         assert err == ["audit failure: fh,new final gap inf: fh diverged, new diverged",
-                       "numerical failure: non-finite iterate (fh at step 403, new at step 269)"]
+                       "numerical failure: non-finite iterate (fh at step 405, new at step 270)"]
 
     def test_diverged_runs_with_equal_iterates(self, tmp_path, capsys):
         # with xi = 1 MANN repeats FH's iterates: a zero gap, yet both runs diverge
@@ -399,7 +399,7 @@ class TestAuditFailureCause:
                                          "--alg", "fh,mann", "--xi", "const:1")
         assert pair["gap_converged"]
         assert code == EXIT_NUMERICAL
-        assert err == ["numerical failure: non-finite iterate (fh at step 403, mann at step 403)"]
+        assert err == ["numerical failure: non-finite iterate (fh at step 405, mann at step 405)"]
 
 
 class TestExitCodes:

@@ -154,10 +154,26 @@ class TestResolve:
     @pytest.mark.parametrize("m", [ScaledIdentityMulti(0.5), ShiftedSubdifferential(0.5)])
     @pytest.mark.parametrize("bad", [np.nan, 1e80, np.inf, -np.inf])
     def test_separable_unsolvable_coordinate_raises(self, m, bad):
-        # NaN and +-inf have no root; 1e80 has none within 200 doublings
+        # 1e80 has no root within 200 doublings; NaN and +-inf have none at all,
+        # and give a non-finite x as the closed forms do
         eng = ResolventEngine(_tanh_op(), m, 1.0, dim=3)
-        with pytest.raises(ResolventDivergenceError, match="coordinate 1: "):
-            eng.resolve(np.array([0.3, bad, -2.0]))
+        u = np.array([0.3, bad, -2.0])
+        if np.isfinite(bad):
+            with pytest.raises(ResolventDivergenceError, match="coordinate 1: "):
+                eng.resolve(u)
+        else:
+            assert not np.isfinite(eng.resolve(u)[1])
+
+    @pytest.mark.parametrize("m,strategy", [(ScaledIdentityMulti(0.5), SEPARABLE),
+                                            (LinearMonotone(np.eye(3)), NEWTON)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_skips_inner_solve(self, m, strategy, bad):
+        # no inner solve evaluates H, and no RuntimeWarning (an error under this suite)
+        h = _tanh_op()
+        h.f = h.fprime = None
+        eng = ResolventEngine(h, m, 1.0, dim=3)
+        assert eng.strategy == strategy
+        assert not np.isfinite(eng.resolve(np.array([0.3, bad, -2.0]))).any()
 
     def test_divergence_error_on_tiny_cap(self):
         eng = ResolventEngine(

@@ -1,13 +1,16 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hmsolve import resolvent
 from hmsolve.analysis import DEFAULT_AUDIT_SLACK, contraction_factor, envelope, optimal_lambda
 from hmsolve.operators import (
     AffineLinear,
+    DiagonalNonlinear,
     LinearMonotone,
     OperatorConstants,
     ScaledIdentity,
@@ -16,7 +19,8 @@ from hmsolve.operators import (
     catalog_constants,
     validate_constants,
 )
-from hmsolve.problems import gen_scalar_affine, gen_spd_linear
+from hmsolve.problems import gen_scalar_affine, gen_soft_threshold, gen_spd_linear
+from hmsolve.resolvent import ResolventEngine
 from hmsolve.schemes import (
     ProblemInstance,
     StoppingRule,
@@ -387,3 +391,136 @@ class TestContractionOfF:
         assert all(finite_inputs)
         assert len(trace.residuals) == len(trace.iterates) == trace.steps_used + 1
         assert trace.steps_used < StoppingRule().max_steps
+
+
+def _resolved_f(p, x):
+    """F(x) through the resolvent, the way every non-affine problem evaluates it."""
+    return p.engine.resolve(p.h.apply(x) - p.lam * p.a.apply(x))
+
+
+def _tanh_h():
+    return DiagonalNonlinear(lambda t: t + 0.5 * np.tanh(t),
+                             lambda t: 1.0 + 0.5 / np.cosh(t) ** 2, (1.0, 1.5))
+
+
+def _explicit_affine(h, a, m, dim, lam=0.4):
+    return ProblemInstance(h=h, a=a, m=m, constants=catalog_constants(h, a, m), lam=lam, dim=dim)
+
+
+def _counting_resolve(monkeypatch):
+    """Count every ``ResolventEngine.resolve`` call in the returned list."""
+    calls = []
+    resolve = ResolventEngine.resolve
+
+    def counting(self, u):
+        calls.append(1)
+        return resolve(self, u)
+
+    monkeypatch.setattr(ResolventEngine, "resolve", counting)
+    return calls
+
+
+class TestAffineFastPath:
+    """Affine H, A and M: F(x) = T x + c, with T and c built on the first F evaluation."""
+
+    @staticmethod
+    def _assert_equivalent(p, seed=0):
+        rng = np.random.default_rng(seed)
+        for scale in (1e-3, 1.0, 1e3):
+            x = scale * rng.standard_normal(p.dim)
+            diff = np.linalg.norm(p.f_map(x) - _resolved_f(p, x))
+            assert diff <= 1e-13 * max(1.0, np.linalg.norm(x))
+
+    @pytest.mark.parametrize("dim", [1, 7, 200])
+    @pytest.mark.parametrize("lam,c_a", [(0.2, 1.0), (0.6, 1.0), (1.0, 0.5), (0.3, 2.0), (50.0, 5.0)])
+    def test_spd_linear_matches_resolvent(self, dim, lam, c_a):
+        self._assert_equivalent(gen_spd_linear(dim, seed=dim, c_a=c_a, lam=lam, m=0.7), dim)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+    def test_scalar_affine_matches_resolvent(self, lam):
+        p = gen_scalar_affine(b=2.0, lam=lam)
+        self._assert_equivalent(p)
+        assert np.ndim(p._affine[0]) == 0
+
+    @pytest.mark.parametrize("dim", [1, 6])
+    def test_mixed_weights_match_resolvent(self, dim):
+        rng = np.random.default_rng(dim)
+        w = np.eye(dim) + 0.1 * rng.standard_normal((dim, dim))
+        spd, offset = w @ w.T, rng.standard_normal(dim)
+        for h, a, m in [  # matrix H with scalar A and M, scalar H with matrix A
+            (AffineLinear(spd, offset), AffineLinear(0.8, offset), ScaledIdentityMulti(1.5)),
+            (ScaledIdentity(2.0), AffineLinear(spd, offset), ScaledIdentityMulti(0.5)),
+            (ScaledIdentity(2.0), AffineLinear(1.2, offset), LinearMonotone(spd)),
+        ]:
+            p = _explicit_affine(h, a, m, dim)
+            self._assert_equivalent(p, dim)
+            assert np.ndim(p._affine[0]) == 2
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(triple=_cataloged_triple())
+    def test_cataloged_triples_match_resolvent(self, triple):
+        h, a, m, seed = triple
+        assume(not isinstance(m, ShiftedSubdifferential))  # never affine
+        self._assert_equivalent(_explicit_affine(h, a, m, a.dim), seed)
+
+    def test_k_is_factored_once_on_first_use(self, monkeypatch):
+        factored = []
+        lu_factor = resolvent.lu_factor
+        monkeypatch.setattr(resolvent, "lu_factor",
+                            lambda *args, **kwargs: factored.append(1) or lu_factor(*args, **kwargs))
+        p = gen_spd_linear(7, seed=7)
+        assert factored == []  # not while the problem is built
+        p.engine.resolve(np.zeros(7))
+        p.f_map(np.zeros(7))  # T is built with the LU that resolve made
+        p.engine.resolve(np.ones(7))
+        assert len(factored) == 1
+
+    def test_affine_runs_make_no_resolve_call(self, monkeypatch):
+        calls = _counting_resolve(monkeypatch)
+        p = gen_spd_linear(20, seed=3)
+        for name in ("FH", "ZGY", "MANN", "NEW"):
+            trace = run_scheme(name, p, np.zeros(20), HALF, HALF, StoppingRule(max_steps=50))
+            assert trace.steps_used > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("problem", [
+        lambda: gen_soft_threshold(12, seed=1),
+        lambda: ProblemInstance(h=_tanh_h(), a=AffineLinear(1.0, np.linspace(-1, 1, 12)),
+                                m=ScaledIdentityMulti(1.0),
+                                constants=OperatorConstants(1.0, 1.5, 1.0, 1.0, 1.0),
+                                lam=0.5, dim=12),
+    ])
+    def test_other_problems_resolve_once_per_evaluation(self, problem, monkeypatch):
+        p = problem()
+        resolves = _counting_resolve(monkeypatch)
+        evaluations = _counting_f_map(p)
+        run_new(p, np.zeros(12), HALF, StoppingRule(tol=-1.0, max_steps=10))
+        assert len(resolves) == len(evaluations) == 21
+
+    def test_scalar_weights_build_no_matrix(self):
+        dim = 5000
+        p = ProblemInstance(h=ScaledIdentity(1.0), a=AffineLinear(2.0, np.ones(dim)),
+                            m=ScaledIdentityMulti(1.0),
+                            constants=OperatorConstants(1.0, 1.0, 2.0, 2.0, 1.0),
+                            lam=0.3, dim=dim)
+        x = np.linspace(-1.0, 1.0, dim)
+        tracemalloc.start()
+        try:
+            fx = p.f_map(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # a dim x dim matrix would take 200 MB
+        assert np.allclose(fx, (0.4 * x + 0.3) / 1.3, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", [ScaledIdentityMulti(1.0), LinearMonotone(np.eye(4))])
+def test_overflowing_nonlinear_run_ends_diverged(m):
+    # kappa > 1 and H x - lam*A x overflows on the first F evaluation: the
+    # separable and Newton resolvents hand the runner a non-finite iterate
+    p = ProblemInstance(h=_tanh_h(), a=ScaledIdentity(5.0), m=m,
+                        constants=OperatorConstants(1.0, 1.5, 5.0, 5.0, 1.0), lam=50.0, dim=4)
+    with np.errstate(over="ignore", invalid="ignore"):  # as hmsolve.cli.main runs
+        trace = run_fh(p, np.full(4, 1e307))
+    assert trace.diverged and not trace.converged
+    assert trace.steps_used == 0
