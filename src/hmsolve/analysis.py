@@ -7,13 +7,14 @@ kappa < 1, and ``feasible_lambda`` returns None when s <= eta (the interval
 formula does not apply) or when its discriminant is <= 0 (no lam gives
 kappa < 1); the minimiser of kappa over lam has a closed form in every
 regime; the error envelope of each scheme is the product of the per-step
-bounds of its (xi, mu) casting; the rate comparison classifies the ratio of
-measured error sequences; and the equivalence audit pairs two runs by their
-castings: a relaxed run q with an unrelaxed run s (xi = 1) of the same mu.
+bounds of its (xi, mu) casting, and ``check_envelope`` checks a run against
+it; the rate comparison classifies the ratio of measured error sequences;
+and the equivalence audit pairs two runs by their castings: a relaxed run q
+with an unrelaxed run s (xi = 1) of the same mu.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +27,7 @@ __all__ = [
     "feasible_lambda",
     "optimal_lambda",
     "envelope",
-    "EnvelopeCheck",
+    "check_envelope",
     "RateReport",
     "rate_compare",
     "AuditReport",
@@ -113,16 +114,22 @@ def envelope(scheme, kappa, xi, mu, e0, n):
     return e0 * np.concatenate(([1.0], np.cumprod(factors)))
 
 
+def check_envelope(trace, kappa, xi, mu):
+    """(bounds, passed): ``trace``'s errors against its scheme's envelope under (xi, mu).
+
+    bounds has one entry per error, and passed[n] is errors[n] - bounds[n] <=
+    DEFAULT_AUDIT_SLACK, which a NaN error fails. None when the trace has no
+    errors or kappa is not below 1, where no envelope holds.
+    """
+    if trace.errors is None or not kappa < 1.0:
+        return None
+    errors = np.asarray(trace.errors, dtype=float)
+    bounds = envelope(trace.algorithm, kappa, xi, mu, trace.errors[0], errors.size - 1)
+    return bounds, errors - bounds <= DEFAULT_AUDIT_SLACK
+
+
 # ---------------------------------------------------------------------------
 # rate comparison
-
-
-@dataclass(frozen=True)
-class EnvelopeCheck:
-    n: int
-    bound: float
-    measured: float
-    passed: bool
 
 
 @dataclass
@@ -139,31 +146,20 @@ class RateReport:
     pi: list
     verdict: str
     fitted_ratio: float
-    envelope_checks_a: list = field(default_factory=list)
-    envelope_checks_b: list = field(default_factory=list)
 
 
 def _censor_threshold(solution_norm):
     return 10.0 * np.finfo(float).eps * (1.0 + (solution_norm or 0.0))
 
 
-def _envelope_checks(trace, kappa, xi, mu, n_common, slack):
-    bounds = envelope(trace.algorithm, kappa, xi, mu, trace.errors[0], n_common - 1)
-    return [EnvelopeCheck(n, bound, measured, measured <= bound + slack)
-            for n, (bound, measured) in enumerate(zip(bounds.tolist(), trace.errors))]
+def rate_compare(trace_a, trace_b, decision_margin=0.05):
+    """Compare the convergence rates of two error traces on the same problem.
 
-
-def rate_compare(trace_a, trace_b, kappa=None, xi=None, mu=None,
-                 decision_margin=0.05, slack=DEFAULT_AUDIT_SLACK):
-    """Compare two error traces on the same problem with known solution.
-
-    Verdicts: ``a-faster`` when the trailing window of pi is nonincreasing
-    with fitted geometric ratio < 1 - decision_margin, ``same-rate`` when the
-    fitted ratio lies within the margin of 1, ``undecided`` otherwise.
-
-    When ``kappa`` is given, each trace is checked against the envelope of
-    its own scheme (``trace.algorithm``) under the sequences ``xi`` and
-    ``mu``; a scheme whose casting needs a sequence not supplied is an error.
+    Both traces need errors against a known solution; only their common
+    steps count. Verdicts: ``a-faster`` when the trailing window of pi is
+    nonincreasing with fitted geometric ratio < 1 - decision_margin,
+    ``same-rate`` when the fitted ratio lies within the margin of 1,
+    ``undecided`` otherwise. ``check_envelope`` checks each trace's envelope.
     """
     if trace_a.errors is None or trace_b.errors is None:
         raise ValueError("rate comparison requires traces with a known solution")
@@ -195,17 +191,10 @@ def rate_compare(trace_a, trace_b, kappa=None, xi=None, mu=None,
             elif 1.0 - decision_margin <= ratio <= 1.0 + decision_margin:
                 verdict = "same-rate"
 
-    checks_a, checks_b = [], []
-    if kappa is not None and kappa < 1.0:
-        checks_a = _envelope_checks(trace_a, kappa, xi, mu, n_common, slack)
-        checks_b = _envelope_checks(trace_b, kappa, xi, mu, n_common, slack)
-
     return RateReport(
         pi=[None if cut else p for cut, p in zip(censored.tolist(), pis.tolist())],
         verdict=verdict,
         fitted_ratio=ratio,
-        envelope_checks_a=checks_a,
-        envelope_checks_b=checks_b,
     )
 
 
@@ -227,7 +216,6 @@ class AuditReport:
     """
 
     gaps: list
-    final_gap: float
     gap_converged: bool
     recursion_checked: bool
     violations_forward: int = 0
@@ -263,8 +251,7 @@ def equivalence_audit(trace_a, trace_b, xi, mu, kappa, gap_tol=1e-8):
     # non-finite iterates and errors propagate silently, as in scalar float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = [float(np.linalg.norm(a - b)) for a, b in zip(trace_a.iterates, trace_b.iterates)]
-        report = AuditReport(gaps=gaps, final_gap=gaps[-1], gap_converged=gaps[-1] <= gap_tol,
-                             recursion_checked=False)
+        report = AuditReport(gaps=gaps, gap_converged=gaps[-1] <= gap_tol, recursion_checked=False)
         if (mu_a != mu_b or ONE not in (xi_a, xi_b) or not kappa < 1.0
                 or trace_a.errors is None or trace_b.errors is None):
             return report

@@ -211,17 +211,6 @@ def read_trace_csv(path):
         } for row in csv.DictReader(fh)]
 
 
-def _envelope_summary(trace, seqs):
-    """Max excess of measured errors over the scheme's theoretical envelope."""
-    if trace.errors is None or trace.kappa >= 1.0:
-        return {"checked": False}
-    bounds = analysis.envelope(trace.algorithm, trace.kappa, seqs["xi"], seqs["mu"],
-                               trace.errors[0], trace.steps_used)
-    max_excess = float(np.max(np.asarray(trace.errors) - bounds))
-    return {"checked": True, "max_excess": max_excess,
-            "passed": max_excess <= analysis.DEFAULT_AUDIT_SLACK}
-
-
 def _divergence_status(traces):
     """EXIT_NUMERICAL, naming each run that hit a non-finite iterate, else EXIT_OK."""
     diverged = ["%s at step %d" % (t.algorithm.lower(), t.steps_used + 1)
@@ -248,13 +237,16 @@ def cmd_solve(cfg, out_dir):
         trace = _RUNNERS[name](problem, x0, seqs, stop)
         traces.append(trace)
         write_trace_csv(out_dir / ("trace_%s.csv" % name), trace)
+        checked = analysis.check_envelope(trace, trace.kappa, seqs["xi"], seqs["mu"])
         summary["algorithms"][name] = {
             "final_residual": trace.residuals[-1],
             "final_error": None if trace.errors is None else trace.errors[-1],
             "steps": trace.steps_used,
             "converged": trace.converged,
             "hypothesis_violated": trace.kappa >= 1.0,
-            "envelope": _envelope_summary(trace, seqs),
+            "envelope": {"checked": False} if checked is None else {
+                "checked": True, "passed": bool(checked[1].all()),
+                "max_excess": float(np.max(np.asarray(trace.errors) - checked[0]))},
         }
     _write_json(out_dir / "summary.json", summary)
     return _divergence_status(traces)
@@ -271,8 +263,13 @@ def cmd_compare(cfg, out_dir):
     # both runs start from the same x0
     trace_a = _RUNNERS[name_a](problem, x0, seqs, stop)
     trace_b = _RUNNERS[name_b](problem, x0, seqs, stop)
-    report = analysis.rate_compare(trace_a, trace_b, kappa=kappa, xi=seqs["xi"], mu=seqs["mu"],
-                                   decision_margin=decision_margin)
+    report = analysis.rate_compare(trace_a, trace_b, decision_margin=decision_margin)
+    n_common = min(len(trace_a.errors), len(trace_b.errors))
+    # kappa >= 1 checks neither run; an envelope's prefix is the envelope of the run's prefix
+    checks = [analysis.check_envelope(t, kappa, seqs["xi"], seqs["mu"]) for t in (trace_a, trace_b)]
+    bounds_a, bounds_b = ([None] * n_common if c is None else c[0][:n_common].tolist()
+                          for c in checks)
+    passed_a = [] if checks[0] is None else checks[0][1].tolist()
 
     _write_json(out_dir / "rate_report.json", {
         "pi": report.pi,
@@ -280,21 +277,16 @@ def cmd_compare(cfg, out_dir):
         "kappa": kappa,
         "lambda": problem.lam,
         "fitted_ratio": None if np.isnan(report.fitted_ratio) else report.fitted_ratio,
-        "envelope_checks": [
-            {"n": c.n, "bound": c.bound, "measured": c.measured, "pass": c.passed}
-            for c in report.envelope_checks_a
-        ],
+        "envelope_checks": [{"n": n, "bound": bound, "measured": e, "pass": ok} for n, (bound, e, ok)
+                            in enumerate(zip(bounds_a, trace_a.errors, passed_a))],
     })
 
-    n_common = min(len(trace_a.errors), len(trace_b.errors))
     with open(out_dir / "compare.csv", "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "e_a", "e_b", "pi_n", "envelope_a", "envelope_b"])
         for n in range(n_common):
-            env_a, env_b = (checks[n].bound if n < len(checks) else None
-                            for checks in (report.envelope_checks_a, report.envelope_checks_b))
             writer.writerow([n] + ["" if v is None else repr(v) for v in (
-                trace_a.errors[n], trace_b.errors[n], report.pi[n], env_a, env_b)])
+                trace_a.errors[n], trace_b.errors[n], report.pi[n], bounds_a[n], bounds_b[n])])
     return _divergence_status([trace_a, trace_b])
 
 
@@ -333,6 +325,8 @@ def cmd_audit(cfg, out_dir):
     problem, stop, seqs, x0, algorithms = _setup(cfg, fewest=2)
     with _interpreting():
         gap_tol = float(cfg.get("gap_tol", 1e-8))
+        if not gap_tol >= 0:
+            raise ValueError("gap_tol must be nonnegative, got %r" % gap_tol)
     kappa = problem.contraction_factor()
 
     # first pass finds how long the slowest algorithm needs, second pass runs
@@ -364,12 +358,12 @@ def cmd_audit(cfg, out_dir):
                               % (report.violations, max_violation))
             if causes:
                 print("audit failure: %s,%s final gap %g: %s" % (
-                    name_a, name_b, report.final_gap, "; ".join(causes)), file=sys.stderr)
+                    name_a, name_b, report.gaps[-1], "; ".join(causes)), file=sys.stderr)
             all_ok = all_ok and not causes
             pairs.append({
                 "a": name_a,
                 "b": name_b,
-                "final_gap": report.final_gap,
+                "final_gap": report.gaps[-1],
                 "gap_converged": report.gap_converged,
                 "recursion_checked": report.recursion_checked,
                 "violations": report.violations,

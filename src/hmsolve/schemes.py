@@ -161,11 +161,16 @@ def casting(name, xi=None, mu=None):
 class StoppingRule:
     """Stop when the fixed-point residual ||F(x) - x|| <= tol or at the cap.
 
-    A negative tol disables the residual test entirely (fixed-length runs).
+    A negative tol disables the residual test entirely (fixed-length runs);
+    a NaN tol, which no residual meets, and a negative cap are errors.
     """
 
     tol: float = 1e-10
     max_steps: int = 100_000
+
+    def __post_init__(self):
+        if np.isnan(self.tol) or self.max_steps < 0:
+            raise ValueError("tol must not be NaN and max_steps not negative, got %r" % (self,))
 
 
 @dataclass

@@ -224,6 +224,43 @@ class TestCompare:
         for row in rows:
             assert float(row["e_b"]) <= float(row["envelope_b"]) + DEFAULT_AUDIT_SLACK
 
+    def test_envelopes_are_check_envelope_on_the_common_steps(self, tmp_path):
+        # zgy needs more steps than new here, so its envelope is cut to new's length
+        code = main([
+            "compare", "--problem", "spd-linear", "--dim", "20", "--seed", "3", "--lambda", "0.6",
+            "--alg", "zgy,new", "--xi", "const:0.3", "--mu", "const:0.5", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_OK
+        p = gen_spd_linear(dim=20, seed=3, lam=0.6)
+        xi, mu = (schemes.make_step_sequence("constant", value=v) for v in (0.3, 0.5))
+        traces = [schemes.run_scheme(name, p, [0.0], xi, mu) for name in ("zgy", "new")]
+        (bounds_a, passed_a), (bounds_b, _) = (
+            analysis.check_envelope(t, p.contraction_factor(), xi, mu) for t in traces)
+        n_common = len(traces[1].errors)
+        assert len(traces[0].errors) > n_common
+        report = json.loads((tmp_path / "rate_report.json").read_text())
+        assert report["envelope_checks"] == [
+            {"n": n, "bound": bounds_a[n], "measured": traces[0].errors[n], "pass": bool(passed_a[n])}
+            for n in range(n_common)]
+        with open(tmp_path / "compare.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["envelope_a"], row["envelope_b"]) for row in rows] == [
+            (repr(a), repr(b)) for a, b in zip(bounds_a[:n_common].tolist(), bounds_b.tolist())]
+
+    def test_kappa_at_least_one_checks_no_envelope(self, tmp_path):
+        # kappa(10) = 1.018 here, yet the runs converge: no envelope holds, so none is checked
+        args = ["--problem", "spd-linear", "--dim", "5", "--lambda", "10", "--alg", "new,fh"]
+        assert main(["compare", *args, "--out", str(tmp_path / "compare")]) == EXIT_OK
+        report = json.loads((tmp_path / "compare" / "rate_report.json").read_text())
+        assert report["kappa"] >= 1.0
+        assert report["envelope_checks"] == []
+        with open(tmp_path / "compare" / "compare.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row["envelope_a"] == row["envelope_b"] == "" for row in rows)
+        assert main(["solve", *args, "--out", str(tmp_path / "solve")]) == EXIT_OK
+        summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+        assert [alg["envelope"] for alg in summary["algorithms"].values()] == [{"checked": False}] * 2
+
     def test_self_comparison_same_rate(self, tmp_path):
         code = main([
             "compare", "--problem", "spd-linear", "--dim", "10", "--seed", "1",
@@ -459,6 +496,22 @@ class TestExitCodes:
         assert not any(out.iterdir())
         assert "h_lipschitz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, config", [
+        (["solve", "--max-steps", "-3"], {}),
+        (["audit", "--alg", "fh,new", "--max-steps", "-3"], {}),
+        (["solve", "--tol", "nan"], {}),
+        (["audit", "--alg", "fh,new"], {"gap_tol": -1}),
+        (["audit", "--alg", "fh,new"], {"gap_tol": float("nan")}),
+    ])
+    def test_meaningless_stopping_or_gap_tol(self, tmp_path, argv, config):
+        # a negative cap makes 0-step runs, a NaN tol is never met and a
+        # negative or NaN gap_tol fails every pair: inputs, not numerics
+        out = tmp_path / "out"
+        code = main([*argv, "--config", _write_config(tmp_path, config),
+                     "--problem", "spd-linear", "--dim", "5", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not any(out.iterdir())
+
     def test_operator_of_other_dimension(self, tmp_path):
         # a 2 x 2 A on a problem declared 3-dimensional
         cfg = _write_config(tmp_path, {
@@ -492,8 +545,8 @@ _FUZZ_POOLS = {
     "xi": (["const:0.5", "harmonic:1", "one-minus-harmonic:2", "table:0.2,1"],
            ["const:1.5", "geometric:1"]),
     "mu": (["const:0", "const:0.9", "harmonic:2"], ["const:1.5", "geometric:1"]),
-    "tol": ([1e-10, 1e-3, -1.0], []),
-    "max_steps": ([0, 1, 30], []),
+    "tol": ([1e-10, 1e-3, -1.0], [float("nan")]),
+    "max_steps": ([0, 1, 30], [-1]),
     "x0": ([None, 0.5, -2.0], [float("nan"), [1.0] * 7]),
 }
 #: command -> (valid, invalid) algorithm lists; sweep runs none, so any list is valid

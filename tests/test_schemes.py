@@ -111,6 +111,14 @@ class TestProblemInstance:
                             constants=OperatorConstants(1, 1, 1, 1, 1), lam=1.0, dim=dim)
 
 
+@pytest.mark.parametrize("kwargs", [{"max_steps": -1}, {"tol": float("nan")}])
+def test_stopping_rule_rejects_meaningless_inputs(kwargs):
+    with pytest.raises(ValueError, match="tol must not be NaN and max_steps not negative"):
+        StoppingRule(**kwargs)
+    # a negative tol is valid: it disables the residual test
+    assert StoppingRule(tol=-1.0, max_steps=0).max_steps == 0
+
+
 class TestFMap:
     def test_identity_problem_maps_to_origin(self):
         p = _identity_problem(1.0)
