@@ -103,6 +103,16 @@ def envelope(scheme, kappa, xi, mu, e0, n):
     kappa for FH, 1 - xi_k (1 - kappa) for MANN, kappa (1 - mu_k (1 - kappa))
     for NEW and 1 - xi_k (1 - kappa (1 - mu_k (1 - kappa))) for ZGY. Sequences
     a casting does not use may be None.
+
+    Per F evaluation the two-step bounds never win. A NEW or ZGY step costs
+    two F evaluations and an FH or MANN step one, and for kappa, xi, mu in
+    [0, 1] each two-step factor is at least the one-step factor squared:
+
+    * NEW: kappa (1 - mu (1 - kappa)) - kappa^2 = kappa (1 - mu)(1 - kappa) >= 0,
+      with equality at mu = 1 (FH applied twice).
+    * ZGY: the factor falls as mu grows, so it is at least its value at mu = 1,
+      1 - xi + xi kappa^2 = (1 - xi) 1^2 + xi kappa^2 >= ((1 - xi) + xi kappa)^2
+      = (1 - xi (1 - kappa))^2 by the convexity of t -> t^2 (Jensen).
     """
     if not 0.0 <= kappa < 1.0:
         raise ValueError("kappa must lie in [0, 1)")

@@ -200,17 +200,6 @@ def write_trace_csv(path, trace):
             writer.writerow([n, repr(trace.residuals[n]), err, trace.wall_nanos[n]])
 
 
-def read_trace_csv(path):
-    """Round-trip reader for trace CSVs (residuals and errors bit-exact)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [{
-            "n": int(row["n"]),
-            "residual": float(row["residual"]),
-            "error": None if row["error"] == "" else float(row["error"]),
-            "wall_nanos": int(row["wall_nanos"]),
-        } for row in csv.DictReader(fh)]
-
-
 def _divergence_status(traces):
     """EXIT_NUMERICAL, naming each run that hit a non-finite iterate, else EXIT_OK."""
     diverged = ["%s at step %d" % (t.algorithm.lower(), t.steps_used + 1)

@@ -93,9 +93,15 @@ class AffineLinear:
     The weight W is a positive scalar w, meaning w*I in any dimension unless
     an offset fixes it, or a square matrix; ``scale`` and ``matrix`` hold the
     one that applies and are None otherwise. As M, ``selection`` is ``apply``.
+
+    A matrix W may come with an ``eigenpair`` (basis, values): an orthogonal
+    Q and a vector w with W = Q diag(w) Q^T, kept read-only for
+    ``ResolventEngine.affine_map``. It is checked once on one seeded probe
+    vector v, in O(n^2): Q(Q^T v) must give v back and Q(w * Q^T v) must
+    give W v, each to 1e-9 relative, else ``ValueError``.
     """
 
-    def __init__(self, weight, offset=None):
+    def __init__(self, weight, offset=None, eigenpair=None):
         weight = np.asarray(weight, dtype=float)
         if weight.ndim == 0:
             if not (np.isfinite(weight) and weight > 0):
@@ -115,6 +121,22 @@ class AffineLinear:
                 raise ValueError("offset dimension does not match matrix")
             self.dim = self.offset.shape[0]
             self.offset.setflags(write=False)
+        self.eigenpair = None if eigenpair is None else self._checked_eigenpair(*eigenpair)
+
+    def _checked_eigenpair(self, basis, values):
+        basis, values = np.asarray(basis, dtype=float), np.asarray(values, dtype=float)
+        if self.matrix is None or basis.shape != self.matrix.shape or values.shape != (self.dim,):
+            raise ValueError("an eigenpair needs a matrix weight and an n x n basis with n values")
+        v = np.random.default_rng(0).standard_normal(self.dim)
+        qv = basis.T @ v
+        size = np.linalg.norm(v)
+        if not (np.linalg.norm(basis @ qv - v) <= _CONSISTENCY_TOL * size
+                and np.linalg.norm(basis @ (values * qv) - self.matrix @ v)
+                <= _CONSISTENCY_TOL * size * np.max(np.abs(values))):
+            raise ValueError("the eigenpair does not reproduce the matrix on a probe vector")
+        basis.setflags(write=False)
+        values.setflags(write=False)
+        return basis, values
 
     def apply(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))

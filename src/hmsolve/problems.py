@@ -51,8 +51,9 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     gamma and tau are its exact extreme eigenvalues. A(x) = c_a*H x - b ties
     A to H, making the cross-operator constant exact: with d = x - y,
     <A x - A y, H x - H y> = c_a ||H d||^2 >= c_a gamma^2 ||d||^2, so
-    r = c_a*gamma^2 and s = c_a*tau. M = m*I gives eta = m. The solution is
-    the exact linear solve of (c_a*H + m*I) x = b.
+    r = c_a*gamma^2 and s = c_a*tau. M = m*I gives eta = m. H and A carry
+    their eigenpairs on the one basis Q, and the solution of
+    (c_a*H + m*I) x = b is Q((Q^T b) / (c_a*h + m)) for H's spectrum h.
     """
     lo, hi = float(eigen_range[0]), float(eigen_range[1])
     if not (0 < lo <= hi) or dim < 1:
@@ -64,14 +65,14 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     h_mat = (h_mat + h_mat.T) / 2.0
     b = b_scale * rng.standard_normal(dim)
 
-    h = AffineLinear(h_mat)
-    a = AffineLinear(c_a * h_mat, b)
+    h = AffineLinear(h_mat, eigenpair=(q, spectrum))
+    a = AffineLinear(c_a * h_mat, b, eigenpair=(q, c_a * spectrum))
     mm = ScaledIdentityMulti(m)
     tau = hi if dim > 1 else lo
     constants = OperatorConstants(
         gamma=lo, tau=tau, r=c_a * lo * lo, s=c_a * tau, eta=m
     )
-    xstar = np.linalg.solve(c_a * h_mat + m * np.eye(dim), b)
+    xstar = q @ ((q.T @ b) / (c_a * spectrum + m))
     return ProblemInstance(
         h=h, a=a, m=mm, constants=constants, lam=lam, dim=dim,
         known_solution=xstar,

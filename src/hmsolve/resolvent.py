@@ -7,7 +7,10 @@ a non-finite u into a non-finite x without an inner solve:
   with K = W_H + lam*W_M: a division when both weights are scalars, else an
   LU of the matrix with a scalar weight added to its diagonal only, factored
   in place on the first ``resolve``. With A affine too, ``affine_map`` folds
-  the whole of F(x) = R[H x - lam*A x] into T x + c.
+  the whole of F(x) = R[H x - lam*A x] into T x + c. When H and A carry
+  eigenpairs on one basis Q and M's weight is a scalar m, T and c come from
+  Q without factoring anything: T = Q diag(t) Q^T with
+  t = (h - lam*a)/(h + lam*m).
 * ``separable-scalar``: one vectorised pass over all coordinates when H (a
   scalar weight or ``DiagonalNonlinear``) and M = c*t + w*|t| act
   coordinatewise, affine offsets moved into u. With g(t) = H(t) + lam*c*t,
@@ -93,8 +96,8 @@ class ResolventEngine:
     inner_tolerance = 1e-12  # residual at which the iterative strategies stop
 
     def __init__(self, h_op, m_op, lam, dim, max_inner_steps=100):
-        if not lam > 0:
-            raise ValueError("lam must be strictly positive")
+        if not (np.isfinite(lam) and lam > 0):
+            raise ValueError("lam must be finite and strictly positive, got %r" % (lam,))
         self.h = h_op
         self.m = m_op
         self.lam = float(lam)
@@ -143,12 +146,22 @@ class ResolventEngine:
 
         T = K^-1 (W_H - lam*W_A) (a float if every weight is) overwrites W_H - lam*W_A;
         c = lam*K^-1 (b_A + b_M). K's LU is ``resolve``'s if built, else dropped on return.
+        Spectral branch: when W_H = Q diag(h) Q^T and W_A = Q diag(a) Q^T are
+        eigenpairs on the same basis object Q and W_M = m is a scalar, K = Q diag(k) Q^T
+        with k = h + lam*m, so T = (Q * t) @ Q^T with t = (h - lam*a)/k and c = lam*Q((Q^T b)/k):
+        one GEMM and two GEMVs, no LU.
         """
+        b = self.lam * (_offset(a_op) + _offset(self.m))
+        eh, ea = self.h.eigenpair, a_op.eigenpair
+        if eh and ea and eh[0] is ea[0] and self.m.matrix is None:
+            (q, h), a = eh, ea[1]
+            k = h + self.lam * self.m.scale
+            c = q @ ((q.T @ b) / k) if np.ndim(b) else b
+            return (q * ((h - self.lam * a) / k)) @ q.T, c
         k_solve = self._k_solve or _k_inverse(self.h, self.m, self.lam)
         w = _weight_sum(self.h.weight, a_op.weight, -self.lam)
         if self.m.matrix is not None and not np.ndim(w):
             w = w * np.eye(self.dim, order="F")
-        b = self.lam * (_offset(a_op) + _offset(self.m))
         return k_solve(w), k_solve(b) if np.ndim(b) else b
 
     def _resolve_separable(self, u):

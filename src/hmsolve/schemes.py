@@ -187,8 +187,8 @@ class ProblemInstance:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be strictly positive")
+        if not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lam must be finite and strictly positive, got %r" % (self.lam,))
         if not self.dim >= 1:
             raise ValueError("dim must be at least 1")
         for op in (self.h, self.a, self.m):

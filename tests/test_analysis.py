@@ -176,6 +176,18 @@ class TestEnvelopes:
         with pytest.raises(ValueError):
             envelope("ZGY", 0.5, None, make_step_sequence("constant", value=0.5), 1.0, 3)
 
+    @settings(max_examples=500, deadline=None)
+    @given(kappa=st.floats(0.0, 1.0, exclude_max=True), xi=st.floats(0.0, 1.0),
+           mu=st.floats(0.0, 1.0))
+    def test_two_step_factor_never_wins_per_f_evaluation(self, kappa, xi, mu):
+        # a NEW or ZGY step costs two F evaluations, an FH or MANN step one: the
+        # two-step factor is at least the one-step factor squared (proof in envelope)
+        xi, mu = (make_step_sequence("constant", value=v) for v in (xi, mu))
+        assert (envelope("NEW", kappa, None, mu, 1.0, 1)[1]
+                >= envelope("FH", kappa, None, None, 1.0, 2)[2] - 1e-15)
+        assert (envelope("ZGY", kappa, xi, mu, 1.0, 1)[1]
+                >= envelope("MANN", kappa, xi, None, 1.0, 2)[2] - 1e-15)
+
 
 class TestBoundarySharpness:
     """The feasible interval is exactly the kappa < 1 region: kappa is 1 within

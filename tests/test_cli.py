@@ -20,7 +20,6 @@ from hmsolve.cli import (
     entry,
     main,
     parse_sequence,
-    read_trace_csv,
     write_trace_csv,
 )
 from hmsolve.problems import gen_spd_linear
@@ -31,6 +30,17 @@ def _write_config(tmp_path, payload):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def read_trace_csv(path):
+    """Round-trip reader for trace CSVs (residuals and errors bit-exact)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [{
+            "n": int(row["n"]),
+            "residual": float(row["residual"]),
+            "error": None if row["error"] == "" else float(row["error"]),
+            "wall_nanos": int(row["wall_nanos"]),
+        } for row in csv.DictReader(fh)]
 
 
 def _explicit(dim, a, constants=(1, 1, 1, 1, 1)):
@@ -509,6 +519,15 @@ class TestExitCodes:
         out = tmp_path / "out"
         code = main([*argv, "--config", _write_config(tmp_path, config),
                      "--problem", "spd-linear", "--dim", "5", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("lam", ["inf", "-inf", "nan", "0"])
+    def test_lambda_not_finite_and_positive(self, tmp_path, lam):
+        # an infinite lam once gave kappa NaN and exit 3: it is an input, not numerics
+        out = tmp_path / "out"
+        code = main(["solve", "--problem", "spd-linear", "--dim", "5", "--lambda=" + lam,
+                     "--out", str(out)])
         assert code == EXIT_USAGE
         assert not any(out.iterdir())
 

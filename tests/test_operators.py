@@ -46,6 +46,38 @@ class TestApply:
         assert np.array_equal(op.apply([0.0]), [0.0])
 
 
+def _eigenpair(n=6):
+    rng = np.random.default_rng(n)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    w = np.linspace(1.0, 2.0, n)
+    return q, w, (q * w) @ q.T
+
+
+class TestEigenpair:
+    def test_kept_read_only_on_one_basis(self):
+        q, w, mat = _eigenpair()
+        op = AffineLinear(mat, eigenpair=(q, w))
+        assert op.eigenpair[0] is q and np.array_equal(op.eigenpair[1], w)
+        assert not (q.flags.writeable or op.eigenpair[1].flags.writeable)
+        assert AffineLinear(mat).eigenpair is None
+
+    @pytest.mark.parametrize("wrong", [
+        lambda q, w: (q, w[::-1]),  # the values in the wrong order
+        lambda q, w: (q[:, ::-1], w),  # the basis in the wrong order
+        lambda q, w: (2.0 * q, w / 4.0),  # reproduces W on every vector, but not orthogonal
+        lambda q, w: (q[:5, :5], w[:5]),  # the wrong size
+        lambda q, w: (q, np.full(6, np.nan)),
+    ])
+    def test_mismatch_raises(self, wrong):
+        q, w, mat = _eigenpair()
+        with pytest.raises(ValueError):
+            AffineLinear(mat, eigenpair=wrong(q, w))
+
+    def test_scalar_weight_has_no_eigenpair(self):
+        with pytest.raises(ValueError):
+            AffineLinear(2.0, np.ones(3), eigenpair=(np.eye(3), np.full(3, 2.0)))
+
+
 class TestConstantsRecord:
     def test_all_positive_required(self):
         with pytest.raises(InconsistentConstantsError):

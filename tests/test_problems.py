@@ -37,6 +37,18 @@ class TestSpdLinear:
         u = p.known_solution
         assert np.linalg.norm(p.a.apply(u) + 1.0 * u) <= 1e-10
 
+    @pytest.mark.parametrize("dim, c_a, m", [(1, 1.0, 1.0), (7, 2.0, 0.5), (200, 0.3, 2.0)])
+    def test_solution_solves_linear_system_to_rounding(self, dim, c_a, m):
+        # x* comes from H's eigenpair; (c_a*H + m*I) x* = b is checked on the dense H
+        p = gen_spd_linear(dim, seed=dim, c_a=c_a, m=m)
+        x, b = p.known_solution, p.a.offset
+        assert np.linalg.norm(c_a * (p.h.matrix @ x) + m * x - b) <= 1e-13 * max(1.0, np.linalg.norm(b))
+
+    def test_h_and_a_share_one_eigenbasis(self):
+        p = gen_spd_linear(9, seed=4, c_a=1.5)
+        assert p.h.eigenpair[0] is p.a.eigenpair[0]
+        assert np.array_equal(p.a.eigenpair[1], 1.5 * p.h.eigenpair[1])
+
     def test_fixed_point_residual(self):
         for seed in range(5):
             p = gen_spd_linear(30, seed=seed)

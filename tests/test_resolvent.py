@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
+from hmsolve import resolvent
+from hmsolve.analysis import optimal_lambda
 from hmsolve.operators import (
     AffineLinear,
     DiagonalNonlinear,
@@ -13,6 +17,7 @@ from hmsolve.operators import (
     ScaledIdentityMulti,
     ShiftedSubdifferential,
 )
+from hmsolve.problems import gen_scalar_affine, gen_spd_linear
 from hmsolve.resolvent import (
     CLOSED_FORM,
     NEWTON,
@@ -186,6 +191,11 @@ class TestResolve:
         with pytest.raises(ValueError):
             ResolventEngine(ScaledIdentity(1), ScaledIdentityMulti(1), 0.0, dim=1)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_nonfinite_lambda(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            ResolventEngine(ScaledIdentity(1), ScaledIdentityMulti(1), lam, dim=1)
+
 
 class TestLipschitzBound:
     def test_half(self):
@@ -256,3 +266,67 @@ def test_separable_inclusion_property(u, a, c, lam, subdifferential):
     assert eng.inclusion_residual(x, u) <= 10 * eng.inner_tolerance
     dead = np.abs(u) <= (lam if subdifferential else 0.0)
     assert np.all(x[dead] == 0.0)
+
+
+def _counting_lu(monkeypatch):
+    """Count every ``lu_factor`` call the resolvent module makes in the returned list."""
+    factored = []
+    lu_factor_ = resolvent.lu_factor
+    monkeypatch.setattr(resolvent, "lu_factor",
+                        lambda *args, **kwargs: factored.append(1) or lu_factor_(*args, **kwargs))
+    return factored
+
+
+def _assert_close(x, y):
+    assert np.linalg.norm(x - y) <= 1e-13 * max(1.0, np.linalg.norm(y))
+
+
+class TestSpectralAffineMap:
+    """spd-linear's H and A share one eigenbasis Q: affine_map builds (T, c) from it, no LU."""
+
+    @pytest.mark.parametrize("dim", [1, 7, 200])
+    @pytest.mark.parametrize("lam, c_a, m", [(0.6, 1.0, 1.0), (0.05, 2.0, 0.5), (1.0, 1.0, 1.0),
+                                             (3.0, 0.3, 2.0), (50.0, 5.0, 1.0), ("auto", 1.0, 0.7)])
+    def test_matches_lu_path(self, dim, lam, c_a, m):
+        p = gen_spd_linear(dim, eigen_range=(1.0, 3.0), seed=dim, c_a=c_a, m=m)
+        if lam == "auto":  # the replaced problem's engine gets the new lam
+            p = dataclasses.replace(p, lam=optimal_lambda(p.constants)[0])
+            assert p.engine.lam == p.lam != 0.6
+        else:
+            p = dataclasses.replace(p, lam=lam)
+        t, c = p.engine.affine_map(p.a)
+        # the same matrices without eigenpairs take the LU path
+        lu_engine = ResolventEngine(AffineLinear(p.h.matrix), p.m, p.lam, dim)
+        lu_t, lu_c = lu_engine.affine_map(AffineLinear(p.a.matrix, p.a.offset))
+        _assert_close(t, lu_t)
+        _assert_close(c, lu_c)
+
+    def test_spd_linear_factors_nothing(self, monkeypatch):
+        factored = _counting_lu(monkeypatch)
+        p = gen_spd_linear(50, seed=2)
+        p.f_map(np.zeros(50))
+        assert np.ndim(p._affine[0]) == 2
+        assert factored == []
+
+    def test_other_affine_problems_keep_lu_or_scalar_path(self, monkeypatch):
+        factored = _counting_lu(monkeypatch)
+        p = gen_spd_linear(6, seed=1)
+        q, offset = p.h.eigenpair[0], p.a.offset
+        # equal bases that are not one object; an A without an eigenpair; a matrix M = I
+        for a, m in [(AffineLinear(p.a.matrix, offset, (q.copy(), p.a.eigenpair[1])), p.m),
+                     (AffineLinear(p.a.matrix, offset), p.m),
+                     (p.a, LinearMonotone(np.eye(6)))]:
+            _assert_close(ResolventEngine(p.h, m, 0.6, 6).affine_map(a)[0],
+                          p.engine.affine_map(p.a)[0])
+        assert len(factored) == 3
+        # without an eigenpair, affine_map reuses the LU that resolve made
+        engine = ResolventEngine(AffineLinear(p.h.matrix), p.m, 0.6, 6)
+        engine.resolve(np.zeros(6))
+        engine.affine_map(p.a)
+        assert len(factored) == 4
+        # scalar weights stay a division, a scalar H and M with a matrix A too
+        t, _ = gen_scalar_affine(lam=0.5).engine.affine_map(gen_scalar_affine().a)
+        assert np.ndim(t) == 0
+        explicit = ResolventEngine(ScaledIdentity(1.0), ScaledIdentityMulti(1.0), 0.5, 3)
+        assert np.ndim(explicit.affine_map(AffineLinear(2.0 * np.eye(3), [1.0, 2.0, 3.0]))[0]) == 2
+        assert len(factored) == 4

@@ -110,6 +110,12 @@ class TestProblemInstance:
             ProblemInstance(h=ScaledIdentity(1), a=ScaledIdentity(1), m=ScaledIdentityMulti(1),
                             constants=OperatorConstants(1, 1, 1, 1, 1), lam=1.0, dim=dim)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_lambda_not_finite_and_positive(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and strictly positive"):
+            ProblemInstance(h=ScaledIdentity(1), a=ScaledIdentity(1), m=ScaledIdentityMulti(1),
+                            constants=OperatorConstants(1, 1, 1, 1, 1), lam=lam, dim=1)
+
 
 @pytest.mark.parametrize("kwargs", [{"max_steps": -1}, {"tol": float("nan")}])
 def test_stopping_rule_rejects_meaningless_inputs(kwargs):
@@ -520,6 +526,23 @@ class TestAffineFastPath:
             tracemalloc.stop()
         assert peak < 2 ** 20  # a dim x dim matrix would take 200 MB
         assert np.allclose(fx, (0.4 * x + 0.3) / 1.3, rtol=0, atol=1e-15)
+
+
+def test_spd_linear_errors_match_closed_form():
+    # T = Q diag(t) Q^T with t = (h - lam*a)/(h + lam*m), and a step of the relaxed
+    # iteration multiplies each eigencomponent of the error by 1 - xi + xi*t(1 - mu + mu*t)
+    p = gen_spd_linear(200, seed=1, lam=0.6)
+    q, h = p.h.eigenpair
+    t = (h - p.lam * p.a.eigenpair[1]) / (h + p.lam * p.m.scale)
+    e0 = q.T @ -p.known_solution
+    steps = np.arange(31)[:, None]
+    stop = StoppingRule(tol=-1.0, max_steps=30)
+    for trace, factor in [(run_fh(p, np.zeros(200), stop), t),
+                          (run_new(p, np.zeros(200), HALF, stop), t * (0.5 + 0.5 * t))]:
+        predicted = np.linalg.norm(factor ** steps * e0, axis=1)
+        # absolute: relative error means nothing at the rounding floor the runs reach
+        assert np.max(np.abs(np.array(trace.errors) - predicted)) <= 1e-13 * max(
+            1.0, np.linalg.norm(p.known_solution))
 
 
 @pytest.mark.parametrize("m", [ScaledIdentityMulti(1.0), LinearMonotone(np.eye(4))])
