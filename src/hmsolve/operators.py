@@ -4,7 +4,8 @@ H and A are single-valued maps; M is multivalued, and the solvers only ever
 touch it through its resolvent plus a monotone selection used for empirical
 validation. One class, ``AffineLinear``, implements every linear map
 x -> W x - b, whatever its role: W is a positive scalar w (w*I in any
-dimension, never stored as a matrix) or a square matrix. ``ScaledIdentity``
+dimension, never stored as a matrix) or a square matrix, which an eigenpair
+Q diag(w) Q^T given alone builds only when read. ``ScaledIdentity``
 (alias ``ScaledIdentityMulti``) and ``LinearMonotone`` are its scalar and
 symmetric-matrix cases. ``DiagonalNonlinear`` is the nonlinear coordinatewise
 H, ``ShiftedSubdifferential`` the genuinely multivalued coordinatewise M.
@@ -17,6 +18,7 @@ w.r.t. H and Lipschitz constants, eta is M's strong monotonicity constant.
 assignment above throughout.)
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,26 +96,32 @@ class AffineLinear:
     an offset fixes it, or a square matrix; ``scale`` and ``matrix`` hold the
     one that applies and are None otherwise. As M, ``selection`` is ``apply``.
 
-    A matrix W may come with an ``eigenpair`` (basis, values): an orthogonal
-    Q and a vector w with W = Q diag(w) Q^T, kept read-only for
-    ``ResolventEngine.affine_map``. It is checked once on one seeded probe
-    vector v, in O(n^2): Q(Q^T v) must give v back and Q(w * Q^T v) must
-    give W v, each to 1e-9 relative, else ``ValueError``.
+    A matrix W may come as an ``eigenpair`` (basis, values): an orthogonal Q
+    and a vector w with W = Q diag(w) Q^T, kept read-only for
+    ``ResolventEngine.affine_map`` and ``h_constants``. Given alone, it is the
+    weight: ``matrix`` (and ``weight``) is built as the symmetric part of
+    (Q w) Q^T on its first read, and never if nothing reads it. The eigenpair
+    is checked once on one seeded probe vector v, in O(n^2): Q(Q^T v) must give
+    v back and, when a weight is given too, Q(w * Q^T v) must give W v, each
+    to 1e-9 relative, else ``ValueError``.
     """
 
-    def __init__(self, weight, offset=None, eigenpair=None):
-        weight = np.asarray(weight, dtype=float)
-        if weight.ndim == 0:
-            if not (np.isfinite(weight) and weight > 0):
-                raise ValueError("a scalar weight must be strictly positive")
-            self.weight = self.scale = float(weight)
-            self.matrix, self.dim = None, None
-        elif weight.ndim == 2 and weight.shape[0] == weight.shape[1]:
-            self.weight = self.matrix = weight
-            self.scale, self.dim = None, weight.shape[0]
-            weight.setflags(write=False)
+    def __init__(self, weight=None, offset=None, eigenpair=None):
+        if weight is None and eigenpair is not None:
+            self.scale, self.dim = None, np.size(eigenpair[1])
         else:
-            raise ValueError("the weight must be a scalar or a square matrix")
+            weight = np.asarray(weight, dtype=float)
+            if weight.ndim == 0:
+                if not (np.isfinite(weight) and weight > 0):
+                    raise ValueError("a scalar weight must be strictly positive")
+                self.weight = self.scale = float(weight)
+                self.matrix, self.dim = None, None
+            elif weight.ndim == 2 and weight.shape[0] == weight.shape[1]:
+                self.weight = self.matrix = weight
+                self.scale, self.dim = None, weight.shape[0]
+                weight.setflags(write=False)
+            else:
+                raise ValueError("the weight must be a scalar or a square matrix")
         self.offset = None
         if offset is not None:
             self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
@@ -121,26 +129,41 @@ class AffineLinear:
                 raise ValueError("offset dimension does not match matrix")
             self.dim = self.offset.shape[0]
             self.offset.setflags(write=False)
-        self.eigenpair = None if eigenpair is None else self._checked_eigenpair(*eigenpair)
+        self.eigenpair = None if eigenpair is None else self._checked_eigenpair(*eigenpair, weight)
 
-    def _checked_eigenpair(self, basis, values):
+    def _checked_eigenpair(self, basis, values, weight):
         basis, values = np.asarray(basis, dtype=float), np.asarray(values, dtype=float)
-        if self.matrix is None or basis.shape != self.matrix.shape or values.shape != (self.dim,):
-            raise ValueError("an eigenpair needs a matrix weight and an n x n basis with n values")
+        if (self.scale is not None or basis.shape != (self.dim, self.dim)
+                or values.shape != (self.dim,) or not np.isfinite(values).all()):
+            raise ValueError("an eigenpair needs a matrix weight and an n x n basis with n finite values")
         v = np.random.default_rng(0).standard_normal(self.dim)
         qv = basis.T @ v
         size = np.linalg.norm(v)
         if not (np.linalg.norm(basis @ qv - v) <= _CONSISTENCY_TOL * size
-                and np.linalg.norm(basis @ (values * qv) - self.matrix @ v)
-                <= _CONSISTENCY_TOL * size * np.max(np.abs(values))):
+                and (weight is None
+                     or np.linalg.norm(basis @ (values * qv) - weight @ v)
+                     <= _CONSISTENCY_TOL * size * np.max(np.abs(values)))):
             raise ValueError("the eigenpair does not reproduce the matrix on a probe vector")
         basis.setflags(write=False)
         values.setflags(write=False)
         return basis, values
 
+    @functools.cached_property
+    def matrix(self):
+        # set in __init__ unless the eigenpair is the weight
+        q, w = self.eigenpair
+        mat = (q * w) @ q.T
+        mat = (mat + mat.T) / 2.0
+        mat.setflags(write=False)
+        return mat
+
+    @functools.cached_property
+    def weight(self):
+        return self.matrix
+
     def apply(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        wx = self.scale * x if self.matrix is None else self.matrix @ x
+        wx = self.matrix @ x if self.scale is None else self.scale * x
         return wx if self.offset is None else wx - self.offset
 
     selection = apply
@@ -222,32 +245,35 @@ class ShiftedSubdifferential:
 # catalog constants
 
 
-def _spd_extremes(matrix):
-    eigs = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
+def _spd_extremes(op):
+    # read off the eigenpair when there is one, so that no matrix is built
+    if op.eigenpair is not None:
+        eigs = np.sort(op.eigenpair[1])
+    else:
+        eigs = np.linalg.eigvalsh((op.matrix + op.matrix.T) / 2.0)
     lo, hi = float(eigs[0]), float(eigs[-1])
     if lo <= 0:
         raise UnsupportedOperatorError("matrix is not positive definite")
     return lo, hi
 
 
-def _weight(op, role):
+def _check_affine(op, role):
     if not isinstance(op, AffineLinear):
         raise UnsupportedOperatorError("no cataloged constants for %r as %s" % (op, role))
-    return op.weight
 
 
 def h_constants(op):
     """(gamma, tau) for a catalog single-valued operator."""
     if isinstance(op, DiagonalNonlinear):
         return op.deriv_range
-    w = _weight(op, "H")
-    if op.matrix is None:
-        return w, w
-    if not np.allclose(w, w.T, rtol=0, atol=1e-12):
+    _check_affine(op, "H")
+    if op.scale is not None:
+        return op.scale, op.scale
+    if op.eigenpair is None and not np.allclose(op.matrix, op.matrix.T, rtol=0, atol=1e-12):
         raise UnsupportedOperatorError(
             "constants for non-symmetric affine operators are not cataloged"
         )
-    return _spd_extremes(w)
+    return _spd_extremes(op)
 
 
 def coupling_constants(a_op, h_op):
@@ -256,14 +282,16 @@ def coupling_constants(a_op, h_op):
     Cataloged for affine A and H only; the cross-operator constant r is
     exact for these, never estimated.
     """
-    wa, wh = _weight(a_op, "A"), _weight(h_op, "H")
-    if a_op.matrix is None:  # <a d, W_H d> >= a*gamma ||d||^2
-        return wa * h_constants(h_op)[0], wa
-    if h_op.matrix is None:  # <W_A d, h d> >= h*lo(W_A) ||d||^2
+    _check_affine(a_op, "A")
+    _check_affine(h_op, "H")
+    if a_op.scale is not None:  # <a d, W_H d> >= a*gamma ||d||^2
+        return a_op.scale * h_constants(h_op)[0], a_op.scale
+    if h_op.scale is not None:  # <W_A d, h d> >= h*lo(W_A) ||d||^2
         lo, hi = h_constants(a_op)
-        return wh * lo, hi
+        return h_op.scale * lo, hi
     # cataloged only when A's matrix is a positive multiple of H's,
     # where <c*W d, W d> = c ||W d||^2 >= c*gamma^2 ||d||^2 exactly
+    wa, wh = a_op.matrix, h_op.matrix
     c = float(np.sum(wa * wh)) / float(np.sum(wh * wh))
     if c <= 0 or not np.allclose(wa, c * wh, rtol=1e-9, atol=1e-12):
         raise UnsupportedOperatorError(
@@ -277,8 +305,8 @@ def m_constant(m_op):
     """eta for a catalog multivalued operator."""
     if isinstance(m_op, ShiftedSubdifferential):
         return m_op.shift
-    w = _weight(m_op, "M")
-    return w if m_op.matrix is None else _spd_extremes(w)[0]
+    _check_affine(m_op, "M")
+    return m_op.scale if m_op.scale is not None else _spd_extremes(m_op)[0]
 
 
 def catalog_constants(h_op, a_op, m_op):

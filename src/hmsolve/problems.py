@@ -51,9 +51,11 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     gamma and tau are its exact extreme eigenvalues. A(x) = c_a*H x - b ties
     A to H, making the cross-operator constant exact: with d = x - y,
     <A x - A y, H x - H y> = c_a ||H d||^2 >= c_a gamma^2 ||d||^2, so
-    r = c_a*gamma^2 and s = c_a*tau. M = m*I gives eta = m. H and A carry
-    their eigenpairs on the one basis Q, and the solution of
-    (c_a*H + m*I) x = b is Q((Q^T b) / (c_a*h + m)) for H's spectrum h.
+    r = c_a*gamma^2 and s = c_a*tau. M = m*I gives eta = m. H and A are
+    given as eigenpairs on the one basis Q, so no n x n matrix but Q is built
+    here: a dense H or A is formed only when something reads its ``matrix``.
+    The solution of (c_a*H + m*I) x = b is Q((Q^T b) / (c_a*h + m)) for H's
+    spectrum h.
     """
     lo, hi = float(eigen_range[0]), float(eigen_range[1])
     if not (0 < lo <= hi) or dim < 1:
@@ -61,12 +63,10 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     rng = np.random.default_rng(seed)
     q = _random_orthogonal(dim, rng)
     spectrum = np.linspace(lo, hi, dim) if dim > 1 else np.array([lo])
-    h_mat = (q * spectrum) @ q.T
-    h_mat = (h_mat + h_mat.T) / 2.0
     b = b_scale * rng.standard_normal(dim)
 
-    h = AffineLinear(h_mat, eigenpair=(q, spectrum))
-    a = AffineLinear(c_a * h_mat, b, eigenpair=(q, c_a * spectrum))
+    h = AffineLinear(eigenpair=(q, spectrum))
+    a = AffineLinear(offset=b, eigenpair=(q, c_a * spectrum))
     mm = ScaledIdentityMulti(m)
     tau = hi if dim > 1 else lo
     constants = OperatorConstants(

@@ -7,10 +7,11 @@ a non-finite u into a non-finite x without an inner solve:
   with K = W_H + lam*W_M: a division when both weights are scalars, else an
   LU of the matrix with a scalar weight added to its diagonal only, factored
   in place on the first ``resolve``. With A affine too, ``affine_map`` folds
-  the whole of F(x) = R[H x - lam*A x] into T x + c. When H and A carry
-  eigenpairs on one basis Q and M's weight is a scalar m, T and c come from
-  Q without factoring anything: T = Q diag(t) Q^T with
-  t = (h - lam*a)/(h + lam*m).
+  the whole of F(x) = R[H x - lam*A x] into the map x -> T x + c. When H and
+  A are eigenpairs on one basis Q and M's weight is a scalar m, T and c come
+  from Q without factoring anything or reading a dense H or A:
+  T = Q diag(t) Q^T with t = (h - lam*a)/(h + lam*m) is symmetric, so only
+  its upper triangle is built (SYRK) and F is one symmetric matvec (SYMV).
 * ``separable-scalar``: one vectorised pass over all coordinates when H (a
   scalar weight or ``DiagonalNonlinear``) and M = c*t + w*|t| act
   coordinatewise, affine offsets moved into u. With g(t) = H(t) + lam*c*t,
@@ -22,6 +23,7 @@ a non-finite u into a non-finite x without an inner solve:
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import dsymv, dsyrk
 
 from . import operators as ops
 
@@ -114,14 +116,14 @@ class ResolventEngine:
     def _auto_strategy(self):
         affine_h, affine_m = (isinstance(op, ops.AffineLinear) for op in (self.h, self.m))
         coordinatewise_h = isinstance(self.h, ops.DiagonalNonlinear) or (
-            affine_h and self.h.matrix is None)
+            affine_h and self.h.scale is not None)
         if isinstance(self.m, ops.ShiftedSubdifferential):
             if not coordinatewise_h:
                 raise ValueError("a subdifferential M requires a coordinatewise H")
             return SEPARABLE
         if affine_h and affine_m:
             return CLOSED_FORM
-        if coordinatewise_h and affine_m and self.m.matrix is None:
+        if coordinatewise_h and affine_m and self.m.scale is not None:
             return SEPARABLE
         return NEWTON
 
@@ -142,27 +144,42 @@ class ResolventEngine:
         return self._resolve_separable(u)
 
     def affine_map(self, a_op):
-        """(T, c) with R[H x - lam*A x] = T x + c for the closed form and an affine A.
+        """The map x -> T x + c that equals R[H x - lam*A x] for the closed form and an affine A.
 
         T = K^-1 (W_H - lam*W_A) (a float if every weight is) overwrites W_H - lam*W_A;
         c = lam*K^-1 (b_A + b_M). K's LU is ``resolve``'s if built, else dropped on return.
         Spectral branch: when W_H = Q diag(h) Q^T and W_A = Q diag(a) Q^T are
         eigenpairs on the same basis object Q and W_M = m is a scalar, K = Q diag(k) Q^T
-        with k = h + lam*m, so T = (Q * t) @ Q^T with t = (h - lam*a)/k and c = lam*Q((Q^T b)/k):
-        one GEMM and two GEMVs, no LU.
+        with k = h + lam*m, so T = Q diag(t) Q^T with t = (h - lam*a)/k and
+        c = lam*Q((Q^T b)/k), and neither W_H nor W_A is read. T is symmetric: only its
+        upper triangle is built, Fortran-ordered, as S+ S+^T - S- S-^T with
+        S(+/-) = Q[:, +/-t > 0] sqrt|t| (SYRK, half a GEMM's flops), and the map is one
+        SYMV, which reads that triangle alone.
         """
         b = self.lam * (_offset(a_op) + _offset(self.m))
         eh, ea = self.h.eigenpair, a_op.eigenpair
-        if eh and ea and eh[0] is ea[0] and self.m.matrix is None:
+        if eh and ea and eh[0] is ea[0] and self.m.scale is not None:
             (q, h), a = eh, ea[1]
             k = h + self.lam * self.m.scale
-            c = q @ ((q.T @ b) / k) if np.ndim(b) else b
-            return (q * ((h - self.lam * a) / k)) @ q.T, c
+            c = q @ ((q.T @ b) / k) if np.ndim(b) else np.zeros(self.dim)
+            t = (h - self.lam * a) / k
+            s = q * np.sqrt(np.abs(t))
+            # Fortran order: SYRK updates it in place and SYMV reads it without a copy
+            upper = np.zeros((self.dim, self.dim), order="F")
+            for sign in (1.0, -1.0):
+                cols = sign * t > 0
+                if cols.any():  # part^T is a Fortran-ordered view; trans=1 forms part part^T
+                    part = s if cols.all() else s[:, cols]
+                    upper = dsyrk(sign, part.T, 1.0, upper, trans=1, overwrite_c=1)
+            return lambda x: dsymv(1.0, upper, x, 1.0, c)
         k_solve = self._k_solve or _k_inverse(self.h, self.m, self.lam)
         w = _weight_sum(self.h.weight, a_op.weight, -self.lam)
-        if self.m.matrix is not None and not np.ndim(w):
+        if self.m.scale is None and not np.ndim(w):
             w = w * np.eye(self.dim, order="F")
-        return k_solve(w), k_solve(b) if np.ndim(b) else b
+        t, c = k_solve(w), k_solve(b) if np.ndim(b) else b
+        if np.ndim(t):
+            return lambda x: t @ x + c
+        return lambda x: t * x + c
 
     def _resolve_separable(self, u):
         sub = isinstance(self.m, ops.ShiftedSubdifferential)

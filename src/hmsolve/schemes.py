@@ -195,7 +195,7 @@ class ProblemInstance:
             if getattr(op, "dim", None) not in (None, self.dim):
                 raise ValueError("%r acts on dimension %d, not %d" % (op, op.dim, self.dim))
         self.engine = ResolventEngine(self.h, self.m, self.lam, self.dim)
-        self._affine = None  # (T, c) when F is affine, () when not; set by f_map
+        self._affine = None  # x -> T x + c when F is affine, False when not; set by f_map
         if self.known_solution is not None:
             self.known_solution = as_vector(self.known_solution)
             if self.known_solution.shape[0] != self.dim:
@@ -204,15 +204,16 @@ class ProblemInstance:
     def f_map(self, x):
         """F(x) = R[H x - lam*A x], as T x + c (one matvec) when H, A and M are affine.
 
-        T and c come from ``ResolventEngine.affine_map`` on the first call.
+        The map x -> T x + c comes from ``ResolventEngine.affine_map`` on the first call.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.dim,):  # SYMV would read the first dim entries of a longer x
+            raise ValueError("dimension mismatch: %s vs %d" % (x.shape, self.dim))
         if self._affine is None:
             affine = self.engine.strategy == CLOSED_FORM and isinstance(self.a, AffineLinear)
-            self._affine = self.engine.affine_map(self.a) if affine else ()
+            self._affine = self.engine.affine_map(self.a) if affine else False
         if self._affine:
-            t, c = self._affine
-            return (t @ x if np.ndim(t) else t * x) + c
+            return self._affine(x)
         return self.engine.resolve(self.h.apply(x) - self.lam * self.a.apply(x))
 
     def residual(self, x):

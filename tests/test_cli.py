@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmsolve import analysis, schemes
+from hmsolve import analysis, problems, schemes
 from hmsolve.analysis import DEFAULT_AUDIT_SLACK
 from hmsolve.cli import (
     EXIT_INFEASIBLE,
@@ -324,6 +324,25 @@ class TestSweep:
             "--out", str(tmp_path),
         ])
         assert code == EXIT_USAGE
+
+
+class TestSpdLinearStaysSpectral:
+    """spd-linear's H and A are eigenpairs: no subcommand reads their n x n matrices."""
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--alg", "fh,zgy,mann,new"],
+        ["solve", "--lambda", "auto", "--alg", "fh,new"],
+        ["compare", "--alg", "new,fh"],
+        ["audit", "--alg", "fh,zgy,mann,new"],
+        ["sweep"],
+    ])
+    def test_no_dense_h_or_a(self, command, tmp_path, monkeypatch):
+        made = []
+        gen = problems.gen_spd_linear
+        monkeypatch.setattr(problems, "gen_spd_linear", lambda **kw: made.append(gen(**kw)) or made[-1])
+        assert main([*command, "--problem", "spd-linear", "--dim", "30", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(made) == 1
+        assert not ("matrix" in vars(made[0].h) or "matrix" in vars(made[0].a))
 
 
 class TestAudit:

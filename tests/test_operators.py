@@ -73,6 +73,28 @@ class TestEigenpair:
         with pytest.raises(ValueError):
             AffineLinear(mat, eigenpair=wrong(q, w))
 
+    def test_eigenpair_alone_is_the_weight(self):
+        q, w, mat = _eigenpair()
+        op = AffineLinear(offset=np.ones(6), eigenpair=(q, w))
+        assert op.dim == 6 and op.scale is None and "matrix" not in vars(op)
+        x = np.linspace(-1.0, 1.0, 6)
+        assert np.linalg.norm(op.apply(x) - (mat @ x - 1.0)) <= 1e-13
+        assert op.weight is op.matrix and not op.matrix.flags.writeable
+        # no weight to reproduce: only the basis is probed, so reordered values are another W
+        reordered = AffineLinear(eigenpair=(q, w[::-1]))
+        assert np.allclose(reordered.matrix, (q * w[::-1]) @ q.T, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("wrong", [
+        lambda q, w: (2.0 * q, w / 4.0),  # reproduces W on every vector, but not orthogonal
+        lambda q, w: (q[:, ::2], w),  # not square
+        lambda q, w: (q[:5, :5], w),  # the wrong size
+        lambda q, w: (q, np.full(6, np.nan)),
+    ])
+    def test_eigenpair_alone_mismatch_raises(self, wrong):
+        q, w, _ = _eigenpair()
+        with pytest.raises(ValueError):
+            AffineLinear(eigenpair=wrong(q, w))
+
     def test_scalar_weight_has_no_eigenpair(self):
         with pytest.raises(ValueError):
             AffineLinear(2.0, np.ones(3), eigenpair=(np.eye(3), np.full(3, 2.0)))
@@ -105,6 +127,18 @@ class TestCatalog:
         gamma, tau = h_constants(AffineLinear(np.diag([1.0, 4.0])))
         assert gamma == pytest.approx(1.0, abs=1e-12)
         assert tau == pytest.approx(4.0, abs=1e-12)
+
+    def test_constants_read_off_an_eigenpair(self, monkeypatch):
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        q, w, _ = _eigenpair()
+        op = AffineLinear(eigenpair=(q, w[::-1]))
+        assert h_constants(op) == (1.0, 2.0) and m_constant(op) == 1.0
+        assert "matrix" not in vars(op)
+        with pytest.raises(UnsupportedOperatorError):
+            h_constants(AffineLinear(eigenpair=(q, w - 1.5)))
 
     def test_m_scaled_identity(self):
         # <3u - 3v, u - v> = 3||u - v||^2, scalar oracle

@@ -44,6 +44,16 @@ class TestSpdLinear:
         x, b = p.known_solution, p.a.offset
         assert np.linalg.norm(c_a * (p.h.matrix @ x) + m * x - b) <= 1e-13 * max(1.0, np.linalg.norm(b))
 
+    @pytest.mark.parametrize("dim", [1, 7, 200])
+    def test_dense_h_is_built_on_first_read(self, dim):
+        # bit for bit the symmetrised (Q h) Q^T that the generator once built up front
+        p = gen_spd_linear(dim, seed=dim)
+        assert "matrix" not in vars(p.h) and "matrix" not in vars(p.a)
+        q, h = p.h.eigenpair
+        dense = (q * h) @ q.T
+        assert np.array_equal(p.h.matrix, (dense + dense.T) / 2.0)
+        assert "matrix" not in vars(p.a)
+
     def test_h_and_a_share_one_eigenbasis(self):
         p = gen_spd_linear(9, seed=4, c_a=1.5)
         assert p.h.eigenpair[0] is p.a.eigenpair[0]

@@ -281,8 +281,47 @@ def _assert_close(x, y):
     assert np.linalg.norm(x - y) <= 1e-13 * max(1.0, np.linalg.norm(y))
 
 
+def _built(op):
+    """Whether ``op``'s n x n matrix exists; an eigenpair-only weight builds it on first read."""
+    return "matrix" in vars(op)
+
+
+def _probes(dim, seed=0):
+    rng = np.random.default_rng(seed)
+    return [scale * rng.standard_normal(dim) for scale in (0.0, 1e-3, 1.0, 1e3)]
+
+
+def _spectral_problem(dim, t_signs):
+    """spd-linear whose T has eigenvalues t = (h - lam*a)/(h + lam*m) of the given signs."""
+    if t_signs == "negative":  # c_a = 2, lam = 1: t = -h/(h + m)
+        return gen_spd_linear(dim, seed=dim, c_a=2.0, lam=1.0)
+    p = gen_spd_linear(dim, seed=dim, lam=0.6)
+    if t_signs == "positive":
+        return p
+    # the same Q, with a != c_a*h: h - lam*a runs from 0.7 down to -0.9
+    q = p.h.eigenpair[0]
+    a = AffineLinear(offset=p.a.offset, eigenpair=(q, np.linspace(0.5, 3.5, dim)))
+    return dataclasses.replace(p, a=a)
+
+
 class TestSpectralAffineMap:
-    """spd-linear's H and A share one eigenbasis Q: affine_map builds (T, c) from it, no LU."""
+    """spd-linear's H and A share one eigenbasis Q: T = Q diag(t) Q^T from it, no LU, no dense H or A."""
+
+    @pytest.mark.parametrize("dim", [1, 7, 200])
+    @pytest.mark.parametrize("t_signs", ["positive", "negative", "mixed"])
+    def test_f_map_matches_dense_spectral_form(self, dim, t_signs):
+        p = _spectral_problem(dim, t_signs)
+        (q, h), a = p.h.eigenpair, p.a.eigenpair[1]
+        k = h + p.lam * p.m.scale
+        t = (h - p.lam * a) / k
+        if dim > 1:  # one eigenvalue has one sign
+            assert set(np.sign(t)) == {"positive": {1.0}, "negative": {-1.0}, "mixed": {1.0, -1.0}}[t_signs]
+        dense_t = (q * t) @ q.T
+        c = q @ ((q.T @ (p.lam * p.a.offset)) / k)
+        for x in _probes(dim, dim):
+            diff = np.linalg.norm(p.f_map(x) - (dense_t @ x + c))
+            assert diff <= 1e-13 * max(1.0, np.linalg.norm(x))
+        assert not (_built(p.h) or _built(p.a))
 
     @pytest.mark.parametrize("dim", [1, 7, 200])
     @pytest.mark.parametrize("lam, c_a, m", [(0.6, 1.0, 1.0), (0.05, 2.0, 0.5), (1.0, 1.0, 1.0),
@@ -294,30 +333,50 @@ class TestSpectralAffineMap:
             assert p.engine.lam == p.lam != 0.6
         else:
             p = dataclasses.replace(p, lam=lam)
-        t, c = p.engine.affine_map(p.a)
+        f = p.engine.affine_map(p.a)
         # the same matrices without eigenpairs take the LU path
         lu_engine = ResolventEngine(AffineLinear(p.h.matrix), p.m, p.lam, dim)
-        lu_t, lu_c = lu_engine.affine_map(AffineLinear(p.a.matrix, p.a.offset))
-        _assert_close(t, lu_t)
-        _assert_close(c, lu_c)
+        lu_f = lu_engine.affine_map(AffineLinear(p.a.matrix, p.a.offset))
+        for x in _probes(dim):
+            _assert_close(f(x), lu_f(x))
+
+    @pytest.mark.parametrize("t_signs", ["positive", "negative", "mixed"])
+    def test_symv_reads_one_fortran_ordered_triangle(self, t_signs, monkeypatch):
+        # a C-ordered T would be copied by the f2py wrapper on every evaluation
+        read = []
+        dsymv = resolvent.dsymv
+        monkeypatch.setattr(resolvent, "dsymv",
+                            lambda alpha, a, *args: read.append(a) or dsymv(alpha, a, *args))
+        p = _spectral_problem(30, t_signs)
+        for x in _probes(30):
+            p.f_map(x)
+        assert len(read) == 4 and all(a is read[0] for a in read)
+        upper = read[0]
+        assert upper.flags.f_contiguous and upper.shape == (30, 30)
+        assert not np.tril(upper, -1).any()  # the lower triangle is never written
+        (q, h), a = p.h.eigenpair, p.a.eigenpair[1]
+        dense_t = (q * ((h - p.lam * a) / (h + p.lam * p.m.scale))) @ q.T
+        _assert_close(upper, np.triu(dense_t))
 
     def test_spd_linear_factors_nothing(self, monkeypatch):
         factored = _counting_lu(monkeypatch)
         p = gen_spd_linear(50, seed=2)
         p.f_map(np.zeros(50))
-        assert np.ndim(p._affine[0]) == 2
         assert factored == []
+        assert not (_built(p.h) or _built(p.a))
 
     def test_other_affine_problems_keep_lu_or_scalar_path(self, monkeypatch):
         factored = _counting_lu(monkeypatch)
         p = gen_spd_linear(6, seed=1)
         q, offset = p.h.eigenpair[0], p.a.offset
+        spectral = p.engine.affine_map(p.a)
         # equal bases that are not one object; an A without an eigenpair; a matrix M = I
         for a, m in [(AffineLinear(p.a.matrix, offset, (q.copy(), p.a.eigenpair[1])), p.m),
                      (AffineLinear(p.a.matrix, offset), p.m),
                      (p.a, LinearMonotone(np.eye(6)))]:
-            _assert_close(ResolventEngine(p.h, m, 0.6, 6).affine_map(a)[0],
-                          p.engine.affine_map(p.a)[0])
+            f = ResolventEngine(p.h, m, 0.6, 6).affine_map(a)
+            for x in _probes(6):
+                _assert_close(f(x), spectral(x))
         assert len(factored) == 3
         # without an eigenpair, affine_map reuses the LU that resolve made
         engine = ResolventEngine(AffineLinear(p.h.matrix), p.m, 0.6, 6)
@@ -325,8 +384,10 @@ class TestSpectralAffineMap:
         engine.affine_map(p.a)
         assert len(factored) == 4
         # scalar weights stay a division, a scalar H and M with a matrix A too
-        t, _ = gen_scalar_affine(lam=0.5).engine.affine_map(gen_scalar_affine().a)
-        assert np.ndim(t) == 0
-        explicit = ResolventEngine(ScaledIdentity(1.0), ScaledIdentityMulti(1.0), 0.5, 3)
-        assert np.ndim(explicit.affine_map(AffineLinear(2.0 * np.eye(3), [1.0, 2.0, 3.0]))[0]) == 2
+        for engine, a, dim in [(gen_scalar_affine(lam=0.5).engine, gen_scalar_affine().a, 1),
+                               (ResolventEngine(ScaledIdentity(1.0), ScaledIdentityMulti(1.0), 0.5, 3),
+                                AffineLinear(2.0 * np.eye(3), [1.0, 2.0, 3.0]), 3)]:
+            f = engine.affine_map(a)
+            for x in _probes(dim):
+                _assert_close(f(x), engine.resolve(engine.h.apply(x) - engine.lam * a.apply(x)))
         assert len(factored) == 4

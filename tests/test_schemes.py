@@ -454,7 +454,9 @@ class TestAffineFastPath:
     def test_scalar_affine_matches_resolvent(self, lam):
         p = gen_scalar_affine(b=2.0, lam=lam)
         self._assert_equivalent(p)
-        assert np.ndim(p._affine[0]) == 0
+        # scalar weights make T = (1 - lam)/(1 + lam) a division and F(x) = T x + c bit for bit
+        x = np.array([0.7])
+        assert np.array_equal(p.f_map(x), (1.0 - lam) / (1.0 + lam) * x + lam * 2.0 / (1.0 + lam))
 
     @pytest.mark.parametrize("dim", [1, 6])
     def test_mixed_weights_match_resolvent(self, dim):
@@ -466,9 +468,7 @@ class TestAffineFastPath:
             (ScaledIdentity(2.0), AffineLinear(spd, offset), ScaledIdentityMulti(0.5)),
             (ScaledIdentity(2.0), AffineLinear(1.2, offset), LinearMonotone(spd)),
         ]:
-            p = _explicit_affine(h, a, m, dim)
-            self._assert_equivalent(p, dim)
-            assert np.ndim(p._affine[0]) == 2
+            self._assert_equivalent(_explicit_affine(h, a, m, dim), dim)
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(triple=_cataloged_triple())
@@ -482,12 +482,23 @@ class TestAffineFastPath:
         lu_factor = resolvent.lu_factor
         monkeypatch.setattr(resolvent, "lu_factor",
                             lambda *args, **kwargs: factored.append(1) or lu_factor(*args, **kwargs))
-        p = gen_spd_linear(7, seed=7)
+        spd = gen_spd_linear(7, seed=7)
+        # an H without eigenpair: spd-linear's own F would factor nothing
+        p = dataclasses.replace(spd, h=AffineLinear(spd.h.matrix))
         assert factored == []  # not while the problem is built
         p.engine.resolve(np.zeros(7))
         p.f_map(np.zeros(7))  # T is built with the LU that resolve made
         p.engine.resolve(np.ones(7))
         assert len(factored) == 1
+        assert np.linalg.norm(p.f_map(np.ones(7)) - spd.f_map(np.ones(7))) <= 1e-13
+
+    @pytest.mark.parametrize("problem", [lambda: gen_spd_linear(6, seed=1),  # SYMV
+                                         lambda: gen_soft_threshold(6, seed=1)])  # resolve
+    def test_wrong_dimension_raises(self, problem):
+        p = problem()
+        for x in (np.zeros(5), np.zeros(7)):
+            with pytest.raises(ValueError):
+                p.f_map(x)
 
     def test_affine_runs_make_no_resolve_call(self, monkeypatch):
         calls = _counting_resolve(monkeypatch)
