@@ -444,12 +444,16 @@ _COMMANDS = {"solve": cmd_solve, "compare": cmd_compare, "sweep": cmd_sweep, "au
 
 
 def main(argv=None):
+    # the shared flags are added once, to a parent that each subcommand copies
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    for flag, _, kind, help_text in _FLAGS:
+        common.add_argument(flag, type=kind, help=help_text)
     parser = _Parser(prog="hmsolve", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        sub = subparsers.add_parser(name)
-        sub.add_argument("--config", help="JSON config file")
-        for flag, _, kind, help_text in _FLAGS + (_SWEEP_FLAGS if name == "sweep" else ()):
+        sub = subparsers.add_parser(name, parents=[common])
+        for flag, _, kind, help_text in _SWEEP_FLAGS if name == "sweep" else ():
             sub.add_argument(flag, type=kind, help=help_text)
 
     try:

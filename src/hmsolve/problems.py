@@ -6,6 +6,7 @@ inclusion 0 in A(x) + M(x) in closed form.
 """
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .operators import (
     AffineLinear,
@@ -36,11 +37,27 @@ def gen_scalar_affine(b=2.0, lam=1.0):
     )
 
 
+def _in_place(routine, a, *args):
+    """Run the LAPACK ``routine`` in place on the F-ordered float64 ``a``; its outputs without info."""
+    # scipy's default lwork is the unblocked minimum: ~3x slower at n = 1000
+    lwork = int(routine(a, *args, lwork=-1, overwrite_a=1)[-2][0])
+    *out, info = routine(a, *args, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("%s failed with info %d" % (routine.__name__, info))
+    return out
+
+
 def _random_orthogonal(dim, rng):
-    # QR of a Gaussian matrix with the sign convention fixed for reproducibility
-    g = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+    # Q of G = QR for a Gaussian G, its columns times the signs of diag(R)
+    # (Mezzadri 2007): those signs make Q Haar-distributed, the seed makes it
+    # reproducible, and H, A, T, c and x* do not depend on them bit for bit,
+    # since each sign multiplies both factors of every product. One F-ordered
+    # buffer holds G, then R and the reflectors, then Q; Q is returned C-ordered.
+    qr, tau = _in_place(lapack.dgeqrf, np.asfortranarray(rng.standard_normal((dim, dim))))[:2]
+    signs = np.sign(np.diag(qr))
+    q = np.ascontiguousarray(_in_place(lapack.dorgqr, qr, tau)[0])
+    q *= signs
+    return q
 
 
 def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
@@ -54,6 +71,9 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     r = c_a*gamma^2 and s = c_a*tau. M = m*I gives eta = m. H and A are
     given as eigenpairs on the one basis Q, so no n x n matrix but Q is built
     here: a dense H or A is formed only when something reads its ``matrix``.
+    Q is drawn by one in-place LAPACK QR (``dgeqrf`` then ``dorgqr``) of a
+    seeded Gaussian matrix; each seed gives the same instance as the
+    sign-fixed ``numpy.linalg.qr`` factor of that draw.
     The solution of (c_a*H + m*I) x = b is Q((Q^T b) / (c_a*h + m)) for H's
     spectrum h.
     """

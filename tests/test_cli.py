@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmsolve import analysis, problems, schemes
+from hmsolve import analysis, cli, problems, schemes
 from hmsolve.analysis import DEFAULT_AUDIT_SLACK
 from hmsolve.cli import (
     EXIT_INFEASIBLE,
@@ -466,6 +466,34 @@ class TestAuditFailureCause:
         assert pair["gap_converged"]
         assert code == EXIT_NUMERICAL
         assert err == ["numerical failure: non-finite iterate (fh at step 405, mann at step 405)"]
+
+
+class TestParser:
+    #: a valid argument for each flag that every subcommand takes
+    SAMPLES = {
+        "--problem": "spd-linear", "--dim": "3", "--b": "0.5", "--c": "2", "--m": "1.5",
+        "--c-a": "0.8", "--b-scale": "4", "--eigen-lo": "1", "--eigen-hi": "2",
+        "--lambda": "auto", "--alg": "fh,new", "--xi": "harmonic:1", "--mu": "const:0.9",
+        "--tol": "1e-6", "--max-steps": "7", "--seed": "5", "--x0": "1,2,3",
+    }
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "sweep", "audit"])
+    def test_every_subcommand_takes_every_shared_flag(self, command, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command, lambda cfg, out_dir: seen.append(cfg) or EXIT_OK)
+        samples = {**self.SAMPLES, "--out": str(tmp_path / "out")}
+        assert set(samples) == {flag for flag, *_ in cli._FLAGS}
+        argv = [command, "--config", _write_config(tmp_path, {"gap_tol": 0.1})]
+        assert main(argv + [v for item in samples.items() for v in item]) == EXIT_OK
+        assert seen[0]["gap_tol"] == 0.1
+        for flag, path, kind, _ in cli._FLAGS:
+            node = seen[0]
+            for key in path:
+                node = node[key]
+            assert node == kind(samples[flag])
+
+    def test_grid_is_sweep_only(self, tmp_path):
+        assert main(["solve", "--grid", "0.1:1:3", "--out", str(tmp_path)]) == EXIT_USAGE
 
 
 class TestExitCodes:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hmsolve import problems
 from hmsolve.operators import validate_constants
 from hmsolve.problems import gen_scalar_affine, gen_soft_threshold, gen_spd_linear
 
@@ -58,6 +61,39 @@ class TestSpdLinear:
         p = gen_spd_linear(9, seed=4, c_a=1.5)
         assert p.h.eigenpair[0] is p.a.eigenpair[0]
         assert np.array_equal(p.a.eigenpair[1], 1.5 * p.h.eigenpair[1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 300])
+    def test_basis_is_the_sign_fixed_qr_factor(self, dim, seed):
+        # the same draw through numpy's QR, columns times the signs of diag(R); a
+        # tolerance, since numpy and scipy may link different LAPACK builds
+        q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+        expected = q * np.sign(np.diag(r))
+        assert np.max(np.abs(problems._random_orthogonal(dim, np.random.default_rng(seed)) - expected)) <= 1e-13
+
+    def test_basis_is_c_ordered_and_read_only(self):
+        q = gen_spd_linear(20, seed=5).h.eigenpair[0]
+        assert q.flags.c_contiguous and not q.flags.writeable
+
+    def test_generator_holds_few_n_by_n_buffers(self):
+        # one F-ordered buffer for the QR and the returned C-ordered Q at most:
+        # a copy that f2py makes of a non-Fortran input, or numpy's QR, peaks at ~4 n^2
+        dim = 300
+        gen_spd_linear(2)
+        tracemalloc.start()
+        try:
+            gen_spd_linear(dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * dim * dim
+
+    def test_lapack_failure_raises(self):
+        def dgeqrf(a, lwork, overwrite_a):
+            return a, np.ones(1), -4
+
+        with pytest.raises(np.linalg.LinAlgError, match="dgeqrf failed with info -4"):
+            problems._in_place(dgeqrf, np.eye(2, order="F"))
 
     def test_fixed_point_residual(self):
         for seed in range(5):
