@@ -8,10 +8,11 @@ a non-finite u into a non-finite x without an inner solve:
   LU of the matrix with a scalar weight added to its diagonal only, factored
   in place on the first ``resolve``. With A affine too, ``affine_map`` folds
   the whole of F(x) = R[H x - lam*A x] into the map x -> T x + c. When H and
-  A are eigenpairs on one basis Q and M's weight is a scalar m, T and c come
-  from Q without factoring anything or reading a dense H or A:
-  T = Q diag(t) Q^T with t = (h - lam*a)/(h + lam*m) is symmetric, so only
-  its upper triangle is built (SYRK) and F is one symmetric matvec (SYMV).
+  A are eigenpairs on one basis Q and M's weight is a scalar m,
+  ``spectral_map`` gives F in the coordinates y = Q^T x without factoring
+  anything or reading a dense H or A: y -> t*y + c_hat, diagonal, with
+  t = (h - lam*a)/(h + lam*m). The schemes iterate there, in O(n) per
+  evaluation; F in x-space is Q(t*(Q^T x) + c_hat), and no T is built.
 * ``separable-scalar``: one vectorised pass over all coordinates when H (a
   scalar weight or ``DiagonalNonlinear``) and M = c*t + w*|t| act
   coordinatewise, affine offsets moved into u. With g(t) = H(t) + lam*c*t,
@@ -23,7 +24,6 @@ a non-finite u into a non-finite x without an inner solve:
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.blas import dsymv, dsyrk
 
 from . import operators as ops
 
@@ -143,35 +143,35 @@ class ResolventEngine:
             return self._k_solve(u)
         return self._resolve_separable(u)
 
+    def spectral_map(self, a_op):
+        """(Q, G) with R[H x - lam*A x] = Q G(Q^T x) and G diagonal, or None.
+
+        Applies when W_H = Q diag(h) Q^T and W_A = Q diag(a) Q^T are eigenpairs on the
+        same basis object Q and W_M = m is a scalar: then K = Q diag(k) Q^T with
+        k = h + lam*m, and G(y) = t*y + c_hat with t = (h - lam*a)/k and
+        c_hat = lam*(Q^T (b_A + b_M))/k. Neither W_H nor W_A is read.
+        """
+        eh, ea = self.h.eigenpair, a_op.eigenpair
+        if not (eh and ea and eh[0] is ea[0] and self.m.scale is not None):
+            return None
+        (q, h), a = eh, ea[1]
+        k = h + self.lam * self.m.scale
+        b = self.lam * (_offset(a_op) + _offset(self.m))
+        t, c = (h - self.lam * a) / k, (q.T @ b) / k if np.ndim(b) else 0.0
+        return q, lambda y: t * y + c
+
     def affine_map(self, a_op):
         """The map x -> T x + c that equals R[H x - lam*A x] for the closed form and an affine A.
 
         T = K^-1 (W_H - lam*W_A) (a float if every weight is) overwrites W_H - lam*W_A;
         c = lam*K^-1 (b_A + b_M). K's LU is ``resolve``'s if built, else dropped on return.
-        Spectral branch: when W_H = Q diag(h) Q^T and W_A = Q diag(a) Q^T are
-        eigenpairs on the same basis object Q and W_M = m is a scalar, K = Q diag(k) Q^T
-        with k = h + lam*m, so T = Q diag(t) Q^T with t = (h - lam*a)/k and
-        c = lam*Q((Q^T b)/k), and neither W_H nor W_A is read. T is symmetric: only its
-        upper triangle is built, Fortran-ordered, as S+ S+^T - S- S-^T with
-        S(+/-) = Q[:, +/-t > 0] sqrt|t| (SYRK, half a GEMM's flops), and the map is one
-        SYMV, which reads that triangle alone.
+        Where ``spectral_map`` applies, the map is x -> Q G(Q^T x), two GEMVs and no T.
         """
+        spectral = self.spectral_map(a_op)
+        if spectral:
+            q, g = spectral
+            return lambda x: q @ g(q.T @ x)
         b = self.lam * (_offset(a_op) + _offset(self.m))
-        eh, ea = self.h.eigenpair, a_op.eigenpair
-        if eh and ea and eh[0] is ea[0] and self.m.scale is not None:
-            (q, h), a = eh, ea[1]
-            k = h + self.lam * self.m.scale
-            c = q @ ((q.T @ b) / k) if np.ndim(b) else np.zeros(self.dim)
-            t = (h - self.lam * a) / k
-            s = q * np.sqrt(np.abs(t))
-            # Fortran order: SYRK updates it in place and SYMV reads it without a copy
-            upper = np.zeros((self.dim, self.dim), order="F")
-            for sign in (1.0, -1.0):
-                cols = sign * t > 0
-                if cols.any():  # part^T is a Fortran-ordered view; trans=1 forms part part^T
-                    part = s if cols.all() else s[:, cols]
-                    upper = dsyrk(sign, part.T, 1.0, upper, trans=1, overwrite_c=1)
-            return lambda x: dsymv(1.0, upper, x, 1.0, c)
         k_solve = self._k_solve or _k_inverse(self.h, self.m, self.lam)
         w = _weight_sum(self.h.weight, a_op.weight, -self.lam)
         if self.m.scale is None and not np.ndim(w):

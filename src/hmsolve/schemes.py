@@ -196,22 +196,36 @@ class ProblemInstance:
                 raise ValueError("%r acts on dimension %d, not %d" % (op, op.dim, self.dim))
         self.engine = ResolventEngine(self.h, self.m, self.lam, self.dim)
         self._affine = None  # x -> T x + c when F is affine, False when not; set by f_map
+        self._spectral = None  # spectral_map's (Q, G), False when none; set by coordinates
         if self.known_solution is not None:
             self.known_solution = as_vector(self.known_solution)
             if self.known_solution.shape[0] != self.dim:
                 raise ValueError("known_solution dimension mismatch")
 
+    def _f_is_affine(self):
+        return self.engine.strategy == CLOSED_FORM and isinstance(self.a, AffineLinear)
+
+    def coordinates(self):
+        """(Q, G) with F(x) = Q G(Q^T x): the coordinates y = Q^T x that ``run_scheme`` iterates in.
+
+        Where ``ResolventEngine.spectral_map`` applies, Q is H's eigenbasis and
+        G(y) = t*y + c_hat costs O(n); every other problem gets (None, ``f_map``).
+        """
+        if self._spectral is None:
+            self._spectral = (self._f_is_affine() and self.engine.spectral_map(self.a)) or False
+        return self._spectral or (None, self.f_map)
+
     def f_map(self, x):
         """F(x) = R[H x - lam*A x], as T x + c (one matvec) when H, A and M are affine.
 
-        The map x -> T x + c comes from ``ResolventEngine.affine_map`` on the first call.
+        The map comes from ``ResolventEngine.affine_map`` on the first call; on
+        spectral problems it is Q(t*(Q^T x) + c_hat), which builds no n x n array.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):  # SYMV would read the first dim entries of a longer x
+        if x.shape != (self.dim,):
             raise ValueError("dimension mismatch: %s vs %d" % (x.shape, self.dim))
         if self._affine is None:
-            affine = self.engine.strategy == CLOSED_FORM and isinstance(self.a, AffineLinear)
-            self._affine = self.engine.affine_map(self.a) if affine else False
+            self._affine = self.engine.affine_map(self.a) if self._f_is_affine() else False
         if self._affine:
             return self._affine(x)
         return self.engine.resolve(self.h.apply(x) - self.lam * self.a.apply(x))
@@ -242,6 +256,10 @@ class IterationTrace:
     diverged: bool = False
 
 
+#: rows of iterates mapped back to x-space per GEMM, which bounds that step's extra memory
+BACK_MAP_ROWS = 64
+
+
 def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
     """Run scheme ``name`` as the relaxed two-step iteration of its casting.
 
@@ -250,6 +268,12 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
     iterate, so FH and MANN cost one F evaluation per step, NEW and ZGY two,
     and the degenerate castings reproduce FH bit for bit. The run stops,
     ``diverged``, at the first non-finite iterate without evaluating F on it.
+
+    Every step is a linear combination of x and F(x), so the loop runs in the
+    coordinates y = Q^T x of ``problem.coordinates()``, with the residual
+    ||G(y) - y|| = ||F(x) - x||: O(n) per step on spectral problems. After the
+    loop the kept y_n become x_n = Q y_n (iterates[0] stays x_0), and the
+    errors are ||x_n - x*||.
     """
     name = name.upper()
     xi, mu = casting(name, xi, mu)
@@ -261,12 +285,13 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
         raise ValueError("start dimension mismatch")
     kappa = problem.contraction_factor()
     xstar = problem.known_solution
+    basis, g = problem.coordinates()
     start = time.perf_counter_ns()
 
-    fx = problem.f_map(x)
+    y = x if basis is None else basis.T @ x
+    gy = g(y)
     iterates = [x.copy()]
-    residuals = [float(np.linalg.norm(fx - x))]
-    errors = None if xstar is None else [float(np.linalg.norm(x - xstar))]
+    residuals = [float(np.linalg.norm(gy - y))]
     wall = [time.perf_counter_ns() - start]
 
     n = 0
@@ -274,24 +299,26 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
     # "not <=" keeps a NaN residual going, into the non-finite iterate check
     while not residuals[-1] <= stop.tol and n < stop.max_steps:
         xi_n, mu_n = xi.value(n), mu.value(n)
-        fr = fx if mu_n == 0.0 else problem.f_map((1.0 - mu_n) * x + mu_n * fx)
-        x = fr if xi_n == 1.0 else (1.0 - xi_n) * x + xi_n * fr
-        diverged = not np.isfinite(x).all()
+        gr = gy if mu_n == 0.0 else g((1.0 - mu_n) * y + mu_n * gy)
+        y = gr if xi_n == 1.0 else (1.0 - xi_n) * y + xi_n * gr
+        diverged = not np.isfinite(y).all()
         if diverged:
             break
-        fx = problem.f_map(x)
-        iterates.append(x.copy())
-        residuals.append(float(np.linalg.norm(fx - x)))
-        if errors is not None:
-            errors.append(float(np.linalg.norm(x - xstar)))
+        gy = g(y)
+        iterates.append(y.copy())
+        residuals.append(float(np.linalg.norm(gy - y)))
         wall.append(time.perf_counter_ns() - start)
         n += 1
 
+    if basis is not None:  # a row block of y's at a time becomes x's: X = Y Q^T
+        for i in range(1, len(iterates), BACK_MAP_ROWS):
+            rows = slice(i, i + BACK_MAP_ROWS)
+            iterates[rows] = np.array(iterates[rows]) @ basis.T
     return IterationTrace(
         algorithm=name,
         iterates=iterates,
         residuals=residuals,
-        errors=errors,
+        errors=None if xstar is None else [float(np.linalg.norm(v - xstar)) for v in iterates],
         wall_nanos=wall,
         steps_used=n,
         converged=residuals[-1] <= stop.tol,

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hmsolve.resolvent import (
     ResolventEngine,
     resolvent_lipschitz_bound,
 )
+from hmsolve.schemes import make_step_sequence, run_scheme
 
 
 def _tanh_op():
@@ -340,23 +342,18 @@ class TestSpectralAffineMap:
         for x in _probes(dim):
             _assert_close(f(x), lu_f(x))
 
-    @pytest.mark.parametrize("t_signs", ["positive", "negative", "mixed"])
-    def test_symv_reads_one_fortran_ordered_triangle(self, t_signs, monkeypatch):
-        # a C-ordered T would be copied by the f2py wrapper on every evaluation
-        read = []
-        dsymv = resolvent.dsymv
-        monkeypatch.setattr(resolvent, "dsymv",
-                            lambda alpha, a, *args: read.append(a) or dsymv(alpha, a, *args))
-        p = _spectral_problem(30, t_signs)
-        for x in _probes(30):
-            p.f_map(x)
-        assert len(read) == 4 and all(a is read[0] for a in read)
-        upper = read[0]
-        assert upper.flags.f_contiguous and upper.shape == (30, 30)
-        assert not np.tril(upper, -1).any()  # the lower triangle is never written
-        (q, h), a = p.h.eigenpair, p.a.eigenpair[1]
-        dense_t = (q * ((h - p.lam * a) / (h + p.lam * p.m.scale))) @ q.T
-        _assert_close(upper, np.triu(dense_t))
+    def test_f_map_builds_no_n_by_n_array(self):
+        dim = 300
+        p = _spectral_problem(dim, "mixed")
+        x = np.linspace(-1.0, 1.0, dim)
+        tracemalloc.start()
+        try:
+            for _ in range(2):  # the first call builds t and c_hat
+                p.f_map(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * dim * dim
 
     def test_spd_linear_factors_nothing(self, monkeypatch):
         factored = _counting_lu(monkeypatch)
@@ -391,3 +388,37 @@ class TestSpectralAffineMap:
             for x in _probes(dim):
                 _assert_close(f(x), engine.resolve(engine.h.apply(x) - engine.lam * a.apply(x)))
         assert len(factored) == 4
+
+
+class TestEigenbasisRuns:
+    """spd-linear runs iterate in y = Q^T x; the same H and A as dense matrices take the LU path."""
+
+    @pytest.mark.parametrize("name", ["FH", "MANN", "NEW", "ZGY"])
+    @pytest.mark.parametrize("dim", [1, 7, 200])
+    @pytest.mark.parametrize("t_signs", ["positive", "negative", "mixed"])
+    def test_matches_dense_path(self, name, dim, t_signs):
+        p = _spectral_problem(dim, t_signs)
+        dense = dataclasses.replace(p, h=AffineLinear(p.h.matrix),
+                                    a=AffineLinear(p.a.matrix, p.a.offset))
+        assert p.coordinates()[0] is p.h.eigenpair[0] and dense.coordinates()[0] is None
+        half = make_step_sequence("constant", value=0.5)
+        x0 = np.random.default_rng(dim).standard_normal(dim)
+        spectral, lu = (run_scheme(name, problem, x0, half, half) for problem in (p, dense))
+        assert (spectral.steps_used, spectral.converged, spectral.diverged) == (
+            lu.steps_used, lu.converged, lu.diverged)
+        assert spectral.converged
+        assert np.array_equal(spectral.iterates[0], x0)
+        tol = 1e-13 * max(1.0, np.linalg.norm(p.known_solution))
+        for field in ("residuals", "errors", "iterates"):
+            gap = np.abs(np.array(getattr(spectral, field)) - np.array(getattr(lu, field)))
+            assert gap.max() <= tol, field
+
+    def test_errors_are_those_of_the_iterates(self):
+        # bench's oracle recomputes the last error from the last iterate
+        p = gen_spd_linear(50, seed=4)
+        half = make_step_sequence("constant", value=0.5)
+        for name in ("FH", "MANN", "NEW", "ZGY"):
+            trace = run_scheme(name, p, np.ones(50), half, half)
+            assert trace.steps_used > 0 and len(trace.errors) == len(trace.iterates)
+            for x, error in zip(trace.iterates, trace.errors):
+                assert error == float(np.linalg.norm(x - p.known_solution))

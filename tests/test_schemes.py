@@ -22,6 +22,7 @@ from hmsolve.operators import (
 from hmsolve.problems import gen_scalar_affine, gen_soft_threshold, gen_spd_linear
 from hmsolve.resolvent import ResolventEngine
 from hmsolve.schemes import (
+    BACK_MAP_ROWS,
     ProblemInstance,
     StoppingRule,
     as_vector,
@@ -236,16 +237,16 @@ class TestRunNew:
             assert trace.errors[n + 1] <= factor * trace.errors[n] + 1e-8
 
 
-def _counting_f_map(p):
-    """Make ``p`` record each F evaluation in the returned list."""
+def _counting_f_evaluations(p):
+    """Make ``p`` record each F evaluation ``run_scheme`` makes, in its coordinates, in the returned list."""
     calls = []
-    f_map = p.f_map
+    basis, g = p.coordinates()
 
-    def counting(x):
+    def counting(y):
         calls.append(1)
-        return f_map(x)
+        return g(y)
 
-    p.f_map = counting
+    p.coordinates = lambda: (basis, counting)
     return calls
 
 
@@ -253,7 +254,7 @@ class TestFEvaluationCounts:
     @pytest.mark.parametrize("name,per_step", [("FH", 1), ("MANN", 1), ("NEW", 2), ("ZGY", 2)])
     def test_per_step(self, name, per_step):
         p = gen_spd_linear(6, seed=1)
-        calls = _counting_f_map(p)
+        calls = _counting_f_evaluations(p)
         trace = run_scheme(name, p, np.zeros(6), HALF, HALF, StoppingRule(tol=-1.0, max_steps=10))
         assert trace.steps_used == 10
         # one evaluation at the start, then per_step for each of the 10 steps
@@ -261,7 +262,7 @@ class TestFEvaluationCounts:
 
     def test_zero_mu_reuses_f_of_x(self):
         p = gen_spd_linear(6, seed=1)
-        calls = _counting_f_map(p)
+        calls = _counting_f_evaluations(p)
         run_new(p, np.zeros(6), ZERO, StoppingRule(tol=-1.0, max_steps=10))
         assert len(calls) == 11
 
@@ -398,11 +399,11 @@ class TestContractionOfF:
         # kappa >= 1 at lam = 50: the iterates grow until H x - lam*A x overflows
         p = gen_spd_linear(20, seed=0, c_a=5.0, lam=50.0)
         finite_inputs = []
-        f_map = p.f_map
-        p.f_map = lambda x: (finite_inputs.append(np.isfinite(x).all()), f_map(x))[1]
+        basis, g = p.coordinates()
+        p.coordinates = lambda: (basis, lambda y: (finite_inputs.append(np.isfinite(y).all()), g(y))[1])
         trace = run_fh(p, np.zeros(20))
         assert trace.diverged and not trace.converged
-        assert all(finite_inputs)
+        assert len(finite_inputs) == trace.steps_used + 1 and all(finite_inputs)
         assert len(trace.residuals) == len(trace.iterates) == trace.steps_used + 1
         assert trace.steps_used < StoppingRule().max_steps
 
@@ -492,7 +493,7 @@ class TestAffineFastPath:
         assert len(factored) == 1
         assert np.linalg.norm(p.f_map(np.ones(7)) - spd.f_map(np.ones(7))) <= 1e-13
 
-    @pytest.mark.parametrize("problem", [lambda: gen_spd_linear(6, seed=1),  # SYMV
+    @pytest.mark.parametrize("problem", [lambda: gen_spd_linear(6, seed=1),  # spectral
                                          lambda: gen_soft_threshold(6, seed=1)])  # resolve
     def test_wrong_dimension_raises(self, problem):
         p = problem()
@@ -518,7 +519,7 @@ class TestAffineFastPath:
     def test_other_problems_resolve_once_per_evaluation(self, problem, monkeypatch):
         p = problem()
         resolves = _counting_resolve(monkeypatch)
-        evaluations = _counting_f_map(p)
+        evaluations = _counting_f_evaluations(p)
         run_new(p, np.zeros(12), HALF, StoppingRule(tol=-1.0, max_steps=10))
         assert len(resolves) == len(evaluations) == 21
 
@@ -539,6 +540,40 @@ class TestAffineFastPath:
         assert np.allclose(fx, (0.4 * x + 0.3) / 1.3, rtol=0, atol=1e-15)
 
 
+class TestEigenbasisHotPath:
+    """spd-linear runs evaluate F in H's eigenbasis, never through ``f_map``; other problems keep it."""
+
+    def test_f_map_calls(self, monkeypatch):
+        calls = []
+        f_map = ProblemInstance.f_map
+        monkeypatch.setattr(ProblemInstance, "f_map",
+                            lambda self, x: calls.append(1) or f_map(self, x))
+        spd = gen_spd_linear(12, seed=1)
+        explicit = _explicit_affine(AffineLinear(spd.h.matrix),
+                                    AffineLinear(spd.a.matrix, spd.a.offset), spd.m, 12)
+        for p, evaluations in [(spd, 0), (gen_soft_threshold(12, seed=1), 21), (explicit, 21)]:
+            del calls[:]
+            trace = run_new(p, np.zeros(12), HALF, StoppingRule(tol=-1.0, max_steps=10))
+            assert trace.steps_used == 10 and len(calls) == evaluations
+
+    def test_back_map_memory_is_one_row_block(self):
+        dim = 300
+        p = gen_spd_linear(dim, seed=1)
+        p.coordinates()  # t and c_hat are built once, outside what is measured
+        excess = []
+        for steps in (4 * BACK_MAP_ROWS, 16 * BACK_MAP_ROWS):
+            tracemalloc.start()
+            try:
+                trace = run_fh(p, np.zeros(dim), StoppingRule(tol=-1.0, max_steps=steps))
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(trace.iterates) == steps + 1
+            excess.append(peak - current)
+        # the kept iterates take 0.6 and 2.5 MB; one GEMM over all of them would add twice that
+        assert max(excess) < 3 * BACK_MAP_ROWS * 8 * dim
+
+
 def test_spd_linear_errors_match_closed_form():
     # T = Q diag(t) Q^T with t = (h - lam*a)/(h + lam*m), and a step of the relaxed
     # iteration multiplies each eigencomponent of the error by 1 - xi + xi*t(1 - mu + mu*t)
@@ -552,7 +587,7 @@ def test_spd_linear_errors_match_closed_form():
                           (run_new(p, np.zeros(200), HALF, stop), t * (0.5 + 0.5 * t))]:
         predicted = np.linalg.norm(factor ** steps * e0, axis=1)
         # absolute: relative error means nothing at the rounding floor the runs reach
-        assert np.max(np.abs(np.array(trace.errors) - predicted)) <= 1e-13 * max(
+        assert np.max(np.abs(np.array(trace.errors) - predicted)) <= 1e-14 * max(
             1.0, np.linalg.norm(p.known_solution))
 
 
