@@ -98,7 +98,7 @@ class AffineLinear:
 
     A matrix W may come as an ``eigenpair`` (basis, values): an orthogonal Q
     and a vector w with W = Q diag(w) Q^T, kept read-only for
-    ``ResolventEngine.affine_map`` and ``h_constants``. Given alone, it is the
+    ``ResolventEngine.fixed_point_map`` and ``h_constants``. Given alone, it is the
     weight: ``matrix`` (and ``weight``) is built as the symmetric part of
     (Q w) Q^T on its first read, and never if nothing reads it. The eigenpair
     is checked once on one seeded probe vector v, in O(n^2): Q(Q^T v) must give

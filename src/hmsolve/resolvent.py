@@ -6,13 +6,7 @@ a non-finite u into a non-finite x without an inner solve:
 * ``closed-form-linear``: when H and M are both affine, K x = u + b_H + lam*b_M
   with K = W_H + lam*W_M: a division when both weights are scalars, else an
   LU of the matrix with a scalar weight added to its diagonal only, factored
-  in place on the first ``resolve``. With A affine too, ``affine_map`` folds
-  the whole of F(x) = R[H x - lam*A x] into the map x -> T x + c. When H and
-  A are eigenpairs on one basis Q and M's weight is a scalar m,
-  ``spectral_map`` gives F in the coordinates y = Q^T x without factoring
-  anything or reading a dense H or A: y -> t*y + c_hat, diagonal, with
-  t = (h - lam*a)/(h + lam*m). The schemes iterate there, in O(n) per
-  evaluation; F in x-space is Q(t*(Q^T x) + c_hat), and no T is built.
+  in place on the first ``resolve``.
 * ``separable-scalar``: one vectorised pass over all coordinates when H (a
   scalar weight or ``DiagonalNonlinear``) and M = c*t + w*|t| act
   coordinatewise, affine offsets moved into u. With g(t) = H(t) + lam*c*t,
@@ -20,6 +14,9 @@ a non-finite u into a non-finite x without an inner solve:
   g(x) = u - lam*w*sign(u - g(0)) by masked safeguarded Newton/bisection.
 * ``newton-general``: damped Newton with Armijo backtracking on
   G(x) = H(x) + lam*m(x) - u for the general smooth case.
+
+``ResolventEngine.fixed_point_map`` is the one place that decides which form
+F(x) = R[H x - lam*A x] takes: diagonal, dense, or one ``resolve`` per evaluation.
 """
 
 import numpy as np
@@ -58,6 +55,11 @@ def resolvent_lipschitz_bound(constants, lam):
 def _offset(op):
     has = isinstance(op, ops.AffineLinear) and op.offset is not None
     return op.offset if has else 0.0
+
+
+def _diagonal(op):
+    """(Q, w) with W = Q diag(w) Q^T: (None, w) for a scalar weight, else the eigenpair or None."""
+    return (None, op.scale) if op.scale is not None else op.eigenpair
 
 
 def _weight_sum(a, b, beta):
@@ -143,43 +145,36 @@ class ResolventEngine:
             return self._k_solve(u)
         return self._resolve_separable(u)
 
-    def spectral_map(self, a_op):
-        """(Q, G) with R[H x - lam*A x] = Q G(Q^T x) and G diagonal, or None.
+    def fixed_point_map(self, a_op):
+        """(Q, G) with F(x) = R[H x - lam*A x] = Q G(Q^T x), where Q is None when G is F itself.
 
-        Applies when W_H = Q diag(h) Q^T and W_A = Q diag(a) Q^T are eigenpairs on the
-        same basis object Q and W_M = m is a scalar: then K = Q diag(k) Q^T with
-        k = h + lam*m, and G(y) = t*y + c_hat with t = (h - lam*a)/k and
-        c_hat = lam*(Q^T (b_A + b_M))/k. Neither W_H nor W_A is read.
+        * diagonal, when W_H and W_A are both scalars or both eigenpairs Q diag(h) Q^T
+          and Q diag(a) Q^T on one basis object Q, and W_M = m is a scalar: then
+          K = Q diag(k) Q^T with k = h + lam*m, and G(y) = t*y + c_hat with
+          t = (h - lam*a)/k and c_hat = lam*(Q^T (b_A + b_M))/k. Nothing is factored
+          and neither W_H nor W_A is read; Q is None for scalar weights.
+        * dense, for any other closed form with an affine A: G(x) = T x + c with
+          T = K^-1 (W_H - lam*W_A), which overwrites W_H - lam*W_A, and
+          c = lam*K^-1 (b_A + b_M). K's LU is ``resolve``'s if built, else dropped on return.
+        * resolve, for every other problem: G(x) = ``resolve``(H x - lam*A x).
         """
-        eh, ea = self.h.eigenpair, a_op.eigenpair
-        if not (eh and ea and eh[0] is ea[0] and self.m.scale is not None):
-            return None
-        (q, h), a = eh, ea[1]
-        k = h + self.lam * self.m.scale
-        b = self.lam * (_offset(a_op) + _offset(self.m))
-        t, c = (h - self.lam * a) / k, (q.T @ b) / k if np.ndim(b) else 0.0
-        return q, lambda y: t * y + c
-
-    def affine_map(self, a_op):
-        """The map x -> T x + c that equals R[H x - lam*A x] for the closed form and an affine A.
-
-        T = K^-1 (W_H - lam*W_A) (a float if every weight is) overwrites W_H - lam*W_A;
-        c = lam*K^-1 (b_A + b_M). K's LU is ``resolve``'s if built, else dropped on return.
-        Where ``spectral_map`` applies, the map is x -> Q G(Q^T x), two GEMVs and no T.
-        """
-        spectral = self.spectral_map(a_op)
-        if spectral:
-            q, g = spectral
-            return lambda x: q @ g(q.T @ x)
+        if not (self.strategy == CLOSED_FORM and isinstance(a_op, ops.AffineLinear)):
+            return None, lambda x: self.resolve(self.h.apply(x) - self.lam * a_op.apply(x))
+        eh, ea = _diagonal(self.h), _diagonal(a_op)
+        if eh and ea and eh[0] is ea[0] and self.m.scale is not None:
+            (q, h), a = eh, ea[1]
+            k = h + self.lam * self.m.scale
+            b = self.lam * (_offset(a_op) + _offset(self.m))  # after k: peak RSS follows heap layout
+            t = (h - self.lam * a) / k
+            c = (b if q is None else q.T @ b) / k if np.ndim(b) else 0.0
+            return q, lambda y: t * y + c
         b = self.lam * (_offset(a_op) + _offset(self.m))
         k_solve = self._k_solve or _k_inverse(self.h, self.m, self.lam)
         w = _weight_sum(self.h.weight, a_op.weight, -self.lam)
-        if self.m.scale is None and not np.ndim(w):
+        if not np.ndim(w):  # scalar H and A with a matrix M
             w = w * np.eye(self.dim, order="F")
         t, c = k_solve(w), k_solve(b) if np.ndim(b) else b
-        if np.ndim(t):
-            return lambda x: t @ x + c
-        return lambda x: t * x + c
+        return None, lambda x: t @ x + c
 
     def _resolve_separable(self, u):
         sub = isinstance(self.m, ops.ShiftedSubdifferential)

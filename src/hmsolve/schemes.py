@@ -9,13 +9,14 @@ and differ only in the step sequences (xi, mu) they feed it (``CASTINGS``):
 FH = (1, 0), MANN = (xi, 0), NEW = (1, mu) and ZGY = (xi, mu).
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import AffineLinear, OperatorConstants
-from .resolvent import CLOSED_FORM, ResolventEngine
+from .operators import OperatorConstants
+from .resolvent import ResolventEngine
 
 __all__ = [
     "as_vector",
@@ -33,7 +34,6 @@ __all__ = [
     "run_zgy",
     "run_mann",
     "run_new",
-    "ALGORITHMS",
 ]
 
 
@@ -141,8 +141,6 @@ CASTINGS = {
     "NEW": lambda xi, mu: (ONE, mu),
 }
 
-ALGORITHMS = tuple(CASTINGS)
-
 
 def casting(name, xi=None, mu=None):
     """The (xi, mu) sequences with which the relaxed two-step iteration is ``name``.
@@ -195,44 +193,35 @@ class ProblemInstance:
             if getattr(op, "dim", None) not in (None, self.dim):
                 raise ValueError("%r acts on dimension %d, not %d" % (op, op.dim, self.dim))
         self.engine = ResolventEngine(self.h, self.m, self.lam, self.dim)
-        self._affine = None  # x -> T x + c when F is affine, False when not; set by f_map
-        self._spectral = None  # spectral_map's (Q, G), False when none; set by coordinates
         if self.known_solution is not None:
             self.known_solution = as_vector(self.known_solution)
             if self.known_solution.shape[0] != self.dim:
                 raise ValueError("known_solution dimension mismatch")
 
-    def _f_is_affine(self):
-        return self.engine.strategy == CLOSED_FORM and isinstance(self.a, AffineLinear)
+    @functools.cached_property
+    def _map(self):
+        return self.engine.fixed_point_map(self.a)
 
     def coordinates(self):
         """(Q, G) with F(x) = Q G(Q^T x): the coordinates y = Q^T x that ``run_scheme`` iterates in.
 
-        Where ``ResolventEngine.spectral_map`` applies, Q is H's eigenbasis and
-        G(y) = t*y + c_hat costs O(n); every other problem gets (None, ``f_map``).
+        Both come from ``ResolventEngine.fixed_point_map``. Where Q is None, G is
+        ``f_map`` itself, so each F evaluation of such a run is an ``f_map`` call.
         """
-        if self._spectral is None:
-            self._spectral = (self._f_is_affine() and self.engine.spectral_map(self.a)) or False
-        return self._spectral or (None, self.f_map)
+        basis, g = self._map
+        return (None, self.f_map) if basis is None else (basis, g)
 
     def f_map(self, x):
-        """F(x) = R[H x - lam*A x], as T x + c (one matvec) when H, A and M are affine.
+        """F(x) = R[H x - lam*A x], in the form ``ResolventEngine.fixed_point_map`` chose.
 
-        The map comes from ``ResolventEngine.affine_map`` on the first call; on
-        spectral problems it is Q(t*(Q^T x) + c_hat), which builds no n x n array.
+        That map is built on the first call to this or to ``coordinates``; with an
+        eigenbasis Q, F(x) = Q G(Q^T x) builds no n x n array.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dim,):
             raise ValueError("dimension mismatch: %s vs %d" % (x.shape, self.dim))
-        if self._affine is None:
-            self._affine = self.engine.affine_map(self.a) if self._f_is_affine() else False
-        if self._affine:
-            return self._affine(x)
-        return self.engine.resolve(self.h.apply(x) - self.lam * self.a.apply(x))
-
-    def residual(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(np.linalg.norm(self.f_map(x) - x))
+        basis, g = self._map
+        return g(x) if basis is None else basis @ g(basis.T @ x)
 
     def contraction_factor(self):
         from .analysis import contraction_factor
@@ -242,7 +231,12 @@ class ProblemInstance:
 
 @dataclass
 class IterationTrace:
-    """Per-step record of one algorithm run; mutable, but unchanged by the library once returned."""
+    """Per-step record of one algorithm run; mutable, but unchanged by the library once returned.
+
+    ``wall_nanos[n]`` counts from the run's start, before Q^T x_0 and the first F
+    evaluation, to the end of step n. It times the iteration loop only: on an eigenbasis
+    run the GEMMs that map iterates back to x, and the error norms, come after its last entry.
+    """
 
     algorithm: str
     iterates: list

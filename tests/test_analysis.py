@@ -17,7 +17,7 @@ from hmsolve.analysis import (
 from hmsolve.operators import InconsistentConstantsError, OperatorConstants
 from hmsolve.problems import gen_scalar_affine
 from hmsolve.schemes import (
-    ALGORITHMS,
+    CASTINGS,
     ONE,
     IterationTrace,
     StoppingRule,
@@ -378,7 +378,7 @@ def _trace(draw, dim):
     errors = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
     errors = None if draw(st.integers(0, 4)) == 0 else _poisoned(draw, errors, [math.inf, math.nan])
     return IterationTrace(
-        algorithm=draw(st.sampled_from(ALGORITHMS)), iterates=iterates, residuals=[0.0] * n,
+        algorithm=draw(st.sampled_from(tuple(CASTINGS))), iterates=iterates, residuals=[0.0] * n,
         errors=errors, wall_nanos=[0] * n,
         steps_used=n - 1, converged=False, kappa=0.0,
     )

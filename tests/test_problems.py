@@ -26,7 +26,7 @@ class TestScalarAffine:
 
     def test_fixed_point_residual(self):
         p = gen_scalar_affine(b=3.0, lam=0.5)
-        assert p.residual(p.known_solution) <= 1e-12
+        assert np.linalg.norm(p.f_map(p.known_solution) - p.known_solution) <= 1e-12
 
     def test_unit_constants(self):
         c = gen_scalar_affine().constants
@@ -98,7 +98,7 @@ class TestSpdLinear:
     def test_fixed_point_residual(self):
         for seed in range(5):
             p = gen_spd_linear(30, seed=seed)
-            assert p.residual(p.known_solution) <= 1e-9
+            assert np.linalg.norm(p.f_map(p.known_solution) - p.known_solution) <= 1e-9
 
     def test_constants_validated_on_instance(self):
         p = gen_spd_linear(15, seed=2)
@@ -124,7 +124,7 @@ class TestSpdLinear:
         p = gen_spd_linear(1, eigen_range=(1.0, 1.0), seed=0, lam=1.0)
         # H = [1], A = H x - b, M = I: same structure as the scalar instance
         assert p.contraction_factor() == pytest.approx(0.0, abs=1e-9)
-        assert p.residual(p.known_solution) <= 1e-12
+        assert np.linalg.norm(p.f_map(p.known_solution) - p.known_solution) <= 1e-12
 
     def test_contraction_below_one_at_default_lambda(self):
         for seed in range(5):
@@ -152,7 +152,7 @@ class TestSoftThreshold:
     def test_fixed_point_residual_random_b(self):
         for seed in range(5):
             p = gen_soft_threshold(40, seed=seed)
-            assert p.residual(p.known_solution) <= 1e-10
+            assert np.linalg.norm(p.f_map(p.known_solution) - p.known_solution) <= 1e-10
 
     def test_constants_validated_on_instance(self):
         p = gen_soft_threshold(10, c=2.0, seed=1)

@@ -279,6 +279,12 @@ def _counting_lu(monkeypatch):
     return factored
 
 
+def _x_space_f(engine, a_op):
+    """x -> F(x) from the engine's fixed_point_map (Q, G): G itself, or Q G(Q^T x)."""
+    q, g = engine.fixed_point_map(a_op)
+    return g if q is None else lambda x: q @ g(q.T @ x)
+
+
 def _assert_close(x, y):
     assert np.linalg.norm(x - y) <= 1e-13 * max(1.0, np.linalg.norm(y))
 
@@ -335,10 +341,10 @@ class TestSpectralAffineMap:
             assert p.engine.lam == p.lam != 0.6
         else:
             p = dataclasses.replace(p, lam=lam)
-        f = p.engine.affine_map(p.a)
+        f = _x_space_f(p.engine, p.a)
         # the same matrices without eigenpairs take the LU path
         lu_engine = ResolventEngine(AffineLinear(p.h.matrix), p.m, p.lam, dim)
-        lu_f = lu_engine.affine_map(AffineLinear(p.a.matrix, p.a.offset))
+        lu_f = _x_space_f(lu_engine, AffineLinear(p.a.matrix, p.a.offset))
         for x in _probes(dim):
             _assert_close(f(x), lu_f(x))
 
@@ -366,25 +372,25 @@ class TestSpectralAffineMap:
         factored = _counting_lu(monkeypatch)
         p = gen_spd_linear(6, seed=1)
         q, offset = p.h.eigenpair[0], p.a.offset
-        spectral = p.engine.affine_map(p.a)
+        spectral = _x_space_f(p.engine, p.a)
         # equal bases that are not one object; an A without an eigenpair; a matrix M = I
         for a, m in [(AffineLinear(p.a.matrix, offset, (q.copy(), p.a.eigenpair[1])), p.m),
                      (AffineLinear(p.a.matrix, offset), p.m),
                      (p.a, LinearMonotone(np.eye(6)))]:
-            f = ResolventEngine(p.h, m, 0.6, 6).affine_map(a)
+            f = _x_space_f(ResolventEngine(p.h, m, 0.6, 6), a)
             for x in _probes(6):
                 _assert_close(f(x), spectral(x))
         assert len(factored) == 3
-        # without an eigenpair, affine_map reuses the LU that resolve made
+        # without an eigenpair, the dense form reuses the LU that resolve made
         engine = ResolventEngine(AffineLinear(p.h.matrix), p.m, 0.6, 6)
         engine.resolve(np.zeros(6))
-        engine.affine_map(p.a)
+        engine.fixed_point_map(p.a)
         assert len(factored) == 4
         # scalar weights stay a division, a scalar H and M with a matrix A too
         for engine, a, dim in [(gen_scalar_affine(lam=0.5).engine, gen_scalar_affine().a, 1),
                                (ResolventEngine(ScaledIdentity(1.0), ScaledIdentityMulti(1.0), 0.5, 3),
                                 AffineLinear(2.0 * np.eye(3), [1.0, 2.0, 3.0]), 3)]:
-            f = engine.affine_map(a)
+            f = _x_space_f(engine, a)
             for x in _probes(dim):
                 _assert_close(f(x), engine.resolve(engine.h.apply(x) - engine.lam * a.apply(x)))
         assert len(factored) == 4

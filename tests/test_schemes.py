@@ -138,7 +138,7 @@ class TestFMap:
 
     def test_known_solution_is_fixed_point(self):
         p = gen_scalar_affine(b=2.0, lam=0.5)
-        assert p.residual(p.known_solution) <= 1e-10
+        assert np.linalg.norm(p.f_map(p.known_solution) - p.known_solution) <= 1e-10
 
 
 class TestRunFH:
@@ -458,6 +458,8 @@ class TestAffineFastPath:
         # scalar weights make T = (1 - lam)/(1 + lam) a division and F(x) = T x + c bit for bit
         x = np.array([0.7])
         assert np.array_equal(p.f_map(x), (1.0 - lam) / (1.0 + lam) * x + lam * 2.0 / (1.0 + lam))
+        # that is the diagonal form with no basis, so runs evaluate F through f_map
+        assert p.engine.fixed_point_map(p.a)[0] is None and p.coordinates() == (None, p.f_map)
 
     @pytest.mark.parametrize("dim", [1, 6])
     def test_mixed_weights_match_resolvent(self, dim):
@@ -538,6 +540,10 @@ class TestAffineFastPath:
             tracemalloc.stop()
         assert peak < 2 ** 20  # a dim x dim matrix would take 200 MB
         assert np.allclose(fx, (0.4 * x + 0.3) / 1.3, rtol=0, atol=1e-15)
+        # the diagonal form G(x) = t*x + c with t = (h - lam*a)/k and c = lam*b_A/k, k = h + lam*m
+        basis, g = p.engine.fixed_point_map(p.a)
+        k = 1.0 + 0.3 * 1.0
+        assert basis is None and np.array_equal(g(x), (1.0 - 0.3 * 2.0) / k * x + 0.3 * np.ones(dim) / k)
 
 
 class TestEigenbasisHotPath:
@@ -555,6 +561,18 @@ class TestEigenbasisHotPath:
             del calls[:]
             trace = run_new(p, np.zeros(12), HALF, StoppingRule(tol=-1.0, max_steps=10))
             assert trace.steps_used == 10 and len(calls) == evaluations
+
+    def test_fixed_point_map_built_once(self, monkeypatch):
+        calls = []
+        fixed_point_map = ResolventEngine.fixed_point_map
+        monkeypatch.setattr(ResolventEngine, "fixed_point_map",
+                            lambda self, a_op: calls.append(1) or fixed_point_map(self, a_op))
+        p = gen_spd_linear(12, seed=1)
+        p.f_map(np.zeros(12))
+        assert p.coordinates()[0] is p.h.eigenpair[0]
+        for name in ("FH", "MANN", "NEW", "ZGY"):
+            run_scheme(name, p, np.zeros(12), HALF, HALF, StoppingRule(tol=-1.0, max_steps=5))
+        assert len(calls) == 1
 
     def test_back_map_memory_is_one_row_block(self):
         dim = 300
