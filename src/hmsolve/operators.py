@@ -98,12 +98,16 @@ class AffineLinear:
 
     A matrix W may come as an ``eigenpair`` (basis, values): an orthogonal Q
     and a vector w with W = Q diag(w) Q^T, kept read-only for
-    ``ResolventEngine.fixed_point_map`` and ``h_constants``. Given alone, it is the
-    weight: ``matrix`` (and ``weight``) is built as the symmetric part of
-    (Q w) Q^T on its first read, and never if nothing reads it. The eigenpair
-    is checked once on one seeded probe vector v, in O(n^2): Q(Q^T v) must give
-    v back and, when a weight is given too, Q(w * Q^T v) must give W v, each
-    to 1e-9 relative, else ``ValueError``.
+    ``ResolventEngine.fixed_point_map`` and ``h_constants``. Q is an n x n array
+    or any object that offers ``Q @ v``, ``Q.T @ v`` and ``Y @ Q.T`` and, for
+    ``numpy.asarray``, its dense form, such as the reflectors of
+    ``problems.ReflectorBasis``: every reader of the basis but ``matrix`` uses
+    its products only. Given alone, the eigenpair is the weight: ``matrix``
+    (and ``weight``) is built as the symmetric part of (Q w) Q^T on its first
+    read, and never if nothing reads it. The eigenpair is checked once on one
+    seeded probe vector v, in O(n^2): Q(Q^T v) must give v back and, when a
+    weight is given too, Q(w * Q^T v) must give W v, each to 1e-9 relative,
+    else ``ValueError``.
     """
 
     def __init__(self, weight=None, offset=None, eigenpair=None):
@@ -132,7 +136,12 @@ class AffineLinear:
         self.eigenpair = None if eigenpair is None else self._checked_eigenpair(*eigenpair, weight)
 
     def _checked_eigenpair(self, basis, values, weight):
-        basis, values = np.asarray(basis, dtype=float), np.asarray(values, dtype=float)
+        if isinstance(basis, np.ndarray) or not hasattr(basis, "T"):
+            # an array (or nested lists); any other basis is kept as it is, since
+            # numpy.asarray would build its dense form
+            basis = np.asarray(basis, dtype=float)
+            basis.setflags(write=False)
+        values = np.asarray(values, dtype=float)
         if (self.scale is not None or basis.shape != (self.dim, self.dim)
                 or values.shape != (self.dim,) or not np.isfinite(values).all()):
             raise ValueError("an eigenpair needs a matrix weight and an n x n basis with n finite values")
@@ -144,14 +153,14 @@ class AffineLinear:
                      or np.linalg.norm(basis @ (values * qv) - weight @ v)
                      <= _CONSISTENCY_TOL * size * np.max(np.abs(values)))):
             raise ValueError("the eigenpair does not reproduce the matrix on a probe vector")
-        basis.setflags(write=False)
         values.setflags(write=False)
         return basis, values
 
     @functools.cached_property
     def matrix(self):
-        # set in __init__ unless the eigenpair is the weight
+        # set in __init__ unless the eigenpair is the weight; the dense Q is built here if need be
         q, w = self.eigenpair
+        q = np.asarray(q)
         mat = (q * w) @ q.T
         mat = (mat + mat.T) / 2.0
         mat.setflags(write=False)

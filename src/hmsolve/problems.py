@@ -5,6 +5,8 @@ analytically exact for its operators and whose known_solution solves the
 inclusion 0 in A(x) + M(x) in closed form.
 """
 
+import functools
+
 import numpy as np
 from scipy.linalg import lapack
 
@@ -17,7 +19,7 @@ from .operators import (
 )
 from .schemes import ProblemInstance
 
-__all__ = ["gen_scalar_affine", "gen_spd_linear", "gen_soft_threshold"]
+__all__ = ["gen_scalar_affine", "gen_spd_linear", "gen_soft_threshold", "ReflectorBasis"]
 
 
 def gen_scalar_affine(b=2.0, lam=1.0):
@@ -37,14 +39,89 @@ def gen_scalar_affine(b=2.0, lam=1.0):
     )
 
 
-def _in_place(routine, a, *args):
-    """Run the LAPACK ``routine`` in place on the F-ordered float64 ``a``; its outputs without info."""
-    # scipy's default lwork is the unblocked minimum: ~3x slower at n = 1000
-    lwork = int(routine(a, *args, lwork=-1, overwrite_a=1)[-2][0])
-    *out, info = routine(a, *args, lwork=lwork, overwrite_a=1)
+def _in_place(routine, *args, lwork=None, overwrite="a"):
+    """Run the LAPACK ``routine`` in place on its F-ordered float64 argument ``overwrite``; its outputs without info.
+
+    ``lwork`` None takes the optimal workspace from a query: scipy's default is
+    the unblocked minimum, ~3x slower for a QR at n = 1000.
+    """
+    flags = {"overwrite_" + overwrite: 1}
+    if lwork is None:
+        lwork = int(routine(*args, lwork=-1, **flags)[-2][0])
+    *out, info = routine(*args, lwork=lwork, **flags)
     if info != 0:
         raise np.linalg.LinAlgError("%s failed with info %d" % (routine.__name__, info))
     return out
+
+
+class ReflectorBasis:
+    """An orthogonal n x n Q held as the Householder reflectors of its QR, never as a matrix.
+
+    Q = Q_r diag(s): Q_r is the product of the reflectors that ``dgeqrf`` left in
+    the F-ordered buffer ``qr`` and in ``tau`` (Golub and Van Loan, ch. 5), and s
+    holds the signs of diag(R). ``Q @ v`` and ``Q.T @ v``, for a vector or an
+    n x k matrix v, and ``Y @ Q.T``, for a k x n matrix Y, are each one
+    ``dormqr``, with the signs as exact flips: Q v = Q_r (s*v) and
+    Q^T v = s*(Q_r^T v). ``numpy.asarray(Q)`` is the dense Q, read-only and
+    C-ordered, built once on first read by ``dorgqr`` on a copy of the buffer.
+    LAPACK's unblocked ``dormqr`` may write into the buffer and restore it, so
+    one basis is not for products from several threads at once.
+    """
+
+    __array_ufunc__ = None  # ndarray @ Q defers to Q's own __rmatmul__
+
+    def __init__(self, qr, tau, signs):
+        for a in (qr, tau, signs):
+            a.setflags(write=False)
+        self._qr, self._tau, self._signs = qr, tau, signs
+        self.shape = qr.shape
+
+    @property
+    def T(self):
+        # a new view each time: a cached one would make a reference cycle, which keeps the
+        # n x n buffer alive after its instance until the cyclic collector runs
+        return _Transposed(self)
+
+    def _product(self, trans, c):
+        """Q_r c (``trans`` b"N") or Q_r^T c (b"T"), overwriting c: a new n-vector or F-ordered n x k matrix."""
+        block = c.reshape(self.shape[0], -1, order="F")
+        # under 8 columns the unblocked code wins: 0.5 against 1.6 ms for a vector at n = 1000
+        lwork = block.shape[1] if block.shape[1] < 8 else None
+        out = _in_place(lapack.dormqr, b"L", trans, self._qr, self._tau, block, lwork=lwork, overwrite="c")
+        return out[0].reshape(c.shape, order="F")
+
+    def __matmul__(self, v):
+        return self._product(b"N", np.multiply(np.asarray(v, dtype=float).T, self._signs).T)
+
+    @functools.cached_property
+    def _dense(self):
+        q = np.ascontiguousarray(_in_place(lapack.dorgqr, self._qr.copy(order="F"), self._tau)[0])
+        q *= self._signs
+        q.setflags(write=False)
+        return q
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._dense, dtype=dtype, copy=copy)
+
+
+class _Transposed:
+    """Q^T of a ``ReflectorBasis`` Q: ``Q.T @ v`` and ``Y @ Q.T``, and Q again as ``.T``."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, basis):
+        self.T, self.shape = basis, basis.shape
+
+    def __matmul__(self, v):
+        out = self.T._product(b"T", np.array(v, dtype=float, order="F"))
+        np.multiply(out.T, self.T._signs, out=out.T)
+        return out
+
+    def __rmatmul__(self, y):  # Y Q^T = (Q_r (s * Y^T))^T, where s * Y^T is the F-ordered (Y*s)^T
+        return self.T._product(b"N", np.multiply(y, self.T._signs).T).T
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(np.asarray(self.T).T, dtype=dtype, copy=copy)
 
 
 def _random_orthogonal(dim, rng):
@@ -52,12 +129,9 @@ def _random_orthogonal(dim, rng):
     # (Mezzadri 2007): those signs make Q Haar-distributed, the seed makes it
     # reproducible, and H, A, T, c and x* do not depend on them bit for bit,
     # since each sign multiplies both factors of every product. One F-ordered
-    # buffer holds G, then R and the reflectors, then Q; Q is returned C-ordered.
+    # buffer holds G, then R and the reflectors, which stay Q's only storage.
     qr, tau = _in_place(lapack.dgeqrf, np.asfortranarray(rng.standard_normal((dim, dim))))[:2]
-    signs = np.sign(np.diag(qr))
-    q = np.ascontiguousarray(_in_place(lapack.dorgqr, qr, tau)[0])
-    q *= signs
-    return q
+    return ReflectorBasis(qr, tau, np.sign(np.diag(qr)))
 
 
 def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
@@ -69,11 +143,13 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     A to H, making the cross-operator constant exact: with d = x - y,
     <A x - A y, H x - H y> = c_a ||H d||^2 >= c_a gamma^2 ||d||^2, so
     r = c_a*gamma^2 and s = c_a*tau. M = m*I gives eta = m. H and A are
-    given as eigenpairs on the one basis Q, so no n x n matrix but Q is built
-    here: a dense H or A is formed only when something reads its ``matrix``.
-    Q is drawn by one in-place LAPACK QR (``dgeqrf`` then ``dorgqr``) of a
-    seeded Gaussian matrix; each seed gives the same instance as the
-    sign-fixed ``numpy.linalg.qr`` factor of that draw.
+    given as eigenpairs on the one basis Q, and Q is a ``ReflectorBasis``:
+    the reflectors of one in-place LAPACK QR (``dgeqrf``) of a seeded Gaussian
+    matrix, each product with Q or Q^T one ``dormqr``. So the QR's buffer is
+    the one n x n array built here: a dense Q, H or A is formed only when
+    something reads it, and is then bit for bit the explicit sign-fixed
+    factor (``dorgqr``) that earlier versions kept and its products. The
+    floats of a run, x* included, differ from theirs at rounding level.
     The solution of (c_a*H + m*I) x = b is Q((Q^T b) / (c_a*h + m)) for H's
     spectrum h.
     """

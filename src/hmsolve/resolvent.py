@@ -98,15 +98,15 @@ class ResolventEngine:
     """Solver for u in H(x) + lam*M(x); the closed form keeps K's LU once ``resolve`` needs it."""
 
     inner_tolerance = 1e-12  # residual at which the iterative strategies stop
+    max_inner_steps = 100  # inner steps after which they raise ResolventDivergenceError
 
-    def __init__(self, h_op, m_op, lam, dim, max_inner_steps=100):
+    def __init__(self, h_op, m_op, lam, dim):
         if not (np.isfinite(lam) and lam > 0):
             raise ValueError("lam must be finite and strictly positive, got %r" % (lam,))
         self.h = h_op
         self.m = m_op
         self.lam = float(lam)
         self.dim = int(dim)
-        self.max_inner_steps = int(max_inner_steps)
         self.strategy = self._auto_strategy()
         # affine parts W x - b move their offsets into u: u + b_H + lam*b_M. A full
         # vector even when zero: without it spd-solve's peak RSS rose 7% (heap layout)

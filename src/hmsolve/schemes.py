@@ -235,7 +235,7 @@ class IterationTrace:
 
     ``wall_nanos[n]`` counts from the run's start, before Q^T x_0 and the first F
     evaluation, to the end of step n. It times the iteration loop only: on an eigenbasis
-    run the GEMMs that map iterates back to x, and the error norms, come after its last entry.
+    run the products that map iterates back to x, and the error norms, come after its last entry.
     """
 
     algorithm: str
@@ -250,7 +250,7 @@ class IterationTrace:
     diverged: bool = False
 
 
-#: rows of iterates mapped back to x-space per GEMM, which bounds that step's extra memory
+#: rows of iterates mapped back to x-space per product with Q^T, which bounds that step's extra memory
 BACK_MAP_ROWS = 64
 
 
@@ -265,9 +265,10 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
 
     Every step is a linear combination of x and F(x), so the loop runs in the
     coordinates y = Q^T x of ``problem.coordinates()``, with the residual
-    ||G(y) - y|| = ||F(x) - x||: O(n) per step on spectral problems. After the
-    loop the kept y_n become x_n = Q y_n (iterates[0] stays x_0), and the
-    errors are ||x_n - x*||.
+    ||G(y) - y|| = ||F(x) - x||: O(n) per step on spectral problems. A zero x_0
+    starts at y_0 = x_0 with no product. After the loop the kept y_n become
+    x_n = Q y_n, a block of rows Y at a time as Y Q^T (iterates[0] stays x_0),
+    and the errors are ||x_n - x*||.
     """
     name = name.upper()
     xi, mu = casting(name, xi, mu)
@@ -282,7 +283,7 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
     basis, g = problem.coordinates()
     start = time.perf_counter_ns()
 
-    y = x if basis is None else basis.T @ x
+    y = x if basis is None or not x.any() else basis.T @ x  # Q^T 0 = 0: a zero start needs no product
     gy = g(y)
     iterates = [x.copy()]
     residuals = [float(np.linalg.norm(gy - y))]

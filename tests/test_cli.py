@@ -327,7 +327,7 @@ class TestSweep:
 
 
 class TestSpdLinearStaysSpectral:
-    """spd-linear's H and A are eigenpairs: no subcommand reads their n x n matrices."""
+    """spd-linear's H and A are eigenpairs on reflectors: no subcommand reads an n x n matrix or Q."""
 
     @pytest.mark.parametrize("command", [
         ["solve", "--alg", "fh,zgy,mann,new"],
@@ -337,12 +337,17 @@ class TestSpdLinearStaysSpectral:
         ["sweep"],
     ])
     def test_no_dense_h_or_a(self, command, tmp_path, monkeypatch):
-        made = []
-        gen = problems.gen_spd_linear
+        made, orthogonalised = [], []
+        gen, dorgqr = problems.gen_spd_linear, problems.lapack.dorgqr
         monkeypatch.setattr(problems, "gen_spd_linear", lambda **kw: made.append(gen(**kw)) or made[-1])
+        monkeypatch.setattr(problems.lapack, "dorgqr",
+                            lambda *args, **kw: orthogonalised.append(1) or dorgqr(*args, **kw))
         assert main([*command, "--problem", "spd-linear", "--dim", "30", "--out", str(tmp_path)]) == EXIT_OK
         assert len(made) == 1
         assert not ("matrix" in vars(made[0].h) or "matrix" in vars(made[0].a))
+        assert orthogonalised == []  # Q stays its reflectors
+        np.asarray(made[0].h.eigenpair[0])
+        assert len(orthogonalised) == 2  # the dense Q's workspace query and its dorgqr
 
 
 class TestAudit:

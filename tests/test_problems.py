@@ -1,11 +1,16 @@
+import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from hmsolve import problems
-from hmsolve.operators import validate_constants
-from hmsolve.problems import gen_scalar_affine, gen_soft_threshold, gen_spd_linear
+from hmsolve.operators import AffineLinear, validate_constants
+from hmsolve.problems import ReflectorBasis, gen_scalar_affine, gen_soft_threshold, gen_spd_linear
+from hmsolve.schemes import StoppingRule, make_step_sequence, run_scheme
 
 
 @pytest.mark.parametrize("problem", [gen_scalar_affine(), gen_soft_threshold(dim=40)])
@@ -53,6 +58,7 @@ class TestSpdLinear:
         p = gen_spd_linear(dim, seed=dim)
         assert "matrix" not in vars(p.h) and "matrix" not in vars(p.a)
         q, h = p.h.eigenpair
+        q = np.asarray(q)
         dense = (q * h) @ q.T
         assert np.array_equal(p.h.matrix, (dense + dense.T) / 2.0)
         assert "matrix" not in vars(p.a)
@@ -65,14 +71,15 @@ class TestSpdLinear:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("dim", [1, 2, 7, 300])
     def test_basis_is_the_sign_fixed_qr_factor(self, dim, seed):
-        # the same draw through numpy's QR, columns times the signs of diag(R); a
-        # tolerance, since numpy and scipy may link different LAPACK builds
+        # the same draw through numpy's QR, columns times the signs of diag(R), against the
+        # basis's dense form; a tolerance, since numpy and scipy may link different LAPACK builds
         q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
         expected = q * np.sign(np.diag(r))
-        assert np.max(np.abs(problems._random_orthogonal(dim, np.random.default_rng(seed)) - expected)) <= 1e-13
+        basis = problems._random_orthogonal(dim, np.random.default_rng(seed))
+        assert np.max(np.abs(np.asarray(basis) - expected)) <= 1e-13
 
     def test_basis_is_c_ordered_and_read_only(self):
-        q = gen_spd_linear(20, seed=5).h.eigenpair[0]
+        q = np.asarray(gen_spd_linear(20, seed=5).h.eigenpair[0])
         assert q.flags.c_contiguous and not q.flags.writeable
 
     def test_generator_holds_few_n_by_n_buffers(self):
@@ -129,6 +136,126 @@ class TestSpdLinear:
     def test_contraction_below_one_at_default_lambda(self):
         for seed in range(5):
             assert gen_spd_linear(25, seed=seed).contraction_factor() < 1.0
+
+
+def _parent_q(dim, seed):
+    """The explicit Q that gen_spd_linear once kept: dgeqrf and dorgqr in place, a C-ordered copy, the signs."""
+    def optimal(routine, *args):
+        return int(routine(*args, lwork=-1, overwrite_a=1)[-2][0])
+
+    qr = np.asfortranarray(np.random.default_rng(seed).standard_normal((dim, dim)))
+    qr, tau = lapack.dgeqrf(qr, lwork=optimal(lapack.dgeqrf, qr), overwrite_a=1)[:2]
+    signs = np.sign(np.diag(qr))
+    q = np.ascontiguousarray(lapack.dorgqr(qr, tau, lwork=optimal(lapack.dorgqr, qr, tau), overwrite_a=1)[0])
+    q *= signs
+    return q
+
+
+def _close(x, y):
+    # rounding level: the reflectors and the explicit Q round differently
+    return np.max(np.abs(x - y)) <= 1e-13 * max(1.0, np.linalg.norm(y))
+
+
+class TestReflectorBasis:
+    """spd-linear's Q is the reflectors of its QR: products by dormqr, a dense Q only when read."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 300])
+    def test_dense_forms_are_the_parents_bit_for_bit(self, dim):
+        p = gen_spd_linear(dim, seed=dim, c_a=1.5)
+        q, h = p.h.eigenpair
+        assert isinstance(q, ReflectorBasis) and "_dense" not in vars(q)
+        expected = _parent_q(dim, dim)
+        assert np.array_equal(np.asarray(q), expected)
+        assert np.array_equal(np.asarray(q.T), expected.T)
+        for op, w in [(p.h, h), (p.a, 1.5 * h)]:
+            dense = (expected * w) @ expected.T
+            assert np.array_equal(op.matrix, (dense + dense.T) / 2.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 300])
+    def test_products_match_the_dense_q(self, dim):
+        p = gen_spd_linear(dim, seed=dim, c_a=2.0, m=0.5)
+        q, h = p.h.eigenpair
+        dense = _parent_q(dim, dim)
+        b = p.a.offset
+        rng = np.random.default_rng(dim)
+        v, y = rng.standard_normal(dim), rng.standard_normal((70, dim))
+        assert _close(q.T @ b, dense.T @ b)
+        assert _close(q @ v, dense @ v)
+        assert _close(y @ q.T, y @ dense.T)
+        assert _close(q @ y.T, dense @ y.T) and _close(q.T @ y.T, dense.T @ y.T)
+        assert _close(p.known_solution, dense @ ((dense.T @ b) / (2.0 * h + 0.5)))
+        assert "_dense" not in vars(q)
+
+    def test_products_leave_their_operands_alone(self):
+        q = gen_spd_linear(9, seed=1).h.eigenpair[0]
+        v, y = np.linspace(-1.0, 1.0, 9), np.ones((3, 9))
+        before = (v.copy(), y.copy())
+        q @ v, q.T @ v, y @ q.T
+        assert np.array_equal(v, before[0]) and np.array_equal(y, before[1])
+        assert q.T.T is q and q.T.shape == q.shape == (9, 9)
+
+    def test_buffer_freed_with_its_instance(self):
+        # no reference cycle: the QR's n x n buffer goes when the instance does, not at a
+        # later cyclic collection (a cycle raised spd-solve's peak RSS by one buffer)
+        gc.disable()
+        try:
+            p = gen_spd_linear(50, seed=1)
+            p.coordinates()
+            basis = weakref.ref(p.h.eigenpair[0])
+            assert basis().T.T is basis()
+            del p
+            assert basis() is None
+        finally:
+            gc.enable()
+
+    def test_no_silent_dense_form(self):
+        # only @ and .T are offered: anything else raises rather than build Q
+        q, h = gen_spd_linear(5, seed=1).h.eigenpair
+        for op in (lambda: q * h, lambda: np.ones((2, 5)) @ q, lambda: q + q):
+            with pytest.raises(TypeError):
+                op()
+        assert "_dense" not in vars(q)
+
+    @pytest.mark.parametrize("dim", [1, 7, 200])
+    @pytest.mark.parametrize("name", ["FH", "NEW"])
+    def test_runs_match_the_dense_q(self, dim, name):
+        # the same eigenpairs on the explicit Q: one basis object, so the same diagonal form
+        p = gen_spd_linear(dim, seed=dim)
+        (q, h), a = p.h.eigenpair, p.a.eigenpair[1]
+        dense = _parent_q(dim, dim)
+        on_dense = dataclasses.replace(p, h=AffineLinear(eigenpair=(dense, h)),
+                                       a=AffineLinear(offset=p.a.offset, eigenpair=(dense, a)))
+        assert on_dense.coordinates()[0] is dense
+        x0 = np.random.default_rng(dim).standard_normal(dim)
+        half = make_step_sequence("constant", value=0.5)
+        stop = StoppingRule(tol=-1.0, max_steps=150)  # three row blocks of kept iterates
+        reflected, explicit = (run_scheme(name, problem, x0, mu=half, stop=stop) for problem in (p, on_dense))
+        assert reflected.steps_used == explicit.steps_used == 150
+        for field in ("iterates", "residuals", "errors"):
+            assert _close(np.array(getattr(reflected, field)), np.array(getattr(explicit, field))), field
+
+    @pytest.mark.parametrize("weight", [False, True])
+    @pytest.mark.parametrize("form", ["reflectors", "array"])
+    def test_probe_rejects_a_bad_basis(self, form, weight):
+        dim = 6
+        draw = np.asfortranarray(np.random.default_rng(3).standard_normal((dim, dim)))
+        qr, tau = problems._in_place(lapack.dgeqrf, draw)[:2]
+        signs = np.sign(np.diag(qr))
+        good = ReflectorBasis(qr, tau, signs)
+        w = np.linspace(1.0, 2.0, dim)
+        dense = np.asarray(good)
+        mat = (dense * w) @ dense.T if weight else None
+        # halving tau leaves reflectors that are not orthogonal
+        bad = ReflectorBasis(qr.copy(order="F"), 0.5 * tau, signs.copy())
+        wrong = [(bad, w), (ReflectorBasis(qr[:5, :5].copy(order="F"), tau[:5].copy(), signs[:5].copy()), w)]
+        if weight:  # the right basis with the values in the wrong order
+            wrong.append((good, w[::-1]))
+        if form == "array":
+            wrong = [(np.array(basis), values) for basis, values in wrong]
+        AffineLinear(mat, eigenpair=(good if form == "reflectors" else dense, w))
+        for basis, values in wrong:
+            with pytest.raises(ValueError):
+                AffineLinear(mat, eigenpair=(basis, values))
 
 
 class TestSoftThreshold:

@@ -153,8 +153,9 @@ class TestResolve:
         eng = ResolventEngine(_tanh_op(), m, 1.3, dim=dim)
         assert np.array_equal(eng.resolve(u), _scalar_reference(eng, u))
 
-    def test_separable_cap_names_coordinate(self):
-        eng = ResolventEngine(_tanh_op(), ScaledIdentityMulti(1), 1.0, dim=2, max_inner_steps=1)
+    def test_separable_cap_names_coordinate(self, monkeypatch):
+        monkeypatch.setattr(ResolventEngine, "max_inner_steps", 1)
+        eng = ResolventEngine(_tanh_op(), ScaledIdentityMulti(1), 1.0, dim=2)
         with pytest.raises(ResolventDivergenceError, match=r"coordinate 1: \|g\(t\) - target\|"):
             eng.resolve(np.array([0.0, 7.5]))
 
@@ -182,10 +183,9 @@ class TestResolve:
         assert eng.strategy == strategy
         assert not np.isfinite(eng.resolve(np.array([0.3, bad, -2.0]))).any()
 
-    def test_divergence_error_on_tiny_cap(self):
-        eng = ResolventEngine(
-            _tanh_op(), LinearMonotone(np.eye(2)), 1.0, dim=2, max_inner_steps=1
-        )
+    def test_divergence_error_on_tiny_cap(self, monkeypatch):
+        monkeypatch.setattr(ResolventEngine, "max_inner_steps", 1)
+        eng = ResolventEngine(_tanh_op(), LinearMonotone(np.eye(2)), 1.0, dim=2)
         with pytest.raises(ResolventDivergenceError):
             eng.resolve(np.array([10.0, -10.0]))
 
@@ -324,6 +324,7 @@ class TestSpectralAffineMap:
         t = (h - p.lam * a) / k
         if dim > 1:  # one eigenvalue has one sign
             assert set(np.sign(t)) == {"positive": {1.0}, "negative": {-1.0}, "mixed": {1.0, -1.0}}[t_signs]
+        q = np.asarray(q)
         dense_t = (q * t) @ q.T
         c = q @ ((q.T @ (p.lam * p.a.offset)) / k)
         for x in _probes(dim, dim):
@@ -373,8 +374,9 @@ class TestSpectralAffineMap:
         p = gen_spd_linear(6, seed=1)
         q, offset = p.h.eigenpair[0], p.a.offset
         spectral = _x_space_f(p.engine, p.a)
-        # equal bases that are not one object; an A without an eigenpair; a matrix M = I
-        for a, m in [(AffineLinear(p.a.matrix, offset, (q.copy(), p.a.eigenpair[1])), p.m),
+        # equal bases that are not one object (here the dense Q); an A without an
+        # eigenpair; a matrix M = I
+        for a, m in [(AffineLinear(p.a.matrix, offset, (np.array(q), p.a.eigenpair[1])), p.m),
                      (AffineLinear(p.a.matrix, offset), p.m),
                      (p.a, LinearMonotone(np.eye(6)))]:
             f = _x_space_f(ResolventEngine(p.h, m, 0.6, 6), a)

@@ -574,6 +574,28 @@ class TestEigenbasisHotPath:
             run_scheme(name, p, np.zeros(12), HALF, HALF, StoppingRule(tol=-1.0, max_steps=5))
         assert len(calls) == 1
 
+    def test_zero_start_needs_no_product(self):
+        # y_0 = x_0 = 0, which Q^T 0 gives bit for bit; a nonzero start takes Q^T x_0
+        p = gen_spd_linear(12, seed=1)
+        basis, g = p.coordinates()
+        used = []
+
+        class Watched:
+            @property
+            def T(self):
+                used.append(1)
+                return basis.T
+
+        p.coordinates = lambda: (Watched(), g)
+        stop = StoppingRule(tol=-1.0, max_steps=0)
+        assert run_fh(p, np.zeros(12), stop).iterates[0].tolist() == [0.0] * 12
+        assert used == []
+        run_fh(p, np.full(12, 0.5), stop)
+        assert used == [1]
+        # kept iterates still go back to x, one row block at a time
+        trace = run_fh(p, np.zeros(12), StoppingRule(tol=-1.0, max_steps=2 * BACK_MAP_ROWS))
+        assert len(used) == 3 and len(trace.iterates) == 2 * BACK_MAP_ROWS + 1
+
     def test_back_map_memory_is_one_row_block(self):
         dim = 300
         p = gen_spd_linear(dim, seed=1)
