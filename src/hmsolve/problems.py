@@ -43,7 +43,7 @@ def _in_place(routine, *args, lwork=None, overwrite="a"):
     """Run the LAPACK ``routine`` in place on its F-ordered float64 argument ``overwrite``; its outputs without info.
 
     ``lwork`` None takes the optimal workspace from a query: scipy's default is
-    the unblocked minimum, ~3x slower for a QR at n = 1000.
+    the unblocked minimum, ~3x slower for ``dorgqr`` at n = 1000.
     """
     flags = {"overwrite_" + overwrite: 1}
     if lwork is None:
@@ -55,11 +55,12 @@ def _in_place(routine, *args, lwork=None, overwrite="a"):
 
 
 class ReflectorBasis:
-    """An orthogonal n x n Q held as the Householder reflectors of its QR, never as a matrix.
+    """An orthogonal n x n Q held as Householder reflectors, never as a matrix.
 
-    Q = Q_r diag(s): Q_r is the product of the reflectors that ``dgeqrf`` left in
-    the F-ordered buffer ``qr`` and in ``tau`` (Golub and Van Loan, ch. 5), and s
-    holds the signs of diag(R). ``Q @ v`` and ``Q.T @ v``, for a vector or an
+    Q = Q_r diag(s): Q_r is the product of the reflectors stored as LAPACK's QR
+    routines store them (Golub and Van Loan, ch. 5), each below the diagonal of
+    its column of the F-ordered buffer ``qr`` with its scalar in ``tau``, and s
+    holds n signs. ``Q @ v`` and ``Q.T @ v``, for a vector or an
     n x k matrix v, and ``Y @ Q.T``, for a k x n matrix Y, are each one
     ``dormqr``, with the signs as exact flips: Q v = Q_r (s*v) and
     Q^T v = s*(Q_r^T v). ``numpy.asarray(Q)`` is the dense Q, read-only and
@@ -125,12 +126,22 @@ class _Transposed:
 
 
 def _random_orthogonal(dim, rng):
-    # Q of G = QR for a Gaussian G, its columns times the signs of diag(R)
-    # (Mezzadri 2007): those signs make Q Haar-distributed, the seed makes it
-    # reproducible, and H, A, T, c and x* do not depend on them bit for bit,
-    # since each sign multiplies both factors of every product. One F-ordered
-    # buffer holds G, then R and the reflectors, which stay Q's only storage.
-    qr, tau = _in_place(lapack.dgeqrf, np.asfortranarray(rng.standard_normal((dim, dim))))[:2]
+    # Haar Q as n - 1 random Householder reflectors (Stewart, SIAM J. Numer. Anal.
+    # 17 (1980) 403-409): column j of the one F-ordered buffer gets n - j fresh
+    # normals, and ``dlarfg`` turns them in place into beta on the diagonal, the
+    # reflector below it and tau_j, as ``dgeqrf`` does per column, with O(n^2)
+    # work in all. The law is that of the sign-fixed QR factor of a Gaussian
+    # matrix (Mezzadri 2007): a QR's trailing update leaves an iid Gaussian block,
+    # independent of the reflectors already formed (orthogonal invariance), so
+    # its reflectors are those of independent Gaussian columns. The last column
+    # gets no reflector (tau = 0), as in ``dgeqrf``, and the signs of the betas
+    # make Q diag(s) Haar; H, A, T, c and x* do not depend on them bit for bit,
+    # since each sign multiplies both factors of every product.
+    qr, tau = np.zeros((dim, dim), order="F"), np.zeros(dim)
+    for j in range(dim):
+        column = rng.standard_normal(out=qr[j:, j])
+        if j < dim - 1:
+            column[0], _, tau[j] = lapack.dlarfg(dim - j, column[0], column[1:], overwrite_x=1)
     return ReflectorBasis(qr, tau, np.sign(np.diag(qr)))
 
 
@@ -144,14 +155,14 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     <A x - A y, H x - H y> = c_a ||H d||^2 >= c_a gamma^2 ||d||^2, so
     r = c_a*gamma^2 and s = c_a*tau. M = m*I gives eta = m. H and A are
     given as eigenpairs on the one basis Q, and Q is a ``ReflectorBasis``:
-    the reflectors of one in-place LAPACK QR (``dgeqrf``) of a seeded Gaussian
-    matrix, each product with Q or Q^T one ``dormqr``. So the QR's buffer is
-    the one n x n array built here: a dense Q, H or A is formed only when
-    something reads it, and is then bit for bit the explicit sign-fixed
-    factor (``dorgqr``) that earlier versions kept and its products. The
-    floats of a run, x* included, differ from theirs at rounding level.
-    The solution of (c_a*H + m*I) x = b is Q((Q^T b) / (c_a*h + m)) for H's
-    spectrum h.
+    n - 1 Householder reflectors drawn from the seed in place by ``dlarfg``,
+    in O(n^2) work with no QR, a Haar-distributed Q (Stewart 1980), each
+    product with Q or Q^T one ``dormqr``. So the reflectors' buffer is the one
+    n x n array built here: a dense Q, H or A is formed (by ``dorgqr``) only
+    when something reads it. A seed names a different Q and b than in
+    versions that took Q from the QR of a Gaussian matrix; the spectrum, the
+    constants and the law of Q are the same. The solution of
+    (c_a*H + m*I) x = b is Q((Q^T b) / (c_a*h + m)) for H's spectrum h.
     """
     lo, hi = float(eigen_range[0]), float(eigen_range[1])
     if not (0 < lo <= hi) or dim < 1:

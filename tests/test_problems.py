@@ -71,20 +71,52 @@ class TestSpdLinear:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("dim", [1, 2, 7, 300])
     def test_basis_is_the_sign_fixed_qr_factor(self, dim, seed):
-        # the same draw through numpy's QR, columns times the signs of diag(R), against the
-        # basis's dense form; a tolerance, since numpy and scipy may link different LAPACK builds
-        q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
-        expected = q * np.sign(np.diag(r))
+        # the reflectors, betas and signs are numpy's replay of the same draws to a few ulps
         basis = problems._random_orthogonal(dim, np.random.default_rng(seed))
-        assert np.max(np.abs(np.asarray(basis) - expected)) <= 1e-13
+        buffer, tau = _replay(dim, seed)
+        np.testing.assert_array_max_ulp(basis._qr, buffer, maxulp=8)
+        np.testing.assert_array_max_ulp(basis._tau, tau, maxulp=8)
+        assert np.array_equal(basis._signs, np.sign(np.diag(buffer)))
+        # and Q is the sign-fixed QR factor of G = Q_r R, R upper triangular with the betas on
+        # its diagonal and fresh normals above: a Gaussian matrix whose QR meets the same draws
+        # (Stewart 1980), through numpy's QR; a tolerance, as numpy and scipy may link different
+        # LAPACK builds
+        upper = np.triu(np.random.default_rng(seed + 100).standard_normal((dim, dim)), 1) + np.diag(np.diag(buffer))
+        q, r = np.linalg.qr(_householder_q(buffer, tau, np.ones(dim)) @ upper)
+        assert np.max(np.abs(np.asarray(basis) - q * np.sign(np.diag(r)))) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_basis_is_haar(self, dim):
+        # moments of a Haar Q over 4000 seeds: E tr Q = 0, E (tr Q)^2 = 1, E Q_00^2 = 1/n
+        # (each about 0.02 by sampling); Q without its signs gives E tr Q = 0.83 at dim 4
+        qs = np.array([np.asarray(problems._random_orthogonal(dim, np.random.default_rng(seed)))
+                       for seed in range(4000)])
+        trace = np.trace(qs, axis1=1, axis2=2)
+        assert abs(np.mean(trace)) <= 0.1
+        assert abs(np.mean(trace ** 2) - 1.0) <= 0.1
+        assert abs(np.mean(qs[:, 0, 0] ** 2) - 1.0 / dim) <= 0.03
+
+    def test_generator_runs_no_qr(self, monkeypatch):
+        # n - 1 reflectors from dlarfg, no dgeqrf: O(n^2) work for Q
+        calls = {"dgeqrf": 0, "dlarfg": 0}
+        for name in calls:
+            monkeypatch.setattr(lapack, name, _counted(getattr(lapack, name), calls, name))
+        gen_spd_linear(40, seed=3)
+        assert calls == {"dgeqrf": 0, "dlarfg": 39}
+
+    def test_seed_names_a_fixed_instance(self):
+        # a golden pin: a change to the seed -> instance map shows here
+        expected = [-0.3593828861116359, -0.25440766869002945, -0.16525191028707714,
+                    0.19390648449990344, 0.5076479779289605]
+        np.testing.assert_allclose(gen_spd_linear(5, seed=0).known_solution, expected, rtol=1e-14, atol=0)
 
     def test_basis_is_c_ordered_and_read_only(self):
         q = np.asarray(gen_spd_linear(20, seed=5).h.eigenpair[0])
         assert q.flags.c_contiguous and not q.flags.writeable
 
     def test_generator_holds_few_n_by_n_buffers(self):
-        # one F-ordered buffer for the QR and the returned C-ordered Q at most:
-        # a copy that f2py makes of a non-Fortran input, or numpy's QR, peaks at ~4 n^2
+        # one F-ordered buffer for the reflectors and nothing else n x n: a QR of a
+        # Gaussian draw peaks at 2 n^2, a copy that f2py makes of a non-Fortran input too
         dim = 300
         gen_spd_linear(2)
         tracemalloc.start()
@@ -93,7 +125,7 @@ class TestSpdLinear:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * dim * dim
+        assert peak <= 1.5 * 8 * dim * dim
 
     def test_lapack_failure_raises(self):
         def dgeqrf(a, lwork, overwrite_a):
@@ -138,17 +170,47 @@ class TestSpdLinear:
             assert gen_spd_linear(25, seed=seed).contraction_factor() < 1.0
 
 
-def _parent_q(dim, seed):
-    """The explicit Q that gen_spd_linear once kept: dgeqrf and dorgqr in place, a C-ordered copy, the signs."""
+def _replay(dim, seed):
+    """The buffer and tau that the generator's draws give, by numpy: per column j, n - j normals x,
+    beta = -sign(x_0) ||x|| on the diagonal, v = x[1:] / (x_0 - beta) below it, tau_j = (beta - x_0) / beta;
+    the last column keeps its one draw and tau = 0."""
+    rng = np.random.default_rng(seed)
+    buffer, tau = np.zeros((dim, dim)), np.zeros(dim)
+    for j in range(dim):
+        x = rng.standard_normal(dim - j)
+        buffer[j, j] = alpha = x[0]
+        if j < dim - 1:
+            buffer[j, j] = beta = -np.copysign(np.linalg.norm(x), alpha)
+            tau[j], buffer[j + 1:, j] = (beta - alpha) / beta, x[1:] / (alpha - beta)
+    return buffer, tau
+
+
+def _householder_q(buffer, tau, signs):
+    """(H_0 ... H_{n-1}) diag(signs) for H_j = I - tau_j u u^T, u = (0, ..., 0, 1, buffer[j+1:, j]), by numpy."""
+    q = np.eye(len(tau))
+    for j in reversed(range(len(tau))):
+        u = np.concatenate(([1.0], buffer[j + 1:, j]))
+        q[j:] -= tau[j] * np.outer(u, u @ q[j:])
+    return q * signs
+
+
+def _dorgqr_q(basis):
+    """The dense Q as earlier versions built it from the same buffer: dorgqr in place, a C-ordered copy, the signs."""
     def optimal(routine, *args):
         return int(routine(*args, lwork=-1, overwrite_a=1)[-2][0])
 
-    qr = np.asfortranarray(np.random.default_rng(seed).standard_normal((dim, dim)))
-    qr, tau = lapack.dgeqrf(qr, lwork=optimal(lapack.dgeqrf, qr), overwrite_a=1)[:2]
-    signs = np.sign(np.diag(qr))
-    q = np.ascontiguousarray(lapack.dorgqr(qr, tau, lwork=optimal(lapack.dorgqr, qr, tau), overwrite_a=1)[0])
-    q *= signs
+    qr = basis._qr.copy(order="F")
+    q = lapack.dorgqr(qr, basis._tau, lwork=optimal(lapack.dorgqr, qr, basis._tau), overwrite_a=1)[0]
+    q = np.ascontiguousarray(q)
+    q *= basis._signs
     return q
+
+
+def _counted(routine, calls, name):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return routine(*args, **kwargs)
+    return wrapper
 
 
 def _close(x, y):
@@ -157,14 +219,16 @@ def _close(x, y):
 
 
 class TestReflectorBasis:
-    """spd-linear's Q is the reflectors of its QR: products by dormqr, a dense Q only when read."""
+    """spd-linear's Q is Householder reflectors: products by dormqr, a dense Q only when read."""
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 300])
     def test_dense_forms_are_the_parents_bit_for_bit(self, dim):
+        # the parent's dense construction from the buffer, and a Householder product by numpy
         p = gen_spd_linear(dim, seed=dim, c_a=1.5)
         q, h = p.h.eigenpair
         assert isinstance(q, ReflectorBasis) and "_dense" not in vars(q)
-        expected = _parent_q(dim, dim)
+        expected = _dorgqr_q(q)
+        assert np.max(np.abs(expected - _householder_q(q._qr, q._tau, q._signs))) <= 1e-14
         assert np.array_equal(np.asarray(q), expected)
         assert np.array_equal(np.asarray(q.T), expected.T)
         for op, w in [(p.h, h), (p.a, 1.5 * h)]:
@@ -175,7 +239,7 @@ class TestReflectorBasis:
     def test_products_match_the_dense_q(self, dim):
         p = gen_spd_linear(dim, seed=dim, c_a=2.0, m=0.5)
         q, h = p.h.eigenpair
-        dense = _parent_q(dim, dim)
+        dense = _householder_q(q._qr, q._tau, q._signs)
         b = p.a.offset
         rng = np.random.default_rng(dim)
         v, y = rng.standard_normal(dim), rng.standard_normal((70, dim))
@@ -222,7 +286,7 @@ class TestReflectorBasis:
         # the same eigenpairs on the explicit Q: one basis object, so the same diagonal form
         p = gen_spd_linear(dim, seed=dim)
         (q, h), a = p.h.eigenpair, p.a.eigenpair[1]
-        dense = _parent_q(dim, dim)
+        dense = _householder_q(q._qr, q._tau, q._signs)
         on_dense = dataclasses.replace(p, h=AffineLinear(eigenpair=(dense, h)),
                                        a=AffineLinear(offset=p.a.offset, eigenpair=(dense, a)))
         assert on_dense.coordinates()[0] is dense
@@ -233,6 +297,14 @@ class TestReflectorBasis:
         assert reflected.steps_used == explicit.steps_used == 150
         for field in ("iterates", "residuals", "errors"):
             assert _close(np.array(getattr(reflected, field)), np.array(getattr(explicit, field))), field
+
+    def test_a_shared_basis_is_probed_once(self, monkeypatch):
+        # x* takes 2 products, H's probe 2 and F's c_hat 1; A's probe of the same basis takes none
+        calls = {"dormqr": 0}
+        monkeypatch.setattr(lapack, "dormqr", _counted(lapack.dormqr, calls, "dormqr"))
+        p = gen_spd_linear(30, seed=1)
+        p.coordinates()
+        assert calls == {"dormqr": 5}
 
     @pytest.mark.parametrize("weight", [False, True])
     @pytest.mark.parametrize("form", ["reflectors", "array"])
