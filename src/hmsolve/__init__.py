@@ -26,10 +26,9 @@ from .operators import (
     ShiftedSubdifferential,
     UnsupportedOperatorError,
     catalog_constants,
-    validate_constants,
 )
 from .problems import gen_scalar_affine, gen_soft_threshold, gen_spd_linear
-from .resolvent import ResolventDivergenceError, ResolventEngine, resolvent_lipschitz_bound
+from .resolvent import ResolventDivergenceError, ResolventEngine
 from .schemes import (
     IterationTrace,
     ProblemInstance,

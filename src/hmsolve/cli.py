@@ -6,7 +6,7 @@ keys ``problem``, ``algorithms``, ``sequences``, ``lambda``, ``stopping``,
 are data-only (CSV/JSON); plotting is downstream.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible constants (or declared
-constants that sampling falsifies), 3 numerical failure.
+constants that the exact ones contradict), 3 numerical failure.
 """
 
 import argparse
@@ -22,12 +22,13 @@ import numpy as np
 
 from . import analysis, problems, schemes
 from .operators import (
+    _CONSISTENCY_TOL,
     AffineLinear,
     InconsistentConstantsError,
     OperatorConstants,
     ScaledIdentity,
     ShiftedSubdifferential,
-    validate_constants,
+    catalog_constants,
 )
 from .resolvent import ResolventDivergenceError
 from .schemes import ProblemInstance, StoppingRule, as_vector, make_step_sequence
@@ -89,15 +90,18 @@ def _operator_from_dict(d, multivalued=False):
     raise UsageError("unknown %soperator kind %r" % ("multivalued " if multivalued else "", kind))
 
 
-#: random pairs on which an ``explicit`` problem's declared constants must hold
-_EXPLICIT_SAMPLES = 100
+#: (constant, the inequality it states, +1 if it bounds from below, -1 if from above)
+_INEQUALITIES = (("tau", "h_lipschitz", -1), ("gamma", "h_strong_monotone", 1),
+                 ("s", "a_lipschitz", -1), ("r", "a_strong_monotone_wrt_h", 1),
+                 ("eta", "m_strong_monotone", 1))
 
 
 def _explicit(dim, h, a, m, constants, lam=1.0, known_solution=None):
     """A ProblemInstance from operators and constants given inline.
 
-    The declared constants are checked on seeded random pairs: an inequality
-    that sampling falsifies makes them inconsistent.
+    Each declared constant is held against the exact one of ``catalog_constants``:
+    gamma, r and eta may not exceed it and tau and s may not fall below it, to a
+    relative ``_CONSISTENCY_TOL``; else the constants are inconsistent.
     """
     inst = ProblemInstance(
         h=_operator_from_dict(h), a=_operator_from_dict(a),
@@ -105,13 +109,12 @@ def _explicit(dim, h, a, m, constants, lam=1.0, known_solution=None):
         constants=OperatorConstants(**constants), lam=float(lam), dim=int(dim),
         known_solution=known_solution, metadata={"kind": "explicit"},
     )
-    report = validate_constants(inst.h, inst.a, inst.m, inst.constants,
-                                samples=_EXPLICIT_SAMPLES, seed=0, dim=inst.dim)
-    if not report.passed:
-        v = report.violations[0]
-        raise InconsistentConstantsError(
-            "declared constants fail %s on sampled pair %d: %.6g vs %.6g"
-            % (v.check, v.sample_index, v.lhs, v.rhs))
+    exact = catalog_constants(inst.h, inst.a, inst.m)
+    for name, inequality, side in _INEQUALITIES:
+        declared, best = getattr(inst.constants, name), getattr(exact, name)
+        if not side * (declared - best) <= _CONSISTENCY_TOL * best:
+            raise InconsistentConstantsError("declared %s = %.6g fails %s: the exact %s is %.6g"
+                                             % (name, declared, inequality, name, best))
     return inst
 
 

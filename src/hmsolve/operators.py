@@ -9,7 +9,8 @@ Q diag(w) Q^T given alone builds only when read. ``ScaledIdentity``
 (alias ``ScaledIdentityMulti``) and ``LinearMonotone`` are its scalar and
 symmetric-matrix cases. ``DiagonalNonlinear`` is the nonlinear coordinatewise
 H, ``ShiftedSubdifferential`` the genuinely multivalued coordinatewise M.
-The catalog functions read the five constants off these kinds exactly.
+``catalog_constants`` is the one place that states the five constants of a
+triple of these kinds: the exact best value of each, never an estimate.
 
 Naming convention for the five constants: gamma and tau are H's strong
 monotonicity and Lipschitz constants, r and s are A's strong monotonicity
@@ -21,7 +22,7 @@ assignment above throughout.)
 import contextlib
 import functools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +36,7 @@ __all__ = [
     "LinearMonotone",
     "ScaledIdentityMulti",
     "ShiftedSubdifferential",
-    "h_constants",
-    "coupling_constants",
-    "m_constant",
     "catalog_constants",
-    "Violation",
-    "ValidationReport",
-    "validate_constants",
 ]
 
 _CONSISTENCY_TOL = 1e-9
@@ -96,12 +91,12 @@ class AffineLinear:
     """x -> W x - offset, as H, as A or as a linear (single-valued) M.
 
     The weight W is a positive scalar w, meaning w*I in any dimension unless
-    an offset fixes it, or a square matrix; ``scale`` and ``matrix`` hold the
+    an offset fixes it, or a finite square matrix; ``scale`` and ``matrix`` hold the
     one that applies and are None otherwise. As M, ``selection`` is ``apply``.
 
     A matrix W may come as an ``eigenpair`` (basis, values): an orthogonal Q
     and a vector w with W = Q diag(w) Q^T, kept read-only for
-    ``ResolventEngine.fixed_point_map`` and ``h_constants``. Q is an n x n array
+    ``ResolventEngine.fixed_point_map`` and ``catalog_constants``. Q is an n x n array
     or any object that offers ``Q @ v``, ``Q.T @ v`` and ``Y @ Q.T`` and, for
     ``numpy.asarray``, its dense form, such as the reflectors of
     ``problems.ReflectorBasis``: every reader of the basis but ``matrix`` uses
@@ -125,6 +120,8 @@ class AffineLinear:
                 self.weight = self.scale = float(weight)
                 self.matrix, self.dim = None, None
             elif weight.ndim == 2 and weight.shape[0] == weight.shape[1]:
+                if not np.isfinite(weight).all():
+                    raise ValueError("a matrix weight must be finite")
                 self.weight = self.matrix = weight
                 self.scale, self.dim = None, weight.shape[0]
                 weight.setflags(write=False)
@@ -261,142 +258,45 @@ class ShiftedSubdifferential:
 # catalog constants
 
 
-def _spd_extremes(op):
-    # read off the eigenpair when there is one, so that no matrix is built
-    if op.eigenpair is not None:
-        eigs = np.sort(op.eigenpair[1])
-    else:
-        eigs = np.linalg.eigvalsh((op.matrix + op.matrix.T) / 2.0)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    if lo <= 0:
-        raise UnsupportedOperatorError("matrix is not positive definite")
-    return lo, hi
+def _diagonal(op):
+    """(Q, w) with W = Q diag(w) Q^T: (None, w) for a scalar weight, else the eigenpair or None."""
+    return (None, op.scale) if op.scale is not None else op.eigenpair
 
 
-def _check_affine(op, role):
-    if not isinstance(op, AffineLinear):
-        raise UnsupportedOperatorError("no cataloged constants for %r as %s" % (op, role))
-
-
-def h_constants(op):
-    """(gamma, tau) for a catalog single-valued operator."""
-    if isinstance(op, DiagonalNonlinear):
-        return op.deriv_range
-    _check_affine(op, "H")
-    if op.scale is not None:
-        return op.scale, op.scale
-    if op.eigenpair is None and not np.allclose(op.matrix, op.matrix.T, rtol=0, atol=1e-12):
-        raise UnsupportedOperatorError(
-            "constants for non-symmetric affine operators are not cataloged"
-        )
-    return _spd_extremes(op)
-
-
-def coupling_constants(a_op, h_op):
-    """(r, s): A's strong monotonicity w.r.t. H and A's Lipschitz constant.
-
-    Cataloged for affine A and H only; the cross-operator constant r is
-    exact for these, never estimated.
-    """
-    _check_affine(a_op, "A")
-    _check_affine(h_op, "H")
-    if a_op.scale is not None:  # <a d, W_H d> >= a*gamma ||d||^2
-        return a_op.scale * h_constants(h_op)[0], a_op.scale
-    if h_op.scale is not None:  # <W_A d, h d> >= h*lo(W_A) ||d||^2
-        lo, hi = h_constants(a_op)
-        return h_op.scale * lo, hi
-    # cataloged only when A's matrix is a positive multiple of H's,
-    # where <c*W d, W d> = c ||W d||^2 >= c*gamma^2 ||d||^2 exactly
-    wa, wh = a_op.matrix, h_op.matrix
-    c = float(np.sum(wa * wh)) / float(np.sum(wh * wh))
-    if c <= 0 or not np.allclose(wa, c * wh, rtol=1e-9, atol=1e-12):
-        raise UnsupportedOperatorError(
-            "affine A must be a positive multiple of H for exact coupling constants"
-        )
-    gamma, tau = h_constants(h_op)
-    return c * gamma * gamma, c * tau
-
-
-def m_constant(m_op):
-    """eta for a catalog multivalued operator."""
-    if isinstance(m_op, ShiftedSubdifferential):
-        return m_op.shift
-    _check_affine(m_op, "M")
-    return m_op.scale if m_op.scale is not None else _spd_extremes(m_op)[0]
+def _extremes(op):
+    """(lambda_min(sym W), ||W||_2) of an affine operator's weight W; off its values when diagonal."""
+    diagonal = _diagonal(op)
+    if diagonal is None:
+        sym = (op.matrix + op.matrix.T) / 2.0
+        return float(np.linalg.eigvalsh(sym)[0]), float(np.linalg.norm(op.matrix, 2))
+    return float(np.min(diagonal[1])), float(np.max(np.abs(diagonal[1])))
 
 
 def catalog_constants(h_op, a_op, m_op):
-    """Assemble exact OperatorConstants for a cataloged (H, A, M) triple."""
-    gamma, tau = h_constants(h_op)
-    r, s = coupling_constants(a_op, h_op)
-    return OperatorConstants(gamma=gamma, tau=tau, r=r, s=s, eta=m_constant(m_op))
+    """The exact OperatorConstants of an (H, A, M) triple: each the best its inequality admits.
 
-
-# ---------------------------------------------------------------------------
-# empirical validation
-
-
-@dataclass(frozen=True)
-class Violation:
-    check: str
-    sample_index: int
-    lhs: float
-    rhs: float
-
-
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.violations
-
-
-def validate_constants(h_op, a_op, m_op, constants, samples, seed, dim=None):
-    """Falsification-only check of declared constants on random pairs.
-
-    Draws ``samples`` standard-normal pairs (x, y) and tests every declared
-    inequality; violations are report content, never exceptions. Sampling can
-    only falsify the constants, not certify them.
+    With sym W = (W + W^T)/2: gamma = lambda_min(sym W_H) and tau = ||W_H||_2, or a
+    ``DiagonalNonlinear`` H's ``deriv_range``; r = lambda_min(sym(W_H^T W_A)) and
+    s = ||W_A||_2; eta = lambda_min(sym W_M), or a ``ShiftedSubdifferential``'s shift.
+    Scalar weights, and eigenpairs on one basis object, are read off their values in
+    O(n) with no matrix (r = min(h*a), s = max|a|); other weights by ``eigvalsh`` and
+    the 2-norm. ``UnsupportedOperatorError`` for a non-affine A or M and for a matrix A
+    with a nonlinear H; ``InconsistentConstantsError`` when a constant is not positive.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    if dim is None:
-        for op in (h_op, a_op, m_op):
-            if getattr(op, "dim", None) is not None:
-                dim = op.dim
-                break
-    if dim is None:
-        raise ValueError("dim is required when all operators are dimension-agnostic")
-
-    rng = np.random.default_rng(seed)
-    report = ValidationReport()
-    c = constants
-    for i in range(samples):
-        x = rng.standard_normal(dim)
-        y = rng.standard_normal(dim)
-        d = x - y
-        dn2 = float(np.dot(d, d))
-        dn = np.sqrt(dn2)
-        hd = h_op.apply(x) - h_op.apply(y)
-        ad = a_op.apply(x) - a_op.apply(y)
-        md = m_op.selection(x) - m_op.selection(y)
-
-        def _tol(rhs):
-            return 1e-10 * (1.0 + abs(rhs))
-
-        checks = [
-            ("h_lipschitz", float(np.linalg.norm(hd)), c.tau * dn, "<="),
-            ("h_strong_monotone", float(np.dot(hd, d)), c.gamma * dn2, ">="),
-            ("a_lipschitz", float(np.linalg.norm(ad)), c.s * dn, "<="),
-            ("a_strong_monotone_wrt_h", float(np.dot(ad, hd)), c.r * dn2, ">="),
-            ("m_strong_monotone", float(np.dot(md, d)), c.eta * dn2, ">="),
-        ]
-        for name, lhs, rhs, sense in checks:
-            ok = lhs <= rhs + _tol(rhs) if sense == "<=" else lhs >= rhs - _tol(rhs)
-            if not ok:
-                report.violations.append(
-                    Violation(check=name, sample_index=i, lhs=lhs, rhs=rhs)
-                )
-    return report
+    if not (isinstance(h_op, (AffineLinear, DiagonalNonlinear)) and isinstance(a_op, AffineLinear)
+            and isinstance(m_op, (AffineLinear, ShiftedSubdifferential))):
+        raise UnsupportedOperatorError("no cataloged constants for H, A, M = %r, %r, %r" % (h_op, a_op, m_op))
+    nonlinear_h = isinstance(h_op, DiagonalNonlinear)
+    if nonlinear_h and a_op.scale is None:
+        raise UnsupportedOperatorError("no cataloged constants for a matrix A with a nonlinear H")
+    gamma, tau = h_op.deriv_range if nonlinear_h else _extremes(h_op)
+    eh, ea = None if nonlinear_h else _diagonal(h_op), _diagonal(a_op)
+    if eh and ea and eh[0] is ea[0]:  # one basis, as fixed_point_map tests: W_H^T W_A = Q diag(h*a) Q^T
+        r, s = float(np.min(eh[1] * ea[1])), float(np.max(np.abs(ea[1])))
+    elif a_op.scale is not None:  # <a d, H x - H y> >= a*gamma ||d||^2
+        r, s = a_op.scale * gamma, a_op.scale
+    else:
+        cross = np.dot(np.transpose(h_op.weight), a_op.matrix)
+        r, s = float(np.linalg.eigvalsh((cross + cross.T) / 2.0)[0]), _extremes(a_op)[1]
+    eta = m_op.shift if isinstance(m_op, ShiftedSubdifferential) else _extremes(m_op)[0]
+    return OperatorConstants(gamma=gamma, tau=tau, r=r, s=s, eta=eta)

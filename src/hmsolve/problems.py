@@ -1,8 +1,8 @@
 """Benchmark problem generators with exact constants and known solutions.
 
-Each generator returns a ProblemInstance whose declared constants are
-analytically exact for its operators and whose known_solution solves the
-inclusion 0 in A(x) + M(x) in closed form.
+Each generator returns a ProblemInstance whose constants are the exact ones
+that ``catalog_constants`` reads off its operators, and whose known_solution
+solves the inclusion 0 in A(x) + M(x) in closed form.
 """
 
 import functools
@@ -12,10 +12,10 @@ from scipy.linalg import lapack
 
 from .operators import (
     AffineLinear,
-    OperatorConstants,
     ScaledIdentity,
     ScaledIdentityMulti,
     ShiftedSubdifferential,
+    catalog_constants,
 )
 from .schemes import ProblemInstance
 
@@ -31,9 +31,8 @@ def gen_scalar_affine(b=2.0, lam=1.0):
     h = ScaledIdentity(1.0)
     a = AffineLinear(1.0, np.array([float(b)]))
     m = ScaledIdentityMulti(1.0)
-    constants = OperatorConstants(1.0, 1.0, 1.0, 1.0, 1.0)
     return ProblemInstance(
-        h=h, a=a, m=m, constants=constants, lam=lam, dim=1,
+        h=h, a=a, m=m, constants=catalog_constants(h, a, m), lam=lam, dim=1,
         known_solution=np.array([float(b) / 2.0]),
         metadata={"kind": "scalar-affine", "b": float(b)},
     )
@@ -175,13 +174,9 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     h = AffineLinear(eigenpair=(q, spectrum))
     a = AffineLinear(offset=b, eigenpair=(q, c_a * spectrum))
     mm = ScaledIdentityMulti(m)
-    tau = hi if dim > 1 else lo
-    constants = OperatorConstants(
-        gamma=lo, tau=tau, r=c_a * lo * lo, s=c_a * tau, eta=m
-    )
     xstar = q @ ((q.T @ b) / (c_a * spectrum + m))
     return ProblemInstance(
-        h=h, a=a, m=mm, constants=constants, lam=lam, dim=dim,
+        h=h, a=a, m=mm, constants=catalog_constants(h, a, mm), lam=lam, dim=dim,
         known_solution=xstar,
         metadata={
             "kind": "spd-linear",
@@ -211,10 +206,9 @@ def gen_soft_threshold(dim=50, c=1.0, b=None, lam=0.5, seed=0):
     h = ScaledIdentity(1.0)
     a = AffineLinear(1.0, b_vec)
     m = ShiftedSubdifferential(c)
-    constants = OperatorConstants(1.0, 1.0, 1.0, 1.0, float(c))
     xstar = np.sign(b_vec) * np.maximum(np.abs(b_vec) - 1.0, 0.0) / (1.0 + c)
     return ProblemInstance(
-        h=h, a=a, m=m, constants=constants, lam=lam, dim=dim,
+        h=h, a=a, m=m, constants=catalog_constants(h, a, m), lam=lam, dim=dim,
         known_solution=xstar,
         metadata={"kind": "soft-threshold", "c": float(c), "seed": int(seed)},
     )

@@ -15,6 +15,10 @@ a non-finite u into a non-finite x without an inner solve:
 * ``newton-general``: damped Newton with Armijo backtracking on
   G(x) = H(x) + lam*m(x) - u for the general smooth case.
 
+The two iterative strategies stop at a residual of ``inner_tolerance``
+relative to max(1, |target|) per coordinate, or max(1, ||u||) for Newton,
+so that rounding can reach it at any scale of u.
+
 ``ResolventEngine.fixed_point_map`` is the one place that decides which form
 F(x) = R[H x - lam*A x] takes: diagonal, dense, or one ``resolve`` per evaluation.
 """
@@ -27,7 +31,6 @@ from . import operators as ops
 __all__ = [
     "ResolventDivergenceError",
     "ResolventEngine",
-    "resolvent_lipschitz_bound",
     "CLOSED_FORM",
     "SEPARABLE",
     "NEWTON",
@@ -45,21 +48,9 @@ class ResolventDivergenceError(RuntimeError):
     """
 
 
-def resolvent_lipschitz_bound(constants, lam):
-    """Lipschitz constant 1/(gamma + lam*eta) of the resolvent."""
-    if not lam > 0:
-        raise ValueError("lam must be strictly positive")
-    return 1.0 / (constants.gamma + lam * constants.eta)
-
-
 def _offset(op):
     has = isinstance(op, ops.AffineLinear) and op.offset is not None
     return op.offset if has else 0.0
-
-
-def _diagonal(op):
-    """(Q, w) with W = Q diag(w) Q^T: (None, w) for a scalar weight, else the eigenpair or None."""
-    return (None, op.scale) if op.scale is not None else op.eigenpair
 
 
 def _weight_sum(a, b, beta):
@@ -97,7 +88,7 @@ def _coordinate_failure(reason, index, failed, resid):
 class ResolventEngine:
     """Solver for u in H(x) + lam*M(x); the closed form keeps K's LU once ``resolve`` needs it."""
 
-    inner_tolerance = 1e-12  # residual at which the iterative strategies stop
+    inner_tolerance = 1e-12  # relative residual at which the iterative strategies stop
     max_inner_steps = 100  # inner steps after which they raise ResolventDivergenceError
 
     def __init__(self, h_op, m_op, lam, dim):
@@ -160,7 +151,7 @@ class ResolventEngine:
         """
         if not (self.strategy == CLOSED_FORM and isinstance(a_op, ops.AffineLinear)):
             return None, lambda x: self.resolve(self.h.apply(x) - self.lam * a_op.apply(x))
-        eh, ea = _diagonal(self.h), _diagonal(a_op)
+        eh, ea = ops._diagonal(self.h), ops._diagonal(a_op)
         if eh and ea and eh[0] is ea[0] and self.m.scale is not None:
             (q, h), a = eh, ea[1]
             k = h + self.lam * self.m.scale
@@ -196,8 +187,9 @@ class ResolventEngine:
     def _solve_increasing(self, g, gp, target, index):
         """Roots of the increasing coordinatewise map g(t) = target, all at once.
 
-        Joint doubling bracket, then Newton with bisection fallback; converged
-        coordinates are frozen, so each follows its own scalar iterates.
+        Joint doubling bracket, then Newton with bisection fallback; a coordinate
+        converges at |g(t) - target| <= inner_tolerance*max(1, |target|) and is
+        frozen there, so each follows its own scalar iterates.
         """
         lo, hi = -np.ones_like(target), np.ones_like(target)
         for doublings in range(201):
@@ -212,9 +204,10 @@ class ResolventEngine:
             lo[open_lo] *= 2.0
             hi[open_hi] *= 2.0
         t = 0.5 * (lo + hi)
+        tol = self.inner_tolerance * np.maximum(1.0, np.abs(target))
         for _ in range(self.max_inner_steps):
             ft = g(t) - target
-            live = ~(np.abs(ft) <= self.inner_tolerance)
+            live = ~(np.abs(ft) <= tol)
             if not live.any():
                 return t
             hi = np.where(live & (ft > 0), t, hi)
@@ -224,7 +217,7 @@ class ResolventEngine:
             cand = np.where((lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
             t = np.where(live, cand, t)
         raise _coordinate_failure(
-            "did not reach tolerance %g within %d steps"
+            "did not reach relative tolerance %g within %d steps"
             % (self.inner_tolerance, self.max_inner_steps), index, live, ft)
 
     def _resolve_newton(self, u):
@@ -234,8 +227,9 @@ class ResolventEngine:
         x = np.zeros(self.dim)
         g = self.h.apply(x) + lam * self.m.selection(x) - u
         phi = float(np.dot(g, g))
+        tol = self.inner_tolerance * max(1.0, float(np.linalg.norm(u)))
         for _ in range(self.max_inner_steps):
-            if np.sqrt(phi) <= self.inner_tolerance:
+            if np.sqrt(phi) <= tol:
                 return x
             jac = _weight_sum(self.h.jacobian(x), self.m.weight, lam)
             step = np.linalg.solve(jac, g)
@@ -251,25 +245,6 @@ class ResolventEngine:
             else:
                 raise ResolventDivergenceError("Armijo line search stalled")
         raise ResolventDivergenceError(
-            "newton inner solve did not reach tolerance %g within %d steps"
+            "newton inner solve did not reach relative tolerance %g within %d steps"
             % (self.inner_tolerance, self.max_inner_steps)
         )
-
-    # -- residual accounting
-
-    def inclusion_residual(self, x, u):
-        """Norm of H(x) + lam*m(x) - u for the selection m(x) in M(x) that witnesses it.
-
-        At a zero coordinate of a subdifferential part the selection is the
-        clipped value forced by the inclusion, making the residual exact.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        hx = self.h.apply(x)
-        if isinstance(self.m, ops.ShiftedSubdifferential):
-            c = self.m.shift
-            sub = np.where(x != 0.0, np.sign(x), np.clip((u - hx) / self.lam - c * x, -1.0, 1.0))
-            m = c * x + sub
-        else:
-            m = self.m.selection(x)
-        return float(np.linalg.norm(hx + self.lam * m - u))

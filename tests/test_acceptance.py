@@ -19,7 +19,6 @@ from hmsolve.analysis import (
 from hmsolve.cli import main
 from hmsolve.operators import OperatorConstants
 from hmsolve.problems import gen_scalar_affine, gen_soft_threshold, gen_spd_linear
-from hmsolve.resolvent import resolvent_lipschitz_bound
 from hmsolve.schemes import (
     CASTINGS,
     StoppingRule,
@@ -30,6 +29,7 @@ from hmsolve.schemes import (
     run_scheme,
     run_zgy,
 )
+from oracles import resolvent_lipschitz_bound
 
 
 def _report(label, ok, elapsed, budget):

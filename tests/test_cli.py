@@ -549,7 +549,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["solve", "compare", "sweep", "audit"])
     def test_explicit_constants_falsified_by_sampling(self, tmp_path, command, capsys):
-        # an identity H is 1-Lipschitz, not 0.5: sampling falsifies tau before any run
+        # an identity H is 1-Lipschitz, not 0.5: the exact tau rejects the declared one before any run
         problem = _explicit(2, {"kind": "scaled-identity", "scale": 1.0}, (0.5, 0.5, 0.5, 1, 1))
         cfg = _write_config(tmp_path, {"problem": {**problem, "known_solution": [0.0, 0.0]},
                                        "algorithms": ["fh", "zgy"]})
@@ -557,6 +557,21 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_INFEASIBLE
         assert not any(out.iterdir())
         assert "h_lipschitz" in capsys.readouterr().err
+
+    def test_explicit_false_s_that_sampling_misses(self, tmp_path, capsys):
+        # A = diag(1, ..., 1, 3) - 1 has s = 3. No one of 100 seeded random pairs at dim 50
+        # is stretched by 1.5, so a sampled check let s = 1.5 through: solve exited 0 with
+        # kappa 0.509 (1.26 with the exact s) and a failed envelope
+        matrix = np.eye(50)
+        matrix[-1, -1] = 3.0
+        problem = _explicit(50, {"kind": "affine", "matrix": matrix.tolist(), "offset": [1.0] * 50},
+                            (1, 1, 1, 1.5, 1))
+        cfg = _write_config(tmp_path, {"problem": {**problem, "known_solution": [0.5] * 49 + [0.25]},
+                                       "lambda": 0.8})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_INFEASIBLE
+        assert not any(out.iterdir())
+        assert "a_lipschitz" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, config", [
         (["solve", "--max-steps", "-3"], {}),
@@ -587,6 +602,16 @@ class TestExitCodes:
         # a 2 x 2 A on a problem declared 3-dimensional
         cfg = _write_config(tmp_path, {
             "problem": _explicit(3, {"kind": "affine", "matrix": [[1, 0], [0, 1]]}),
+        })
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_operator_with_a_non_finite_entry(self, tmp_path, bad):
+        # no constant bounds such an operator: an input error, before any run
+        cfg = _write_config(tmp_path, {
+            "problem": _explicit(2, {"kind": "affine", "matrix": [[1, bad], [0, 1]]}),
         })
         out = tmp_path / "out"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_USAGE

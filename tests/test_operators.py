@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmsolve.operators import (
     AffineLinear,
@@ -12,11 +14,12 @@ from hmsolve.operators import (
     ShiftedSubdifferential,
     UnsupportedOperatorError,
     catalog_constants,
-    coupling_constants,
-    h_constants,
-    m_constant,
-    validate_constants,
 )
+from oracles import validate_constants
+
+
+def _tanh_h():
+    return DiagonalNonlinear(lambda t: t + np.tanh(t), lambda t: 1 + 1 / np.cosh(t) ** 2, (1.0, 2.0))
 
 
 class TestApply:
@@ -39,11 +42,13 @@ class TestApply:
         assert np.array_equal(op.apply(x), w * np.eye(n) @ x - b)
         assert np.array_equal(AffineLinear(w).selection(x), w * np.eye(n) @ x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            AffineLinear(np.array([[1.0, bad], [0.0, 1.0]]))
+
     def test_diagonal_nonlinear_odd_at_origin(self):
-        op = DiagonalNonlinear(
-            lambda t: t + np.tanh(t), lambda t: 1 + 1 / np.cosh(t) ** 2, (1.0, 2.0)
-        )
-        assert np.array_equal(op.apply([0.0]), [0.0])
+        assert np.array_equal(_tanh_h().apply([0.0]), [0.0])
 
 
 def _eigenpair(n=6):
@@ -118,13 +123,18 @@ class TestConstantsRecord:
         assert c.s == 2
 
 
+def _constants(h=ScaledIdentity(1.0), a=ScaledIdentity(1.0), m=ScaledIdentityMulti(1.0)):
+    c = catalog_constants(h, a, m)
+    return c.gamma, c.tau, c.r, c.s, c.eta
+
+
 class TestCatalog:
     def test_scaled_identity_h(self):
-        assert h_constants(ScaledIdentity(1.0)) == (1.0, 1.0)
+        assert _constants(h=ScaledIdentity(1.0))[:2] == (1.0, 1.0)
 
     def test_spd_diag_eigenvalues(self):
         # eigenvalue oracle on a diagonal matrix
-        gamma, tau = h_constants(AffineLinear(np.diag([1.0, 4.0])))
+        gamma, tau = _constants(h=AffineLinear(np.diag([1.0, 4.0])))[:2]
         assert gamma == pytest.approx(1.0, abs=1e-12)
         assert tau == pytest.approx(4.0, abs=1e-12)
 
@@ -135,43 +145,128 @@ class TestCatalog:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
         q, w, _ = _eigenpair()
         op = AffineLinear(eigenpair=(q, w[::-1]))
-        assert h_constants(op) == (1.0, 2.0) and m_constant(op) == 1.0
+        assert _constants(h=op, m=op) == (1.0, 2.0, 1.0, 1.0, 1.0)
         assert "matrix" not in vars(op)
-        with pytest.raises(UnsupportedOperatorError):
-            h_constants(AffineLinear(eigenpair=(q, w - 1.5)))
+        # A on H's basis: r = min(h*a), s = max|a|, read off the values too
+        a = AffineLinear(eigenpair=(q, 3.0 - w))
+        assert _constants(h=op, a=a)[2:4] == (min(w[::-1] * (3.0 - w)), 2.0)
+        # a negative eigenvalue: gamma = -0.5 is exact, and no positive constant exists
+        with pytest.raises(InconsistentConstantsError, match="gamma"):
+            catalog_constants(AffineLinear(eigenpair=(q, w - 1.5)), op, op)
 
     def test_m_scaled_identity(self):
         # <3u - 3v, u - v> = 3||u - v||^2, scalar oracle
-        assert m_constant(ScaledIdentityMulti(3.0)) == 3.0
+        assert _constants(m=ScaledIdentityMulti(3.0))[4] == 3.0
 
     def test_m_subdifferential(self):
-        assert m_constant(ShiftedSubdifferential(0.5)) == 0.5
+        assert _constants(m=ShiftedSubdifferential(0.5))[4] == 0.5
 
     def test_m_linear_monotone(self):
-        assert m_constant(LinearMonotone(np.diag([2.0, 5.0]))) == pytest.approx(2.0)
+        assert _constants(m=LinearMonotone(np.diag([2.0, 5.0])))[4] == pytest.approx(2.0)
 
     def test_coupling_scaled_pair(self):
-        r, s = coupling_constants(ScaledIdentity(2.0), ScaledIdentity(1.0))
-        assert (r, s) == (2.0, 2.0)
+        assert _constants(a=ScaledIdentity(2.0))[2:4] == (2.0, 2.0)
 
     def test_coupling_proportional_affine(self):
         h_mat = np.diag([1.0, 4.0])
-        r, s = coupling_constants(AffineLinear(0.5 * h_mat, (1, 1)), AffineLinear(h_mat))
+        r, s = _constants(h=AffineLinear(h_mat), a=AffineLinear(0.5 * h_mat, (1, 1)))[2:4]
         assert r == pytest.approx(0.5 * 1.0 ** 2)
         assert s == pytest.approx(0.5 * 4.0)
 
-    def test_coupling_unrelated_rejected(self):
+    def test_coupling_unrelated_exact(self):
+        # W_H^T W_A = [[1, 0.5], [2, 8]], whose symmetric part [[1, 1.25], [1.25, 8]] has
+        # lambda_min (9 - sqrt(49 + 4*1.25^2))/2; the symmetric W_A has norm (3 + sqrt(2))/2
+        r, s = _constants(h=AffineLinear(np.diag([1.0, 4.0])),
+                          a=AffineLinear(np.array([[1.0, 0.5], [0.5, 2.0]])))[2:4]
+        assert r == pytest.approx((9.0 - np.sqrt(49.0 + 4 * 1.25 ** 2)) / 2.0, rel=1e-14)
+        assert s == pytest.approx((3.0 + np.sqrt(2.0)) / 2.0, rel=1e-14)
+
+    def test_non_symmetric_weights(self):
+        # H = [[1, 1], [0, 1]]: sym H has eigenvalues 1/2 and 3/2, and ||H||_2 is the golden ratio
+        h = AffineLinear(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        gamma, tau, r, s, _ = _constants(h=h, a=ScaledIdentity(2.0))
+        assert gamma == pytest.approx(0.5, rel=1e-14) and r == pytest.approx(1.0, rel=1e-14)
+        assert tau == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, rel=1e-14) and s == 2.0
+
+    def test_nonlinear_h(self):
+        # <a d, H x - H y> >= a*gamma ||d||^2 with gamma the least slope of H
+        h = _tanh_h()
+        assert _constants(h=h, a=ScaledIdentity(0.5)) == (1.0, 2.0, 0.5, 0.5, 1.0)
         with pytest.raises(UnsupportedOperatorError):
-            coupling_constants(
-                AffineLinear(np.array([[1.0, 0.5], [0.5, 2.0]])),
-                AffineLinear(np.diag([1.0, 4.0])),
-            )
+            catalog_constants(h, AffineLinear(np.eye(2)), ScaledIdentityMulti(1.0))
+
+    @pytest.mark.parametrize("h, a, m", [
+        (ScaledIdentity(1.0), _tanh_h(), ScaledIdentityMulti(1.0)),
+        (ScaledIdentity(1.0), ScaledIdentity(1.0), _tanh_h()),
+        (ShiftedSubdifferential(1.0), ScaledIdentity(1.0), ScaledIdentityMulti(1.0)),
+    ])
+    def test_unsupported_kinds(self, h, a, m):
+        with pytest.raises(UnsupportedOperatorError):
+            catalog_constants(h, a, m)
 
     def test_full_catalog(self):
         c = catalog_constants(
             ScaledIdentity(1.0), ScaledIdentity(2.0), ScaledIdentityMulti(3.0)
         )
         assert (c.gamma, c.tau, c.r, c.s, c.eta) == (1.0, 1.0, 2.0, 2.0, 3.0)
+
+
+@st.composite
+def _random_triple(draw):
+    """(H, A, M, seed): a matrix H whose symmetric part is positive definite, non-symmetric
+    when drawn so, a scalar or matrix A with sym(W_H^T W_A) positive definite, and a
+    scalar or matrix M whose symmetric part is positive definite."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def positive(skew):
+        # Q diag(w) Q^T plus a skew part, which leaves the symmetric part alone
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        g = rng.standard_normal((dim, dim))
+        return (q * rng.uniform(0.2, 3.0, dim)) @ q.T + skew * (g - g.T)
+
+    h = AffineLinear(positive(draw(st.sampled_from([0.0, 0.5, 2.0]))), rng.standard_normal(dim))
+    if draw(st.booleans()):
+        a = AffineLinear(draw(st.floats(min_value=0.2, max_value=3.0)), rng.standard_normal(dim))
+    else:  # W_A = W_H^-T P gives W_H^T W_A = P
+        a = AffineLinear(np.linalg.solve(h.matrix.T, positive(draw(st.sampled_from([0.0, 1.0])))))
+    m = (ScaledIdentityMulti(draw(st.floats(min_value=0.2, max_value=3.0))) if draw(st.booleans())
+         else AffineLinear(positive(draw(st.sampled_from([0.0, 1.0])))))
+    return h, a, m, seed
+
+
+def _weight(op, dim):
+    return op.matrix if op.matrix is not None else op.scale * np.eye(dim)
+
+
+class TestExactCatalog:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(triple=_random_triple())
+    def test_constants_hold_and_are_attained(self, triple):
+        # sampling falsifies an overstated gamma, r or eta, or an understated tau or s;
+        # the vector that attains each constant falsifies the other side
+        h, a, m, seed = triple
+        dim = h.dim
+        c = catalog_constants(h, a, m)
+        assert validate_constants(h, a, m, c, samples=50, seed=seed, dim=dim).passed
+        wh, wa, wm = (_weight(op, dim) for op in (h, a, m))
+
+        def least(mat):  # the unit eigenvector of sym(mat)'s smallest eigenvalue
+            return np.linalg.eigh((mat + mat.T) / 2.0)[1][:, 0]
+
+        def largest(mat):  # the unit right singular vector of mat's largest singular value
+            return np.linalg.svd(mat)[2][0]
+
+        attained = {
+            "gamma": (lambda v: v @ wh @ v)(least(wh)),
+            "tau": np.linalg.norm(wh @ largest(wh)),
+            "r": (lambda v: (wa @ v) @ (wh @ v))(least(wh.T @ wa)),
+            "s": np.linalg.norm(wa @ largest(wa)),
+            "eta": (lambda v: v @ wm @ v)(least(wm)),
+        }
+        for name, at_vector in attained.items():
+            assert abs(getattr(c, name) - at_vector) <= 1e-12 * getattr(c, name), name
 
 
 class TestValidation:

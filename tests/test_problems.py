@@ -8,9 +8,10 @@ import pytest
 from scipy.linalg import lapack
 
 from hmsolve import problems
-from hmsolve.operators import AffineLinear, validate_constants
+from hmsolve.operators import AffineLinear
 from hmsolve.problems import ReflectorBasis, gen_scalar_affine, gen_soft_threshold, gen_spd_linear
 from hmsolve.schemes import StoppingRule, make_step_sequence, run_scheme
+from oracles import validate_constants
 
 
 @pytest.mark.parametrize("problem", [gen_scalar_affine(), gen_soft_threshold(dim=40)])
@@ -62,6 +63,18 @@ class TestSpdLinear:
         dense = (q * h) @ q.T
         assert np.array_equal(p.h.matrix, (dense + dense.T) / 2.0)
         assert "matrix" not in vars(p.a)
+
+    @pytest.mark.parametrize("dim", [1, 2, 300])
+    def test_constants_read_off_the_eigenpairs(self, dim, monkeypatch):
+        # the closed forms bit for bit, with no eigvalsh, no dorgqr and no dense H or A
+        def dense_route(*args, **kwargs):
+            raise AssertionError("a dense route was taken")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", dense_route)
+        monkeypatch.setattr(problems.lapack, "dorgqr", dense_route)
+        c = gen_spd_linear(dim, eigen_range=(0.5, 3.0), seed=dim, c_a=1.5, m=0.7).constants
+        tau = 3.0 if dim > 1 else 0.5
+        assert (c.gamma, c.tau, c.r, c.s, c.eta) == (0.5, tau, 1.5 * 0.5 * 0.5, 1.5 * tau, 0.7)
 
     def test_h_and_a_share_one_eigenbasis(self):
         p = gen_spd_linear(9, seed=4, c_a=1.5)

@@ -17,7 +17,6 @@ from hmsolve.operators import (
     ScaledIdentityMulti,
     ShiftedSubdifferential,
     catalog_constants,
-    validate_constants,
 )
 from hmsolve.problems import gen_scalar_affine, gen_soft_threshold, gen_spd_linear
 from hmsolve.resolvent import ResolventEngine
@@ -33,6 +32,7 @@ from hmsolve.schemes import (
     run_scheme,
     run_zgy,
 )
+from oracles import validate_constants
 
 ONE = make_step_sequence("constant", value=1.0)
 ZERO = make_step_sequence("constant", value=0.0)
