@@ -174,7 +174,7 @@ def _setup(cfg, fewest=1, most=float("inf")):
     with _interpreting():
         algorithms = [str(a).lower() for a in cfg.get("algorithms") or ["fh"]]
         if not set(algorithms) <= set(_RUNNERS):
-            raise UsageError("unknown algorithm in %s (choose from fh, zgy, mann, new)" % algorithms)
+            raise UsageError("unknown algorithm in %s (choose from %s)" % (algorithms, ", ".join(_RUNNERS)))
         if not fewest <= len(algorithms) <= most:
             raise UsageError("this command needs %s algorithms, got %d" % (
                 "exactly %d" % most if fewest == most else "at least %d" % fewest,
@@ -408,7 +408,7 @@ _FLAGS = (
     ("--eigen-hi", ("problem", "eigen_range", 1), float, "highest eigenvalue of spd-linear H"),
     ("--lambda", ("lambda",), _lambda, "resolvent parameter, or 'auto'"),
     ("--alg", ("algorithms",), lambda text: [a for a in text.split(",") if a],
-     "comma-separated algorithms (fh,zgy,mann,new)"),
+     "comma-separated algorithms (%s)" % ",".join(_RUNNERS)),
     ("--xi", ("sequences", "xi"), str, "step sequence spec, e.g. const:0.5 or harmonic:1"),
     ("--mu", ("sequences", "mu"), str, "step sequence spec"),
     ("--tol", ("stopping", "tol"), float, "residual tolerance"),

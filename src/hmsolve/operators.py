@@ -5,7 +5,7 @@ touch it through its resolvent plus a monotone selection used for empirical
 validation. One class, ``AffineLinear``, implements every linear map
 x -> W x - b, whatever its role: W is a positive scalar w (w*I in any
 dimension, never stored as a matrix) or a square matrix, which an eigenpair
-Q diag(w) Q^T given alone builds only when read. ``ScaledIdentity``
+Q diag(w) Q^T given instead builds only when read. ``ScaledIdentity``
 (alias ``ScaledIdentityMulti``) and ``LinearMonotone`` are its scalar and
 symmetric-matrix cases. ``DiagonalNonlinear`` is the nonlinear coordinatewise
 H, ``ShiftedSubdifferential`` the genuinely multivalued coordinatewise M.
@@ -94,23 +94,23 @@ class AffineLinear:
     an offset fixes it, or a finite square matrix; ``scale`` and ``matrix`` hold the
     one that applies and are None otherwise. As M, ``selection`` is ``apply``.
 
-    A matrix W may come as an ``eigenpair`` (basis, values): an orthogonal Q
-    and a vector w with W = Q diag(w) Q^T, kept read-only for
-    ``ResolventEngine.fixed_point_map`` and ``catalog_constants``. Q is an n x n array
-    or any object that offers ``Q @ v``, ``Q.T @ v`` and ``Y @ Q.T`` and, for
-    ``numpy.asarray``, its dense form, such as the reflectors of
-    ``problems.ReflectorBasis``: every reader of the basis but ``matrix`` uses
-    its products only. Given alone, the eigenpair is the weight: ``matrix``
-    (and ``weight``) is built as the symmetric part of (Q w) Q^T on its first
-    read, and never if nothing reads it. The eigenpair is checked once on one
-    seeded probe vector v, in O(n^2): Q(Q^T v) must give v back and, when a
-    weight is given too, Q(w * Q^T v) must give W v, each to 1e-9 relative,
-    else ``ValueError``. With no weight the probe reads only Q, so a basis
-    object that passed it once (H's, shared by A) is not probed again.
+    Instead of a weight, a matrix W may come as an ``eigenpair`` (basis, values):
+    an orthogonal Q and a vector w with W = Q diag(w) Q^T, kept read-only for
+    ``ResolventEngine.fixed_point_map`` and ``catalog_constants``; a weight and an
+    eigenpair together are a ``ValueError``. Q is an n x n array or any object that
+    offers ``Q @ V`` and ``Q.T @ V`` and, for ``numpy.asarray``, its dense form, such
+    as the reflectors of ``problems.ReflectorBasis``: every reader of the basis but
+    ``matrix`` uses its products only. ``matrix`` (and ``weight``) is built as the
+    symmetric part of (Q w) Q^T on its first read, and never if nothing reads it.
+    Q is checked once on one seeded probe vector v, in O(n^2): Q(Q^T v) must give v
+    back to 1e-9 relative, else ``ValueError``; a basis object that passed the probe
+    once (H's, shared by A) is not probed again.
     """
 
     def __init__(self, weight=None, offset=None, eigenpair=None):
-        if weight is None and eigenpair is not None:
+        if eigenpair is not None:
+            if weight is not None:
+                raise ValueError("give a weight or an eigenpair, not both")
             self.scale, self.dim = None, np.size(eigenpair[1])
         else:
             weight = np.asarray(weight, dtype=float)
@@ -134,27 +134,22 @@ class AffineLinear:
                 raise ValueError("offset dimension does not match matrix")
             self.dim = self.offset.shape[0]
             self.offset.setflags(write=False)
-        self.eigenpair = None if eigenpair is None else self._checked_eigenpair(*eigenpair, weight)
+        self.eigenpair = None if eigenpair is None else self._checked_eigenpair(*eigenpair)
 
-    def _checked_eigenpair(self, basis, values, weight):
+    def _checked_eigenpair(self, basis, values):
         if isinstance(basis, np.ndarray) or not hasattr(basis, "T"):
             # an array (or nested lists); any other basis is kept as it is, since
             # numpy.asarray would build its dense form
             basis = np.asarray(basis, dtype=float)
             basis.setflags(write=False)
         values = np.asarray(values, dtype=float)
-        if (self.scale is not None or basis.shape != (self.dim, self.dim)
-                or values.shape != (self.dim,) or not np.isfinite(values).all()):
-            raise ValueError("an eigenpair needs a matrix weight and an n x n basis with n finite values")
-        if not (weight is None and _PROBED.get(id(basis)) is basis):  # else the same probe passed
+        if (basis.shape != (self.dim, self.dim) or values.shape != (self.dim,)
+                or not np.isfinite(values).all()):
+            raise ValueError("an eigenpair needs an n x n basis and n finite values")
+        if _PROBED.get(id(basis)) is not basis:  # else the same probe passed
             v = np.random.default_rng(0).standard_normal(self.dim)
-            qv = basis.T @ v
-            size = np.linalg.norm(v)
-            if not (np.linalg.norm(basis @ qv - v) <= _CONSISTENCY_TOL * size
-                    and (weight is None
-                         or np.linalg.norm(basis @ (values * qv) - weight @ v)
-                         <= _CONSISTENCY_TOL * size * np.max(np.abs(values)))):
-                raise ValueError("the eigenpair does not reproduce the matrix on a probe vector")
+            if not np.linalg.norm(basis @ (basis.T @ v) - v) <= _CONSISTENCY_TOL * np.linalg.norm(v):
+                raise ValueError("the eigenpair's basis is not orthogonal on a probe vector")
             with contextlib.suppress(TypeError):  # a basis without weak references is probed each time
                 _PROBED[id(basis)] = basis
         values.setflags(write=False)
@@ -162,7 +157,7 @@ class AffineLinear:
 
     @functools.cached_property
     def matrix(self):
-        # set in __init__ unless the eigenpair is the weight; the dense Q is built here if need be
+        # set in __init__ unless an eigenpair is given; the dense Q is built here if need be
         q, w = self.eigenpair
         q = np.asarray(q)
         mat = (q * w) @ q.T
@@ -258,18 +253,24 @@ class ShiftedSubdifferential:
 # catalog constants
 
 
-def _diagonal(op):
-    """(Q, w) with W = Q diag(w) Q^T: (None, w) for a scalar weight, else the eigenpair or None."""
-    return (None, op.scale) if op.scale is not None else op.eigenpair
+def _on_one_basis(h_op, a_op):
+    """(Q, h, a) when W_H and W_A are Q diag(h) Q^T and Q diag(a) Q^T on one basis object Q, else None."""
+    if not (isinstance(h_op, AffineLinear) and isinstance(a_op, AffineLinear)):
+        return None
+    if h_op.scale is not None and a_op.scale is not None:
+        return None, h_op.scale, a_op.scale
+    eh, ea = h_op.eigenpair, a_op.eigenpair
+    return (*eh, ea[1]) if eh and ea and eh[0] is ea[0] else None
 
 
 def _extremes(op):
     """(lambda_min(sym W), ||W||_2) of an affine operator's weight W; off its values when diagonal."""
-    diagonal = _diagonal(op)
-    if diagonal is None:
-        sym = (op.matrix + op.matrix.T) / 2.0
-        return float(np.linalg.eigvalsh(sym)[0]), float(np.linalg.norm(op.matrix, 2))
-    return float(np.min(diagonal[1])), float(np.max(np.abs(diagonal[1])))
+    if op.scale is not None:
+        return op.scale, op.scale
+    if op.eigenpair is not None:
+        return float(np.min(op.eigenpair[1])), float(np.max(np.abs(op.eigenpair[1])))
+    sym = (op.matrix + op.matrix.T) / 2.0
+    return float(np.linalg.eigvalsh(sym)[0]), float(np.linalg.norm(op.matrix, 2))
 
 
 def catalog_constants(h_op, a_op, m_op):
@@ -290,11 +291,11 @@ def catalog_constants(h_op, a_op, m_op):
     if nonlinear_h and a_op.scale is None:
         raise UnsupportedOperatorError("no cataloged constants for a matrix A with a nonlinear H")
     gamma, tau = h_op.deriv_range if nonlinear_h else _extremes(h_op)
-    eh, ea = None if nonlinear_h else _diagonal(h_op), _diagonal(a_op)
-    if eh and ea and eh[0] is ea[0]:  # one basis, as fixed_point_map tests: W_H^T W_A = Q diag(h*a) Q^T
-        r, s = float(np.min(eh[1] * ea[1])), float(np.max(np.abs(ea[1])))
-    elif a_op.scale is not None:  # <a d, H x - H y> >= a*gamma ||d||^2
+    if a_op.scale is not None:  # <a d, H x - H y> >= a*gamma ||d||^2
         r, s = a_op.scale * gamma, a_op.scale
+    elif _on_one_basis(h_op, a_op):  # as fixed_point_map's diagonal form: W_H^T W_A = Q diag(h*a) Q^T
+        h, a = h_op.eigenpair[1], a_op.eigenpair[1]
+        r, s = float(np.min(h * a)), float(np.max(np.abs(a)))
     else:
         cross = np.dot(np.transpose(h_op.weight), a_op.matrix)
         r, s = float(np.linalg.eigvalsh((cross + cross.T) / 2.0)[0]), _extremes(a_op)[1]

@@ -59,16 +59,15 @@ class ReflectorBasis:
     Q = Q_r diag(s): Q_r is the product of the reflectors stored as LAPACK's QR
     routines store them (Golub and Van Loan, ch. 5), each below the diagonal of
     its column of the F-ordered buffer ``qr`` with its scalar in ``tau``, and s
-    holds n signs. ``Q @ v`` and ``Q.T @ v``, for a vector or an
-    n x k matrix v, and ``Y @ Q.T``, for a k x n matrix Y, are each one
-    ``dormqr``, with the signs as exact flips: Q v = Q_r (s*v) and
-    Q^T v = s*(Q_r^T v). ``numpy.asarray(Q)`` is the dense Q, read-only and
+    holds n signs. ``Q @ v`` and ``Q.T @ v``, for a vector or an n x k matrix
+    v, are each one ``dormqr``, with the signs as exact flips: Q v = Q_r (s*v)
+    and Q^T v = s*(Q_r^T v). ``numpy.asarray(Q)`` is the dense Q, read-only and
     C-ordered, built once on first read by ``dorgqr`` on a copy of the buffer.
     LAPACK's unblocked ``dormqr`` may write into the buffer and restore it, so
     one basis is not for products from several threads at once.
     """
 
-    __array_ufunc__ = None  # ndarray @ Q defers to Q's own __rmatmul__
+    __array_ufunc__ = None  # ndarray @ Q, and any ufunc on Q, raise TypeError rather than build Q
 
     def __init__(self, qr, tau, signs):
         for a in (qr, tau, signs):
@@ -105,7 +104,7 @@ class ReflectorBasis:
 
 
 class _Transposed:
-    """Q^T of a ``ReflectorBasis`` Q: ``Q.T @ v`` and ``Y @ Q.T``, and Q again as ``.T``."""
+    """Q^T of a ``ReflectorBasis`` Q: ``Q.T @ v``, and Q again as ``.T``."""
 
     __array_ufunc__ = None
 
@@ -116,9 +115,6 @@ class _Transposed:
         out = self.T._product(b"T", np.array(v, dtype=float, order="F"))
         np.multiply(out.T, self.T._signs, out=out.T)
         return out
-
-    def __rmatmul__(self, y):  # Y Q^T = (Q_r (s * Y^T))^T, where s * Y^T is the F-ordered (Y*s)^T
-        return self.T._product(b"N", np.multiply(y, self.T._signs).T).T
 
     def __array__(self, dtype=None, copy=None):
         return np.array(np.asarray(self.T).T, dtype=dtype, copy=copy)

@@ -20,8 +20,10 @@ relative to max(1, |target|) per coordinate, or max(1, ||u||) for Newton,
 so that rounding can reach it at any scale of u.
 
 ``ResolventEngine.fixed_point_map`` is the one place that decides which form
-F(x) = R[H x - lam*A x] takes: diagonal, dense, or one ``resolve`` per evaluation.
+F(x) = R[H x - lam*A x] takes: diagonal, or one ``resolve`` per evaluation.
 """
+
+import functools
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -70,15 +72,6 @@ def _weight_sum(a, b, beta):
     return k
 
 
-def _k_inverse(h, m, lam):
-    """b -> K^-1 b, free to overwrite b, with K = W_H + lam*W_M: a division or an in-place LU."""
-    k = _weight_sum(h.weight, m.weight, lam)
-    if not np.ndim(k):
-        return lambda b: b / k
-    lu = lu_factor(k, overwrite_a=True, check_finite=False)
-    return lambda b: lu_solve(lu, b, overwrite_b=True, check_finite=False)
-
-
 def _coordinate_failure(reason, index, failed, resid):
     k = np.flatnonzero(failed)[0]
     return ResolventDivergenceError("separable inner solve %s at coordinate %d: "
@@ -102,7 +95,6 @@ class ResolventEngine:
         # affine parts W x - b move their offsets into u: u + b_H + lam*b_M. A full
         # vector even when zero: without it spd-solve's peak RSS rose 7% (heap layout)
         self._shift = np.zeros(self.dim) + _offset(self.h) + self.lam * _offset(self.m)
-        self._k_solve = None  # the closed form's b -> K^-1 b, built on the first resolve
 
     # -- strategy selection
 
@@ -131,10 +123,17 @@ class ResolventEngine:
             return self._resolve_newton(u)
         u = u + self._shift
         if self.strategy == CLOSED_FORM:  # a non-finite u gives a non-finite x
-            if self._k_solve is None:
-                self._k_solve = _k_inverse(self.h, self.m, self.lam)
             return self._k_solve(u)
         return self._resolve_separable(u)
+
+    @functools.cached_property
+    def _k_solve(self):
+        """b -> K^-1 b, free to overwrite b, with K = W_H + lam*W_M: a division or an in-place LU."""
+        k = _weight_sum(self.h.weight, self.m.weight, self.lam)
+        if not np.ndim(k):
+            return lambda b: b / k
+        lu = lu_factor(k, overwrite_a=True, check_finite=False)
+        return lambda b: lu_solve(lu, b, overwrite_b=True, check_finite=False)
 
     def fixed_point_map(self, a_op):
         """(Q, G) with F(x) = R[H x - lam*A x] = Q G(Q^T x), where Q is None when G is F itself.
@@ -144,28 +143,18 @@ class ResolventEngine:
           K = Q diag(k) Q^T with k = h + lam*m, and G(y) = t*y + c_hat with
           t = (h - lam*a)/k and c_hat = lam*(Q^T (b_A + b_M))/k. Nothing is factored
           and neither W_H nor W_A is read; Q is None for scalar weights.
-        * dense, for any other closed form with an affine A: G(x) = T x + c with
-          T = K^-1 (W_H - lam*W_A), which overwrites W_H - lam*W_A, and
-          c = lam*K^-1 (b_A + b_M). K's LU is ``resolve``'s if built, else dropped on return.
-        * resolve, for every other problem: G(x) = ``resolve``(H x - lam*A x).
+        * resolve, for every other problem: G(x) = ``resolve``(H x - lam*A x); a closed
+          form with a matrix K factors it on the first call.
         """
-        if not (self.strategy == CLOSED_FORM and isinstance(a_op, ops.AffineLinear)):
+        diagonal = ops._on_one_basis(self.h, a_op) if self.strategy == CLOSED_FORM else None
+        if diagonal is None or self.m.scale is None:
             return None, lambda x: self.resolve(self.h.apply(x) - self.lam * a_op.apply(x))
-        eh, ea = ops._diagonal(self.h), ops._diagonal(a_op)
-        if eh and ea and eh[0] is ea[0] and self.m.scale is not None:
-            (q, h), a = eh, ea[1]
-            k = h + self.lam * self.m.scale
-            b = self.lam * (_offset(a_op) + _offset(self.m))  # after k: peak RSS follows heap layout
-            t = (h - self.lam * a) / k
-            c = (b if q is None else q.T @ b) / k if np.ndim(b) else 0.0
-            return q, lambda y: t * y + c
-        b = self.lam * (_offset(a_op) + _offset(self.m))
-        k_solve = self._k_solve or _k_inverse(self.h, self.m, self.lam)
-        w = _weight_sum(self.h.weight, a_op.weight, -self.lam)
-        if not np.ndim(w):  # scalar H and A with a matrix M
-            w = w * np.eye(self.dim, order="F")
-        t, c = k_solve(w), k_solve(b) if np.ndim(b) else b
-        return None, lambda x: t @ x + c
+        q, h, a = diagonal
+        k = h + self.lam * self.m.scale
+        b = self.lam * (_offset(a_op) + _offset(self.m))  # after k: peak RSS follows heap layout
+        t = (h - self.lam * a) / k
+        c = (b if q is None else q.T @ b) / k if np.ndim(b) else 0.0
+        return q, lambda y: t * y + c
 
     def _resolve_separable(self, u):
         sub = isinstance(self.m, ops.ShiftedSubdifferential)

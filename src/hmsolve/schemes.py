@@ -250,7 +250,7 @@ class IterationTrace:
     diverged: bool = False
 
 
-#: rows of iterates mapped back to x-space per product with Q^T, which bounds that step's extra memory
+#: rows of iterates mapped back to x-space per product with Q, which bounds that step's extra memory
 BACK_MAP_ROWS = 64
 
 
@@ -267,8 +267,8 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
     coordinates y = Q^T x of ``problem.coordinates()``, with the residual
     ||G(y) - y|| = ||F(x) - x||: O(n) per step on spectral problems. A zero x_0
     starts at y_0 = x_0 with no product. After the loop the kept y_n become
-    x_n = Q y_n, a block of rows Y at a time as Y Q^T (iterates[0] stays x_0),
-    and the errors are ||x_n - x*||.
+    x_n = Q y_n, a block of rows Y at a time as (Q Y^T)^T (iterates[0] stays
+    x_0), and the errors are ||x_n - x*||.
     """
     name = name.upper()
     xi, mu = casting(name, xi, mu)
@@ -305,10 +305,10 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
         wall.append(time.perf_counter_ns() - start)
         n += 1
 
-    if basis is not None:  # a row block of y's at a time becomes x's: X = Y Q^T
+    if basis is not None:  # a row block of y's at a time becomes x's: X = (Q Y^T)^T
         for i in range(1, len(iterates), BACK_MAP_ROWS):
             rows = slice(i, i + BACK_MAP_ROWS)
-            iterates[rows] = np.array(iterates[rows]) @ basis.T
+            iterates[rows] = (basis @ np.array(iterates[rows]).T).T
     return IterationTrace(
         algorithm=name,
         iterates=iterates,

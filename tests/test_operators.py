@@ -61,7 +61,7 @@ def _eigenpair(n=6):
 class TestEigenpair:
     def test_kept_read_only_on_one_basis(self):
         q, w, mat = _eigenpair()
-        op = AffineLinear(mat, eigenpair=(q, w))
+        op = AffineLinear(eigenpair=(q, w))
         assert op.eigenpair[0] is q and np.array_equal(op.eigenpair[1], w)
         assert not (q.flags.writeable or op.eigenpair[1].flags.writeable)
         assert AffineLinear(mat).eigenpair is None
@@ -74,9 +74,17 @@ class TestEigenpair:
         lambda q, w: (q, np.full(6, np.nan)),
     ])
     def test_mismatch_raises(self, wrong):
+        # a weight comes with no eigenpair: refused before any probe, whatever the pair
         q, w, mat = _eigenpair()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not both"):
             AffineLinear(mat, eigenpair=wrong(q, w))
+
+    def test_weight_with_its_own_eigenpair_raises(self):
+        q, w, mat = _eigenpair()
+        with pytest.raises(ValueError, match="not both"):
+            AffineLinear(mat, eigenpair=(q, w))
+        with pytest.raises(ValueError, match="not both"):
+            AffineLinear(mat, np.ones(6), (q, w))
 
     def test_eigenpair_alone_is_the_weight(self):
         q, w, mat = _eigenpair()

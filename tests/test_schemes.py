@@ -422,6 +422,11 @@ def _explicit_affine(h, a, m, dim, lam=0.4):
     return ProblemInstance(h=h, a=a, m=m, constants=catalog_constants(h, a, m), lam=lam, dim=dim)
 
 
+def _spd_matrix(dim):
+    w = np.eye(dim) + 0.1 * np.random.default_rng(dim).standard_normal((dim, dim))
+    return w @ w.T
+
+
 def _counting_resolve(monkeypatch):
     """Count every ``ResolventEngine.resolve`` call in the returned list."""
     calls = []
@@ -436,7 +441,7 @@ def _counting_resolve(monkeypatch):
 
 
 class TestAffineFastPath:
-    """Affine H, A and M: F(x) = T x + c, with T and c built on the first F evaluation."""
+    """Affine H, A and M: F's diagonal form t*x + c, or one resolve per evaluation, built on first use."""
 
     @staticmethod
     def _assert_equivalent(p, seed=0):
@@ -455,7 +460,7 @@ class TestAffineFastPath:
     def test_scalar_affine_matches_resolvent(self, lam):
         p = gen_scalar_affine(b=2.0, lam=lam)
         self._assert_equivalent(p)
-        # scalar weights make T = (1 - lam)/(1 + lam) a division and F(x) = T x + c bit for bit
+        # scalar weights make t = (1 - lam)/(1 + lam) a division and F(x) = t*x + c bit for bit
         x = np.array([0.7])
         assert np.array_equal(p.f_map(x), (1.0 - lam) / (1.0 + lam) * x + lam * 2.0 / (1.0 + lam))
         # that is the diagonal form with no basis, so runs evaluate F through f_map
@@ -490,7 +495,7 @@ class TestAffineFastPath:
         p = dataclasses.replace(spd, h=AffineLinear(spd.h.matrix))
         assert factored == []  # not while the problem is built
         p.engine.resolve(np.zeros(7))
-        p.f_map(np.zeros(7))  # T is built with the LU that resolve made
+        p.f_map(np.zeros(7))  # F's resolve form uses the LU that resolve made
         p.engine.resolve(np.ones(7))
         assert len(factored) == 1
         assert np.linalg.norm(p.f_map(np.ones(7)) - spd.f_map(np.ones(7))) <= 1e-13
@@ -517,6 +522,13 @@ class TestAffineFastPath:
                                 m=ScaledIdentityMulti(1.0),
                                 constants=OperatorConstants(1.0, 1.5, 1.0, 1.0, 1.0),
                                 lam=0.5, dim=12),
+        # affine but not diagonal: a dense H, scalar H and M with a matrix A, a matrix M
+        lambda: _explicit_affine(AffineLinear(_spd_matrix(12)), AffineLinear(0.8, np.linspace(-1, 1, 12)),
+                                 ScaledIdentityMulti(1.0), 12),
+        lambda: _explicit_affine(ScaledIdentity(2.0), AffineLinear(_spd_matrix(12), np.linspace(-1, 1, 12)),
+                                 ScaledIdentityMulti(0.5), 12),
+        lambda: _explicit_affine(ScaledIdentity(2.0), AffineLinear(1.2, np.linspace(-1, 1, 12)),
+                                 LinearMonotone(_spd_matrix(12)), 12),
     ])
     def test_other_problems_resolve_once_per_evaluation(self, problem, monkeypatch):
         p = problem()
@@ -585,6 +597,10 @@ class TestEigenbasisHotPath:
             def T(self):
                 used.append(1)
                 return basis.T
+
+            def __matmul__(self, v):
+                used.append(1)
+                return basis @ v
 
         p.coordinates = lambda: (Watched(), g)
         stop = StoppingRule(tol=-1.0, max_steps=0)
