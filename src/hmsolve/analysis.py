@@ -253,8 +253,12 @@ def equivalence_audit(trace_a, trace_b, xi, mu, kappa, gap_tol=1e-8):
     castings share mu; the other run is then the relaxed q, and trace_a when
     both are unrelaxed. The recursions are checked only for a comparable pair
     with kappa < 1 whose traces both carry errors; every pair gets its gaps.
-    Traces of unequal length are truncated to the common length.
+    Traces of unequal length are truncated to the common length. A trace
+    without an iterate for each residual, as a run that kept only its last
+    iterate leaves, is a ValueError.
     """
+    if any(len(t.iterates) != len(t.residuals) for t in (trace_a, trace_b)):
+        raise ValueError("the audit needs every iterate: run with keep_iterates=True")
     n_common = min(len(trace_a.iterates), len(trace_b.iterates))
     xi_a, mu_a = casting(trace_a.algorithm, xi, mu)
     xi_b, mu_b = casting(trace_b.algorithm, xi, mu)

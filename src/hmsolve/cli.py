@@ -129,10 +129,10 @@ _GENERATORS = {
     "explicit": (_explicit, ("dim", "h", "a", "m", "constants", "known_solution")),
 }
 _RUNNERS = {
-    "fh": lambda p, x0, seqs, stop: schemes.run_fh(p, x0, stop),
-    "zgy": lambda p, x0, seqs, stop: schemes.run_zgy(p, x0, seqs["xi"], seqs["mu"], stop),
-    "mann": lambda p, x0, seqs, stop: schemes.run_mann(p, x0, seqs["xi"], stop),
-    "new": lambda p, x0, seqs, stop: schemes.run_new(p, x0, seqs["mu"], stop),
+    "fh": lambda p, x0, seqs, stop, **kw: schemes.run_fh(p, x0, stop, **kw),
+    "zgy": lambda p, x0, seqs, stop, **kw: schemes.run_zgy(p, x0, seqs["xi"], seqs["mu"], stop, **kw),
+    "mann": lambda p, x0, seqs, stop, **kw: schemes.run_mann(p, x0, seqs["xi"], stop, **kw),
+    "new": lambda p, x0, seqs, stop, **kw: schemes.run_new(p, x0, seqs["mu"], stop, **kw),
 }
 
 #: the spectrum that a lone --eigen-lo or --eigen-hi completes
@@ -226,7 +226,7 @@ def cmd_solve(cfg, out_dir):
     }
     traces = []
     for name in algorithms:
-        trace = _RUNNERS[name](problem, x0, seqs, stop)
+        trace = _RUNNERS[name](problem, x0, seqs, stop, keep_iterates=False)
         traces.append(trace)
         write_trace_csv(out_dir / ("trace_%s.csv" % name), trace)
         checked = analysis.check_envelope(trace, trace.kappa, seqs["xi"], seqs["mu"])
@@ -252,9 +252,9 @@ def cmd_compare(cfg, out_dir):
         decision_margin = float(cfg.get("decision_margin", 0.05))
     kappa = problem.contraction_factor()
 
-    # both runs start from the same x0
-    trace_a = _RUNNERS[name_a](problem, x0, seqs, stop)
-    trace_b = _RUNNERS[name_b](problem, x0, seqs, stop)
+    # both runs start from the same x0; only errors are compared, so no iterate but the last is kept
+    trace_a, trace_b = (_RUNNERS[name](problem, x0, seqs, stop, keep_iterates=False)
+                        for name in (name_a, name_b))
     report = analysis.rate_compare(trace_a, trace_b, decision_margin=decision_margin)
     n_common = min(len(trace_a.errors), len(trace_b.errors))
     # kappa >= 1 checks neither run; an envelope's prefix is the envelope of the run's prefix

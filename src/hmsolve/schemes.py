@@ -211,6 +211,12 @@ class ProblemInstance:
         basis, g = self._map
         return (None, self.f_map) if basis is None else (basis, g)
 
+    @functools.cached_property
+    def _solution_coordinates(self):
+        """y* = Q^T x*, x* in the coordinates of ``coordinates()``; computed on the first run that needs it."""
+        basis = self.coordinates()[0]
+        return self.known_solution if basis is None else basis.T @ self.known_solution
+
     def f_map(self, x):
         """F(x) = R[H x - lam*A x], in the form ``ResolventEngine.fixed_point_map`` chose.
 
@@ -233,7 +239,8 @@ class ProblemInstance:
 class IterationTrace:
     """Per-step record of one algorithm run; mutable, but unchanged by the library once returned.
 
-    ``wall_nanos[n]`` counts from the run's start, before Q^T x_0 and the first F
+    Each list has an entry per step n = 0, ..., N, but a run that does not keep its iterates
+    keeps x_N alone. ``wall_nanos[n]`` counts from the run's start, before Q^T x_0 and the first F
     evaluation, to the end of step n. It times the iteration loop only: on an eigenbasis
     run the products that map iterates back to x, and the error norms, come after its last entry.
     """
@@ -254,7 +261,7 @@ class IterationTrace:
 BACK_MAP_ROWS = 64
 
 
-def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
+def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=True):
     """Run scheme ``name`` as the relaxed two-step iteration of its casting.
 
     Records iterates, residuals and errors each step. A step with mu_n = 0
@@ -268,7 +275,10 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
     ||G(y) - y|| = ||F(x) - x||: O(n) per step on spectral problems. A zero x_0
     starts at y_0 = x_0 with no product. After the loop the kept y_n become
     x_n = Q y_n, a block of rows Y at a time as (Q Y^T)^T (iterates[0] stays
-    x_0), and the errors are ||x_n - x*||.
+    x_0), and the errors are ||x_n - x*||. Without ``keep_iterates`` only x_N = Q y_N
+    is kept, by one product, and errors[n] = ||y_n - y*|| for n < N, with y* = Q^T x*
+    cached on the problem: ||x_n - x*|| up to a few rounding units of ||x_n|| + ||x*||,
+    Q being orthogonal. errors[N] is ||x_N - x*|| exactly; with no x*, no y but the last is kept.
     """
     name = name.upper()
     xi, mu = casting(name, xi, mu)
@@ -285,7 +295,8 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
 
     y = x if basis is None or not x.any() else basis.T @ x  # Q^T 0 = 0: a zero start needs no product
     gy = g(y)
-    iterates = [x.copy()]
+    keep_all = keep_iterates or xstar is not None  # every y, as an iterate or for its error
+    iterates = [x.copy() if keep_iterates else y.copy()]
     residuals = [float(np.linalg.norm(gy - y))]
     wall = [time.perf_counter_ns() - start]
 
@@ -300,20 +311,29 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
         if diverged:
             break
         gy = g(y)
-        iterates.append(y.copy())
+        if keep_all:
+            iterates.append(y.copy())
+        else:
+            iterates[0] = y
         residuals.append(float(np.linalg.norm(gy - y)))
         wall.append(time.perf_counter_ns() - start)
         n += 1
 
-    if basis is not None:  # a row block of y's at a time becomes x's: X = (Q Y^T)^T
+    kept = []  # y's whose errors are taken in y-space, against y*
+    if not keep_iterates:
+        *kept, last = iterates
+        iterates = [last if basis is None else basis @ last]
+    elif basis is not None:  # a row block of y's at a time becomes x's: X = (Q Y^T)^T
         for i in range(1, len(iterates), BACK_MAP_ROWS):
             rows = slice(i, i + BACK_MAP_ROWS)
             iterates[rows] = (basis @ np.array(iterates[rows]).T).T
+    ystar = problem._solution_coordinates if kept else None
     return IterationTrace(
         algorithm=name,
         iterates=iterates,
         residuals=residuals,
-        errors=None if xstar is None else [float(np.linalg.norm(v - xstar)) for v in iterates],
+        errors=None if xstar is None else ([float(np.linalg.norm(v - ystar)) for v in kept]
+                                           + [float(np.linalg.norm(v - xstar)) for v in iterates]),
         wall_nanos=wall,
         steps_used=n,
         converged=residuals[-1] <= stop.tol,
@@ -323,21 +343,21 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None):
     )
 
 
-def run_fh(problem, u0, stop=None):
+def run_fh(problem, u0, stop=None, keep_iterates=True):
     """One-step scheme: u_{n+1} = F(u_n)."""
-    return run_scheme("FH", problem, u0, stop=stop)
+    return run_scheme("FH", problem, u0, stop=stop, keep_iterates=keep_iterates)
 
 
-def run_zgy(problem, q0, xi, mu, stop=None):
+def run_zgy(problem, q0, xi, mu, stop=None, keep_iterates=True):
     """Two-step relaxed scheme with sequences xi_n and mu_n."""
-    return run_scheme("ZGY", problem, q0, xi, mu, stop)
+    return run_scheme("ZGY", problem, q0, xi, mu, stop, keep_iterates)
 
 
-def run_mann(problem, v0, xi, stop=None):
+def run_mann(problem, v0, xi, stop=None, keep_iterates=True):
     """One-step relaxed scheme: v_{n+1} = (1-xi_n) v_n + xi_n F(v_n)."""
-    return run_scheme("MANN", problem, v0, xi=xi, stop=stop)
+    return run_scheme("MANN", problem, v0, xi=xi, stop=stop, keep_iterates=keep_iterates)
 
 
-def run_new(problem, s0, mu, stop=None):
+def run_new(problem, s0, mu, stop=None, keep_iterates=True):
     """Two-step scheme with an unrelaxed outer application of F."""
-    return run_scheme("NEW", problem, s0, mu=mu, stop=stop)
+    return run_scheme("NEW", problem, s0, mu=mu, stop=stop, keep_iterates=keep_iterates)

@@ -348,6 +348,18 @@ class TestEquivalenceAudit:
         report = equivalence_audit(q, s, xi, mu, p.contraction_factor())
         assert len(report.gaps) == 9
 
+    def test_trace_with_only_its_last_iterate_rejected(self):
+        # such a trace would give one gap, x_N against the other run's x_0
+        p = gen_scalar_affine(b=2.0, lam=0.5)
+        mu = make_step_sequence("constant", value=0.5)
+        stop = StoppingRule(tol=-1.0, max_steps=8)
+        full = run_new(p, [4.0], mu, stop)
+        last = run_new(p, [4.0], mu, stop, keep_iterates=False)
+        assert len(last.iterates) == 1 and len(last.residuals) == 9
+        for pair in ((full, last), (last, full), (last, last)):
+            with pytest.raises(ValueError, match="keep_iterates"):
+                equivalence_audit(*pair, mu, mu, p.contraction_factor())
+
 
 _STEP = st.floats(min_value=0.0, max_value=1.0)
 

@@ -243,7 +243,7 @@ class TestCompare:
         assert code == EXIT_OK
         p = gen_spd_linear(dim=20, seed=3, lam=0.6)
         xi, mu = (schemes.make_step_sequence("constant", value=v) for v in (0.3, 0.5))
-        traces = [schemes.run_scheme(name, p, [0.0], xi, mu) for name in ("zgy", "new")]
+        traces = [schemes.run_scheme(name, p, [0.0], xi, mu, keep_iterates=False) for name in ("zgy", "new")]
         (bounds_a, passed_a), (bounds_b, _) = (
             analysis.check_envelope(t, p.contraction_factor(), xi, mu) for t in traces)
         n_common = len(traces[1].errors)
@@ -348,6 +348,22 @@ class TestSpdLinearStaysSpectral:
         assert orthogonalised == []  # Q stays its reflectors
         np.asarray(made[0].h.eigenpair[0])
         assert len(orthogonalised) == 2  # the dense Q's workspace query and its dorgqr
+
+    def test_solve_maps_only_each_final_iterate_back(self, tmp_path, monkeypatch):
+        products, traces = [], []
+        dormqr = problems.lapack.dormqr
+        monkeypatch.setattr(problems.lapack, "dormqr",
+                            lambda *args, **kw: products.append(1) or dormqr(*args, **kw))
+        for name in ("fh", "zgy", "mann", "new"):
+            run = getattr(schemes, "run_" + name)
+            monkeypatch.setattr(schemes, "run_" + name,
+                                lambda *args, run=run, **kw: traces.append(run(*args, **kw)) or traces[-1])
+        assert main(["solve", "--problem", "spd-linear", "--dim", "50", "--alg", "fh,zgy,mann,new",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        # x* takes 2 products, H's probe 2 and F's c_hat 1; then y* = Q^T x* 1 and each run's x_N 1
+        assert len(products) == 5 + 1 + 4
+        assert [len(t.iterates) for t in traces] == [1] * 4
+        assert all(t.steps_used > 0 for t in traces)
 
 
 class TestAudit:
