@@ -20,7 +20,7 @@ import numpy as np
 
 from .operators import InconsistentConstantsError
 from .resolvent import ResolventEngine
-from .schemes import ONE, casting
+from .schemes import ONE, casting, vector_norm
 
 __all__ = [
     "contraction_factor",
@@ -253,24 +253,23 @@ def equivalence_audit(trace_a, trace_b, xi, mu, kappa, gap_tol=1e-8):
     castings share mu; the other run is then the relaxed q, and trace_a when
     both are unrelaxed. The recursions are checked only for a comparable pair
     with kappa < 1 whose traces both carry errors; every pair gets its gaps.
-    Traces of unequal length are truncated to the common length. A trace
-    without an iterate for each residual, as a run that kept only its last
-    iterate leaves, is a ValueError.
+    Traces of unequal length are truncated to the common length. Gaps are taken
+    in the ``coordinates`` of runs on one problem, ||y_a,n - y_b,n|| = ||x_a,n - x_b,n||
+    for an orthogonal Q; a trace without them is a ValueError.
     """
-    if any(len(t.iterates) != len(t.residuals) for t in (trace_a, trace_b)):
-        raise ValueError("the audit needs every iterate: run with keep_iterates=True")
-    n_common = min(len(trace_a.iterates), len(trace_b.iterates))
+    if trace_a.coordinates is None or trace_b.coordinates is None:
+        raise ValueError("the audit needs every y_n: run with keep_iterates=True")
     xi_a, mu_a = casting(trace_a.algorithm, xi, mu)
     xi_b, mu_b = casting(trace_b.algorithm, xi, mu)
     # non-finite iterates and errors propagate silently, as in scalar float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = [float(np.linalg.norm(a - b)) for a, b in zip(trace_a.iterates, trace_b.iterates)]
+        gaps = [vector_norm(a - b) for a, b in zip(trace_a.coordinates, trace_b.coordinates)]
         report = AuditReport(gaps=gaps, gap_converged=gaps[-1] <= gap_tol, recursion_checked=False)
         if (mu_a != mu_b or ONE not in (xi_a, xi_b) or not kappa < 1.0
                 or trace_a.errors is None or trace_b.errors is None):
             return report
         q, s, xi_q = (trace_a, trace_b, xi_a) if xi_b == ONE else (trace_b, trace_a, xi_b)
-        m = n_common - 1
+        m = len(gaps) - 1  # zip truncated the gaps to the common length
         xis, mus = _terms(xi_q, m), _terms(mu_a, m)
         g0, g1 = np.array(gaps[:-1]), np.array(gaps[1:])
         shrink = 1.0 - mus * (1.0 - kappa)

@@ -252,7 +252,7 @@ def cmd_compare(cfg, out_dir):
         decision_margin = float(cfg.get("decision_margin", 0.05))
     kappa = problem.contraction_factor()
 
-    # both runs start from the same x0; only errors are compared, so no iterate but the last is kept
+    # both runs start from the same x0; only errors are compared, so neither keeps its coordinates
     trace_a, trace_b = (_RUNNERS[name](problem, x0, seqs, stop, keep_iterates=False)
                         for name in (name_a, name_b))
     report = analysis.rate_compare(trace_a, trace_b, decision_margin=decision_margin)
@@ -328,10 +328,9 @@ def cmd_audit(cfg, out_dir):
     # why a probe run ended unconverged, for the failure messages
     unfinished = {name: "diverged" if trace.diverged else "hit the step cap %d" % stop.max_steps
                   for name, trace in probe.items() if not trace.converged}
-    # negative tol disables the residual stop so every rerun reaches the
-    # common length; a run already at its exact fixed point just repeats it.
-    # A probe of that length is kept: a fixed-length run's prefix equals the
-    # run stopped at tol, and a capped or diverged probe has the rerun's iterates
+    # negative tol disables the residual stop so every rerun reaches the common length; a run at
+    # its exact fixed point just repeats it. A probe of that length is kept: a fixed-length run's
+    # prefix equals the run stopped at tol, and a capped or diverged probe is the rerun itself
     fixed_stop = StoppingRule(tol=-1.0, max_steps=common)
     traces = {name: trace if trace.steps_used == common
               else _RUNNERS[name](problem, x0, seqs, fixed_stop) for name, trace in probe.items()}
@@ -348,13 +347,15 @@ def cmd_audit(cfg, out_dir):
             if report.violations:
                 causes.append("the gap recursion was violated %d times, largest excess %g"
                               % (report.violations, max_violation))
-            if causes:
+            cause = "; ".join(causes) or None
+            if cause:
                 print("audit failure: %s,%s final gap %g: %s" % (
-                    name_a, name_b, report.gaps[-1], "; ".join(causes)), file=sys.stderr)
-            all_ok = all_ok and not causes
+                    name_a, name_b, report.gaps[-1], cause), file=sys.stderr)
+            all_ok = all_ok and not cause
             pairs.append({
                 "a": name_a,
                 "b": name_b,
+                "cause": cause,
                 "final_gap": report.gaps[-1],
                 "gap_converged": report.gap_converged,
                 "recursion_checked": report.recursion_checked,

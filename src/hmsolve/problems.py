@@ -60,11 +60,11 @@ class ReflectorBasis:
     routines store them (Golub and Van Loan, ch. 5), each below the diagonal of
     its column of the F-ordered buffer ``qr`` with its scalar in ``tau``, and s
     holds n signs. ``Q @ v`` and ``Q.T @ v``, for a vector or an n x k matrix
-    v, are each one ``dormqr``, with the signs as exact flips: Q v = Q_r (s*v)
-    and Q^T v = s*(Q_r^T v). ``numpy.asarray(Q)`` is the dense Q, read-only and
-    C-ordered, built once on first read by ``dorgqr`` on a copy of the buffer.
-    LAPACK's unblocked ``dormqr`` may write into the buffer and restore it, so
-    one basis is not for products from several threads at once.
+    v, are each one unblocked ``dormqr``, with the signs as exact flips: Q v =
+    Q_r (s*v) and Q^T v = s*(Q_r^T v). ``numpy.asarray(Q)`` is the dense Q,
+    read-only and C-ordered, built once on first read by ``dorgqr`` on a copy of
+    the buffer. ``dormqr`` may write into the buffer and restore it, so one basis
+    is not for products from several threads at once.
     """
 
     __array_ufunc__ = None  # ndarray @ Q, and any ufunc on Q, raise TypeError rather than build Q
@@ -84,9 +84,8 @@ class ReflectorBasis:
     def _product(self, trans, c):
         """Q_r c (``trans`` b"N") or Q_r^T c (b"T"), overwriting c: a new n-vector or F-ordered n x k matrix."""
         block = c.reshape(self.shape[0], -1, order="F")
-        # under 8 columns the unblocked code wins: 0.5 against 1.6 ms for a vector at n = 1000
-        lwork = block.shape[1] if block.shape[1] < 8 else None
-        out = _in_place(lapack.dormqr, b"L", trans, self._qr, self._tau, block, lwork=lwork, overwrite="c")
+        # hmsolve multiplies vectors only, where the unblocked code wins: 0.5 against 1.6 ms at n = 1000
+        out = _in_place(lapack.dormqr, b"L", trans, self._qr, self._tau, block, lwork=block.shape[1], overwrite="c")
         return out[0].reshape(c.shape, order="F")
 
     def __matmul__(self, v):

@@ -25,6 +25,7 @@ __all__ = [
     "StoppingRule",
     "ProblemInstance",
     "IterationTrace",
+    "vector_norm",
     "ONE",
     "ZERO",
     "CASTINGS",
@@ -239,10 +240,10 @@ class ProblemInstance:
 class IterationTrace:
     """Per-step record of one algorithm run; mutable, but unchanged by the library once returned.
 
-    Each list has an entry per step n = 0, ..., N, but a run that does not keep its iterates
-    keeps x_N alone. ``wall_nanos[n]`` counts from the run's start, before Q^T x_0 and the first F
-    evaluation, to the end of step n. It times the iteration loop only: on an eigenbasis
-    run the products that map iterates back to x, and the error norms, come after its last entry.
+    Each list but ``iterates`` = [x_N] has an entry per step n = 0, ..., N; on request
+    ``coordinates`` keeps every y_n = Q^T x_n of ``ProblemInstance.coordinates()``, so x_n is
+    ``Q @ coordinates[n]`` (y_n = x_n without Q). ``wall_nanos[n]`` counts from the run's start,
+    before Q^T x_0 and the first F evaluation, to the end of step n: the iteration loop only.
     """
 
     algorithm: str
@@ -255,10 +256,16 @@ class IterationTrace:
     kappa: float
     solution_norm: float = None
     diverged: bool = False
+    coordinates: list = None
 
 
-#: rows of iterates mapped back to x-space per product with Q, which bounds that step's extra memory
-BACK_MAP_ROWS = 64
+def vector_norm(v):
+    """``np.linalg.norm(v)`` bit for bit, unless only its squares overflow: then that of v/max|v_i|, scaled."""
+    norm = float(np.linalg.norm(v))
+    if norm == np.inf and np.isfinite(v).all():  # from ||v|| ~ 1.3e154 on
+        scale = float(np.max(np.abs(v)))
+        norm = scale * float(np.linalg.norm(v / scale))
+    return norm
 
 
 def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=True):
@@ -273,12 +280,12 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=Tru
     Every step is a linear combination of x and F(x), so the loop runs in the
     coordinates y = Q^T x of ``problem.coordinates()``, with the residual
     ||G(y) - y|| = ||F(x) - x||: O(n) per step on spectral problems. A zero x_0
-    starts at y_0 = x_0 with no product. After the loop the kept y_n become
-    x_n = Q y_n, a block of rows Y at a time as (Q Y^T)^T (iterates[0] stays
-    x_0), and the errors are ||x_n - x*||. Without ``keep_iterates`` only x_N = Q y_N
-    is kept, by one product, and errors[n] = ||y_n - y*|| for n < N, with y* = Q^T x*
-    cached on the problem: ||x_n - x*|| up to a few rounding units of ||x_n|| + ||x*||,
-    Q being orthogonal. errors[N] is ||x_N - x*|| exactly; with no x*, no y but the last is kept.
+    starts at y_0 = x_0 with no product. Only x_N = Q y_N is mapped back, by one
+    product, as ``iterates``; ``keep_iterates`` keeps every y_n as ``coordinates``.
+    errors[n] = ||y_n - y*|| for n < N, with y* = Q^T x* cached on the problem, is
+    ||x_n - x*|| up to a few rounding units of ||x_n|| + ||x*||, Q being orthogonal;
+    errors[N] is ||x_N - x*|| exactly. With neither x* nor ``keep_iterates``, only
+    the last y is kept.
     """
     name = name.upper()
     xi, mu = casting(name, xi, mu)
@@ -295,9 +302,9 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=Tru
 
     y = x if basis is None or not x.any() else basis.T @ x  # Q^T 0 = 0: a zero start needs no product
     gy = g(y)
-    keep_all = keep_iterates or xstar is not None  # every y, as an iterate or for its error
-    iterates = [x.copy() if keep_iterates else y.copy()]
-    residuals = [float(np.linalg.norm(gy - y))]
+    keep_all = keep_iterates or xstar is not None  # every y, kept or for its error
+    ys = [y.copy()]
+    residuals = [vector_norm(gy - y)]
     wall = [time.perf_counter_ns() - start]
 
     n = 0
@@ -312,34 +319,27 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=Tru
             break
         gy = g(y)
         if keep_all:
-            iterates.append(y.copy())
+            ys.append(y.copy())
         else:
-            iterates[0] = y
-        residuals.append(float(np.linalg.norm(gy - y)))
+            ys[0] = y
+        residuals.append(vector_norm(gy - y))
         wall.append(time.perf_counter_ns() - start)
         n += 1
 
-    kept = []  # y's whose errors are taken in y-space, against y*
-    if not keep_iterates:
-        *kept, last = iterates
-        iterates = [last if basis is None else basis @ last]
-    elif basis is not None:  # a row block of y's at a time becomes x's: X = (Q Y^T)^T
-        for i in range(1, len(iterates), BACK_MAP_ROWS):
-            rows = slice(i, i + BACK_MAP_ROWS)
-            iterates[rows] = (basis @ np.array(iterates[rows]).T).T
-    ystar = problem._solution_coordinates if kept else None
+    x = ys[-1] if basis is None else basis @ ys[-1]
     return IterationTrace(
         algorithm=name,
-        iterates=iterates,
+        iterates=[x],
         residuals=residuals,
-        errors=None if xstar is None else ([float(np.linalg.norm(v - ystar)) for v in kept]
-                                           + [float(np.linalg.norm(v - xstar)) for v in iterates]),
+        errors=None if xstar is None else ([vector_norm(v - problem._solution_coordinates) for v in ys[:-1]]
+                                           + [vector_norm(x - xstar)]),
         wall_nanos=wall,
         steps_used=n,
         converged=residuals[-1] <= stop.tol,
         kappa=kappa,
         solution_norm=None if xstar is None else float(np.linalg.norm(xstar)),
         diverged=diverged,
+        coordinates=ys if keep_iterates else None,
     )
 
 

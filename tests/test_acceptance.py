@@ -197,9 +197,10 @@ def test_08_collapse_identities():
             run_mann(p, x0, one, stop),
             run_new(p, x0, zero, stop),
         ):
-            ok = ok and len(trace.iterates) == len(fh.iterates)
+            ok = ok and len(trace.coordinates) == len(fh.coordinates)
             ok = ok and all(
-                np.array_equal(a, b) for a, b in zip(trace.iterates, fh.iterates)
+                np.array_equal(a, b)
+                for a, b in zip(trace.coordinates + trace.iterates, fh.coordinates + fh.iterates)
             )
     _report("degenerate step choices reproduce the one-step iterates bitwise",
             ok, time.perf_counter() - t0, 2.0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from hmsolve.analysis import (
     rate_compare,
 )
 from hmsolve.operators import InconsistentConstantsError, OperatorConstants
-from hmsolve.problems import gen_scalar_affine
+from hmsolve.problems import gen_scalar_affine, gen_spd_linear
 from hmsolve.schemes import (
     CASTINGS,
     ONE,
@@ -25,6 +26,7 @@ from hmsolve.schemes import (
     make_step_sequence,
     run_fh,
     run_new,
+    run_scheme,
     run_zgy,
 )
 
@@ -360,6 +362,25 @@ class TestEquivalenceAudit:
             with pytest.raises(ValueError, match="keep_iterates"):
                 equivalence_audit(*pair, mu, mu, p.contraction_factor())
 
+    @pytest.mark.parametrize("dim", [1, 7, 200])
+    @pytest.mark.parametrize("b_scale", [1.0, 1e12])
+    @pytest.mark.parametrize("start", [0.0, 1.0])
+    def test_spd_linear_gaps_are_those_of_the_mapped_back_iterates(self, dim, b_scale, start):
+        # the gaps are taken between coordinates y_n = Q^T x_n; the x_n = Q y_n mapped back
+        # give the same gaps within 32 units of rounding of ||x_a,n|| + ||x_b,n|| (measured: 3.2)
+        p = gen_spd_linear(dim, seed=dim, b_scale=b_scale)
+        half = make_step_sequence("constant", value=0.5)
+        stop = StoppingRule(tol=-1.0, max_steps=60)
+        traces = {name: run_scheme(name, p, np.full(dim, start), half, half, stop)
+                  for name in ("FH", "ZGY", "MANN", "NEW")}
+        basis = p.coordinates()[0]
+        xs = {name: (basis @ np.array(t.coordinates).T).T for name, t in traces.items()}
+        for a, b in itertools.combinations(traces, 2):
+            report = equivalence_audit(traces[a], traces[b], half, half, p.contraction_factor())
+            x_gaps = np.linalg.norm(xs[a] - xs[b], axis=1)
+            scale = np.linalg.norm(xs[a], axis=1) + np.linalg.norm(xs[b], axis=1)
+            assert np.all(np.abs(report.gaps - x_gaps) <= 32 * np.finfo(float).eps / 2 * scale), (a, b)
+
 
 _STEP = st.floats(min_value=0.0, max_value=1.0)
 
@@ -383,16 +404,16 @@ def _poisoned(draw, values, specials):
 
 @st.composite
 def _trace(draw, dim):
-    """An IterationTrace built directly, with iterates and errors that may be inf or NaN."""
+    """An IterationTrace built directly, with coordinates and errors that may be inf or NaN."""
     n = draw(st.integers(1, 12))
     flat = draw(st.lists(st.floats(-10.0, 10.0), min_size=n * dim, max_size=n * dim))
-    iterates = list(np.array(_poisoned(draw, flat, [math.inf, -math.inf, math.nan])).reshape(n, dim))
+    coordinates = list(np.array(_poisoned(draw, flat, [math.inf, -math.inf, math.nan])).reshape(n, dim))
     errors = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
     errors = None if draw(st.integers(0, 4)) == 0 else _poisoned(draw, errors, [math.inf, math.nan])
     return IterationTrace(
-        algorithm=draw(st.sampled_from(tuple(CASTINGS))), iterates=iterates, residuals=[0.0] * n,
+        algorithm=draw(st.sampled_from(tuple(CASTINGS))), iterates=coordinates[-1:], residuals=[0.0] * n,
         errors=errors, wall_nanos=[0] * n,
-        steps_used=n - 1, converged=False, kappa=0.0,
+        steps_used=n - 1, converged=False, kappa=0.0, coordinates=coordinates,
     )
 
 
@@ -411,9 +432,9 @@ def _audit_loop(trace_a, trace_b, xi, mu, kappa):
             params = q, s, xi_q, mu_q
             break
     q, s, xi, mu = params or (trace_a, trace_b, ONE, ONE)
-    n_common = min(len(q.iterates), len(s.iterates))
+    n_common = min(len(q.coordinates), len(s.coordinates))
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = [float(np.linalg.norm(q.iterates[n] - s.iterates[n])) for n in range(n_common)]
+        gaps = [float(np.linalg.norm(q.coordinates[n] - s.coordinates[n])) for n in range(n_common)]
     if params is None or not kappa < 1.0 or q.errors is None or s.errors is None:
         return gaps, False, 0, 0, 0.0, 0.0
     vf = vs = 0

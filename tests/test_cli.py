@@ -363,7 +363,23 @@ class TestSpdLinearStaysSpectral:
         # x* takes 2 products, H's probe 2 and F's c_hat 1; then y* = Q^T x* 1 and each run's x_N 1
         assert len(products) == 5 + 1 + 4
         assert [len(t.iterates) for t in traces] == [1] * 4
-        assert all(t.steps_used > 0 for t in traces)
+        assert all(t.steps_used > 0 and t.coordinates is None for t in traces)
+
+    def test_audit_maps_only_each_final_iterate_back(self, tmp_path, monkeypatch):
+        products, traces = [], []
+        dormqr = problems.lapack.dormqr
+        monkeypatch.setattr(problems.lapack, "dormqr",
+                            lambda *args, **kw: products.append(1) or dormqr(*args, **kw))
+        for name in ("fh", "zgy", "mann", "new"):
+            run = getattr(schemes, "run_" + name)
+            monkeypatch.setattr(schemes, "run_" + name,
+                                lambda *args, run=run, **kw: traces.append(run(*args, **kw)) or traces[-1])
+        assert main(["audit", "--problem", "spd-linear", "--dim", "50", "--alg", "fh,zgy,mann,new",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        # the generator's 5 products and y* = Q^T x*'s 1; then one per run, probe or rerun, for
+        # its x_N: the gaps are taken between the kept coordinates
+        assert len(traces) > 4 and len(products) == 5 + 1 + len(traces)
+        assert all(len(t.iterates) == 1 and len(t.coordinates) == t.steps_used + 1 for t in traces)
 
 
 class TestAudit:
@@ -379,7 +395,7 @@ class TestAudit:
         assert code == EXIT_OK
         report = json.loads((out / "audit.json").read_text())
         assert report["all_ok"]
-        assert all(p["final_gap"] <= 1e-8 for p in report["pairs"])
+        assert all(p["final_gap"] <= 1e-8 and p["cause"] is None for p in report["pairs"])
         assert all(p["violations"] == 0 for p in report["pairs"])
         checked = {(p["a"], p["b"]) for p in report["pairs"] if p["recursion_checked"]}
         assert ("fh", "mann") in checked
@@ -441,7 +457,12 @@ class TestAuditFailureCause:
         code = main(["audit", "--problem", "spd-linear", "--dim", "20", *flags,
                      "--out", str(tmp_path)])
         pairs = json.loads((tmp_path / "audit.json").read_text())["pairs"]
-        return code, capsys.readouterr().err.splitlines(), pairs
+        err = capsys.readouterr().err.splitlines()
+        # each pair's cause in audit.json is what stderr prints for it, null for a passing pair
+        assert [line for line in err if line.startswith("audit failure")] == [
+            "audit failure: %s,%s final gap %g: %s" % (p["a"], p["b"], p["final_gap"], p["cause"])
+            for p in pairs if p["cause"] is not None]
+        return code, err, pairs
 
     def test_step_cap(self, tmp_path, capsys):
         code, err, pairs = self._audit(tmp_path, capsys, "--alg", "fh,zgy,mann,new",
@@ -477,14 +498,16 @@ class TestAuditFailureCause:
         code, err, (pair,) = self._audit(tmp_path, capsys, "--c-a", "5", "--lambda", "50",
                                          "--alg", "fh,new")
         assert code == EXIT_NUMERICAL
-        assert err == ["audit failure: fh,new final gap inf: fh diverged, new diverged",
+        # the runs' last common y_n pass 1e154 but stay finite, and so does their gap
+        assert err == ["audit failure: fh,new final gap 9.47917e+307: fh diverged, new diverged",
                        "numerical failure: non-finite iterate (fh at step 405, new at step 270)"]
+        assert pair["cause"] == "fh diverged, new diverged"
 
     def test_diverged_runs_with_equal_iterates(self, tmp_path, capsys):
         # with xi = 1 MANN repeats FH's iterates: a zero gap, yet both runs diverge
         code, err, (pair,) = self._audit(tmp_path, capsys, "--c-a", "5", "--lambda", "50",
                                          "--alg", "fh,mann", "--xi", "const:1")
-        assert pair["gap_converged"]
+        assert pair["gap_converged"] and pair["cause"] is None
         assert code == EXIT_NUMERICAL
         assert err == ["numerical failure: non-finite iterate (fh at step 405, mann at step 405)"]
 

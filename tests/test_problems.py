@@ -305,10 +305,10 @@ class TestReflectorBasis:
         assert on_dense.coordinates()[0] is dense
         x0 = np.random.default_rng(dim).standard_normal(dim)
         half = make_step_sequence("constant", value=0.5)
-        stop = StoppingRule(tol=-1.0, max_steps=150)  # three row blocks of kept iterates
+        stop = StoppingRule(tol=-1.0, max_steps=150)
         reflected, explicit = (run_scheme(name, problem, x0, mu=half, stop=stop) for problem in (p, on_dense))
         assert reflected.steps_used == explicit.steps_used == 150
-        for field in ("iterates", "residuals", "errors"):
+        for field in ("coordinates", "iterates", "residuals", "errors"):
             assert _close(np.array(getattr(reflected, field)), np.array(getattr(explicit, field))), field
 
     def test_a_shared_basis_is_probed_once(self, monkeypatch):

@@ -427,18 +427,24 @@ class TestEigenbasisRuns:
         assert (spectral.steps_used, spectral.converged, spectral.diverged) == (
             lu.steps_used, lu.converged, lu.diverged)
         assert spectral.converged
-        assert np.array_equal(spectral.iterates[0], x0)
+        assert np.array_equal(lu.coordinates[0], x0)  # without a basis y = x
+        # x_n = Q y_n of the spectral run against the LU run's x_n
+        mapped = (p.coordinates()[0] @ np.array(spectral.coordinates).T).T
         tol = 1e-13 * max(1.0, np.linalg.norm(p.known_solution))
-        for field in ("residuals", "errors", "iterates"):
-            gap = np.abs(np.array(getattr(spectral, field)) - np.array(getattr(lu, field)))
+        for field, got in [("residuals", spectral.residuals), ("errors", spectral.errors),
+                           ("iterates", spectral.iterates), ("coordinates", mapped)]:
+            gap = np.abs(np.array(got) - np.array(getattr(lu, field)))
             assert gap.max() <= tol, field
 
     def test_errors_are_those_of_the_iterates(self):
-        # bench's oracle recomputes the last error from the last iterate
+        # bench's oracle recomputes the last error from the last iterate; the earlier
+        # errors are those of the coordinates y_n against y* = Q^T x*
         p = gen_spd_linear(50, seed=4)
         half = make_step_sequence("constant", value=0.5)
         for name in ("FH", "MANN", "NEW", "ZGY"):
             trace = run_scheme(name, p, np.ones(50), half, half)
-            assert trace.steps_used > 0 and len(trace.errors) == len(trace.iterates)
-            for x, error in zip(trace.iterates, trace.errors):
-                assert error == float(np.linalg.norm(x - p.known_solution))
+            assert trace.steps_used > 0 and len(trace.errors) == len(trace.coordinates)
+            assert len(trace.iterates) == 1
+            assert trace.errors[-1] == float(np.linalg.norm(trace.iterates[-1] - p.known_solution))
+            for y, error in zip(trace.coordinates[:-1], trace.errors):
+                assert error == float(np.linalg.norm(y - p._solution_coordinates))

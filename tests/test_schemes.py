@@ -21,7 +21,6 @@ from hmsolve.operators import (
 from hmsolve.problems import gen_scalar_affine, gen_soft_threshold, gen_spd_linear
 from hmsolve.resolvent import ResolventEngine
 from hmsolve.schemes import (
-    BACK_MAP_ROWS,
     ProblemInstance,
     StoppingRule,
     as_vector,
@@ -31,6 +30,7 @@ from hmsolve.schemes import (
     run_new,
     run_scheme,
     run_zgy,
+    vector_norm,
 )
 from oracles import validate_constants
 
@@ -183,7 +183,7 @@ class TestRunZGY:
     def test_frozen_when_xi_zero(self):
         p = gen_scalar_affine(b=2.0, lam=0.5)
         trace = run_zgy(p, [5.0], ZERO, HALF, StoppingRule(tol=-1.0, max_steps=5))
-        assert all(it[0] == 5.0 for it in trace.iterates)
+        assert all(y[0] == 5.0 for y in trace.coordinates)
 
     def test_hand_rolled_five_steps(self):
         # independent scalar recursion for b = 2, lam = 0.5, xi = mu = 1/2
@@ -196,7 +196,7 @@ class TestRunZGY:
             q = 0.5 * q + 0.5 * f(r)
             expected.append(q)
         trace = run_zgy(p, [4.0], HALF, HALF, StoppingRule(tol=-1.0, max_steps=5))
-        got = [it[0] for it in trace.iterates]
+        got = [y[0] for y in trace.coordinates]
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -279,8 +279,8 @@ class TestCollapseIdentities:
             run_mann(p, x0, ONE, stop),
             run_new(p, x0, ZERO, stop),
         ):
-            assert len(trace.iterates) == len(fh.iterates)
-            for a, b in zip(trace.iterates, fh.iterates):
+            assert len(trace.coordinates) == len(fh.coordinates)
+            for a, b in zip(trace.coordinates + trace.iterates, fh.coordinates + fh.iterates):
                 assert np.array_equal(a, b)
 
 
@@ -404,7 +404,7 @@ class TestContractionOfF:
         trace = run_fh(p, np.zeros(20))
         assert trace.diverged and not trace.converged
         assert len(finite_inputs) == trace.steps_used + 1 and all(finite_inputs)
-        assert len(trace.residuals) == len(trace.iterates) == trace.steps_used + 1
+        assert len(trace.residuals) == len(trace.coordinates) == trace.steps_used + 1
         assert trace.steps_used < StoppingRule().max_steps
 
 
@@ -587,7 +587,8 @@ class TestEigenbasisHotPath:
         assert len(calls) == 1
 
     def test_zero_start_needs_no_product(self):
-        # y_0 = x_0 = 0, which Q^T 0 gives bit for bit; a nonzero start takes Q^T x_0
+        # y_0 = x_0 = 0, which Q^T 0 gives bit for bit; a nonzero start takes Q^T x_0.
+        # Either run maps x_N = Q y_N back, by one product
         p = gen_spd_linear(12, seed=1)
         basis, g = p.coordinates()
         used = []
@@ -595,66 +596,60 @@ class TestEigenbasisHotPath:
         class Watched:
             @property
             def T(self):
-                used.append(1)
+                used.append("Q^T")
                 return basis.T
 
             def __matmul__(self, v):
-                used.append(1)
+                used.append("Q")
                 return basis @ v
 
         p.coordinates = lambda: (Watched(), g)
         stop = StoppingRule(tol=-1.0, max_steps=0)
         assert run_fh(p, np.zeros(12), stop).iterates[0].tolist() == [0.0] * 12
-        assert used == []
+        assert used == ["Q"]
         run_fh(p, np.full(12, 0.5), stop)
-        assert used == [1]
-        # kept iterates still go back to x, one row block at a time
-        trace = run_fh(p, np.zeros(12), StoppingRule(tol=-1.0, max_steps=2 * BACK_MAP_ROWS))
-        assert len(used) == 3 and len(trace.iterates) == 2 * BACK_MAP_ROWS + 1
-
-    def test_back_map_memory_is_one_row_block(self):
-        dim = 300
-        p = gen_spd_linear(dim, seed=1)
-        p.coordinates()  # t and c_hat are built once, outside what is measured
-        excess = []
-        for steps in (4 * BACK_MAP_ROWS, 16 * BACK_MAP_ROWS):
-            tracemalloc.start()
-            try:
-                trace = run_fh(p, np.zeros(dim), StoppingRule(tol=-1.0, max_steps=steps))
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert len(trace.iterates) == steps + 1
-            excess.append(peak - current)
-        # the kept iterates take 0.6 and 2.5 MB; one GEMM over all of them would add twice that
-        assert max(excess) < 3 * BACK_MAP_ROWS * 8 * dim
+        assert used == ["Q", "Q^T", "Q"]
+        # a run that keeps every y_n still maps x_N alone back; then the first run with an
+        # error in y takes y* = Q^T x*
+        del used[:]
+        trace = run_fh(p, np.zeros(12), StoppingRule(tol=-1.0, max_steps=150))
+        assert used == ["Q", "Q^T"] and len(trace.coordinates) == 151 and len(trace.iterates) == 1
 
 
-#: a run that keeps only its last iterate measures errors[n] = ||y_n - y*|| for n < N; they
-#: agree with the ||x_n - x*|| of a run that keeps them all within this many units of
-#: rounding times ||x_n|| + ||x*||, on dims up to 200 (measured: at most 7). A contracting
-#: run has ||x_n|| <= 2||x*|| + ||x_0||, so there max(1, ||x*||, ||x_0||) may stand for it
+#: a run measures errors[n] = ||y_n - y*|| for n < N; they agree with ||x_n - x*|| of the
+#: x_n = Q y_n mapped back from its coordinates within this many units of rounding times
+#: ||x_n|| + ||x*||, on dims up to 200 (measured: at most 5.1). A contracting run has
+#: ||x_n|| <= 2||x*|| + ||x_0||, so there max(1, ||x*||, ||x_0||) may stand for it
 LAST_ONLY_ROUNDING = 32
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
+def _mapped_back(p, trace):
+    """The x_n = Q y_n of ``trace``'s coordinates, by one product with Q."""
+    basis, ys = p.coordinates()[0], np.array(trace.coordinates)
+    return ys if basis is None else (basis @ ys.T).T
+
+
 class TestLastIterateOnly:
-    """``keep_iterates=False``: the same run, its errors taken in y-space, x_N alone mapped back."""
+    """Errors taken in y-space against those of the mapped-back x_n; ``keep_iterates=False``
+    keeps no coordinates and changes nothing else."""
 
     @staticmethod
     def _check(p, x0, name):
         stop = StoppingRule(tol=1e-10 * max(1.0, np.linalg.norm(p.known_solution)), max_steps=60)
         full = run_scheme(name, p, x0, HALF, HALF, stop)
         last = run_scheme(name, p, x0, HALF, HALF, stop, keep_iterates=False)
-        assert (last.steps_used, last.residuals, last.converged, last.diverged) == (
-            full.steps_used, full.residuals, full.converged, full.diverged)
-        assert len(last.iterates) == 1 and len(last.errors) == len(full.errors)
+        assert (last.steps_used, last.residuals, last.errors, last.converged, last.diverged) == (
+            full.steps_used, full.residuals, full.errors, full.converged, full.diverged)
+        assert last.coordinates is None and len(full.coordinates) == len(full.errors)
+        assert len(last.iterates) == 1 and np.array_equal(last.iterates[0], full.iterates[0])
+        x_errors = [vector_norm(x - p.known_solution) for x in _mapped_back(p, full)]
         scale = max(1.0, np.linalg.norm(p.known_solution), np.linalg.norm(x0))
-        gap = np.max(np.abs(np.subtract(last.errors, full.errors)))
+        gap = np.max(np.abs(np.subtract(full.errors, x_errors)))
         assert gap <= LAST_ONLY_ROUNDING * UNIT_ROUNDOFF * scale
         # what the benchmark's oracle recomputes, exactly
         assert last.errors[-1] == float(np.linalg.norm(last.iterates[-1] - p.known_solution))
-        return full, last
+        return full, x_errors
 
     @pytest.mark.parametrize("dim", [1, 7, 200])
     @pytest.mark.parametrize("b_scale", [1e-6, 1.0, 1e12])
@@ -675,10 +670,11 @@ class TestLastIterateOnly:
     @pytest.mark.parametrize("make", [lambda: gen_soft_threshold(12, seed=1),
                                       lambda: gen_scalar_affine(b=2.0, lam=0.5)])
     def test_basis_free_errors_are_bitwise_unchanged(self, make):
+        # without a basis the coordinates are the iterates themselves
         p = make()
         for name in ("FH", "MANN", "NEW", "ZGY"):
-            full, last = self._check(p, np.full(p.dim, 4.0), name)
-            assert last.errors == full.errors and np.array_equal(last.iterates[0], full.iterates[-1])
+            full, x_errors = self._check(p, np.full(p.dim, 4.0), name)
+            assert full.errors == x_errors and np.array_equal(full.coordinates[-1], full.iterates[0])
 
     def test_without_solution_keeps_the_last_iterate(self):
         p = gen_spd_linear(12, seed=1)
@@ -686,8 +682,9 @@ class TestLastIterateOnly:
         stop = StoppingRule(tol=-1.0, max_steps=20)
         full = run_zgy(p, np.ones(12), HALF, HALF, stop)
         last = run_zgy(p, np.ones(12), HALF, HALF, stop, keep_iterates=False)
-        assert last.errors is None and len(last.iterates) == 1 and len(last.residuals) == 21
-        np.testing.assert_allclose(last.iterates[0], full.iterates[-1], rtol=0, atol=1e-14)
+        assert last.errors is None and last.coordinates is None and len(last.residuals) == 21
+        assert len(last.iterates) == 1 and np.array_equal(last.iterates[0], full.iterates[0])
+        np.testing.assert_allclose(last.iterates[0], _mapped_back(p, full)[-1], rtol=0, atol=1e-14)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_returns_its_last_finite_iterate(self):
@@ -699,13 +696,53 @@ class TestLastIterateOnly:
             last = run_fh(p, np.zeros(20), keep_iterates=False)
             assert last.diverged and len(last.iterates) == 1
             assert np.isfinite(last.iterates[0]).all()
-        # the iterates grow to ~1e307, and the rounding of the errors with them; norms overflow past ~1e154
-        scale = np.linalg.norm(full.iterates, axis=1) + np.linalg.norm(xstar)
+        # the iterates grow to ~1e307, and the rounding of the errors with them; only
+        # ||x_N - x*|| passes the largest float
         p.known_solution = xstar
-        errors, full_errors = (np.array(t.errors) for t in (run_fh(p, np.zeros(20), keep_iterates=False), full))
-        finite = np.isfinite(full_errors)
-        assert np.array_equal(np.isfinite(errors), finite) and finite[:200].all()
-        assert np.all(np.abs(errors - full_errors)[finite] <= LAST_ONLY_ROUNDING * UNIT_ROUNDOFF * scale[finite])
+        xs = _mapped_back(p, full)
+        x_errors = np.array([vector_norm(x - xstar) for x in xs])
+        scale = np.array([vector_norm(x) for x in xs]) + np.linalg.norm(xstar)
+        errors = np.array(full.errors)
+        finite = np.isfinite(x_errors)
+        assert np.isfinite(errors[:-1]).all() and finite[:-1].all() and errors[-1] == np.inf
+        assert np.all(np.abs(errors - x_errors)[finite] <= LAST_ONLY_ROUNDING * UNIT_ROUNDOFF * scale[finite])
+
+
+def test_norms_overflow_only_with_the_vector():
+    # np.linalg.norm squares the entries, so it reads inf from ||v|| ~ 1.3e154 on
+    big = np.full(4, 1e200)
+    with np.errstate(over="ignore"):  # as hmsolve.cli.main runs
+        assert np.linalg.norm(big) == np.inf and vector_norm(big) == 2e200
+        assert vector_norm(np.full(4, 1e308)) == np.inf  # ||v|| = 2e308 is not a float
+        for v in (np.array([np.inf, 1.0]), np.array([np.nan, 1e200]), np.zeros(3)):
+            assert np.array_equal(vector_norm(v), np.linalg.norm(v), equal_nan=True)
+    rng = np.random.default_rng(0)
+    for scale in (1e-300, 1e-8, 1.0, 1e8, 1e150):
+        v = scale * rng.standard_normal(50)
+        assert vector_norm(v) == float(np.linalg.norm(v))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_run_reports_finite_norms_until_it_diverges():
+    # kappa >= 1: FH's iterates pass 1e154 at about step 202 and overflow at step 405.
+    # The residual or error of a finite vector is np.linalg.norm's below 1e154 and, above,
+    # that of the vector scaled down by an exact power of two, up to rounding. Only the
+    # last F(x_n) - x_n and x_N - x* pass the largest float
+    p = gen_spd_linear(20, seed=0, c_a=5.0, lam=50.0)
+    trace = run_fh(p, np.zeros(20))
+    assert trace.diverged and trace.steps_used == 404
+    assert np.isfinite(trace.errors[:-1]).all() and np.isfinite(trace.residuals[:-2]).all()
+    assert max(trace.errors) > 1e300
+    g, ystar = p.coordinates()[1], p._solution_coordinates
+    norms = [(r, g(y) - y) for r, y in zip(trace.residuals, trace.coordinates)]
+    norms += [(e, y - ystar) for e, y in zip(trace.errors[:-1], trace.coordinates)]
+    for norm, v in norms:
+        if not np.isfinite(v).all():
+            assert norm == np.inf
+        elif np.abs(v).max() < 1e150:
+            assert norm == np.linalg.norm(v)
+        else:
+            assert norm == pytest.approx(2.0 ** 600 * np.linalg.norm(v * 2.0 ** -600), rel=1e-15)
 
 
 def test_spd_linear_errors_match_closed_form():
