@@ -158,10 +158,6 @@ class RateReport:
     fitted_ratio: float
 
 
-def _censor_threshold(solution_norm):
-    return 10.0 * np.finfo(float).eps * (1.0 + (solution_norm or 0.0))
-
-
 def rate_compare(trace_a, trace_b, decision_margin=0.05):
     """Compare the convergence rates of two error traces on the same problem.
 
@@ -174,7 +170,7 @@ def rate_compare(trace_a, trace_b, decision_margin=0.05):
     if trace_a.errors is None or trace_b.errors is None:
         raise ValueError("rate comparison requires traces with a known solution")
     n_common = min(len(trace_a.errors), len(trace_b.errors))
-    thresh = _censor_threshold(trace_a.solution_norm or trace_b.solution_norm)
+    thresh = 10.0 * np.finfo(float).eps * (1.0 + (trace_a.solution_norm or trace_b.solution_norm or 0.0))
 
     ea = np.asarray(trace_a.errors[:n_common], dtype=float)
     eb = np.asarray(trace_b.errors[:n_common], dtype=float)

@@ -188,11 +188,12 @@ class ScaledIdentity(AffineLinear):
         super().__init__(float(scale))
 
 
-ScaledIdentityMulti = ScaledIdentity
+ScaledIdentityMulti = ScaledIdentity  # kept: the benchmark's nonlinear-resolve builds its M with it
 
 
 class LinearMonotone(AffineLinear):
-    """M(u) = {B u} for a symmetric positive definite matrix B."""
+    """M(u) = {B u} for a symmetric positive definite matrix B. No src path builds one; it is kept
+    because the benchmark's nonlinear-resolve builds its Newton-path M with it."""
 
     def __init__(self, matrix):
         super().__init__(np.atleast_2d(np.asarray(matrix, dtype=float)))

@@ -13,7 +13,6 @@ from scipy.linalg import lapack
 from .operators import (
     AffineLinear,
     ScaledIdentity,
-    ScaledIdentityMulti,
     ShiftedSubdifferential,
     catalog_constants,
 )
@@ -30,7 +29,7 @@ def gen_scalar_affine(b=2.0, lam=1.0):
     """
     h = ScaledIdentity(1.0)
     a = AffineLinear(1.0, np.array([float(b)]))
-    m = ScaledIdentityMulti(1.0)
+    m = ScaledIdentity(1.0)
     return ProblemInstance(
         h=h, a=a, m=m, constants=catalog_constants(h, a, m), lam=lam, dim=1,
         known_solution=np.array([float(b) / 2.0]),
@@ -168,7 +167,7 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
 
     h = AffineLinear(eigenpair=(q, spectrum))
     a = AffineLinear(offset=b, eigenpair=(q, c_a * spectrum))
-    mm = ScaledIdentityMulti(m)
+    mm = ScaledIdentity(m)
     xstar = q @ ((q.T @ b) / (c_a * spectrum + m))
     return ProblemInstance(
         h=h, a=a, m=mm, constants=catalog_constants(h, a, mm), lam=lam, dim=dim,

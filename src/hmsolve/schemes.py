@@ -10,6 +10,7 @@ FH = (1, 0), MANN = (xi, 0), NEW = (1, mu) and ZGY = (xi, mu).
 """
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -214,7 +215,7 @@ class ProblemInstance:
 
     @functools.cached_property
     def _solution_coordinates(self):
-        """y* = Q^T x*, x* in the coordinates of ``coordinates()``; computed on the first run that needs it."""
+        """y* = Q^T x*, x* in the coordinates of ``coordinates()``; taken by the first run with x*."""
         basis = self.coordinates()[0]
         return self.known_solution if basis is None else basis.T @ self.known_solution
 
@@ -240,10 +241,10 @@ class ProblemInstance:
 class IterationTrace:
     """Per-step record of one algorithm run; mutable, but unchanged by the library once returned.
 
-    Each list but ``iterates`` = [x_N] has an entry per step n = 0, ..., N; on request
-    ``coordinates`` keeps every y_n = Q^T x_n of ``ProblemInstance.coordinates()``, so x_n is
-    ``Q @ coordinates[n]`` (y_n = x_n without Q). ``wall_nanos[n]`` counts from the run's start,
-    before Q^T x_0 and the first F evaluation, to the end of step n: the iteration loop only.
+    Each list but ``iterates`` = [x_N] has an entry per step n = 0, ..., N; on request ``coordinates``
+    keeps every y_n = Q^T x_n of ``ProblemInstance.coordinates()``, so x_n = ``Q @ coordinates[n]``
+    (y_n = x_n without Q). ``wall_nanos[n]`` runs from before Q^T x_0 to the end of step n, the error
+    of y_(n-1) included; mapping x_N back and its error come after ``wall_nanos[N]``.
     """
 
     algorithm: str
@@ -260,32 +261,31 @@ class IterationTrace:
 
 
 def vector_norm(v):
-    """``np.linalg.norm(v)`` bit for bit, unless only its squares overflow: then that of v/max|v_i|, scaled."""
-    norm = float(np.linalg.norm(v))
-    if norm == np.inf and np.isfinite(v).all():  # from ||v|| ~ 1.3e154 on
+    """||v|| of a 1-d float array by ``np.linalg.norm``'s own sqrt(v.dot(v)), bit for bit at a third
+    of its cost, unless only the squares overflow: then that of v/max|v_i|, scaled."""
+    norm = math.sqrt(v.dot(v))
+    if norm == math.inf and np.isfinite(v).all():  # from ||v|| ~ 1.3e154 on
         scale = float(np.max(np.abs(v)))
-        norm = scale * float(np.linalg.norm(v / scale))
+        norm = scale * vector_norm(v / scale)
     return norm
 
 
 def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=True):
     """Run scheme ``name`` as the relaxed two-step iteration of its casting.
 
-    Records iterates, residuals and errors each step. A step with mu_n = 0
-    reuses F(x_n) as F(r_n), and one with xi_n = 1 takes F(r_n) as the next
-    iterate, so FH and MANN cost one F evaluation per step, NEW and ZGY two,
-    and the degenerate castings reproduce FH bit for bit. The run stops,
-    ``diverged``, at the first non-finite iterate without evaluating F on it.
+    A step with mu_n = 0 reuses F(x_n) as F(r_n), and one with xi_n = 1 takes F(r_n) as the next
+    iterate, so FH and MANN cost one F evaluation per step, NEW and ZGY two, and the degenerate
+    castings reproduce FH bit for bit. The run stops, ``diverged``, at the first non-finite
+    iterate without evaluating F on it.
 
-    Every step is a linear combination of x and F(x), so the loop runs in the
-    coordinates y = Q^T x of ``problem.coordinates()``, with the residual
-    ||G(y) - y|| = ||F(x) - x||: O(n) per step on spectral problems. A zero x_0
-    starts at y_0 = x_0 with no product. Only x_N = Q y_N is mapped back, by one
-    product, as ``iterates``; ``keep_iterates`` keeps every y_n as ``coordinates``.
-    errors[n] = ||y_n - y*|| for n < N, with y* = Q^T x* cached on the problem, is
-    ||x_n - x*|| up to a few rounding units of ||x_n|| + ||x*||, Q being orthogonal;
-    errors[N] is ||x_N - x*|| exactly. With neither x* nor ``keep_iterates``, only
-    the last y is kept.
+    Every step is a linear combination of x and F(x), so the loop runs in the coordinates
+    y = Q^T x of ``problem.coordinates()``, with the residual ||G(y) - y|| = ||F(x) - x||: O(n)
+    per step on spectral problems. A zero x_0 starts at y_0 = x_0 with no product. Only
+    x_N = Q y_N is mapped back, by one product, as ``iterates``; ``keep_iterates`` keeps every
+    y_n as ``coordinates``, and without it a run holds O(n) memory at any length. Once y_(n+1)
+    is finite, the loop takes errors[n] = ||y_n - y*||, with y* = Q^T x* cached on the problem:
+    ||x_n - x*|| up to a few rounding units of ||x_n|| + ||x*||, Q being orthogonal. errors[N]
+    is ||x_N - x*|| exactly.
     """
     name = name.upper()
     xi, mu = casting(name, xi, mu)
@@ -298,13 +298,14 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=Tru
     kappa = problem.contraction_factor()
     xstar = problem.known_solution
     basis, g = problem.coordinates()
+    ystar = None if xstar is None else problem._solution_coordinates
     start = time.perf_counter_ns()
 
     y = x if basis is None or not x.any() else basis.T @ x  # Q^T 0 = 0: a zero start needs no product
     gy = g(y)
-    keep_all = keep_iterates or xstar is not None  # every y, kept or for its error
-    ys = [y.copy()]
+    ys = [y] if keep_iterates else None
     residuals = [vector_norm(gy - y)]
+    errors = None if xstar is None else []
     wall = [time.perf_counter_ns() - start]
 
     n = 0
@@ -313,33 +314,34 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=Tru
     while not residuals[-1] <= stop.tol and n < stop.max_steps:
         xi_n, mu_n = xi.value(n), mu.value(n)
         gr = gy if mu_n == 0.0 else g((1.0 - mu_n) * y + mu_n * gy)
-        y = gr if xi_n == 1.0 else (1.0 - xi_n) * y + xi_n * gr
-        diverged = not np.isfinite(y).all()
+        y_next = gr if xi_n == 1.0 else (1.0 - xi_n) * y + xi_n * gr
+        diverged = not np.isfinite(y_next).all()
         if diverged:
             break
-        gy = g(y)
-        if keep_all:
-            ys.append(y.copy())
-        else:
-            ys[0] = y
+        if errors is not None:
+            errors.append(vector_norm(y - ystar))
+        y, gy = y_next, g(y_next)
+        if keep_iterates:
+            ys.append(y)
         residuals.append(vector_norm(gy - y))
         wall.append(time.perf_counter_ns() - start)
         n += 1
 
-    x = ys[-1] if basis is None else basis @ ys[-1]
+    x = y if basis is None else basis @ y
+    if errors is not None:
+        errors.append(vector_norm(x - xstar))
     return IterationTrace(
         algorithm=name,
         iterates=[x],
         residuals=residuals,
-        errors=None if xstar is None else ([vector_norm(v - problem._solution_coordinates) for v in ys[:-1]]
-                                           + [vector_norm(x - xstar)]),
+        errors=errors,
         wall_nanos=wall,
         steps_used=n,
         converged=residuals[-1] <= stop.tol,
         kappa=kappa,
         solution_norm=None if xstar is None else float(np.linalg.norm(xstar)),
         diverged=diverged,
-        coordinates=ys if keep_iterates else None,
+        coordinates=ys,
     )
 
 

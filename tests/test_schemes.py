@@ -588,7 +588,8 @@ class TestEigenbasisHotPath:
 
     def test_zero_start_needs_no_product(self):
         # y_0 = x_0 = 0, which Q^T 0 gives bit for bit; a nonzero start takes Q^T x_0.
-        # Either run maps x_N = Q y_N back, by one product
+        # Either run maps x_N = Q y_N back, by one product. The first run on a problem
+        # with x* takes y* = Q^T x* before it starts
         p = gen_spd_linear(12, seed=1)
         basis, g = p.coordinates()
         used = []
@@ -606,14 +607,13 @@ class TestEigenbasisHotPath:
         p.coordinates = lambda: (Watched(), g)
         stop = StoppingRule(tol=-1.0, max_steps=0)
         assert run_fh(p, np.zeros(12), stop).iterates[0].tolist() == [0.0] * 12
-        assert used == ["Q"]
+        assert used == ["Q^T", "Q"]
         run_fh(p, np.full(12, 0.5), stop)
-        assert used == ["Q", "Q^T", "Q"]
-        # a run that keeps every y_n still maps x_N alone back; then the first run with an
-        # error in y takes y* = Q^T x*
+        assert used == ["Q^T", "Q", "Q^T", "Q"]
+        # a run that keeps every y_n still maps x_N alone back, and y* is not taken again
         del used[:]
         trace = run_fh(p, np.zeros(12), StoppingRule(tol=-1.0, max_steps=150))
-        assert used == ["Q", "Q^T"] and len(trace.coordinates) == 151 and len(trace.iterates) == 1
+        assert used == ["Q"] and len(trace.coordinates) == 151 and len(trace.iterates) == 1
 
 
 #: a run measures errors[n] = ||y_n - y*|| for n < N; they agree with ||x_n - x*|| of the
@@ -686,6 +686,23 @@ class TestLastIterateOnly:
         assert len(last.iterates) == 1 and np.array_equal(last.iterates[0], full.iterates[0])
         np.testing.assert_allclose(last.iterates[0], _mapped_back(p, full)[-1], rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("make", [lambda: gen_spd_linear(500, seed=1),
+                                      lambda: gen_soft_threshold(500, seed=1)])
+    @pytest.mark.parametrize("name", ["FH", "ZGY"])
+    def test_holds_no_path_without_keep_iterates(self, make, name):
+        # errors are taken as the run steps, so with x* known a run still keeps no y_n:
+        # 4,000 kept y_n at dim 500 would take 16 MB
+        p = make()
+        tracemalloc.start()
+        try:
+            trace = run_scheme(name, p, np.ones(500), HALF, HALF, StoppingRule(tol=-1.0, max_steps=4000),
+                               keep_iterates=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.steps_used == 4000 and len(trace.errors) == 4001 and trace.coordinates is None
+        assert peak < 2 * 2 ** 20
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_returns_its_last_finite_iterate(self):
         p = gen_spd_linear(20, seed=0, c_a=5.0, lam=50.0)
@@ -716,10 +733,20 @@ def test_norms_overflow_only_with_the_vector():
         assert vector_norm(np.full(4, 1e308)) == np.inf  # ||v|| = 2e308 is not a float
         for v in (np.array([np.inf, 1.0]), np.array([np.nan, 1e200]), np.zeros(3)):
             assert np.array_equal(vector_norm(v), np.linalg.norm(v), equal_nan=True)
+    # vector_norm takes numpy's own sqrt(v.dot(v)): bit for bit the same, with subnormal and
+    # zero entries too, up to the dims and scales whose squares overflow (here 1e153 at dim 2000)
     rng = np.random.default_rng(0)
-    for scale in (1e-300, 1e-8, 1.0, 1e8, 1e150):
-        v = scale * rng.standard_normal(50)
-        assert vector_norm(v) == float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        for dim in (1, 50, 1000, 2000):
+            for scale in (1e-320, 1e-300, 1e-8, 1.0, 1e8, 1e150, 1e153):
+                v = scale * rng.standard_normal(dim)
+                for _ in range(2):
+                    norm = float(np.linalg.norm(v))
+                    if norm == np.inf:
+                        top = np.max(np.abs(v))
+                        norm = top * float(np.linalg.norm(v / top))
+                    assert vector_norm(v) == norm
+                    v[::3] = 0.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
