@@ -31,7 +31,7 @@ from .operators import (
     catalog_constants,
 )
 from .resolvent import ResolventDivergenceError
-from .schemes import ProblemInstance, StoppingRule, as_vector, make_step_sequence
+from .schemes import ProblemInstance, StepSequence, StoppingRule, as_vector, make_step_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,23 +60,21 @@ def _interpreting():
         raise UsageError(repr(exc)) from exc
 
 
+#: spec name -> family (custom-table is "table" only), and the text after it as each parameter
+_SPEC_FAMILIES = {**{f: f for f in schemes.STEP_FAMILIES if f != "custom-table"},
+                  "const": "constant", "table": "custom-table"}
+_SPEC_PARAMS = {"value": float, "offset": int, "table": lambda text: [float(v) for v in text.split(",") if v]}
+
+
 def parse_sequence(spec):
-    """Parse a step-sequence spec string like ``const:0.5`` or ``harmonic:1``."""
+    """A StepSequence from a spec like ``const:0.5``, or from a dict of ``family`` and its parameter."""
     if isinstance(spec, dict):
-        return make_step_sequence(
-            spec["family"], value=spec.get("value"),
-            offset=spec.get("offset"), table=spec.get("table"),
-        )
+        return make_step_sequence(spec["family"], **{name: spec.get(name) for name in _SPEC_PARAMS})
     name, _, arg = str(spec).partition(":")
-    if name in ("const", "constant"):
-        return make_step_sequence("constant", value=float(arg))
-    if name in ("harmonic", "one-minus-harmonic"):
-        return make_step_sequence(name, offset=int(arg) if arg else None)
-    if name == "table":
-        return make_step_sequence(
-            "custom-table", table=[float(v) for v in arg.split(",") if v]
-        )
-    raise UsageError("unknown step sequence spec %r" % (spec,))
+    if name not in _SPEC_FAMILIES:
+        raise UsageError("unknown step sequence spec %r" % (spec,))
+    family = _SPEC_FAMILIES[name]
+    return StepSequence(family, _SPEC_PARAMS[schemes.STEP_FAMILIES[family].param](arg) if arg else None)
 
 
 def _operator_from_dict(d, multivalued=False):
@@ -194,13 +192,9 @@ def _setup(cfg, fewest=1, most=float("inf")):
 
 
 def write_trace_csv(path, trace):
-    """Trace CSV: columns n, residual, error, wall_nanos; LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "residual", "error", "wall_nanos"])
-        for n in range(len(trace.residuals)):
-            err = "" if trace.errors is None else repr(trace.errors[n])
-            writer.writerow([n, repr(trace.residuals[n]), err, trace.wall_nanos[n]])
+    """Trace CSV: columns n, residual, error, wall_nanos."""
+    _write_csv(path, ["n", "residual", "error", "wall_nanos"], zip(range(len(trace.residuals)),
+               trace.residuals, trace.errors or [None] * len(trace.residuals), trace.wall_nanos))
 
 
 def _divergence_status(traces):
@@ -273,12 +267,8 @@ def cmd_compare(cfg, out_dir):
                             in enumerate(zip(bounds_a, trace_a.errors, passed_a))],
     })
 
-    with open(out_dir / "compare.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "e_a", "e_b", "pi_n", "envelope_a", "envelope_b"])
-        for n in range(n_common):
-            writer.writerow([n] + ["" if v is None else repr(v) for v in (
-                trace_a.errors[n], trace_b.errors[n], report.pi[n], bounds_a[n], bounds_b[n])])
+    _write_csv(out_dir / "compare.csv", ["n", "e_a", "e_b", "pi_n", "envelope_a", "envelope_b"],
+               zip(range(n_common), trace_a.errors, trace_b.errors, report.pi, bounds_a, bounds_b))
     return _divergence_status([trace_a, trace_b])
 
 
@@ -293,15 +283,11 @@ def cmd_sweep(cfg, out_dir):
         raise UsageError("invalid lambda grid")
     grid = np.linspace(lo, hi, points) if points > 1 else np.array([lo])
 
-    rows = [(float(lam), analysis.contraction_factor(problem.constants, float(lam)))
-            for lam in grid]
+    rows = [(lam, analysis.contraction_factor(problem.constants, lam)) for lam in grid.tolist()]
     best_lam, best_kappa = min(rows, key=lambda row: row[1])
 
-    with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "kappa", "in_feasible_interval"])
-        for lam, kappa in rows:
-            writer.writerow([repr(lam), repr(kappa), int(kappa < 1.0)])
+    _write_csv(out_dir / "sweep.csv", ["lambda", "kappa", "in_feasible_interval"],
+               ((lam, kappa, int(kappa < 1.0)) for lam, kappa in rows))
     _write_json(out_dir / "sweep_summary.json", {
         "best_lambda": best_lam,
         "best_kappa": best_kappa,
@@ -328,11 +314,10 @@ def cmd_audit(cfg, out_dir):
     # why a probe run ended unconverged, for the failure messages
     unfinished = {name: "diverged" if trace.diverged else "hit the step cap %d" % stop.max_steps
                   for name, trace in probe.items() if not trace.converged}
-    # negative tol disables the residual stop so every rerun reaches the common length; a run at
-    # its exact fixed point just repeats it. A probe of that length is kept: a fixed-length run's
-    # prefix equals the run stopped at tol, and a capped or diverged probe is the rerun itself
+    # the rest rerun to the common length with the residual stop off (tol < 0): a probe of that length,
+    # or a diverged one (it stops at a non-finite iterate whatever tol), is its own fixed-length rerun
     fixed_stop = StoppingRule(tol=-1.0, max_steps=common)
-    traces = {name: trace if trace.steps_used == common
+    traces = {name: trace if trace.steps_used == common or trace.diverged
               else _RUNNERS[name](problem, x0, seqs, fixed_stop) for name, trace in probe.items()}
     pairs = []
     all_ok = True
@@ -381,6 +366,12 @@ def _write_json(path, payload):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows):
+    """A CSV with LF line endings; ``csv`` writes a float as its round-tripping repr and None empty."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _lambda(text):

@@ -9,6 +9,7 @@ and differ only in the step sequences (xi, mu) they feed it (``CASTINGS``):
 FH = (1, 0), MANN = (xi, 0), NEW = (1, mu) and ZGY = (xi, mu).
 """
 
+import collections
 import functools
 import math
 import time
@@ -21,6 +22,7 @@ from .resolvent import ResolventEngine
 
 __all__ = [
     "as_vector",
+    "STEP_FAMILIES",
     "StepSequence",
     "make_step_sequence",
     "StoppingRule",
@@ -54,85 +56,73 @@ def as_vector(entries):
     return v
 
 
+def _unit(v, what="constant step value"):
+    if v is None or not 0.0 <= v <= 1.0:
+        raise ValueError("%s must lie in [0, 1]" % what)
+    return float(v)
+
+
+def _offset(k):
+    if (k := 1 if k is None else int(k)) < 1:
+        raise ValueError("offset must be >= 1")
+    return k
+
+
+def _table(t):
+    if not t:
+        raise ValueError("custom-table requires a non-empty table")
+    return tuple(_unit(float(v), "table values") for v in t)
+
+
+StepFamily = collections.namedtuple("StepFamily", "param check term properties")
+
+#: family -> its one parameter's name, the check returning the parameter taken, the n-th term and
+#: the series properties (sum diverges, terms tend to 0, lower bound); a table repeats its last entry
+STEP_FAMILIES = {
+    "constant": StepFamily("value", _unit, lambda c, n: c, lambda c: (c > 0, c == 0, c)),
+    "harmonic": StepFamily("offset", _offset, lambda k, n: 1.0 / (n + k), lambda k: (True, True, 0.0)),
+    "one-minus-harmonic": StepFamily("offset", _offset, lambda k, n: 1.0 - 1.0 / (n + k),
+                                     lambda k: (True, False, 1.0 - 1.0 / k)),
+    "custom-table": StepFamily("table", _table, lambda t, n: t[n] if n < len(t) else t[-1],
+                               lambda t: (t[-1] > 0, t[-1] == 0, min(t))),
+}
+
+
 @dataclass(frozen=True)
 class StepSequence:
-    """A [0,1]-valued step-size sequence with symbolically derived properties.
+    """A [0,1]-valued step-size sequence: a family of ``STEP_FAMILIES`` and its parameter.
 
-    Series-level properties (divergence of the sum, vanishing limit, uniform
-    lower bound) are derived per family at construction, never sampled: no
-    finite sample can witness them.
+    The parameter is checked, and the series properties derived from it, at construction:
+    never sampled (no finite sample can witness them) nor declared.
     """
 
     family: str
-    value_param: float = 0.0
-    offset: int = 1
-    table: tuple = ()
-    sums_to_infinity: bool = False
-    tends_to_zero: bool = False
-    lower_bound: float = 0.0
+    param: object = None
+    sums_to_infinity: bool = field(init=False)
+    tends_to_zero: bool = field(init=False)
+    lower_bound: float = field(init=False)
+
+    def __post_init__(self):
+        if self.family not in STEP_FAMILIES:
+            raise ValueError("unknown family %r" % (self.family,))
+        family = STEP_FAMILIES[self.family]
+        param = family.check(self.param)
+        for name, value in zip(("param", "sums_to_infinity", "tends_to_zero", "lower_bound"),
+                               (param, *family.properties(param))):
+            object.__setattr__(self, name, value)
 
     def value(self, n):
-        if self.family == "constant":
-            return self.value_param
-        if self.family == "harmonic":
-            return 1.0 / (n + self.offset)
-        if self.family == "one-minus-harmonic":
-            return 1.0 - 1.0 / (n + self.offset)
-        if self.family == "custom-table":
-            return self.table[n] if n < len(self.table) else self.table[-1]
-        raise ValueError("unknown family %r" % (self.family,))
+        return STEP_FAMILIES[self.family].term(self.param, n)
 
 
 def make_step_sequence(family, value=None, offset=None, table=None):
-    """Build a StepSequence and derive its declared properties.
-
-    constant(c): diverging sum iff c > 0, lower bound c.
-    harmonic(k): 1/(n+k); diverging sum, vanishing terms.
-    one-minus-harmonic(k): 1 - 1/(n+k); diverging sum, lower bound at n = 0.
-    custom-table: finite table, last entry repeated forever.
-    """
-    if family == "constant":
-        if value is None or not 0.0 <= value <= 1.0:
-            raise ValueError("constant step value must lie in [0, 1]")
-        return StepSequence(
-            family=family, value_param=float(value),
-            sums_to_infinity=value > 0, tends_to_zero=value == 0,
-            lower_bound=float(value),
-        )
-    if family == "harmonic":
-        offset = 1 if offset is None else int(offset)
-        if offset < 1:
-            raise ValueError("harmonic offset must be >= 1")
-        return StepSequence(
-            family=family, offset=offset,
-            sums_to_infinity=True, tends_to_zero=True, lower_bound=0.0,
-        )
-    if family == "one-minus-harmonic":
-        offset = 1 if offset is None else int(offset)
-        if offset < 1:
-            raise ValueError("offset must be >= 1")
-        return StepSequence(
-            family=family, offset=offset,
-            sums_to_infinity=True, tends_to_zero=False,
-            lower_bound=1.0 - 1.0 / offset,
-        )
-    if family == "custom-table":
-        if not table:
-            raise ValueError("custom-table requires a non-empty table")
-        table = tuple(float(v) for v in table)
-        if any(not 0.0 <= v <= 1.0 for v in table):
-            raise ValueError("table values must lie in [0, 1]")
-        return StepSequence(
-            family=family, table=table,
-            sums_to_infinity=table[-1] > 0,
-            tends_to_zero=table[-1] == 0,
-            lower_bound=min(table),
-        )
-    raise ValueError("unknown family %r" % (family,))
+    """StepSequence(family, param), the parameter given by its name: ``value``, ``offset`` or ``table``."""
+    given = {"value": value, "offset": offset, "table": table}
+    return StepSequence(family, given[STEP_FAMILIES[family].param] if family in STEP_FAMILIES else None)
 
 
-ONE = make_step_sequence("constant", value=1.0)
-ZERO = make_step_sequence("constant", value=0.0)
+ONE = StepSequence("constant", 1.0)
+ZERO = StepSequence("constant", 0.0)
 
 #: each scheme as the relaxed two-step iteration: name -> (xi, mu) casting
 #: built from the caller's sequences
@@ -187,8 +177,6 @@ class ProblemInstance:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lam must be finite and strictly positive, got %r" % (self.lam,))
         if not self.dim >= 1:
             raise ValueError("dim must be at least 1")
         for op in (self.h, self.a, self.m):

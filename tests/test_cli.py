@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import sys
@@ -54,6 +55,37 @@ def _explicit(dim, a, constants=(1, 1, 1, 1, 1)):
     }
 
 
+#: (family, its parameter, a spec string for it, series properties, n-th term)
+_SEQUENCES = [
+    ("constant", 0.5, "const:0.5", (True, False, 0.5), lambda n: 0.5),
+    ("constant", 0.0, "const:0", (False, True, 0.0), lambda n: 0.0),
+    ("constant", 1.0, "constant:1", (True, False, 1.0), lambda n: 1.0),
+    ("harmonic", 1, "harmonic:", (True, True, 0.0), lambda n: 1.0 / (n + 1)),
+    ("harmonic", 3, "harmonic:3", (True, True, 0.0), lambda n: 1.0 / (n + 3)),
+    ("one-minus-harmonic", 2, "one-minus-harmonic:2", (True, False, 0.5), lambda n: 1.0 - 1.0 / (n + 2)),
+    ("one-minus-harmonic", 1, "one-minus-harmonic:1", (True, False, 0.0), lambda n: 1.0 - 1.0 / (n + 1)),
+    ("custom-table", (0.1, 0.4), "table:0.1,0.4", (True, False, 0.1), lambda n: 0.1 if n == 0 else 0.4),
+    ("custom-table", (0.3, 0.0), "table:0.3,0,", (False, True, 0.0), lambda n: 0.3 if n == 0 else 0.0),
+]
+
+#: spec strings and dicts, each with whether the CLI accepts it
+_SPECS = [
+    ("const:0.5", True), ("const:1.5", False), ("const:", False), ("const:x", False),
+    ("harmonic:", True), ("harmonic:2", True), ("harmonic:0", False), ("harmonic:1.5", False),
+    ("one-minus-harmonic:3", True), ("one-minus-harmonic:0", False), ("table:0.5,0.2", True),
+    ("table:", False), ("table:0.1,2", False), ("geometric:0.5", False), ("custom-table:0.1", False),
+    ({"family": "constant", "value": 0.5}, True), ({"family": "constant", "value": 1}, True),
+    ({"family": "constant", "value": "0.5"}, False), ({"family": "constant"}, False),
+    ({"family": "constant", "value": 2}, False), ({"family": "harmonic"}, True),
+    ({"family": "harmonic", "offset": 2}, True), ({"family": "harmonic", "offset": 0}, False),
+    ({"family": "one-minus-harmonic", "offset": 0.5}, False),
+    ({"family": "custom-table", "table": [0.1, 0.2]}, True),
+    ({"family": "custom-table", "table": "0.1,0.2"}, False),
+    ({"family": "custom-table", "table": []}, False), ({"family": "custom-table", "table": [0.1, 2]}, False),
+    ({"family": "geometric", "value": 0.5}, False), ({"family": "table", "table": [0.1]}, False),
+]
+
+
 class TestParseSequence:
     def test_const(self):
         assert parse_sequence("const:0.5").value(3) == 0.5
@@ -71,6 +103,35 @@ class TestParseSequence:
     def test_unknown_rejected(self):
         with pytest.raises(UsageError):
             parse_sequence("geometric:0.5")
+
+    @pytest.mark.parametrize("family, param, spec, properties, term", _SEQUENCES,
+                             ids=[row[2] for row in _SEQUENCES])
+    def test_every_form_gives_one_sequence(self, family, param, spec, properties, term):
+        name = schemes.STEP_FAMILIES[family].param
+        forms = [schemes.StepSequence(family, param), schemes.make_step_sequence(family, **{name: param}),
+                 parse_sequence(spec), parse_sequence({"family": family, name: param})]
+        assert all(seq == forms[0] and hash(seq) == hash(forms[0]) for seq in forms)
+        for seq in forms:
+            assert [seq.value(n) for n in range(50)] == [term(n) for n in range(50)]
+            assert (seq.sums_to_infinity, seq.tends_to_zero, seq.lower_bound) == properties
+
+    def test_unit_constants_are_one_and_zero(self):
+        # the audit pairs runs by comparing their castings' sequences with ONE
+        assert parse_sequence("const:1") == schemes.ONE and parse_sequence("const:0") == schemes.ZERO
+
+    @pytest.mark.parametrize("spec, accepted", _SPECS)
+    def test_accepts_and_rejects(self, spec, accepted):
+        # spec strings are read as text; a dict's value "0.5" or table "0.1,0.2" is no number or list
+        with contextlib.nullcontext() if accepted else pytest.raises(UsageError):
+            with cli._interpreting():
+                assert isinstance(parse_sequence(spec), schemes.StepSequence)
+
+    @pytest.mark.parametrize("spec", [{"family": "constant", "value": "0.5"},
+                                      {"family": "custom-table", "table": "0.1,0.2"}])
+    def test_text_in_a_config_dict_is_a_usage_error(self, tmp_path, spec):
+        cfg = _write_config(tmp_path, {"problem": {"kind": "scalar-affine"}, "sequences": {"xi": spec}})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert not any((tmp_path / "out").iterdir())
 
 
 class TestTraceCsv:
@@ -401,8 +462,13 @@ class TestAudit:
         assert ("fh", "mann") in checked
         assert ("zgy", "new") in checked
 
-    def test_finished_probe_runs_once(self, tmp_path, monkeypatch):
-        # a probe run that already has the common length is not run again
+    @pytest.mark.parametrize("problem, code, each_once", [
+        (["soft-threshold", "--dim", "60", "--lambda", "auto"], EXIT_OK, False),
+        # every run diverges: FH, ZGY and NEW after 404, 352 and 269 steps, MANN after 806
+        (["spd-linear", "--dim", "20", "--seed", "0", "--c-a", "5", "--lambda", "50"], EXIT_NUMERICAL, True),
+    ])
+    def test_finished_probe_runs_once(self, tmp_path, monkeypatch, problem, code, each_once):
+        # a probe run that already has the common length, or that diverged, is not run again
         runs = {}
 
         def counted(name, run):
@@ -414,12 +480,13 @@ class TestAudit:
         for name in ("fh", "zgy", "mann", "new"):
             monkeypatch.setattr(schemes, "run_" + name,
                                 counted(name, getattr(schemes, "run_" + name)))
-        code = main(["audit", "--problem", "soft-threshold", "--dim", "60", "--lambda", "auto",
-                     "--alg", "fh,zgy,mann,new", "--out", str(tmp_path)])
-        assert code == EXIT_OK
+        assert main(["audit", "--problem", *problem, "--alg", "fh,zgy,mann,new",
+                     "--out", str(tmp_path)]) == code
         common = max(traces[0].steps_used for traces in runs.values())
         for name, traces in runs.items():
-            assert len(traces) <= (1 if traces[0].steps_used == common else 2), name
+            finished = traces[0].steps_used == common or traces[0].diverged
+            assert len(traces) == (1 if finished else 2), name
+        assert each_once == all(len(traces) == 1 for traces in runs.values())
 
     def test_start_at_solution_gives_zero_length_recursion(self, tmp_path):
         # x0 = 1 is scalar-affine's solution b/2: every run stops at step 0, the

@@ -22,6 +22,7 @@ from hmsolve.problems import gen_scalar_affine, gen_soft_threshold, gen_spd_line
 from hmsolve.resolvent import ResolventEngine
 from hmsolve.schemes import (
     ProblemInstance,
+    StepSequence,
     StoppingRule,
     as_vector,
     make_step_sequence,
@@ -82,6 +83,13 @@ class TestStepSequences:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             make_step_sequence("constant", value=1.5)
+        with pytest.raises(ValueError, match="must lie in"):
+            StepSequence("constant", 5.0)
+
+    def test_properties_are_derived_not_declared(self):
+        with pytest.raises(TypeError):
+            StepSequence("harmonic", 1, sums_to_infinity=False)
+        assert StepSequence("harmonic").sums_to_infinity
 
 
 def _identity_problem(lam):
