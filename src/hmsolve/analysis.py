@@ -184,9 +184,7 @@ def rate_compare(trace_a, trace_b, decision_margin=0.05):
         if usable.size and not (trace_a.diverged or trace_b.diverged):
             window = usable[-max(3, math.ceil(0.25 * usable.size)):]
             vals = pis[window]
-            if (vals == 0.0).any():
-                ratio = 0.0
-            elif window.size >= 2:
+            if window.size >= 2:
                 slope = np.polyfit(window.astype(float), np.log(vals), 1)[0]
                 ratio = float(np.exp(slope))
             else:

@@ -244,6 +244,8 @@ def cmd_compare(cfg, out_dir):
         raise UsageError("compare requires a problem with a known solution")
     with _interpreting():
         decision_margin = float(cfg.get("decision_margin", 0.05))
+        if not decision_margin >= 0:
+            raise ValueError("decision_margin must be nonnegative, got %r" % decision_margin)
     kappa = problem.contraction_factor()
 
     # both runs start from the same x0; only errors are compared, so neither keeps its coordinates
@@ -279,7 +281,7 @@ def cmd_sweep(cfg, out_dir):
         lo = float(grid_cfg.get("lo", 1e-3))
         hi = float(grid_cfg.get("hi", 10.0))
         points = int(grid_cfg.get("points", 100))
-    if not (0 < lo <= hi) or points < 1:
+    if not (0 < lo <= hi < np.inf) or points < 1:
         raise UsageError("invalid lambda grid")
     grid = np.linspace(lo, hi, points) if points > 1 else np.array([lo])
 

@@ -12,6 +12,8 @@ a non-finite u into a non-finite x without an inner solve:
   coordinatewise, affine offsets moved into u. With g(t) = H(t) + lam*c*t,
   the dead zone |u - g(0)| <= lam*w is exactly 0 and the rest solves
   g(x) = u - lam*w*sign(u - g(0)) by masked safeguarded Newton/bisection.
+  H is gamma- and M c-strongly monotone, so g' >= gamma + lam*c brackets each
+  root between 0 and (target - g(0))/(gamma + lam*c) in closed form.
 * ``newton-general``: damped Newton with Armijo backtracking on
   G(x) = H(x) + lam*m(x) - u for the general smooth case.
 
@@ -169,30 +171,26 @@ class ResolventEngine:
         gp = lambda t: self.h.fprime(t) + lam * c
         g0 = g(np.zeros_like(u))
         active = np.flatnonzero(~(np.abs(u - g0) <= lw))
+        target, slope = (u - lw * np.sign(u - g0))[active], self.h.deriv_range[0] + lam * c
         out = np.zeros_like(u)
-        out[active] = self._solve_increasing(g, gp, (u - lw * np.sign(u - g0))[active], active)
+        out[active] = self._solve_increasing(g, gp, target, g0[active], slope, active)
         return out
 
-    def _solve_increasing(self, g, gp, target, index):
+    def _solve_increasing(self, g, gp, target, g0, slope, index):
         """Roots of the increasing coordinatewise map g(t) = target, all at once.
 
-        Joint doubling bracket, then Newton with bisection fallback; a coordinate
-        converges at |g(t) - target| <= inner_tolerance*max(1, |target|) and is
-        frozen there, so each follows its own scalar iterates.
+        g' >= slope > 0 brackets each root between 0 and (target - g(0))/slope, so Newton
+        from 0 first steps inside it; bisection is the fallback. A coordinate converges at
+        |g(t) - target| <= inner_tolerance*max(1, |target|) and is frozen there, so each
+        follows its own scalar iterates; a slope above the true one may leave a root
+        outside its bracket, which then raises at the step cap.
         """
-        lo, hi = -np.ones_like(target), np.ones_like(target)
-        for doublings in range(201):
-            g_lo, g_hi = g(lo), g(hi)
-            open_lo, open_hi = ~(g_lo <= target), ~(g_hi >= target)
-            if not (open_lo.any() or open_hi.any()):
-                break
-            if doublings == 200:
-                resid = np.where(open_lo, g_lo, g_hi) - target
-                raise _coordinate_failure("found no bracket after 200 doublings",
-                                          index, open_lo | open_hi, resid)
-            lo[open_lo] *= 2.0
-            hi[open_hi] *= 2.0
-        t = 0.5 * (lo + hi)
+        with np.errstate(over="ignore"):  # a finite target may have an infinite bracket
+            reach = (gap := target - g0) / slope
+        if not np.isfinite(reach).all():
+            raise _coordinate_failure("found no finite bracket", index, ~np.isfinite(reach), gap)
+        lo, hi = np.minimum(reach, 0.0), np.maximum(reach, 0.0)
+        t = np.zeros_like(reach)
         tol = self.inner_tolerance * np.maximum(1.0, np.abs(target))
         for _ in range(self.max_inner_steps):
             ft = g(t) - target

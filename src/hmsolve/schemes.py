@@ -57,21 +57,22 @@ def as_vector(entries):
 
 
 def _unit(v, what="constant step value"):
-    if v is None or not 0.0 <= v <= 1.0:
+    if v is None or not 0.0 <= v <= 1.0 or np.asarray(v).dtype.kind not in "iuf":  # no bool either
         raise ValueError("%s must lie in [0, 1]" % what)
     return float(v)
 
 
 def _offset(k):
-    if (k := 1 if k is None else int(k)) < 1:
-        raise ValueError("offset must be >= 1")
-    return k
+    k = 1 if k is None else k
+    if np.asarray(k).dtype.kind not in "iuf" or not (k >= 1 and float(k).is_integer()):
+        raise ValueError("offset must be a whole number >= 1, got %r" % (k,))
+    return int(k)
 
 
 def _table(t):
-    if not t:
-        raise ValueError("custom-table requires a non-empty table")
-    return tuple(_unit(float(v), "table values") for v in t)
+    if isinstance(t, str) or not t:
+        raise ValueError("custom-table requires a non-empty list of numbers, got %r" % (t,))
+    return tuple(_unit(v, "table values") for v in t)
 
 
 StepFamily = collections.namedtuple("StepFamily", "param check term properties")

@@ -83,6 +83,11 @@ _SPECS = [
     ({"family": "custom-table", "table": "0.1,0.2"}, False),
     ({"family": "custom-table", "table": []}, False), ({"family": "custom-table", "table": [0.1, 2]}, False),
     ({"family": "geometric", "value": 0.5}, False), ({"family": "table", "table": [0.1]}, False),
+    ({"family": "harmonic", "offset": 2.0}, True), ({"family": "harmonic", "offset": 1.5}, False),
+    ({"family": "harmonic", "offset": "2"}, False), ({"family": "harmonic", "offset": True}, False),
+    ({"family": "harmonic", "offset": float("inf")}, False), ({"family": "constant", "value": True}, False),
+    ({"family": "custom-table", "table": [0, 1]}, True), ({"family": "custom-table", "table": "1"}, False),
+    ({"family": "custom-table", "table": ["0.1"]}, False),
 ]
 
 
@@ -121,13 +126,18 @@ class TestParseSequence:
 
     @pytest.mark.parametrize("spec, accepted", _SPECS)
     def test_accepts_and_rejects(self, spec, accepted):
-        # spec strings are read as text; a dict's value "0.5" or table "0.1,0.2" is no number or list
+        # spec strings are read as text; a dict takes numbers only: its value "0.5", offset 1.5
+        # or "2", and table "0.1,0.2" or ["0.1"] are neither truncated nor converted
         with contextlib.nullcontext() if accepted else pytest.raises(UsageError):
             with cli._interpreting():
                 assert isinstance(parse_sequence(spec), schemes.StepSequence)
 
     @pytest.mark.parametrize("spec", [{"family": "constant", "value": "0.5"},
-                                      {"family": "custom-table", "table": "0.1,0.2"}])
+                                      {"family": "custom-table", "table": "0.1,0.2"},
+                                      {"family": "harmonic", "offset": 1.5},
+                                      {"family": "harmonic", "offset": "2"},
+                                      {"family": "custom-table", "table": "1"},
+                                      {"family": "custom-table", "table": ["0.1"]}])
     def test_text_in_a_config_dict_is_a_usage_error(self, tmp_path, spec):
         cfg = _write_config(tmp_path, {"problem": {"kind": "scalar-affine"}, "sequences": {"xi": spec}})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
@@ -167,6 +177,18 @@ class TestSolve:
         assert alg["converged"]
         assert alg["final_error"] == 0.0
         assert (tmp_path / "trace_fh.csv").exists()
+
+    def test_explicit_subdifferential_m(self, tmp_path):
+        # 0 in (2x - b) + (x + d|x|) at x = soft(b, 1)/3: the soft-threshold resolvent
+        problem = {**_explicit(3, {"kind": "affine", "matrix": (2 * np.eye(3)).tolist(),
+                                   "offset": [3.0, 0.5, -4.0]}, (1, 1, 2, 2, 1)),
+                   "m": {"kind": "shifted-subdifferential", "shift": 1.0},
+                   "known_solution": [2 / 3, 0.0, -1.0]}
+        cfg = _write_config(tmp_path, {"problem": problem, "lambda": "auto", "algorithms": ["fh", "new"]})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        for alg in summary["algorithms"].values():
+            assert alg["converged"] and alg["final_error"] < 1e-8
 
     def test_multiple_algorithms(self, tmp_path):
         code = main([
@@ -385,6 +407,14 @@ class TestSweep:
             "--out", str(tmp_path),
         ])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("grid", ["0.1:inf:3", "inf:inf:2", "nan:1:3", "0:1:3", "0.1:1:0"])
+    def test_non_finite_or_empty_grid(self, tmp_path, capsys, grid):
+        # an infinite end once made NaN grid points, and a traceback from contraction_factor
+        out = tmp_path / "out"
+        assert main(["sweep", "--problem", "scalar-affine", "--grid", grid, "--out", str(out)]) == EXIT_USAGE
+        assert "invalid lambda grid" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 class TestSpdLinearStaysSpectral:
@@ -627,6 +657,38 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["solve", "--config", str(bad)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("text", ["[]", '[{"problem": {"kind": "scalar-affine"}}]'])
+    def test_config_that_is_an_array(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(bad), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_unreadable_config_or_output(self, tmp_path, capsys):
+        # reading the config and making the output directory fail with an OSError
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for argv in (["--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")],
+                     ["--problem", "scalar-affine", "--out", str(blocker / "out")]):
+            assert main(["solve", *argv]) == EXIT_USAGE
+            assert "usage error: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_unknown_operator_kind(self, tmp_path):
+        cfg = _write_config(tmp_path, {"problem": _explicit(2, {"kind": "rotation", "angle": 1.0})})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert not any(out.iterdir())
+
+    def test_compare_needs_a_known_solution(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"problem": _explicit(2, {"kind": "scaled-identity", "scale": 1.0}),
+                                       "algorithms": ["fh", "new"]})
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert "known solution" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_infeasible_constants_auto_lambda(self, tmp_path):
         # no lam gives kappa < 1 for these constants
         cfg = _write_config(tmp_path, {
@@ -685,10 +747,13 @@ class TestExitCodes:
         (["solve", "--tol", "nan"], {}),
         (["audit", "--alg", "fh,new"], {"gap_tol": -1}),
         (["audit", "--alg", "fh,new"], {"gap_tol": float("nan")}),
+        (["compare", "--alg", "fh,mann", "--xi", "const:1"], {"decision_margin": -0.5}),
+        (["compare", "--alg", "fh,mann"], {"decision_margin": float("nan")}),
     ])
     def test_meaningless_stopping_or_gap_tol(self, tmp_path, argv, config):
-        # a negative cap makes 0-step runs, a NaN tol is never met and a
-        # negative or NaN gap_tol fails every pair: inputs, not numerics
+        # a negative cap makes 0-step runs, a NaN tol is never met, a negative
+        # or NaN gap_tol fails every pair, and a decision_margin of -0.5 once
+        # called two identical runs (fitted ratio 1) a-faster: inputs, not numerics
         out = tmp_path / "out"
         code = main([*argv, "--config", _write_config(tmp_path, config),
                      "--problem", "spd-linear", "--dim", "5", "--out", str(out)])

@@ -47,12 +47,8 @@ def _scalar_reference(eng, u):
         if abs(ui - g(0.0)) <= lam * w:
             continue
         target = ui - lam * w * np.sign(ui - g(0.0))
-        lo, hi = -1.0, 1.0
-        while g(lo) > target:
-            lo *= 2.0
-        while g(hi) < target:
-            hi *= 2.0
-        t = 0.5 * (lo + hi)
+        reach = (target - g(0.0)) / (eng.h.deriv_range[0] + lam * c)
+        lo, hi, t = min(0.0, reach), max(0.0, reach), 0.0
         while abs(g(t) - target) > eng.inner_tolerance * max(1.0, abs(target)):
             ft, d = g(t) - target, gp(t)
             hi, lo = (t, lo) if ft > 0 else (hi, t)
@@ -160,17 +156,40 @@ class TestResolve:
             eng.resolve(np.array([0.0, 7.5]))
 
     @pytest.mark.parametrize("m", [ScaledIdentityMulti(0.5), ShiftedSubdifferential(0.5)])
-    @pytest.mark.parametrize("bad", [np.nan, 1e80, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, 1e308, np.inf, -np.inf])
     def test_separable_unsolvable_coordinate_raises(self, m, bad):
-        # 1e80 has no root within 200 doublings; NaN and +-inf have none at all,
-        # and give a non-finite x as the closed forms do
-        eng = ResolventEngine(_tanh_op(), m, 1.0, dim=3)
+        # g' >= 0.5 + 0.1*0.5 brackets the root of 1e308 by (1e308 - g(0))/0.55, which
+        # overflows; NaN and +-inf have no root at all, and give a non-finite x as the
+        # closed forms do. Neither may raise a RuntimeWarning (an error under this suite)
+        h = DiagonalNonlinear(lambda t: 0.5 * (t + np.tanh(t)),
+                              lambda t: 0.5 * (2 - np.tanh(t) ** 2), (0.5, 1.0))
+        eng = ResolventEngine(h, m, 0.1, dim=3)
         u = np.array([0.3, bad, -2.0])
         if np.isfinite(bad):
-            with pytest.raises(ResolventDivergenceError, match="coordinate 1: "):
+            with pytest.raises(ResolventDivergenceError, match="no finite bracket at coordinate 1: "):
                 eng.resolve(u)
         else:
             assert not np.isfinite(eng.resolve(u)[1])
+
+    @pytest.mark.parametrize("m", [ScaledIdentityMulti(0.5), ShiftedSubdifferential(0.5)])
+    def test_separable_far_target_solved(self, m):
+        # a 1e80 target is bracketed by gamma + lam*eta at once; f' = 2 - tanh^2 cannot overflow
+        h = DiagonalNonlinear(lambda t: t + np.tanh(t), lambda t: 2 - np.tanh(t) ** 2, (1.0, 2.0))
+        eng = ResolventEngine(h, m, 1.0, dim=3)
+        u = np.array([0.3, 1e80, -2.0])
+        x = eng.resolve(u)
+        assert inclusion_residual(eng, x, u) <= eng.inner_tolerance * 1e80
+        assert x[1] == pytest.approx(1e80 / 1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [ScaledIdentityMulti(0.5), ShiftedSubdifferential(0.5)])
+    def test_separable_overstated_gamma_raises(self, m):
+        # f' = 2 - tanh^2 has infimum 1, not the declared 1.9: the bracket of a target near
+        # 100 ends near 100/2.4 = 42, where g is near 63, and the solve raises rather than
+        # return an x outside the inner tolerance
+        h = DiagonalNonlinear(lambda t: t + np.tanh(t), lambda t: 2 - np.tanh(t) ** 2, (1.9, 2.0))
+        eng = ResolventEngine(h, m, 1.0, dim=3)
+        with pytest.raises(ResolventDivergenceError, match="relative tolerance .* coordinate 1: "):
+            eng.resolve(np.array([0.3, 100.0, -2.0]))
 
     @pytest.mark.parametrize("m,strategy", [(ScaledIdentityMulti(0.5), SEPARABLE),
                                             (LinearMonotone(np.eye(3)), NEWTON)])
