@@ -4,8 +4,9 @@ H and A are single-valued maps; M is multivalued, and the solvers only ever
 touch it through its resolvent plus a monotone selection used for empirical
 validation. One class, ``AffineLinear``, implements every linear map
 x -> W x - b, whatever its role: W is a positive scalar w (w*I in any
-dimension, never stored as a matrix) or a square matrix, which an eigenpair
-Q diag(w) Q^T given instead builds only when read. ``ScaledIdentity``
+dimension, never stored as a matrix) or a square matrix. An eigenpair
+Q diag(w) Q^T given instead is applied by products with Q, such as the O(kn)
+ones of k reflectors, and builds the matrix only when read. ``ScaledIdentity``
 (alias ``ScaledIdentityMulti``) and ``LinearMonotone`` are its scalar and
 symmetric-matrix cases. ``DiagonalNonlinear`` is the nonlinear coordinatewise
 H, ``ShiftedSubdifferential`` the genuinely multivalued coordinatewise M.
@@ -19,9 +20,7 @@ w.r.t. H and Lipschitz constants, eta is M's strong monotonicity constant.
 assignment above throughout.)
 """
 
-import contextlib
 import functools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
 ]
 
 _CONSISTENCY_TOL = 1e-9
-_PROBED = weakref.WeakValueDictionary()  # the bases that passed the probe, by id
 
 
 class UnsupportedOperatorError(TypeError):
@@ -100,11 +98,10 @@ class AffineLinear:
     eigenpair together are a ``ValueError``. Q is an n x n array or any object that
     offers ``Q @ V`` and ``Q.T @ V`` and, for ``numpy.asarray``, its dense form, such
     as the reflectors of ``problems.ReflectorBasis``: every reader of the basis but
-    ``matrix`` uses its products only. ``matrix`` (and ``weight``) is built as the
-    symmetric part of (Q w) Q^T on its first read, and never if nothing reads it.
-    Q is checked once on one seeded probe vector v, in O(n^2): Q(Q^T v) must give v
-    back to 1e-9 relative, else ``ValueError``; a basis object that passed the probe
-    once (H's, shared by A) is not probed again.
+    ``matrix`` uses its products only, ``apply`` too, as Q(w * Q^T x) - offset.
+    ``matrix`` (and ``weight``) is built as the symmetric part of (Q w) Q^T on its
+    first read, and never if nothing reads it. Q is checked on one seeded probe
+    vector v: Q(Q^T v) must give v back to 1e-9 relative, else ``ValueError``.
     """
 
     def __init__(self, weight=None, offset=None, eigenpair=None):
@@ -146,12 +143,9 @@ class AffineLinear:
         if (basis.shape != (self.dim, self.dim) or values.shape != (self.dim,)
                 or not np.isfinite(values).all()):
             raise ValueError("an eigenpair needs an n x n basis and n finite values")
-        if _PROBED.get(id(basis)) is not basis:  # else the same probe passed
-            v = np.random.default_rng(0).standard_normal(self.dim)
-            if not np.linalg.norm(basis @ (basis.T @ v) - v) <= _CONSISTENCY_TOL * np.linalg.norm(v):
-                raise ValueError("the eigenpair's basis is not orthogonal on a probe vector")
-            with contextlib.suppress(TypeError):  # a basis without weak references is probed each time
-                _PROBED[id(basis)] = basis
+        v = np.random.default_rng(0).standard_normal(self.dim)
+        if not np.linalg.norm(basis @ (basis.T @ v) - v) <= _CONSISTENCY_TOL * np.linalg.norm(v):
+            raise ValueError("the eigenpair's basis is not orthogonal on a probe vector")
         values.setflags(write=False)
         return basis, values
 
@@ -171,7 +165,13 @@ class AffineLinear:
 
     def apply(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        wx = self.matrix @ x if self.scale is None else self.scale * x
+        if self.scale is not None:
+            wx = self.scale * x
+        elif self.eigenpair is not None:
+            q, w = self.eigenpair
+            wx = q @ (w * (q.T @ x))
+        else:
+            wx = self.matrix @ x
         return wx if self.offset is None else wx - self.offset
 
     selection = apply

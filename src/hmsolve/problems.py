@@ -5,10 +5,7 @@ that ``catalog_constants`` reads off its operators, and whose known_solution
 solves the inclusion 0 in A(x) + M(x) in closed form.
 """
 
-import functools
-
 import numpy as np
-from scipy.linalg import lapack
 
 from .operators import (
     AffineLinear,
@@ -37,105 +34,38 @@ def gen_scalar_affine(b=2.0, lam=1.0):
     )
 
 
-def _in_place(routine, *args, lwork=None, overwrite="a"):
-    """Run the LAPACK ``routine`` in place on its F-ordered float64 argument ``overwrite``; its outputs without info.
-
-    ``lwork`` None takes the optimal workspace from a query: scipy's default is
-    the unblocked minimum, ~3x slower for ``dorgqr`` at n = 1000.
-    """
-    flags = {"overwrite_" + overwrite: 1}
-    if lwork is None:
-        lwork = int(routine(*args, lwork=-1, **flags)[-2][0])
-    *out, info = routine(*args, lwork=lwork, **flags)
-    if info != 0:
-        raise np.linalg.LinAlgError("%s failed with info %d" % (routine.__name__, info))
-    return out
+#: Q's number of reflectors k: O(kn) work and memory for Q and for each product with it
+_REFLECTORS = 3
 
 
 class ReflectorBasis:
-    """An orthogonal n x n Q held as Householder reflectors, never as a matrix.
+    """An orthogonal n x n Q = H_1 ... H_k held as its reflectors H_i = I - 2 v_i v_i^T, never as a matrix.
 
-    Q = Q_r diag(s): Q_r is the product of the reflectors stored as LAPACK's QR
-    routines store them (Golub and Van Loan, ch. 5), each below the diagonal of
-    its column of the F-ordered buffer ``qr`` with its scalar in ``tau``, and s
-    holds n signs. ``Q @ v`` and ``Q.T @ v``, for a vector or an n x k matrix
-    v, are each one unblocked ``dormqr``, with the signs as exact flips: Q v =
-    Q_r (s*v) and Q^T v = s*(Q_r^T v). ``numpy.asarray(Q)`` is the dense Q,
-    read-only and C-ordered, built once on first read by ``dorgqr`` on a copy of
-    the buffer. ``dormqr`` may write into the buffer and restore it, so one basis
-    is not for products from several threads at once.
+    Each v_i is a unit row of the k x n array ``v`` (Golub and Van Loan, ch. 5). ``Q @ V``, for a
+    vector or an n x m matrix V, takes k rank-one updates of a copy of V, O(knm) work. Each
+    H_i is symmetric, so ``Q.T`` is the basis of the same rows in reverse order.
+    ``numpy.asarray(Q)`` is the dense Q, built as Q @ I on each read.
     """
 
     __array_ufunc__ = None  # ndarray @ Q, and any ufunc on Q, raise TypeError rather than build Q
 
-    def __init__(self, qr, tau, signs):
-        for a in (qr, tau, signs):
-            a.setflags(write=False)
-        self._qr, self._tau, self._signs = qr, tau, signs
-        self.shape = qr.shape
+    def __init__(self, v):
+        v.setflags(write=False)
+        self._v = v
+        self.shape = (v.shape[1], v.shape[1])
 
     @property
     def T(self):
-        # a new view each time: a cached one would make a reference cycle, which keeps the
-        # n x n buffer alive after its instance until the cyclic collector runs
-        return _Transposed(self)
+        return ReflectorBasis(self._v[::-1])
 
-    def _product(self, trans, c):
-        """Q_r c (``trans`` b"N") or Q_r^T c (b"T"), overwriting c: a new n-vector or F-ordered n x k matrix."""
-        block = c.reshape(self.shape[0], -1, order="F")
-        # hmsolve multiplies vectors only, where the unblocked code wins: 0.5 against 1.6 ms at n = 1000
-        out = _in_place(lapack.dormqr, b"L", trans, self._qr, self._tau, block, lwork=block.shape[1], overwrite="c")
-        return out[0].reshape(c.shape, order="F")
-
-    def __matmul__(self, v):
-        return self._product(b"N", np.multiply(np.asarray(v, dtype=float).T, self._signs).T)
-
-    @functools.cached_property
-    def _dense(self):
-        q = np.ascontiguousarray(_in_place(lapack.dorgqr, self._qr.copy(order="F"), self._tau)[0])
-        q *= self._signs
-        q.setflags(write=False)
-        return q
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self._dense, dtype=dtype, copy=copy)
-
-
-class _Transposed:
-    """Q^T of a ``ReflectorBasis`` Q: ``Q.T @ v``, and Q again as ``.T``."""
-
-    __array_ufunc__ = None
-
-    def __init__(self, basis):
-        self.T, self.shape = basis, basis.shape
-
-    def __matmul__(self, v):
-        out = self.T._product(b"T", np.array(v, dtype=float, order="F"))
-        np.multiply(out.T, self.T._signs, out=out.T)
+    def __matmul__(self, x):
+        out = np.array(x, dtype=float)
+        for v in self._v[::-1]:  # H_k acts first
+            out -= np.multiply.outer(v, 2.0 * (v @ out))
         return out
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(np.asarray(self.T).T, dtype=dtype, copy=copy)
-
-
-def _random_orthogonal(dim, rng):
-    # Haar Q as n - 1 random Householder reflectors (Stewart, SIAM J. Numer. Anal.
-    # 17 (1980) 403-409): column j of the one F-ordered buffer gets n - j fresh
-    # normals, and ``dlarfg`` turns them in place into beta on the diagonal, the
-    # reflector below it and tau_j, as ``dgeqrf`` does per column, with O(n^2)
-    # work in all. The law is that of the sign-fixed QR factor of a Gaussian
-    # matrix (Mezzadri 2007): a QR's trailing update leaves an iid Gaussian block,
-    # independent of the reflectors already formed (orthogonal invariance), so
-    # its reflectors are those of independent Gaussian columns. The last column
-    # gets no reflector (tau = 0), as in ``dgeqrf``, and the signs of the betas
-    # make Q diag(s) Haar; H, A, T, c and x* do not depend on them bit for bit,
-    # since each sign multiplies both factors of every product.
-    qr, tau = np.zeros((dim, dim), order="F"), np.zeros(dim)
-    for j in range(dim):
-        column = rng.standard_normal(out=qr[j:, j])
-        if j < dim - 1:
-            column[0], _, tau[j] = lapack.dlarfg(dim - j, column[0], column[1:], overwrite_x=1)
-    return ReflectorBasis(qr, tau, np.sign(np.diag(qr)))
+        return np.asarray(self @ np.eye(self.shape[0]), dtype=dtype)
 
 
 def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
@@ -147,21 +77,20 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     A to H, making the cross-operator constant exact: with d = x - y,
     <A x - A y, H x - H y> = c_a ||H d||^2 >= c_a gamma^2 ||d||^2, so
     r = c_a*gamma^2 and s = c_a*tau. M = m*I gives eta = m. H and A are
-    given as eigenpairs on the one basis Q, and Q is a ``ReflectorBasis``:
-    n - 1 Householder reflectors drawn from the seed in place by ``dlarfg``,
-    in O(n^2) work with no QR, a Haar-distributed Q (Stewart 1980), each
-    product with Q or Q^T one ``dormqr``. So the reflectors' buffer is the one
-    n x n array built here: a dense Q, H or A is formed (by ``dorgqr``) only
-    when something reads it. A seed names a different Q and b than in
-    versions that took Q from the QR of a Gaussian matrix; the spectrum, the
-    constants and the law of Q are the same. The solution of
-    (c_a*H + m*I) x = b is Q((Q^T b) / (c_a*h + m)) for H's spectrum h.
+    given as eigenpairs on the one basis Q, a ``ReflectorBasis`` of
+    ``_REFLECTORS`` unit vectors drawn from the seed before b: no n x n array
+    is built unless something reads the dense Q, H or A. A seed names a
+    different Q and b than in versions that drew a Haar Q; the spectrum, the
+    constants and the law of Q^T b, N(0, b_scale^2 I), are the same. The
+    solution of (c_a*H + m*I) x = b is Q((Q^T b) / (c_a*h + m)) for H's
+    spectrum h.
     """
     lo, hi = float(eigen_range[0]), float(eigen_range[1])
     if not (0 < lo <= hi) or dim < 1:
         raise ValueError("eigen_range must lie in (0, inf) with lo <= hi, dim >= 1")
     rng = np.random.default_rng(seed)
-    q = _random_orthogonal(dim, rng)
+    v = rng.standard_normal((_REFLECTORS, dim))
+    q = ReflectorBasis(v / np.linalg.norm(v, axis=1, keepdims=True))
     spectrum = np.linspace(lo, hi, dim) if dim > 1 else np.array([lo])
     b = b_scale * rng.standard_normal(dim)
 

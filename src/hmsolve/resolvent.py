@@ -28,7 +28,6 @@ F(x) = R[H x - lam*A x] takes: diagonal, or one ``resolve`` per evaluation.
 import functools
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import operators as ops
 
@@ -134,6 +133,8 @@ class ResolventEngine:
         k = _weight_sum(self.h.weight, self.m.weight, self.lam)
         if not np.ndim(k):
             return lambda b: b / k
+        from scipy.linalg import lu_factor, lu_solve  # only a matrix K needs scipy, whose import outlasts a small run
+
         lu = lu_factor(k, overwrite_a=True, check_finite=False)
         return lambda b: lu_solve(lu, b, overwrite_b=True, check_finite=False)
 

@@ -70,7 +70,7 @@ def _offset(k):
 
 
 def _table(t):
-    if isinstance(t, str) or not t:
+    if t is None or isinstance(t, str) or len(t) == 0:
         raise ValueError("custom-table requires a non-empty list of numbers, got %r" % (t,))
     return tuple(_unit(v, "table values") for v in t)
 

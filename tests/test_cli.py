@@ -1,6 +1,8 @@
 import contextlib
 import csv
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -420,6 +422,14 @@ class TestSweep:
 class TestSpdLinearStaysSpectral:
     """spd-linear's H and A are eigenpairs on reflectors: no subcommand reads an n x n matrix or Q."""
 
+    @staticmethod
+    def _count(monkeypatch, method):
+        """Count every call of ``ReflectorBasis.<method>`` in the returned list."""
+        calls, wrapped = [], getattr(problems.ReflectorBasis, method)
+        monkeypatch.setattr(problems.ReflectorBasis, method,
+                            lambda *args, **kw: calls.append(1) or wrapped(*args, **kw))
+        return calls
+
     @pytest.mark.parametrize("command", [
         ["solve", "--alg", "fh,zgy,mann,new"],
         ["solve", "--lambda", "auto", "--alg", "fh,new"],
@@ -428,48 +438,41 @@ class TestSpdLinearStaysSpectral:
         ["sweep"],
     ])
     def test_no_dense_h_or_a(self, command, tmp_path, monkeypatch):
-        made, orthogonalised = [], []
-        gen, dorgqr = problems.gen_spd_linear, problems.lapack.dorgqr
+        made, gen = [], problems.gen_spd_linear
         monkeypatch.setattr(problems, "gen_spd_linear", lambda **kw: made.append(gen(**kw)) or made[-1])
-        monkeypatch.setattr(problems.lapack, "dorgqr",
-                            lambda *args, **kw: orthogonalised.append(1) or dorgqr(*args, **kw))
+        densified = self._count(monkeypatch, "__array__")
         assert main([*command, "--problem", "spd-linear", "--dim", "30", "--out", str(tmp_path)]) == EXIT_OK
         assert len(made) == 1
         assert not ("matrix" in vars(made[0].h) or "matrix" in vars(made[0].a))
-        assert orthogonalised == []  # Q stays its reflectors
+        assert densified == []  # Q stays its reflectors
         np.asarray(made[0].h.eigenpair[0])
-        assert len(orthogonalised) == 2  # the dense Q's workspace query and its dorgqr
+        assert len(densified) == 1
 
     def test_solve_maps_only_each_final_iterate_back(self, tmp_path, monkeypatch):
-        products, traces = [], []
-        dormqr = problems.lapack.dormqr
-        monkeypatch.setattr(problems.lapack, "dormqr",
-                            lambda *args, **kw: products.append(1) or dormqr(*args, **kw))
+        products, traces = self._count(monkeypatch, "__matmul__"), []
         for name in ("fh", "zgy", "mann", "new"):
             run = getattr(schemes, "run_" + name)
             monkeypatch.setattr(schemes, "run_" + name,
                                 lambda *args, run=run, **kw: traces.append(run(*args, **kw)) or traces[-1])
         assert main(["solve", "--problem", "spd-linear", "--dim", "50", "--alg", "fh,zgy,mann,new",
                      "--out", str(tmp_path)]) == EXIT_OK
-        # x* takes 2 products, H's probe 2 and F's c_hat 1; then y* = Q^T x* 1 and each run's x_N 1
-        assert len(products) == 5 + 1 + 4
+        # x* takes 2 products, H's and A's probes 2 each and F's c_hat 1; then y* = Q^T x* 1
+        # and each run's x_N 1
+        assert len(products) == 7 + 1 + 4
         assert [len(t.iterates) for t in traces] == [1] * 4
         assert all(t.steps_used > 0 and t.coordinates is None for t in traces)
 
     def test_audit_maps_only_each_final_iterate_back(self, tmp_path, monkeypatch):
-        products, traces = [], []
-        dormqr = problems.lapack.dormqr
-        monkeypatch.setattr(problems.lapack, "dormqr",
-                            lambda *args, **kw: products.append(1) or dormqr(*args, **kw))
+        products, traces = self._count(monkeypatch, "__matmul__"), []
         for name in ("fh", "zgy", "mann", "new"):
             run = getattr(schemes, "run_" + name)
             monkeypatch.setattr(schemes, "run_" + name,
                                 lambda *args, run=run, **kw: traces.append(run(*args, **kw)) or traces[-1])
         assert main(["audit", "--problem", "spd-linear", "--dim", "50", "--alg", "fh,zgy,mann,new",
                      "--out", str(tmp_path)]) == EXIT_OK
-        # the generator's 5 products and y* = Q^T x*'s 1; then one per run, probe or rerun, for
+        # the generator's 7 products and y* = Q^T x*'s 1; then one per run, probe or rerun, for
         # its x_N: the gaps are taken between the kept coordinates
-        assert len(traces) > 4 and len(products) == 5 + 1 + len(traces)
+        assert len(traces) > 4 and len(products) == 7 + 1 + len(traces)
         assert all(len(t.iterates) == 1 and len(t.coordinates) == t.steps_used + 1 for t in traces)
 
 
@@ -596,8 +599,8 @@ class TestAuditFailureCause:
                                          "--alg", "fh,new")
         assert code == EXIT_NUMERICAL
         # the runs' last common y_n pass 1e154 but stay finite, and so does their gap
-        assert err == ["audit failure: fh,new final gap 9.47917e+307: fh diverged, new diverged",
-                       "numerical failure: non-finite iterate (fh at step 405, new at step 270)"]
+        assert err == ["audit failure: fh,new final gap 3.4702e+307: fh diverged, new diverged",
+                       "numerical failure: non-finite iterate (fh at step 404, new at step 269)"]
         assert pair["cause"] == "fh diverged, new diverged"
 
     def test_diverged_runs_with_equal_iterates(self, tmp_path, capsys):
@@ -606,7 +609,20 @@ class TestAuditFailureCause:
                                          "--alg", "fh,mann", "--xi", "const:1")
         assert pair["gap_converged"] and pair["cause"] is None
         assert code == EXIT_NUMERICAL
-        assert err == ["numerical failure: non-finite iterate (fh at step 405, mann at step 405)"]
+        assert err == ["numerical failure: non-finite iterate (fh at step 404, mann at step 404)"]
+
+
+@pytest.mark.parametrize("problem", ["spd-linear", "soft-threshold"])
+def test_small_runs_import_no_scipy(problem, tmp_path):
+    # importing scipy.linalg outlasts a small run; only a matrix K's LU needs it
+    script = ("import sys\n"
+              "from hmsolve.cli import EXIT_OK, main\n"
+              "assert 'scipy.linalg' not in sys.modules\n"
+              "assert main(['solve', '--problem', sys.argv[1], '--dim', '10', '--alg', 'fh,zgy,mann,new',\n"
+              "             '--out', sys.argv[2]]) == EXIT_OK\n"
+              "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", script, problem, str(tmp_path)], env=env, check=True)
 
 
 class TestParser:
