@@ -85,6 +85,58 @@ class TestSpdLinear:
                     0.17847323601305354, 0.49112799158166676]
         np.testing.assert_allclose(gen_spd_linear(5, seed=0).known_solution, expected, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 300])
+    def test_reflectors_are_the_seeds_draws(self, dim, seed):
+        # numpy's replay of the generator's draws: three normalised rows of normals, then b
+        p = gen_spd_linear(dim, seed=seed, b_scale=2.0)
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((3, dim))
+        assert np.array_equal(p.h.eigenpair[0]._v, v / np.linalg.norm(v, axis=1, keepdims=True))
+        assert np.array_equal(p.a.offset, 2.0 * rng.standard_normal(dim))
+        assert p.a.eigenpair[0] is p.h.eigenpair[0]
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_q_t_b_is_standard_normal(self, dim):
+        # moments of y = Q^T b over 4000 seeds: E y = 0, E y y^T = I (each about 0.02 by sampling)
+        y = np.array([p.h.eigenpair[0].T @ p.a.offset
+                      for p in (gen_spd_linear(dim, seed=seed) for seed in range(4000))])
+        assert np.max(np.abs(y.mean(axis=0))) <= 0.1
+        assert np.max(np.abs(y.T @ y / len(y) - np.eye(dim))) <= 0.1
+
+    def test_generator_runs_no_factorization(self, monkeypatch):
+        # O(1) products with Q and no QR, eigensolver or dense Q: x* takes 2 products,
+        # H's probe 2 and A's probe 2; F's c_hat takes 1 more
+        def dense_route(*args, **kwargs):
+            raise AssertionError("a dense route was taken")
+
+        for name in ("qr", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, dense_route)
+        monkeypatch.setattr(ReflectorBasis, "__array__", dense_route)
+        calls = [0]
+        product = ReflectorBasis.__matmul__
+
+        def counted(self, x):
+            calls[0] += 1
+            return product(self, x)
+
+        monkeypatch.setattr(ReflectorBasis, "__matmul__", counted)
+        p = gen_spd_linear(40, seed=3)
+        assert calls == [6]
+        p.coordinates()
+        p.coordinates()
+        assert calls == [7]
+
+    def test_dense_read_is_a_new_c_ordered_array(self):
+        q = gen_spd_linear(20, seed=5).h.eigenpair[0]
+        first, second = np.asarray(q), np.asarray(q)
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.flags.c_contiguous and first.dtype == np.float64
+        assert np.array_equal(first, second)
+        assert np.asarray(q, dtype=np.float32).dtype == np.float32
+        # a non-diagonal Q, so the dense W_H that a resolve or an LU reads is not diagonal
+        assert np.count_nonzero(first - np.diag(np.diag(first))) == 20 * 19
+
     def test_generator_holds_o_n_memory(self):
         # k reflectors and a few n-vectors, where one n x n buffer would take 800 MB
         dim = 10 ** 4
