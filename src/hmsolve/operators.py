@@ -4,9 +4,9 @@ H and A are single-valued maps; M is multivalued, and the solvers only ever
 touch it through its resolvent plus a monotone selection used for empirical
 validation. One class, ``AffineLinear``, implements every linear map
 x -> W x - b, whatever its role: W is a positive scalar w (w*I in any
-dimension, never stored as a matrix) or a square matrix. An eigenpair
-Q diag(w) Q^T given instead is applied by products with Q, such as the O(kn)
-ones of k reflectors, and builds the matrix only when read. ``ScaledIdentity``
+dimension, never stored as a matrix), a vector w (diag(w), O(n) to apply) or
+a square matrix. Operators act on the coordinates their problem states
+(``ProblemInstance``), so spd-linear's H and A are vectors. ``ScaledIdentity``
 (alias ``ScaledIdentityMulti``) and ``LinearMonotone`` are its scalar and
 symmetric-matrix cases. ``DiagonalNonlinear`` is the nonlinear coordinatewise
 H, ``ShiftedSubdifferential`` the genuinely multivalued coordinatewise M.
@@ -20,7 +20,6 @@ w.r.t. H and Lipschitz constants, eta is M's strong monotonicity constant.
 assignment above throughout.)
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,89 +88,40 @@ class AffineLinear:
     """x -> W x - offset, as H, as A or as a linear (single-valued) M.
 
     The weight W is a positive scalar w, meaning w*I in any dimension unless
-    an offset fixes it, or a finite square matrix; ``scale`` and ``matrix`` hold the
-    one that applies and are None otherwise. As M, ``selection`` is ``apply``.
-
-    Instead of a weight, a matrix W may come as an ``eigenpair`` (basis, values):
-    an orthogonal Q and a vector w with W = Q diag(w) Q^T, kept read-only for
-    ``ResolventEngine.fixed_point_map`` and ``catalog_constants``; a weight and an
-    eigenpair together are a ``ValueError``. Q is an n x n array or any object that
-    offers ``Q @ V`` and ``Q.T @ V`` and, for ``numpy.asarray``, its dense form, such
-    as the reflectors of ``problems.ReflectorBasis``: every reader of the basis but
-    ``matrix`` uses its products only, ``apply`` too, as Q(w * Q^T x) - offset.
-    ``matrix`` (and ``weight``) is built as the symmetric part of (Q w) Q^T on its
-    first read, and never if nothing reads it. Q is checked on one seeded probe
-    vector v: Q(Q^T v) must give v back to 1e-9 relative, else ``ValueError``.
+    an offset fixes it, a finite vector w, meaning diag(w), or a finite square
+    matrix. ``weight`` holds it, read-only; ``scale`` and ``matrix`` hold it too
+    when it is a scalar or a matrix, and are None otherwise. As M, ``selection``
+    is ``apply``.
     """
 
-    def __init__(self, weight=None, offset=None, eigenpair=None):
-        if eigenpair is not None:
-            if weight is not None:
-                raise ValueError("give a weight or an eigenpair, not both")
-            self.scale, self.dim = None, np.size(eigenpair[1])
+    def __init__(self, weight, offset=None):
+        weight = np.asarray(weight, dtype=float)
+        self.scale = self.matrix = self.dim = None
+        if weight.ndim == 0:
+            if not (np.isfinite(weight) and weight > 0):
+                raise ValueError("a scalar weight must be strictly positive")
+            weight = self.scale = float(weight)
+        elif weight.ndim in (1, 2) and weight.shape == weight.shape[:1] * weight.ndim:
+            if not np.isfinite(weight).all():
+                raise ValueError("a vector or matrix weight must be finite")
+            weight.setflags(write=False)
+            self.dim = weight.shape[0]
+            if weight.ndim == 2:
+                self.matrix = weight
         else:
-            weight = np.asarray(weight, dtype=float)
-            if weight.ndim == 0:
-                if not (np.isfinite(weight) and weight > 0):
-                    raise ValueError("a scalar weight must be strictly positive")
-                self.weight = self.scale = float(weight)
-                self.matrix, self.dim = None, None
-            elif weight.ndim == 2 and weight.shape[0] == weight.shape[1]:
-                if not np.isfinite(weight).all():
-                    raise ValueError("a matrix weight must be finite")
-                self.weight = self.matrix = weight
-                self.scale, self.dim = None, weight.shape[0]
-                weight.setflags(write=False)
-            else:
-                raise ValueError("the weight must be a scalar or a square matrix")
+            raise ValueError("the weight must be a scalar, a vector or a square matrix")
+        self.weight = weight
         self.offset = None
         if offset is not None:
             self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
             if self.dim not in (None, self.offset.shape[0]):
-                raise ValueError("offset dimension does not match matrix")
+                raise ValueError("offset dimension does not match the weight")
             self.dim = self.offset.shape[0]
             self.offset.setflags(write=False)
-        self.eigenpair = None if eigenpair is None else self._checked_eigenpair(*eigenpair)
-
-    def _checked_eigenpair(self, basis, values):
-        if isinstance(basis, np.ndarray) or not hasattr(basis, "T"):
-            # an array (or nested lists); any other basis is kept as it is, since
-            # numpy.asarray would build its dense form
-            basis = np.asarray(basis, dtype=float)
-            basis.setflags(write=False)
-        values = np.asarray(values, dtype=float)
-        if (basis.shape != (self.dim, self.dim) or values.shape != (self.dim,)
-                or not np.isfinite(values).all()):
-            raise ValueError("an eigenpair needs an n x n basis and n finite values")
-        v = np.random.default_rng(0).standard_normal(self.dim)
-        if not np.linalg.norm(basis @ (basis.T @ v) - v) <= _CONSISTENCY_TOL * np.linalg.norm(v):
-            raise ValueError("the eigenpair's basis is not orthogonal on a probe vector")
-        values.setflags(write=False)
-        return basis, values
-
-    @functools.cached_property
-    def matrix(self):
-        # set in __init__ unless an eigenpair is given; the dense Q is built here if need be
-        q, w = self.eigenpair
-        q = np.asarray(q)
-        mat = (q * w) @ q.T
-        mat = (mat + mat.T) / 2.0
-        mat.setflags(write=False)
-        return mat
-
-    @functools.cached_property
-    def weight(self):
-        return self.matrix
 
     def apply(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.scale is not None:
-            wx = self.scale * x
-        elif self.eigenpair is not None:
-            q, w = self.eigenpair
-            wx = q @ (w * (q.T @ x))
-        else:
-            wx = self.matrix @ x
+        wx = self.weight * x if self.matrix is None else self.matrix @ x
         return wx if self.offset is None else wx - self.offset
 
     selection = apply
@@ -254,22 +204,17 @@ class ShiftedSubdifferential:
 # catalog constants
 
 
-def _on_one_basis(h_op, a_op):
-    """(Q, h, a) when W_H and W_A are Q diag(h) Q^T and Q diag(a) Q^T on one basis object Q, else None."""
-    if not (isinstance(h_op, AffineLinear) and isinstance(a_op, AffineLinear)):
-        return None
-    if h_op.scale is not None and a_op.scale is not None:
-        return None, h_op.scale, a_op.scale
-    eh, ea = h_op.eigenpair, a_op.eigenpair
-    return (*eh, ea[1]) if eh and ea and eh[0] is ea[0] else None
+def diagonal(op):
+    """Whether ``op`` is an ``AffineLinear`` whose weight is a scalar or a vector: diag(w), O(n) to apply."""
+    return isinstance(op, AffineLinear) and op.matrix is None
 
 
 def _extremes(op):
     """(lambda_min(sym W), ||W||_2) of an affine operator's weight W; off its values when diagonal."""
     if op.scale is not None:
         return op.scale, op.scale
-    if op.eigenpair is not None:
-        return float(np.min(op.eigenpair[1])), float(np.max(np.abs(op.eigenpair[1])))
+    if op.matrix is None:
+        return float(op.weight.min()), float(np.abs(op.weight).max())
     sym = (op.matrix + op.matrix.T) / 2.0
     return float(np.linalg.eigvalsh(sym)[0]), float(np.linalg.norm(op.matrix, 2))
 
@@ -280,25 +225,26 @@ def catalog_constants(h_op, a_op, m_op):
     With sym W = (W + W^T)/2: gamma = lambda_min(sym W_H) and tau = ||W_H||_2, or a
     ``DiagonalNonlinear`` H's ``deriv_range``; r = lambda_min(sym(W_H^T W_A)) and
     s = ||W_A||_2; eta = lambda_min(sym W_M), or a ``ShiftedSubdifferential``'s shift.
-    Scalar weights, and eigenpairs on one basis object, are read off their values in
-    O(n) with no matrix (r = min(h*a), s = max|a|); other weights by ``eigvalsh`` and
-    the 2-norm. ``UnsupportedOperatorError`` for a non-affine A or M and for a matrix A
-    with a nonlinear H; ``InconsistentConstantsError`` when a constant is not positive.
+    Diagonal weights (scalars and vectors, as ``diagonal`` tells) are read off their
+    values in O(n) with no matrix (r = min(h*a), s = max|a|); other weights by
+    ``eigvalsh`` and the 2-norm. ``UnsupportedOperatorError`` for a non-affine A or M and
+    for a non-scalar A with a nonlinear H; ``InconsistentConstantsError`` when a constant
+    is not positive.
     """
     if not (isinstance(h_op, (AffineLinear, DiagonalNonlinear)) and isinstance(a_op, AffineLinear)
             and isinstance(m_op, (AffineLinear, ShiftedSubdifferential))):
         raise UnsupportedOperatorError("no cataloged constants for H, A, M = %r, %r, %r" % (h_op, a_op, m_op))
     nonlinear_h = isinstance(h_op, DiagonalNonlinear)
     if nonlinear_h and a_op.scale is None:
-        raise UnsupportedOperatorError("no cataloged constants for a matrix A with a nonlinear H")
+        raise UnsupportedOperatorError("no cataloged constants for a non-scalar A with a nonlinear H")
     gamma, tau = h_op.deriv_range if nonlinear_h else _extremes(h_op)
     if a_op.scale is not None:  # <a d, H x - H y> >= a*gamma ||d||^2
         r, s = a_op.scale * gamma, a_op.scale
-    elif _on_one_basis(h_op, a_op):  # as fixed_point_map's diagonal form: W_H^T W_A = Q diag(h*a) Q^T
-        h, a = h_op.eigenpair[1], a_op.eigenpair[1]
-        r, s = float(np.min(h * a)), float(np.max(np.abs(a)))
-    else:
-        cross = np.dot(np.transpose(h_op.weight), a_op.matrix)
+    elif diagonal(h_op) and diagonal(a_op):  # as fixed_point_map's diagonal form: W_H^T W_A = diag(h*a)
+        r, s = float(np.min(h_op.weight * a_op.weight)), _extremes(a_op)[1]
+    else:  # a vector weight w is diag(w) here
+        full = lambda w: np.diag(w) if np.ndim(w) == 1 else w
+        cross = np.dot(np.transpose(full(h_op.weight)), full(a_op.weight))
         r, s = float(np.linalg.eigvalsh((cross + cross.T) / 2.0)[0]), _extremes(a_op)[1]
     eta = m_op.shift if isinstance(m_op, ShiftedSubdifferential) else _extremes(m_op)[0]
     return OperatorConstants(gamma=gamma, tau=tau, r=r, s=s, eta=eta)

@@ -2,7 +2,8 @@
 
 Each generator returns a ProblemInstance whose constants are the exact ones
 that ``catalog_constants`` reads off its operators, and whose known_solution
-solves the inclusion 0 in A(x) + M(x) in closed form.
+solves the inclusion 0 in A(x) + M(x) in closed form. ``gen_spd_linear``'s
+operators act on the coordinates y = Q^T x of its ``basis`` Q; x* is in x.
 """
 
 import numpy as np
@@ -44,10 +45,9 @@ class ReflectorBasis:
     Each v_i is a unit row of the k x n array ``v`` (Golub and Van Loan, ch. 5). ``Q @ V``, for a
     vector or an n x m matrix V, takes k rank-one updates of a copy of V, O(knm) work. Each
     H_i is symmetric, so ``Q.T`` is the basis of the same rows in reverse order.
-    ``numpy.asarray(Q)`` is the dense Q, built as Q @ I on each read.
     """
 
-    __array_ufunc__ = None  # ndarray @ Q, and any ufunc on Q, raise TypeError rather than build Q
+    __array_ufunc__ = None  # ndarray @ Q, and any ufunc on Q, raise TypeError
 
     def __init__(self, v):
         v.setflags(write=False)
@@ -64,9 +64,6 @@ class ReflectorBasis:
             out -= np.multiply.outer(v, 2.0 * (v @ out))
         return out
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self @ np.eye(self.shape[0]), dtype=dtype)
-
 
 def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
                    b_scale=1.0, lam=0.6):
@@ -76,14 +73,14 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     gamma and tau are its exact extreme eigenvalues. A(x) = c_a*H x - b ties
     A to H, making the cross-operator constant exact: with d = x - y,
     <A x - A y, H x - H y> = c_a ||H d||^2 >= c_a gamma^2 ||d||^2, so
-    r = c_a*gamma^2 and s = c_a*tau. M = m*I gives eta = m. H and A are
-    given as eigenpairs on the one basis Q, a ``ReflectorBasis`` of
-    ``_REFLECTORS`` unit vectors drawn from the seed before b: no n x n array
-    is built unless something reads the dense Q, H or A. A seed names a
-    different Q and b than in versions that drew a Haar Q; the spectrum, the
-    constants and the law of Q^T b, N(0, b_scale^2 I), are the same. The
-    solution of (c_a*H + m*I) x = b is Q((Q^T b) / (c_a*h + m)) for H's
-    spectrum h.
+    r = c_a*gamma^2 and s = c_a*tau. M = m*I gives eta = m. The instance's
+    ``basis`` is Q, a ``ReflectorBasis`` of ``_REFLECTORS`` unit vectors drawn
+    from the seed before b, and its operators act on y = Q^T x: H = diag(h)
+    for the spectrum h, A(y) = c_a*h*y - Q^T b, so no n x n array is built.
+    A seed names a different Q and b than in versions that drew a Haar Q; the
+    spectrum, the constants and the law of Q^T b, N(0, b_scale^2 I), are the
+    same. The solution of (c_a*H + m*I) x = b is Q((Q^T b) / (c_a*h + m)).
+    Generation takes 4 products with Q: Q^T b, x* and the basis probe's 2.
     """
     lo, hi = float(eigen_range[0]), float(eigen_range[1])
     if not (0 < lo <= hi) or dim < 1:
@@ -92,15 +89,15 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     v = rng.standard_normal((_REFLECTORS, dim))
     q = ReflectorBasis(v / np.linalg.norm(v, axis=1, keepdims=True))
     spectrum = np.linspace(lo, hi, dim) if dim > 1 else np.array([lo])
-    b = b_scale * rng.standard_normal(dim)
+    qb = q.T @ (b_scale * rng.standard_normal(dim))
 
-    h = AffineLinear(eigenpair=(q, spectrum))
-    a = AffineLinear(offset=b, eigenpair=(q, c_a * spectrum))
+    h = AffineLinear(spectrum)
+    a = AffineLinear(c_a * spectrum, qb)
     mm = ScaledIdentity(m)
-    xstar = q @ ((q.T @ b) / (c_a * spectrum + m))
+    xstar = q @ (qb / (c_a * spectrum + m))
     return ProblemInstance(
         h=h, a=a, m=mm, constants=catalog_constants(h, a, mm), lam=lam, dim=dim,
-        known_solution=xstar,
+        known_solution=xstar, basis=q,
         metadata={
             "kind": "spd-linear",
             "eigen_range": (lo, hi),

@@ -4,11 +4,11 @@ Three strategies, selected automatically from the operator kinds; each turns
 a non-finite u into a non-finite x without an inner solve:
 
 * ``closed-form-linear``: when H and M are both affine, K x = u + b_H + lam*b_M
-  with K = W_H + lam*W_M: a division when both weights are scalars, else an
-  LU of the matrix with a scalar weight added to its diagonal only, factored
-  in place on the first ``resolve``.
+  with K = W_H + lam*W_M: a division when both weights are diagonal (scalars or
+  vectors), else an LU of the matrix with a diagonal weight added to its
+  diagonal only, factored in place on the first ``resolve``.
 * ``separable-scalar``: one vectorised pass over all coordinates when H (a
-  scalar weight or ``DiagonalNonlinear``) and M = c*t + w*|t| act
+  diagonal weight or ``DiagonalNonlinear``) and M = c*t + w*|t| act
   coordinatewise, affine offsets moved into u. With g(t) = H(t) + lam*c*t,
   the dead zone |u - g(0)| <= lam*w is exactly 0 and the rest solves
   g(x) = u - lam*w*sign(u - g(0)) by masked safeguarded Newton/bisection.
@@ -57,16 +57,16 @@ def _offset(op):
 
 
 def _weight_sum(a, b, beta):
-    """a + beta*b for weights that are each a scalar (times I) or a matrix.
+    """a + beta*b for weights that are each a scalar (times I), a vector (its diagonal) or a matrix.
 
-    A scalar added to a matrix goes on its diagonal only; a matrix result is a
-    new Fortran-ordered array, which LAPACK may overwrite without a copy.
+    A scalar or a vector added to a matrix goes on its diagonal only; a matrix result is
+    a new Fortran-ordered array, which LAPACK may overwrite without a copy.
     """
-    if np.ndim(a) == np.ndim(b) == 0:
+    if np.ndim(a) < 2 and np.ndim(b) < 2:
         return a + beta * b
-    mat, scale, w = (b, beta, a) if np.ndim(b) else (a, 1.0, beta * b)
+    mat, scale, w = (b, beta, a) if np.ndim(b) == 2 else (a, 1.0, beta * b)
     k = np.multiply(mat, scale, order="F")
-    if np.ndim(w):
+    if np.ndim(w) == 2:
         k += w
     else:
         k[np.diag_indices_from(k)] += w
@@ -101,15 +101,14 @@ class ResolventEngine:
 
     def _auto_strategy(self):
         affine_h, affine_m = (isinstance(op, ops.AffineLinear) for op in (self.h, self.m))
-        coordinatewise_h = isinstance(self.h, ops.DiagonalNonlinear) or (
-            affine_h and self.h.scale is not None)
+        coordinatewise_h = isinstance(self.h, ops.DiagonalNonlinear) or ops.diagonal(self.h)
         if isinstance(self.m, ops.ShiftedSubdifferential):
             if not coordinatewise_h:
                 raise ValueError("a subdifferential M requires a coordinatewise H")
             return SEPARABLE
         if affine_h and affine_m:
             return CLOSED_FORM
-        if coordinatewise_h and affine_m and self.m.scale is not None:
+        if coordinatewise_h and ops.diagonal(self.m):
             return SEPARABLE
         return NEWTON
 
@@ -131,7 +130,7 @@ class ResolventEngine:
     def _k_solve(self):
         """b -> K^-1 b, free to overwrite b, with K = W_H + lam*W_M: a division or an in-place LU."""
         k = _weight_sum(self.h.weight, self.m.weight, self.lam)
-        if not np.ndim(k):
+        if np.ndim(k) < 2:
             return lambda b: b / k
         from scipy.linalg import lu_factor, lu_solve  # only a matrix K needs scipy, whose import outlasts a small run
 
@@ -139,39 +138,37 @@ class ResolventEngine:
         return lambda b: lu_solve(lu, b, overwrite_b=True, check_finite=False)
 
     def fixed_point_map(self, a_op):
-        """(Q, G) with F(x) = R[H x - lam*A x] = Q G(Q^T x), where Q is None when G is F itself.
+        """G(x) = R[H x - lam*A x] in the coordinates the operators act on, in one of two forms.
 
-        * diagonal, when W_H and W_A are both scalars or both eigenpairs Q diag(h) Q^T
-          and Q diag(a) Q^T on one basis object Q, and W_M = m is a scalar: then
-          K = Q diag(k) Q^T with k = h + lam*m, and G(y) = t*y + c_hat with
-          t = (h - lam*a)/k and c_hat = lam*(Q^T (b_A + b_M))/k. Nothing is factored
-          and neither W_H nor W_A is read; Q is None for scalar weights.
+        * diagonal, when the weights W_H = h, W_A = a and W_M = m are all scalars or
+          vectors (``operators.diagonal``): then K = diag(k) with k = h + lam*m, and
+          G(x) = t*x + c_hat with t = (h - lam*a)/k and c_hat = lam*(b_A + b_M)/k.
+          Nothing is factored.
         * resolve, for every other problem: G(x) = ``resolve``(H x - lam*A x); a closed
           form with a matrix K factors it on the first call.
         """
-        diagonal = ops._on_one_basis(self.h, a_op) if self.strategy == CLOSED_FORM else None
-        if diagonal is None or self.m.scale is None:
-            return None, lambda x: self.resolve(self.h.apply(x) - self.lam * a_op.apply(x))
-        q, h, a = diagonal
-        k = h + self.lam * self.m.scale
+        if not (ops.diagonal(self.h) and ops.diagonal(a_op) and ops.diagonal(self.m)):
+            return lambda x: self.resolve(self.h.apply(x) - self.lam * a_op.apply(x))
+        k = self.h.weight + self.lam * self.m.weight
         b = self.lam * (_offset(a_op) + _offset(self.m))  # after k: peak RSS follows heap layout
-        t = (h - self.lam * a) / k
-        c = (b if q is None else q.T @ b) / k if np.ndim(b) else 0.0
-        return q, lambda y: t * y + c
+        t = (self.h.weight - self.lam * a_op.weight) / k
+        c = b / k if np.ndim(b) else 0.0
+        return lambda x: t * x + c
 
     def _resolve_separable(self, u):
         sub = isinstance(self.m, ops.ShiftedSubdifferential)
-        c, w = (self.m.shift, 1.0) if sub else (self.m.scale, 0.0)  # M(t) = c*t + w*|t|
+        c, w = (self.m.shift, 1.0) if sub else (self.m.weight, 0.0)  # M(t) = c*t + w*|t|
         lam, lw = self.lam, self.lam * w
-        if isinstance(self.h, ops.AffineLinear):  # a scalar weight, offset already in u
+        if isinstance(self.h, ops.AffineLinear):  # a diagonal weight, offset already in u
             # h*x + lam*c*x + lam*w*d|x| contains u  =>  soft threshold
-            return np.sign(u) * np.maximum(np.abs(u) - lw, 0.0) / (self.h.scale + lam * c)
+            return np.sign(u) * np.maximum(np.abs(u) - lw, 0.0) / (self.h.weight + lam * c)
         if not np.isfinite(u).all():  # no root to search for
             return np.full_like(u, np.nan)
+        g0 = self.h.apply(np.zeros_like(u))  # g(0) = H(0)
+        active = np.flatnonzero(~(np.abs(u - g0) <= lw))
+        c = c[active] if np.ndim(c) else c  # g is only taken on the active coordinates
         g = lambda t: self.h.apply(t) + lam * c * t
         gp = lambda t: self.h.fprime(t) + lam * c
-        g0 = g(np.zeros_like(u))
-        active = np.flatnonzero(~(np.abs(u - g0) <= lw))
         target, slope = (u - lw * np.sign(u - g0))[active], self.h.deriv_range[0] + lam * c
         out = np.zeros_like(u)
         out[active] = self._solve_increasing(g, gp, target, g0[active], slope, active)

@@ -166,7 +166,15 @@ class StoppingRule:
 
 @dataclass
 class ProblemInstance:
-    """The triple (H, A, M) with constants, lam and optionally the solution."""
+    """The triple (H, A, M) with constants, lam and optionally the solution.
+
+    ``basis`` is None, or an orthogonal n x n Q whose coordinates y = Q^T x the operators
+    act on: F(x) = Q G(Q^T x) for the G of those operators, and spd-linear's H and A are
+    vectors there. Q is an array or any object that offers ``Q @ V``, ``Q.T @ V`` and
+    ``shape``, such as ``problems.ReflectorBasis``; it is checked on one seeded probe
+    vector v, where Q(Q^T v) must give v back to 1e-9 relative, else ``ValueError``.
+    ``known_solution`` and ``f_map`` are in x.
+    """
 
     h: object
     a: object
@@ -176,6 +184,7 @@ class ProblemInstance:
     dim: int
     known_solution: object = None
     metadata: dict = field(default_factory=dict)
+    basis: object = None
 
     def __post_init__(self):
         if not self.dim >= 1:
@@ -184,6 +193,11 @@ class ProblemInstance:
             if getattr(op, "dim", None) not in (None, self.dim):
                 raise ValueError("%r acts on dimension %d, not %d" % (op, op.dim, self.dim))
         self.engine = ResolventEngine(self.h, self.m, self.lam, self.dim)
+        if self.basis is not None:
+            v = np.random.default_rng(0).standard_normal(self.dim)
+            if (getattr(self.basis, "shape", None) != (self.dim, self.dim)
+                    or not np.linalg.norm(self.basis @ (self.basis.T @ v) - v) <= 1e-9 * np.linalg.norm(v)):
+                raise ValueError("the basis is not an orthogonal %d x %d Q on a probe vector" % ((self.dim,) * 2))
         if self.known_solution is not None:
             self.known_solution = as_vector(self.known_solution)
             if self.known_solution.shape[0] != self.dim:
@@ -196,29 +210,27 @@ class ProblemInstance:
     def coordinates(self):
         """(Q, G) with F(x) = Q G(Q^T x): the coordinates y = Q^T x that ``run_scheme`` iterates in.
 
-        Both come from ``ResolventEngine.fixed_point_map``. Where Q is None, G is
-        ``f_map`` itself, so each F evaluation of such a run is an ``f_map`` call.
+        Q is ``basis`` and G comes from ``ResolventEngine.fixed_point_map``. Without a basis
+        the pair is (None, ``f_map``), so each F evaluation of such a run is an ``f_map`` call.
         """
-        basis, g = self._map
-        return (None, self.f_map) if basis is None else (basis, g)
+        return (None, self.f_map) if self.basis is None else (self.basis, self._map)
 
     @functools.cached_property
     def _solution_coordinates(self):
         """y* = Q^T x*, x* in the coordinates of ``coordinates()``; taken by the first run with x*."""
-        basis = self.coordinates()[0]
-        return self.known_solution if basis is None else basis.T @ self.known_solution
+        return self.known_solution if self.basis is None else self.basis.T @ self.known_solution
 
     def f_map(self, x):
-        """F(x) = R[H x - lam*A x], in the form ``ResolventEngine.fixed_point_map`` chose.
+        """F(x) = R[H x - lam*A x] for x in R^n, in the form ``ResolventEngine.fixed_point_map`` chose.
 
-        That map is built on the first call to this or to ``coordinates``; with an
-        eigenbasis Q, F(x) = Q G(Q^T x) builds no n x n array.
+        That map is built on the first call to this or to ``coordinates``; with a basis Q,
+        F(x) = Q G(Q^T x) builds no n x n array.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dim,):
             raise ValueError("dimension mismatch: %s vs %d" % (x.shape, self.dim))
-        basis, g = self._map
-        return g(x) if basis is None else basis @ g(basis.T @ x)
+        g = self._map
+        return g(x) if self.basis is None else self.basis @ g(self.basis.T @ x)
 
     def contraction_factor(self):
         from .analysis import contraction_factor

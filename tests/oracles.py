@@ -4,9 +4,13 @@
 sampling can only falsify a declared constant, never certify it, so the
 library states its constants exactly (``operators.catalog_constants``) and the
 tests hold them to this sampler.
+
+``dense_q`` and ``in_x`` give a basis Q, and an instance with one, as dense matrices in x,
+built from products with Q only, for tests that hold the diagonal form in Q's
+coordinates to a dense LU path.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,3 +106,24 @@ def inclusion_residual(engine, x, u):
     else:
         m = engine.m.selection(x)
     return float(np.linalg.norm(hx + engine.lam * m - u))
+
+
+def dense_q(basis):
+    """The n x n Q of a basis object, from its products alone: Q @ I."""
+    return basis @ np.eye(basis.shape[0])
+
+
+def in_x(problem):
+    """The same instance with dense H and A acting on x and no basis: W = Q diag(w) Q^T, b_A = Q b_y.
+
+    M is m*I, the same in every orthogonal basis, and the constants and x* carry over.
+    """
+    q = dense_q(problem.basis)
+
+    def dense(op):  # symmetrised, as an LU oracle expects an SPD H
+        mat = (q * op.weight) @ q.T
+        return (mat + mat.T) / 2.0
+
+    h = ops.AffineLinear(dense(problem.h))
+    a = ops.AffineLinear(dense(problem.a), q @ problem.a.offset)
+    return replace(problem, h=h, a=a, basis=None)

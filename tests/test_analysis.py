@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hmsolve.analysis import (
     DEFAULT_AUDIT_SLACK,
+    check_envelope,
     contraction_factor,
     envelope,
     equivalence_audit,
@@ -105,6 +106,26 @@ class TestFeasibleLambda:
         assert interval[0] > 0
 
 
+    # gamma = 2, tau = 2.5, eta = 0.5, so that eta^2, gamma*eta and gamma^2 each differ from
+    # eta/eta, gamma/eta and gamma/gamma. s = 2.5: s^2 - eta^2 = 6, r + gamma*eta = 5.25 and
+    # disc = 5.25^2 - 6*2.25 = 3.75^2; s = 1.5: s^2 - eta^2 = 2, r + gamma*eta = 2.125 and
+    # disc = 2.125^2 - 2*2.25 = 0.125^2, below 1. Every figure is exact in binary
+    @pytest.mark.parametrize("r, s, interval", [(4.25, 2.5, (0.25, 1.5)), (1.125, 1.5, (1.0, 1.125))])
+    def test_interval_with_gamma_and_eta_not_one(self, r, s, interval):
+        c = OperatorConstants(gamma=2.0, tau=2.5, r=r, s=s, eta=0.5)
+        assert feasible_lambda(c) == interval
+        # kappa = 1 at both ends: 2.125/2.125 and 2.75/2.75, or 2.5/2.5 and 2.5625/2.5625
+        assert [contraction_factor(c, lam) for lam in interval] == [1.0, 1.0]
+
+
+    def test_tangent_constants_have_no_interval(self):
+        # gamma = eta = 0.5, tau = s = 2.5, r = 5.75: disc = 6^2 - 6*6 = 0 exactly, and kappa
+        # touches 1 at lam* = 6/6 = 1 without going below it
+        c = OperatorConstants(gamma=0.5, tau=2.5, r=5.75, s=2.5, eta=0.5)
+        assert feasible_lambda(c) is None
+        assert optimal_lambda(c) == (1.0, 1.0)
+
+
 class TestOptimalLambda:
     def test_finds_zero_at_lam_one(self):
         # lam* = (1 + 1)/(1 + 1) = 1, where kappa = sqrt(1 - 2 + 1)/2 = 0
@@ -126,6 +147,34 @@ class TestOptimalLambda:
         assert lam == 2.0
         assert kappa == pytest.approx(math.sqrt(21) / 3, abs=1e-15)
         assert kappa >= 1
+
+    @pytest.mark.parametrize("r, s, lam_star", [(4.25, 2.5, 31 / 39), (1.125, 1.5, 86 / 81)])
+    def test_minimiser_with_gamma_and_eta_not_one(self, r, s, lam_star):
+        # lam* = (r*gamma + eta*tau^2)/(s^2*gamma + r*eta): 11.625/14.625 and 5.375/5.0625
+        c = OperatorConstants(gamma=2.0, tau=2.5, r=r, s=s, eta=0.5)
+        lam, kappa = optimal_lambda(c)
+        assert lam == pytest.approx(lam_star, rel=1e-15)
+        assert kappa == contraction_factor(c, lam) < 1.0
+        # a brute scan of kappa over the feasible interval finds nothing lower
+        lo, hi = feasible_lambda(c)
+        assert min(contraction_factor(c, x) for x in np.linspace(lo, hi, 2001)) >= kappa - 1e-12
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(c=_constants)
+    def test_interval_is_where_kappa_is_below_one(self, c):
+        # for s > eta: kappa = 1 at each unclipped end and < 1 at the midpoint, or no lam at
+        # all gives kappa < 1 when the interval is None
+        if not c.s > c.eta:
+            return
+        interval = feasible_lambda(c)
+        if interval is None:
+            assert optimal_lambda(c)[1] >= 1.0 - 1e-9
+            return
+        lo, hi = interval
+        for end in (lo, hi):
+            if end > 0.0:
+                assert abs(contraction_factor(c, end) - 1.0) <= 1e-9
+        assert contraction_factor(c, 0.5 * (lo + hi)) < 1.0
 
     @settings(max_examples=300)
     @given(c=_constants, lam=st.floats(min_value=1e-4, max_value=1e4))
@@ -301,6 +350,75 @@ class TestRateCompare:
         )
         with pytest.raises(ValueError):
             rate_compare(trace, bad)
+
+
+def _made_trace(algorithm, coordinates, errors):
+    """An IterationTrace built directly, with 1-d coordinates."""
+    n = len(coordinates)
+    return IterationTrace(algorithm=algorithm, iterates=[np.array([coordinates[-1]])], residuals=[0.0] * n,
+                          errors=list(errors), wall_nanos=[0] * n, steps_used=n - 1, converged=False,
+                          kappa=0.5, coordinates=[np.array([v]) for v in coordinates])
+
+
+class TestCertificateTolerances:
+    """Each certificate tolerance held to a literal of the test's own, never read from the module:
+    a looser tolerance, or a check that passes an excess of 1e-6, fails here."""
+
+    def test_audit_slack_value(self):
+        assert DEFAULT_AUDIT_SLACK == 1e-8 + 10 * 1e-12
+
+    def test_envelope_flags_an_excess_of_1e_minus_6(self):
+        # FH at kappa = 0.5 from e0 = 1: bounds 1, 0.5, 0.25, 0.125, held with equality but at the end
+        trace = _made_trace("FH", [0.0] * 4, [1.0, 0.5, 0.25, 0.125 + 1e-6])
+        bounds, passed = check_envelope(trace, 0.5, None, None)
+        assert bounds.tolist() == [1.0, 0.5, 0.25, 0.125]
+        assert passed.tolist() == [True, True, True, False]
+
+    @pytest.mark.parametrize("error_q, error_s, gap, forward, symmetric", [
+        (0.0, 0.0, 0.75, 0, 0), (0.0, 0.0, 0.75 + 1e-6, 0, 1), (0.0, 0.0, 0.875 + 1e-6, 1, 1),
+        (0.5, 0.25, 1.046875, 0, 0), (0.5, 0.25, 1.046875 + 1e-6, 1, 0), (0.5, 0.25, 1.09375 + 1e-6, 1, 1),
+    ])
+    def test_audit_flags_an_excess_of_1e_minus_6(self, error_q, error_s, gap, forward, symmetric):
+        # ZGY (q) against NEW (s) at xi = mu = kappa = 0.5, the gap going from 1 to ``gap``:
+        # the forward bound is (1 - xi*mu*(1 - kappa)) + (1 - xi)(1 + kappa*(1 - mu*(1 - kappa))) e_s
+        # = 0.875 + 0.6875 e_s and the symmetric one (1 - mu*(1 - kappa)) + 0.6875 e_q = 0.75 + 0.6875 e_q,
+        # each held with equality or exceeded by 1e-6
+        half = make_step_sequence("constant", value=0.5)
+        q = _made_trace("ZGY", [1.0, gap], [error_q, 0.0])
+        s = _made_trace("NEW", [0.0, 0.0], [error_s, 0.0])
+        report = equivalence_audit(q, s, half, half, 0.5)
+        assert report.recursion_checked
+        assert (report.violations_forward, report.violations_symmetric) == (forward, symmetric)
+
+    def test_an_excess_of_exactly_the_slack_passes(self):
+        # errors and gaps from 0 to the slack, where every bound is 0: each meets its bound plus slack
+        slack = 1e-8 + 10 * 1e-12
+        half = make_step_sequence("constant", value=0.5)
+        bounds, passed = check_envelope(_made_trace("FH", [0.0] * 2, [0.0, slack]), 0.5, None, None)
+        assert bounds.tolist() == [0.0, 0.0] and passed.tolist() == [True, True]
+        report = equivalence_audit(_made_trace("ZGY", [0.0, slack], [0.0, 0.0]),
+                                   _made_trace("NEW", [0.0, 0.0], [0.0, 0.0]), half, half, 0.5)
+        assert report.recursion_checked and report.violations == 0
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.5])
+    def test_no_envelope_checked_at_kappa_one_or_above(self, kappa):
+        assert check_envelope(_made_trace("FH", [0.0] * 2, [1.0, 10.0]), kappa, None, None) is None
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.5])
+    def test_no_recursion_checked_at_kappa_one_or_above(self, kappa):
+        # no recursion holds without a contraction, so a pair far past every bound is not checked
+        half = make_step_sequence("constant", value=0.5)
+        q = _made_trace("ZGY", [1.0, 10.0], [0.0, 0.0])
+        s = _made_trace("NEW", [0.0, 0.0], [0.0, 0.0])
+        report = equivalence_audit(q, s, half, half, kappa)
+        assert not report.recursion_checked and report.violations == 0
+
+    @pytest.mark.parametrize("gap, converged", [(2e-8, False), (1e-8, True), (5e-9, True)])
+    def test_default_gap_tolerance(self, gap, converged):
+        half = make_step_sequence("constant", value=0.5)
+        q = _made_trace("ZGY", [1.0, gap], [0.0, 0.0])
+        s = _made_trace("NEW", [0.0, 0.0], [0.0, 0.0])
+        assert equivalence_audit(q, s, half, half, 0.5).gap_converged is converged
 
 
 class TestEquivalenceAudit:

@@ -420,7 +420,8 @@ class TestSweep:
 
 
 class TestSpdLinearStaysSpectral:
-    """spd-linear's H and A are eigenpairs on reflectors: no subcommand reads an n x n matrix or Q."""
+    """spd-linear's H and A are vectors in the coordinates of its reflector basis: no subcommand builds
+    an n x n matrix, and each product with Q is counted."""
 
     @staticmethod
     def _count(monkeypatch, method):
@@ -440,13 +441,10 @@ class TestSpdLinearStaysSpectral:
     def test_no_dense_h_or_a(self, command, tmp_path, monkeypatch):
         made, gen = [], problems.gen_spd_linear
         monkeypatch.setattr(problems, "gen_spd_linear", lambda **kw: made.append(gen(**kw)) or made[-1])
-        densified = self._count(monkeypatch, "__array__")
         assert main([*command, "--problem", "spd-linear", "--dim", "30", "--out", str(tmp_path)]) == EXIT_OK
         assert len(made) == 1
-        assert not ("matrix" in vars(made[0].h) or "matrix" in vars(made[0].a))
-        assert densified == []  # Q stays its reflectors
-        np.asarray(made[0].h.eigenpair[0])
-        assert len(densified) == 1
+        assert all(np.ndim(value) < 2 for op in (made[0].h, made[0].a) for value in vars(op).values())
+        assert made[0].basis._v.shape == (3, 30)  # Q stays its reflectors
 
     def test_solve_maps_only_each_final_iterate_back(self, tmp_path, monkeypatch):
         products, traces = self._count(monkeypatch, "__matmul__"), []
@@ -456,9 +454,9 @@ class TestSpdLinearStaysSpectral:
                                 lambda *args, run=run, **kw: traces.append(run(*args, **kw)) or traces[-1])
         assert main(["solve", "--problem", "spd-linear", "--dim", "50", "--alg", "fh,zgy,mann,new",
                      "--out", str(tmp_path)]) == EXIT_OK
-        # x* takes 2 products, H's and A's probes 2 each and F's c_hat 1; then y* = Q^T x* 1
+        # Q^T b and x* take 1 product each and the instance's probe of Q 2; then y* = Q^T x* 1
         # and each run's x_N 1
-        assert len(products) == 7 + 1 + 4
+        assert len(products) == 4 + 1 + 4
         assert [len(t.iterates) for t in traces] == [1] * 4
         assert all(t.steps_used > 0 and t.coordinates is None for t in traces)
 
@@ -470,9 +468,9 @@ class TestSpdLinearStaysSpectral:
                                 lambda *args, run=run, **kw: traces.append(run(*args, **kw)) or traces[-1])
         assert main(["audit", "--problem", "spd-linear", "--dim", "50", "--alg", "fh,zgy,mann,new",
                      "--out", str(tmp_path)]) == EXIT_OK
-        # the generator's 7 products and y* = Q^T x*'s 1; then one per run, probe or rerun, for
+        # the generator's 4 products and y* = Q^T x*'s 1; then one per run, probe or rerun, for
         # its x_N: the gaps are taken between the kept coordinates
-        assert len(traces) > 4 and len(products) == 7 + 1 + len(traces)
+        assert len(traces) > 4 and len(products) == 4 + 1 + len(traces)
         assert all(len(t.iterates) == 1 and len(t.coordinates) == t.steps_used + 1 for t in traces)
 
 

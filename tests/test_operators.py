@@ -51,66 +51,34 @@ class TestApply:
         assert np.array_equal(_tanh_h().apply([0.0]), [0.0])
 
 
-def _eigenpair(n=6):
-    rng = np.random.default_rng(n)
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    w = np.linspace(1.0, 2.0, n)
-    return q, w, (q * w) @ q.T
+class TestVectorWeight:
+    """A vector weight w is diag(w): applied coordinatewise, with no matrix."""
 
+    def test_kept_read_only_with_no_matrix(self):
+        w = np.linspace(1.0, 2.0, 6)
+        op = AffineLinear(w, np.ones(6))
+        assert op.weight is w and not w.flags.writeable
+        assert op.matrix is None and op.scale is None and op.dim == 6
+        assert "dim=6" in repr(op)
 
-class TestEigenpair:
-    def test_kept_read_only_on_one_basis(self):
-        q, w, mat = _eigenpair()
-        op = AffineLinear(eigenpair=(q, w))
-        assert op.eigenpair[0] is q and np.array_equal(op.eigenpair[1], w)
-        assert not (q.flags.writeable or op.eigenpair[1].flags.writeable)
-        assert AffineLinear(mat).eigenpair is None
+    @pytest.mark.parametrize("n", [1, 5, 100])
+    def test_matches_the_dense_diagonal(self, n):
+        # the dense diag(w) matvec is the oracle, bit for bit
+        rng = np.random.default_rng(n)
+        w, x, b = rng.uniform(-2.0, 2.0, n), rng.standard_normal(n), rng.standard_normal(n)
+        assert np.array_equal(AffineLinear(w, b).apply(x), np.diag(w) @ x - b)
+        assert np.array_equal(AffineLinear(w).selection(x), np.diag(w) @ x)
 
-    @pytest.mark.parametrize("wrong", [
-        lambda q, w: (q, w[::-1]),  # the values in the wrong order
-        lambda q, w: (q[:, ::-1], w),  # the basis in the wrong order
-        lambda q, w: (2.0 * q, w / 4.0),  # reproduces W on every vector, but not orthogonal
-        lambda q, w: (q[:5, :5], w[:5]),  # the wrong size
-        lambda q, w: (q, np.full(6, np.nan)),
+    @pytest.mark.parametrize("weight, offset", [
+        (np.array([1.0, np.nan]), None),
+        (np.array([1.0, np.inf]), None),
+        (np.ones(3), np.ones(4)),  # the offset's dimension is not the weight's
+        (np.ones((2, 3)), None),  # not square
+        (np.ones((2, 2, 2)), None),
     ])
-    def test_mismatch_raises(self, wrong):
-        # a weight comes with no eigenpair: refused before any probe, whatever the pair
-        q, w, mat = _eigenpair()
-        with pytest.raises(ValueError, match="not both"):
-            AffineLinear(mat, eigenpair=wrong(q, w))
-
-    def test_weight_with_its_own_eigenpair_raises(self):
-        q, w, mat = _eigenpair()
-        with pytest.raises(ValueError, match="not both"):
-            AffineLinear(mat, eigenpair=(q, w))
-        with pytest.raises(ValueError, match="not both"):
-            AffineLinear(mat, np.ones(6), (q, w))
-
-    def test_eigenpair_alone_is_the_weight(self):
-        q, w, mat = _eigenpair()
-        op = AffineLinear(offset=np.ones(6), eigenpair=(q, w))
-        assert op.dim == 6 and op.scale is None and "matrix" not in vars(op)
-        x = np.linspace(-1.0, 1.0, 6)
-        assert np.linalg.norm(op.apply(x) - (mat @ x - 1.0)) <= 1e-13
-        assert op.weight is op.matrix and not op.matrix.flags.writeable
-        # no weight to reproduce: only the basis is probed, so reordered values are another W
-        reordered = AffineLinear(eigenpair=(q, w[::-1]))
-        assert np.allclose(reordered.matrix, (q * w[::-1]) @ q.T, rtol=0, atol=1e-14)
-
-    @pytest.mark.parametrize("wrong", [
-        lambda q, w: (2.0 * q, w / 4.0),  # reproduces W on every vector, but not orthogonal
-        lambda q, w: (q[:, ::2], w),  # not square
-        lambda q, w: (q[:5, :5], w),  # the wrong size
-        lambda q, w: (q, np.full(6, np.nan)),
-    ])
-    def test_eigenpair_alone_mismatch_raises(self, wrong):
-        q, w, _ = _eigenpair()
+    def test_bad_weight_raises(self, weight, offset):
         with pytest.raises(ValueError):
-            AffineLinear(eigenpair=wrong(q, w))
-
-    def test_scalar_weight_has_no_eigenpair(self):
-        with pytest.raises(ValueError):
-            AffineLinear(2.0, np.ones(3), eigenpair=(np.eye(3), np.full(3, 2.0)))
+            AffineLinear(weight, offset)
 
 
 class TestConstantsRecord:
@@ -146,21 +114,32 @@ class TestCatalog:
         assert gamma == pytest.approx(1.0, abs=1e-12)
         assert tau == pytest.approx(4.0, abs=1e-12)
 
-    def test_constants_read_off_an_eigenpair(self, monkeypatch):
+    def test_constants_read_off_a_vector_weight(self, monkeypatch):
         def no_eigvalsh(*args, **kwargs):
             raise AssertionError("eigvalsh called")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-        q, w, _ = _eigenpair()
-        op = AffineLinear(eigenpair=(q, w[::-1]))
+        w = np.linspace(1.0, 2.0, 6)
+        op = AffineLinear(w[::-1])
         assert _constants(h=op, m=op) == (1.0, 2.0, 1.0, 1.0, 1.0)
-        assert "matrix" not in vars(op)
-        # A on H's basis: r = min(h*a), s = max|a|, read off the values too
-        a = AffineLinear(eigenpair=(q, 3.0 - w))
+        # a diagonal A too: r = min(h*a), s = max|a|, read off the values
+        a = AffineLinear(3.0 - w)
         assert _constants(h=op, a=a)[2:4] == (min(w[::-1] * (3.0 - w)), 2.0)
-        # a negative eigenvalue: gamma = -0.5 is exact, and no positive constant exists
+        assert _constants(h=ScaledIdentity(2.0), a=a)[2:4] == (2.0, 2.0)
+        # a negative entry: gamma = -0.5 is exact, and no positive constant exists
         with pytest.raises(InconsistentConstantsError, match="gamma"):
-            catalog_constants(AffineLinear(eigenpair=(q, w - 1.5)), op, op)
+            catalog_constants(AffineLinear(w - 1.5), op, op)
+
+    @pytest.mark.parametrize("vector_h", [True, False])
+    def test_vector_weight_beside_a_matrix_is_its_diagonal(self, vector_h):
+        # r = lambda_min(sym(W_H^T W_A)) with diag(w) for the vector, against the dense pair
+        rng = np.random.default_rng(4)
+        w, mat = np.linspace(1.0, 2.0, 5), np.eye(5) + 0.1 * rng.standard_normal((5, 5))
+        h, a = (w, mat) if vector_h else (mat @ mat.T + np.eye(5), w)
+        dense = catalog_constants(AffineLinear(np.diag(h) if vector_h else h),
+                                  AffineLinear(a if vector_h else np.diag(a)), ScaledIdentity(1.0))
+        mixed = catalog_constants(AffineLinear(h), AffineLinear(a), ScaledIdentity(1.0))
+        assert mixed == dense
 
     def test_m_scaled_identity(self):
         # <3u - 3v, u - v> = 3||u - v||^2, scalar oracle

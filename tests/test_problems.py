@@ -6,10 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
-from hmsolve.operators import AffineLinear
 from hmsolve.problems import ReflectorBasis, gen_scalar_affine, gen_soft_threshold, gen_spd_linear
 from hmsolve.schemes import StoppingRule, make_step_sequence, run_scheme
-from oracles import validate_constants
+from oracles import dense_q, in_x, validate_constants
 
 
 @pytest.mark.parametrize("problem", [gen_scalar_affine(), gen_soft_threshold(dim=40)])
@@ -39,45 +38,36 @@ class TestScalarAffine:
 
 class TestSpdLinear:
     def test_solution_solves_inclusion(self):
-        # A(u*) + m u* = 0 componentwise for the single-valued part
+        # A(u*) + m u* = 0 componentwise for the single-valued part, in the coordinates A acts on
         p = gen_spd_linear(12, seed=3)
-        u = p.known_solution
-        assert np.linalg.norm(p.a.apply(u) + 1.0 * u) <= 1e-10
+        y = p.basis.T @ p.known_solution
+        assert np.linalg.norm(p.a.apply(y) + 1.0 * y) <= 1e-10
 
     @pytest.mark.parametrize("dim, c_a, m", [(1, 1.0, 1.0), (7, 2.0, 0.5), (200, 0.3, 2.0)])
     def test_solution_solves_linear_system_to_rounding(self, dim, c_a, m):
-        # x* comes from H's eigenpair; (c_a*H + m*I) x* = b is checked on the dense H
+        # x* comes from H's spectrum in Q's coordinates; (c_a*H + m*I) x* = b is checked on the dense H
         p = gen_spd_linear(dim, seed=dim, c_a=c_a, m=m)
-        x, b = p.known_solution, p.a.offset
-        assert np.linalg.norm(c_a * (p.h.matrix @ x) + m * x - b) <= 1e-13 * max(1.0, np.linalg.norm(b))
-
-    @pytest.mark.parametrize("dim", [1, 7, 200])
-    def test_dense_h_is_built_on_first_read(self, dim):
-        # bit for bit the symmetrised (Q h) Q^T that the generator once built up front
-        p = gen_spd_linear(dim, seed=dim)
-        assert "matrix" not in vars(p.h) and "matrix" not in vars(p.a)
-        q, h = p.h.eigenpair
-        q = np.asarray(q)
-        dense = (q * h) @ q.T
-        assert np.array_equal(p.h.matrix, (dense + dense.T) / 2.0)
-        assert "matrix" not in vars(p.a)
+        dense = in_x(p)
+        x, b = p.known_solution, dense.a.offset
+        assert np.linalg.norm(c_a * (dense.h.matrix @ x) + m * x - b) <= 1e-13 * max(1.0, np.linalg.norm(b))
 
     @pytest.mark.parametrize("dim", [1, 2, 300])
-    def test_constants_read_off_the_eigenpairs(self, dim, monkeypatch):
-        # the closed forms bit for bit, with no eigvalsh, no dense Q and no dense H or A
+    def test_constants_read_off_the_weights(self, dim, monkeypatch):
+        # the closed forms bit for bit, with no eigvalsh and no dense H or A
         def dense_route(*args, **kwargs):
             raise AssertionError("a dense route was taken")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", dense_route)
-        monkeypatch.setattr(ReflectorBasis, "__array__", dense_route)
         c = gen_spd_linear(dim, eigen_range=(0.5, 3.0), seed=dim, c_a=1.5, m=0.7).constants
         tau = 3.0 if dim > 1 else 0.5
         assert (c.gamma, c.tau, c.r, c.s, c.eta) == (0.5, tau, 1.5 * 0.5 * 0.5, 1.5 * tau, 0.7)
 
-    def test_h_and_a_share_one_eigenbasis(self):
+    def test_h_and_a_are_vectors_in_the_basis(self):
+        # the instance holds Q; H and A are diag(h) and diag(c_a*h) in its coordinates
         p = gen_spd_linear(9, seed=4, c_a=1.5)
-        assert p.h.eigenpair[0] is p.a.eigenpair[0]
-        assert np.array_equal(p.a.eigenpair[1], 1.5 * p.h.eigenpair[1])
+        assert isinstance(p.basis, ReflectorBasis) and p.h.matrix is None and p.a.matrix is None
+        assert np.array_equal(p.h.weight, np.linspace(1.0, 1.2, 9))
+        assert np.array_equal(p.a.weight, 1.5 * p.h.weight)
 
     def test_seed_names_a_fixed_instance(self):
         # a golden pin: a change to the seed -> instance map shows here
@@ -88,31 +78,29 @@ class TestSpdLinear:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("dim", [1, 2, 7, 300])
     def test_reflectors_are_the_seeds_draws(self, dim, seed):
-        # numpy's replay of the generator's draws: three normalised rows of normals, then b
+        # numpy's replay of the generator's draws: three normalised rows of normals, then b,
+        # which A holds as Q^T b
         p = gen_spd_linear(dim, seed=seed, b_scale=2.0)
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((3, dim))
-        assert np.array_equal(p.h.eigenpair[0]._v, v / np.linalg.norm(v, axis=1, keepdims=True))
-        assert np.array_equal(p.a.offset, 2.0 * rng.standard_normal(dim))
-        assert p.a.eigenpair[0] is p.h.eigenpair[0]
+        assert np.array_equal(p.basis._v, v / np.linalg.norm(v, axis=1, keepdims=True))
+        assert np.array_equal(p.a.offset, p.basis.T @ (2.0 * rng.standard_normal(dim)))
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_q_t_b_is_standard_normal(self, dim):
         # moments of y = Q^T b over 4000 seeds: E y = 0, E y y^T = I (each about 0.02 by sampling)
-        y = np.array([p.h.eigenpair[0].T @ p.a.offset
-                      for p in (gen_spd_linear(dim, seed=seed) for seed in range(4000))])
+        y = np.array([gen_spd_linear(dim, seed=seed).a.offset for seed in range(4000)])
         assert np.max(np.abs(y.mean(axis=0))) <= 0.1
         assert np.max(np.abs(y.T @ y / len(y) - np.eye(dim))) <= 0.1
 
     def test_generator_runs_no_factorization(self, monkeypatch):
-        # O(1) products with Q and no QR, eigensolver or dense Q: x* takes 2 products,
-        # H's probe 2 and A's probe 2; F's c_hat takes 1 more
+        # O(1) products with Q and no QR or eigensolver: Q^T b and x* take 1 product each and
+        # the instance's probe of Q 2; F's c_hat reads Q^T b off A and takes none
         def dense_route(*args, **kwargs):
             raise AssertionError("a dense route was taken")
 
         for name in ("qr", "eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, dense_route)
-        monkeypatch.setattr(ReflectorBasis, "__array__", dense_route)
         calls = [0]
         product = ReflectorBasis.__matmul__
 
@@ -122,20 +110,10 @@ class TestSpdLinear:
 
         monkeypatch.setattr(ReflectorBasis, "__matmul__", counted)
         p = gen_spd_linear(40, seed=3)
-        assert calls == [6]
+        assert calls == [4]
         p.coordinates()
         p.coordinates()
-        assert calls == [7]
-
-    def test_dense_read_is_a_new_c_ordered_array(self):
-        q = gen_spd_linear(20, seed=5).h.eigenpair[0]
-        first, second = np.asarray(q), np.asarray(q)
-        assert first is not second and not np.shares_memory(first, second)
-        assert first.flags.c_contiguous and first.dtype == np.float64
-        assert np.array_equal(first, second)
-        assert np.asarray(q, dtype=np.float32).dtype == np.float32
-        # a non-diagonal Q, so the dense W_H that a resolve or an LU reads is not diagonal
-        assert np.count_nonzero(first - np.diag(np.diag(first))) == 20 * 19
+        assert calls == [4]
 
     def test_generator_holds_o_n_memory(self):
         # k reflectors and a few n-vectors, where one n x n buffer would take 800 MB
@@ -162,14 +140,14 @@ class TestSpdLinear:
     def test_seeded_reproducibility(self):
         a = gen_spd_linear(10, seed=42)
         b = gen_spd_linear(10, seed=42)
-        assert np.array_equal(a.a.matrix, b.a.matrix)
+        assert np.array_equal(a.basis._v, b.basis._v) and np.array_equal(a.a.offset, b.a.offset)
         assert np.array_equal(a.known_solution, b.known_solution)
         c = gen_spd_linear(10, seed=43)
-        assert not np.array_equal(a.a.matrix, c.a.matrix)
+        assert not np.array_equal(a.basis._v, c.basis._v)
 
     def test_eigen_range_respected(self):
         p = gen_spd_linear(20, eigen_range=(2.0, 5.0), seed=0)
-        w = np.linalg.eigvalsh(p.h.matrix)
+        w = np.linalg.eigvalsh(in_x(p).h.matrix)
         assert w.min() == pytest.approx(2.0, abs=1e-9)
         assert w.max() == pytest.approx(5.0, abs=1e-9)
         assert (p.constants.gamma, p.constants.tau) == (2.0, 5.0)
@@ -199,43 +177,40 @@ def _close(x, y):
 
 
 class TestReflectorBasis:
-    """spd-linear's Q is k Householder reflectors: O(kn) products, a dense Q only when read."""
+    """spd-linear's Q is k Householder reflectors: O(kn) products, never a matrix."""
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 300])
     def test_dense_forms_are_the_householder_product(self, dim):
-        p = gen_spd_linear(dim, seed=dim, c_a=1.5)
-        q, h = p.h.eigenpair
+        q = gen_spd_linear(dim, seed=dim, c_a=1.5).basis
         assert isinstance(q, ReflectorBasis) and q._v.shape == (3, dim)
         assert np.allclose(np.linalg.norm(q._v, axis=1), 1.0, rtol=1e-15, atol=0)
-        dense = np.asarray(q)
+        dense = dense_q(q)
         assert np.max(np.abs(dense - _householder_q(q._v))) <= 1e-14
-        assert np.max(np.abs(np.asarray(q.T) - dense.T)) <= 1e-14
+        assert np.max(np.abs(dense_q(q.T) - dense.T)) <= 1e-14
         assert np.max(np.abs(dense @ dense.T - np.eye(dim))) <= 1e-14
-        for op, w in [(p.h, h), (p.a, 1.5 * h)]:
-            mat = (dense * w) @ dense.T
-            assert np.array_equal(op.matrix, (mat + mat.T) / 2.0)
+        # a non-diagonal Q, so the dense W_H that an LU oracle reads is not diagonal
+        assert np.count_nonzero(dense - np.diag(np.diag(dense))) == dim * (dim - 1)
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 300])
     def test_products_match_the_dense_q(self, dim):
         p = gen_spd_linear(dim, seed=dim, c_a=2.0, m=0.5)
-        q, h = p.h.eigenpair
+        q, h = p.basis, p.h.weight
         dense = _householder_q(q._v)
-        b = p.a.offset
         rng = np.random.default_rng(dim)
+        rng.standard_normal((3, dim))
+        b = rng.standard_normal(dim)  # the generator's b, which A holds as Q^T b
         v, y = rng.standard_normal(dim), rng.standard_normal((70, dim))
-        assert _close(q.T @ b, dense.T @ b)
+        assert _close(p.a.offset, dense.T @ b)
         assert _close(q @ v, dense @ v)
         assert _close(q @ y.T, dense @ y.T) and _close(q.T @ y.T, dense.T @ y.T)
         assert _close(q.T.T @ v, dense @ v)
         assert _close(p.known_solution, dense @ ((dense.T @ b) / (2.0 * h + 0.5)))
 
     def test_products_leave_their_operands_alone(self):
-        q = gen_spd_linear(9, seed=1).h.eigenpair[0]
+        q = gen_spd_linear(9, seed=1).basis
         v, y = np.linspace(-1.0, 1.0, 9), np.ones((3, 9))
         before = (v.copy(), y.copy(), q._v.copy())
         q @ v, q.T @ v, q @ y.T, q.T @ y.T
-        dense = np.asarray(q)
-        dense[:] = 0.0  # a new array on each read: writing to it leaves Q alone
         assert np.array_equal(v, before[0]) and np.array_equal(y, before[1])
         assert np.array_equal(q._v, before[2]) and not q._v.flags.writeable
         assert q.T.shape == q.shape == (9, 9)
@@ -246,7 +221,7 @@ class TestReflectorBasis:
         try:
             p = gen_spd_linear(50, seed=1)
             p.coordinates()
-            basis = weakref.ref(p.h.eigenpair[0])
+            basis = weakref.ref(p.basis)
             transposed = basis().T
             del p
             assert basis() is None and transposed.shape == (50, 50)
@@ -255,7 +230,8 @@ class TestReflectorBasis:
 
     def test_no_silent_dense_form(self):
         # only Q @ V, Q.T @ V and .T are offered: anything else raises rather than build Q
-        q, h = gen_spd_linear(5, seed=1).h.eigenpair
+        p = gen_spd_linear(5, seed=1)
+        q, h = p.basis, p.h.weight
         for op in (lambda: q * h, lambda: np.ones((2, 5)) @ q, lambda: np.ones((2, 5)) @ q.T,
                    lambda: q + q):
             with pytest.raises(TypeError):
@@ -264,12 +240,10 @@ class TestReflectorBasis:
     @pytest.mark.parametrize("dim", [1, 7, 200])
     @pytest.mark.parametrize("name", ["FH", "NEW"])
     def test_runs_match_the_dense_q(self, dim, name):
-        # the same eigenpairs on the explicit Q: one basis object, so the same diagonal form
+        # the same operators on the explicit Q as the basis: the same diagonal form
         p = gen_spd_linear(dim, seed=dim)
-        (q, h), a = p.h.eigenpair, p.a.eigenpair[1]
-        dense = _householder_q(q._v)
-        on_dense = dataclasses.replace(p, h=AffineLinear(eigenpair=(dense, h)),
-                                       a=AffineLinear(offset=p.a.offset, eigenpair=(dense, a)))
+        dense = _householder_q(p.basis._v)
+        on_dense = dataclasses.replace(p, basis=dense)
         assert on_dense.coordinates()[0] is dense
         x0 = np.random.default_rng(dim).standard_normal(dim)
         half = make_step_sequence("constant", value=0.5)
@@ -279,43 +253,37 @@ class TestReflectorBasis:
         for field in ("coordinates", "iterates", "residuals", "errors"):
             assert _close(np.array(getattr(reflected, field)), np.array(getattr(explicit, field))), field
 
-    @pytest.mark.parametrize("weight", [False, True])
     @pytest.mark.parametrize("form", ["reflectors", "array"])
-    def test_probe_rejects_a_bad_basis(self, form, weight):
+    def test_probe_rejects_a_bad_basis(self, form):
         dim = 6
         v = np.random.default_rng(3).standard_normal((3, dim))
         unit = v / np.linalg.norm(v, axis=1, keepdims=True)
-        good = ReflectorBasis(unit.copy())
-        w = np.linspace(1.0, 2.0, dim)
-        dense = np.asarray(good)
-        mat = (dense * w) @ dense.T if weight else None
+        p = gen_spd_linear(dim, seed=3)
         # halved vectors leave reflectors I - 2 v v^T that are not orthogonal
         bad = ReflectorBasis(0.5 * unit)
         short = v[:, :5] / np.linalg.norm(v[:, :5], axis=1, keepdims=True)
-        wrong = [(bad, w), (ReflectorBasis(short), w)]
+        wrong = [bad, ReflectorBasis(short)]
+        right = ReflectorBasis(unit.copy())
         if form == "array":
-            wrong = [(np.array(basis), values) for basis, values in wrong]
-        right = (good if form == "reflectors" else dense, w)
-        if weight:  # a weight comes with no eigenpair, not even the right one
-            wrong.append(right)
-        else:
-            AffineLinear(eigenpair=right)
-        for basis, values in wrong:
-            with pytest.raises(ValueError):
-                AffineLinear(mat, eigenpair=(basis, values))
+            wrong, right = [dense_q(basis) for basis in wrong], dense_q(right)
+        assert dataclasses.replace(p, basis=right).basis is right
+        for basis in wrong:
+            with pytest.raises(ValueError, match="probe"):
+                dataclasses.replace(p, basis=basis)
 
-    def test_apply_takes_two_products(self):
-        # Q(w * Q^T x) - offset: no dense W even at a dim where W is 32 MB
+    def test_apply_is_coordinatewise(self):
+        # w * y - offset in Q's coordinates: no product with Q and no dense W at a dim where W is 32 MB
         p = gen_spd_linear(2000, seed=1, c_a=1.5)
-        x = np.random.default_rng(1).standard_normal(2000)
-        for op in (p.h, p.a):
-            op.apply(x)
-            assert "matrix" not in vars(op)
-        # and the dense form's values to rounding
+        y = np.random.default_rng(1).standard_normal(2000)
+        assert np.array_equal(p.h.apply(y), p.h.weight * y)
+        assert np.array_equal(p.a.apply(y), p.a.weight * y - p.a.offset)
+        assert all(np.ndim(value) < 2 for op in (p.h, p.a) for value in vars(op).values())
+        # and the dense forms in x to rounding
         p = gen_spd_linear(50, seed=2, c_a=1.5)
+        dense, q = in_x(p), p.basis
         x = np.random.default_rng(2).standard_normal(50)
-        assert _close(p.h.apply(x), p.h.matrix @ x)
-        assert _close(p.a.apply(x), p.a.matrix @ x - p.a.offset)
+        assert _close(q @ p.h.apply(q.T @ x), dense.h.matrix @ x)
+        assert _close(q @ p.a.apply(q.T @ x), dense.a.apply(x))
 
 
 class TestSoftThreshold:

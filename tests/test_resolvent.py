@@ -27,7 +27,7 @@ from hmsolve.resolvent import (
     ResolventEngine,
 )
 from hmsolve.schemes import make_step_sequence, run_scheme
-from oracles import inclusion_residual, resolvent_lipschitz_bound
+from oracles import dense_q, in_x, inclusion_residual, resolvent_lipschitz_bound
 
 
 def _tanh_op():
@@ -315,19 +315,13 @@ def _counting_lu(monkeypatch):
     return factored
 
 
-def _x_space_f(engine, a_op):
-    """x -> F(x) from the engine's fixed_point_map (Q, G): G itself, or Q G(Q^T x)."""
-    q, g = engine.fixed_point_map(a_op)
-    return g if q is None else lambda x: q @ g(q.T @ x)
-
-
 def _assert_close(x, y):
     assert np.linalg.norm(x - y) <= 1e-13 * max(1.0, np.linalg.norm(y))
 
 
 def _built(op):
-    """Whether ``op``'s n x n matrix exists; an eigenpair-only weight builds it on first read."""
-    return "matrix" in vars(op)
+    """Whether ``op`` holds an n x n array."""
+    return any(np.ndim(value) == 2 for value in vars(op).values())
 
 
 def _probes(dim, seed=0):
@@ -343,26 +337,24 @@ def _spectral_problem(dim, t_signs):
     if t_signs == "positive":
         return p
     # the same Q, with a != c_a*h: h - lam*a runs from 0.7 down to -0.9
-    q = p.h.eigenpair[0]
-    a = AffineLinear(offset=p.a.offset, eigenpair=(q, np.linspace(0.5, 3.5, dim)))
-    return dataclasses.replace(p, a=a)
+    return dataclasses.replace(p, a=AffineLinear(np.linspace(0.5, 3.5, dim), p.a.offset))
 
 
 class TestSpectralAffineMap:
-    """spd-linear's H and A share one eigenbasis Q: T = Q diag(t) Q^T from it, no LU, no dense H or A."""
+    """spd-linear's H and A are vectors in the basis Q: T = Q diag(t) Q^T from them, no LU, no dense H or A."""
 
     @pytest.mark.parametrize("dim", [1, 7, 200])
     @pytest.mark.parametrize("t_signs", ["positive", "negative", "mixed"])
     def test_f_map_matches_dense_spectral_form(self, dim, t_signs):
         p = _spectral_problem(dim, t_signs)
-        (q, h), a = p.h.eigenpair, p.a.eigenpair[1]
+        h, a = p.h.weight, p.a.weight
         k = h + p.lam * p.m.scale
         t = (h - p.lam * a) / k
         if dim > 1:  # one eigenvalue has one sign
             assert set(np.sign(t)) == {"positive": {1.0}, "negative": {-1.0}, "mixed": {1.0, -1.0}}[t_signs]
-        q = np.asarray(q)
+        q = dense_q(p.basis)
         dense_t = (q * t) @ q.T
-        c = q @ ((q.T @ (p.lam * p.a.offset)) / k)
+        c = q @ (p.lam * p.a.offset / k)  # A's offset is Q^T b
         for x in _probes(dim, dim):
             diff = np.linalg.norm(p.f_map(x) - (dense_t @ x + c))
             assert diff <= 1e-13 * max(1.0, np.linalg.norm(x))
@@ -378,12 +370,11 @@ class TestSpectralAffineMap:
             assert p.engine.lam == p.lam != 0.6
         else:
             p = dataclasses.replace(p, lam=lam)
-        f = _x_space_f(p.engine, p.a)
-        # the same matrices without eigenpairs take the LU path
-        lu_engine = ResolventEngine(AffineLinear(p.h.matrix), p.m, p.lam, dim)
-        lu_f = _x_space_f(lu_engine, AffineLinear(p.a.matrix, p.a.offset))
+        # the same problem as dense matrices in x takes the LU path
+        dense = in_x(p)
+        assert dense.engine.lam == p.lam and dense.engine.strategy == CLOSED_FORM
         for x in _probes(dim):
-            _assert_close(f(x), lu_f(x))
+            _assert_close(p.f_map(x), dense.f_map(x))
 
     def test_f_map_builds_no_n_by_n_array(self):
         dim = 300
@@ -408,38 +399,37 @@ class TestSpectralAffineMap:
     def test_other_affine_problems_keep_lu_or_scalar_path(self, monkeypatch):
         factored = _counting_lu(monkeypatch)
         p = gen_spd_linear(6, seed=1)
-        q, offset = p.h.eigenpair[0], p.a.offset
-        spectral = _x_space_f(p.engine, p.a)
-        # equal bases that are not one object (here the dense Q); an A without an
-        # eigenpair; a matrix M = I
-        for a, m in [(AffineLinear(offset=offset, eigenpair=(np.array(q), p.a.eigenpair[1])), p.m),
-                     (AffineLinear(p.a.matrix, offset), p.m),
-                     (p.a, LinearMonotone(np.eye(6)))]:
-            f = _x_space_f(ResolventEngine(p.h, m, 0.6, 6), a)
-            for x in _probes(6):
-                _assert_close(f(x), spectral(x))
-        assert len(factored) == 3
+        diagonal = p.engine.fixed_point_map(p.a)  # G in Q's coordinates
+        # a matrix H or M takes the LU path; a matrix A with a vector H and a scalar M, the
+        # resolve form with a division by the vector k
+        for h, a, m, lu in [(AffineLinear(np.diag(p.h.weight)), p.a, p.m, 1),
+                            (p.h, p.a, LinearMonotone(np.eye(6)), 1),
+                            (p.h, AffineLinear(np.diag(p.a.weight), p.a.offset), p.m, 0)]:
+            f = ResolventEngine(h, m, 0.6, 6).fixed_point_map(a)
+            before = len(factored)
+            for y in _probes(6):
+                _assert_close(f(y), diagonal(y))
+            assert len(factored) == before + lu
         # scalar weights stay a division, a scalar H and M with a matrix A too
         for engine, a, dim in [(gen_scalar_affine(lam=0.5).engine, gen_scalar_affine().a, 1),
                                (ResolventEngine(ScaledIdentity(1.0), ScaledIdentityMulti(1.0), 0.5, 3),
                                 AffineLinear(2.0 * np.eye(3), [1.0, 2.0, 3.0]), 3)]:
-            f = _x_space_f(engine, a)
+            f = engine.fixed_point_map(a)
             for x in _probes(dim):
                 _assert_close(f(x), engine.resolve(engine.h.apply(x) - engine.lam * a.apply(x)))
-        assert len(factored) == 3
+        assert len(factored) == 2
 
 
 class TestEigenbasisRuns:
-    """spd-linear runs iterate in y = Q^T x; the same H and A as dense matrices take the LU path."""
+    """spd-linear runs iterate in y = Q^T x; the same H and A as dense matrices in x take the LU path."""
 
     @pytest.mark.parametrize("name", ["FH", "MANN", "NEW", "ZGY"])
     @pytest.mark.parametrize("dim", [1, 7, 200])
     @pytest.mark.parametrize("t_signs", ["positive", "negative", "mixed"])
     def test_matches_dense_path(self, name, dim, t_signs):
         p = _spectral_problem(dim, t_signs)
-        dense = dataclasses.replace(p, h=AffineLinear(p.h.matrix),
-                                    a=AffineLinear(p.a.matrix, p.a.offset))
-        assert p.coordinates()[0] is p.h.eigenpair[0] and dense.coordinates()[0] is None
+        dense = in_x(p)
+        assert p.coordinates()[0] is p.basis and dense.coordinates()[0] is None
         half = make_step_sequence("constant", value=0.5)
         x0 = np.random.default_rng(dim).standard_normal(dim)
         spectral, lu = (run_scheme(name, problem, x0, half, half) for problem in (p, dense))

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,7 @@ from hmsolve.schemes import (
     run_zgy,
     vector_norm,
 )
-from oracles import validate_constants
+from oracles import in_x, validate_constants
 
 ONE = make_step_sequence("constant", value=1.0)
 ZERO = make_step_sequence("constant", value=0.0)
@@ -303,8 +304,9 @@ class TestCollapseIdentities:
 def _cataloged_triple(draw):
     """(H, A, M, seed) from the catalog, with random offsets on H and A.
 
-    H is a scalar or a random SPD weight, A a scalar or a positive multiple
-    of H, M a scalar, an SPD matrix or, when H is a scalar, a subdifferential.
+    H is a scalar, a positive vector or a random SPD weight, A a scalar or a
+    positive multiple of H, M a scalar, a positive vector, an SPD matrix or,
+    when H is diagonal, a subdifferential.
     """
     dim = draw(st.integers(min_value=1, max_value=6))
     seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -316,11 +318,14 @@ def _cataloged_triple(draw):
         w = (q * rng.uniform(0.5, 2.0, dim)) @ q.T
         return (w + w.T) / 2.0
 
-    h = AffineLinear(spd() if draw(st.booleans()) else draw(scale), rng.standard_normal(dim))
+    h_weight = {"scalar": lambda: draw(scale), "vector": lambda: rng.uniform(0.5, 2.0, dim),
+                "spd": spd}[draw(st.sampled_from(["scalar", "vector", "spd"]))]()
+    h = AffineLinear(h_weight, rng.standard_normal(dim))
     a_weight = draw(scale) * (h.weight if draw(st.booleans()) else 1.0)
     a = AffineLinear(a_weight, rng.standard_normal(dim))
-    kinds = ["scalar", "spd"] + (["subdifferential"] if h.matrix is None else [])
+    kinds = ["scalar", "vector", "spd"] + (["subdifferential"] if h.matrix is None else [])
     m = {"scalar": lambda: ScaledIdentityMulti(draw(scale)),
+         "vector": lambda: AffineLinear(rng.uniform(0.5, 2.0, dim)),
          "spd": lambda: LinearMonotone(spd()),
          "subdifferential": lambda: ShiftedSubdifferential(draw(scale))}[
         draw(st.sampled_from(kinds))]()
@@ -424,8 +429,11 @@ class TestContractionOfF:
 
 
 def _resolved_f(p, x):
-    """F(x) through the resolvent, the way every non-affine problem evaluates it."""
-    return p.engine.resolve(p.h.apply(x) - p.lam * p.a.apply(x))
+    """F(x) through the resolvent, the way every non-affine problem evaluates it; in y = Q^T x with a basis Q."""
+    q = p.basis
+    y = x if q is None else q.T @ x
+    fy = p.engine.resolve(p.h.apply(y) - p.lam * p.a.apply(y))
+    return fy if q is None else q @ fy
 
 
 def _tanh_h():
@@ -479,7 +487,7 @@ class TestAffineFastPath:
         x = np.array([0.7])
         assert np.array_equal(p.f_map(x), (1.0 - lam) / (1.0 + lam) * x + lam * 2.0 / (1.0 + lam))
         # that is the diagonal form with no basis, so runs evaluate F through f_map
-        assert p.engine.fixed_point_map(p.a)[0] is None and p.coordinates() == (None, p.f_map)
+        assert p.basis is None and p.coordinates() == (None, p.f_map)
 
     @pytest.mark.parametrize("dim", [1, 6])
     def test_mixed_weights_match_resolvent(self, dim):
@@ -506,8 +514,8 @@ class TestAffineFastPath:
         monkeypatch.setattr(scipy.linalg, "lu_factor",
                             lambda *args, **kwargs: factored.append(1) or lu_factor(*args, **kwargs))
         spd = gen_spd_linear(7, seed=7)
-        # an H without eigenpair: spd-linear's own F would factor nothing
-        p = dataclasses.replace(spd, h=AffineLinear(spd.h.matrix))
+        # H as the matrix diag(h) in Q's coordinates: spd-linear's own F would factor nothing
+        p = dataclasses.replace(spd, h=AffineLinear(np.diag(spd.h.weight)))
         assert factored == []  # not while the problem is built
         p.engine.resolve(np.zeros(7))
         p.f_map(np.zeros(7))  # F's resolve form uses the LU that resolve made
@@ -568,9 +576,9 @@ class TestAffineFastPath:
         assert peak < 2 ** 20  # a dim x dim matrix would take 200 MB
         assert np.allclose(fx, (0.4 * x + 0.3) / 1.3, rtol=0, atol=1e-15)
         # the diagonal form G(x) = t*x + c with t = (h - lam*a)/k and c = lam*b_A/k, k = h + lam*m
-        basis, g = p.engine.fixed_point_map(p.a)
+        g = p.engine.fixed_point_map(p.a)
         k = 1.0 + 0.3 * 1.0
-        assert basis is None and np.array_equal(g(x), (1.0 - 0.3 * 2.0) / k * x + 0.3 * np.ones(dim) / k)
+        assert p.basis is None and np.array_equal(g(x), (1.0 - 0.3 * 2.0) / k * x + 0.3 * np.ones(dim) / k)
 
 
 class TestEigenbasisHotPath:
@@ -582,8 +590,8 @@ class TestEigenbasisHotPath:
         monkeypatch.setattr(ProblemInstance, "f_map",
                             lambda self, x: calls.append(1) or f_map(self, x))
         spd = gen_spd_linear(12, seed=1)
-        explicit = _explicit_affine(AffineLinear(spd.h.matrix),
-                                    AffineLinear(spd.a.matrix, spd.a.offset), spd.m, 12)
+        dense = in_x(spd)
+        explicit = _explicit_affine(dense.h, dense.a, dense.m, 12)
         for p, evaluations in [(spd, 0), (gen_soft_threshold(12, seed=1), 21), (explicit, 21)]:
             del calls[:]
             trace = run_new(p, np.zeros(12), HALF, StoppingRule(tol=-1.0, max_steps=10))
@@ -596,7 +604,7 @@ class TestEigenbasisHotPath:
                             lambda self, a_op: calls.append(1) or fixed_point_map(self, a_op))
         p = gen_spd_linear(12, seed=1)
         p.f_map(np.zeros(12))
-        assert p.coordinates()[0] is p.h.eigenpair[0]
+        assert p.coordinates()[0] is p.basis
         for name in ("FH", "MANN", "NEW", "ZGY"):
             run_scheme(name, p, np.zeros(12), HALF, HALF, StoppingRule(tol=-1.0, max_steps=5))
         assert len(calls) == 1
@@ -619,7 +627,7 @@ class TestEigenbasisHotPath:
                 used.append("Q")
                 return basis @ v
 
-        p.coordinates = lambda: (Watched(), g)
+        p.basis = Watched()
         stop = StoppingRule(tol=-1.0, max_steps=0)
         assert run_fh(p, np.zeros(12), stop).iterates[0].tolist() == [0.0] * 12
         assert used == ["Q^T", "Q"]
@@ -787,12 +795,25 @@ def test_diverging_run_reports_finite_norms_until_it_diverges():
             assert norm == pytest.approx(2.0 ** 600 * np.linalg.norm(v * 2.0 ** -600), rel=1e-15)
 
 
+@pytest.mark.parametrize("problem", [lambda: gen_spd_linear(50, seed=2), lambda: gen_soft_threshold(50, seed=2)])
+def test_wall_nanos_is_the_time_elapsed(problem):
+    # nonnegative and nondecreasing from the run's start, and never above its wall time
+    p = problem()
+    start = time.perf_counter_ns()
+    trace = run_new(p, np.ones(50), HALF, StoppingRule(tol=-1.0, max_steps=40))
+    elapsed = time.perf_counter_ns() - start
+    wall = trace.wall_nanos
+    assert len(wall) == 41 and wall[0] >= 0
+    assert all(later >= earlier for earlier, later in zip(wall, wall[1:]))
+    assert wall[-1] <= elapsed
+
+
 def test_spd_linear_errors_match_closed_form():
     # T = Q diag(t) Q^T with t = (h - lam*a)/(h + lam*m), and a step of the relaxed
     # iteration multiplies each eigencomponent of the error by 1 - xi + xi*t(1 - mu + mu*t)
     p = gen_spd_linear(200, seed=1, lam=0.6)
-    q, h = p.h.eigenpair
-    t = (h - p.lam * p.a.eigenpair[1]) / (h + p.lam * p.m.scale)
+    q, h = p.basis, p.h.weight
+    t = (h - p.lam * p.a.weight) / (h + p.lam * p.m.scale)
     e0 = q.T @ -p.known_solution
     steps = np.arange(31)[:, None]
     stop = StoppingRule(tol=-1.0, max_steps=30)
