@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import InconsistentConstantsError
+from .operators import _CONSISTENCY_TOL, InconsistentConstantsError
 from .resolvent import ResolventEngine
 from .schemes import ONE, casting, vector_norm
 
@@ -46,12 +46,10 @@ def contraction_factor(constants, lam):
         raise ValueError("lam must be strictly positive")
     c = constants
     radicand = c.tau * c.tau - 2.0 * lam * c.r + lam * lam * c.s * c.s
-    if radicand < -1e-12 * max(1.0, c.tau * c.tau):
-        # cannot happen for consistent constants (r <= s*tau keeps the
-        # discriminant nonpositive); flags corrupted inputs
-        raise InconsistentConstantsError(
-            "negative radicand %g in contraction factor" % radicand
-        )
+    # r <= s*tau*(1 + delta), which OperatorConstants holds, keeps it >= tau^2 - r^2/s^2 >= -tau^2*(2*delta
+    # + delta^2); below that, and its rounding error of a few ulps of tau^2, it flags corrupted inputs
+    if radicand < -c.tau * c.tau * ((2.0 + _CONSISTENCY_TOL) * _CONSISTENCY_TOL + 1e-14):
+        raise InconsistentConstantsError("negative radicand %g in contraction factor" % radicand)
     return math.sqrt(max(radicand, 0.0)) / (c.gamma + lam * c.eta)
 
 

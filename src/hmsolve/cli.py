@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import inspect
 import json
 import sys
@@ -440,21 +441,22 @@ def _load_config(args):
 _COMMANDS = {"solve": cmd_solve, "compare": cmd_compare, "sweep": cmd_sweep, "audit": cmd_audit}
 
 
-def main(argv=None):
-    # the shared flags are added once, to a parent that each subcommand copies
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    for flag, _, kind, help_text in _FLAGS:
-        common.add_argument(flag, type=kind, help=help_text)
-    parser = _Parser(prog="hmsolve", description=__doc__)
+@functools.cache
+def _parser():
+    """The parser, built on the first call only: each subcommand takes --config and the shared flags."""
+    parser = _Parser(prog="hmsolve", description=__doc__)  # its subparsers are _Parsers too
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        sub = subparsers.add_parser(name, parents=[common])
-        for flag, _, kind, help_text in _SWEEP_FLAGS if name == "sweep" else ():
+        sub = subparsers.add_parser(name)
+        sub.add_argument("--config", help="JSON config file")
+        for flag, _, kind, help_text in _FLAGS + (_SWEEP_FLAGS if name == "sweep" else ()):
             sub.add_argument(flag, type=kind, help=help_text)
+    return parser
 
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg, out_dir = _load_config(args)
         out_dir.mkdir(parents=True, exist_ok=True)
         # a run that overflows ends in a non-finite iterate or gap, which the

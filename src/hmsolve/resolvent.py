@@ -4,25 +4,19 @@ Three strategies, selected automatically from the operator kinds; each turns
 a non-finite u into a non-finite x without an inner solve:
 
 * ``closed-form-linear``: when H and M are both affine, K x = u + b_H + lam*b_M
-  with K = W_H + lam*W_M: a division when both weights are diagonal (scalars or
-  vectors), else an LU of the matrix with a diagonal weight added to its
-  diagonal only, factored in place on the first ``resolve``.
+  with K = W_H + lam*W_M: a division when both weights are scalars or vectors,
+  else an LU of K (``_weight_sum``), factored in place on the first ``resolve``.
 * ``separable-scalar``: one vectorised pass over all coordinates when H (a
   diagonal weight or ``DiagonalNonlinear``) and M = c*t + w*|t| act
   coordinatewise, affine offsets moved into u. With g(t) = H(t) + lam*c*t,
   the dead zone |u - g(0)| <= lam*w is exactly 0 and the rest solves
-  g(x) = u - lam*w*sign(u - g(0)) by masked safeguarded Newton/bisection.
-  H is gamma- and M c-strongly monotone, so g' >= gamma + lam*c brackets each
-  root between 0 and (target - g(0))/(gamma + lam*c) in closed form.
+  g(x) = u - lam*w*sign(u - g(0)): by ``shrink`` for a diagonal H, else by masked
+  safeguarded Newton/bisection in the bracket that g' >= gamma + lam*c gives.
 * ``newton-general``: damped Newton with Armijo backtracking on
   G(x) = H(x) + lam*m(x) - u for the general smooth case.
 
-The two iterative strategies stop at a residual of ``inner_tolerance``
-relative to max(1, |target|) per coordinate, or max(1, ||u||) for Newton,
-so that rounding can reach it at any scale of u.
-
-``ResolventEngine.fixed_point_map`` is the one place that decides which form
-F(x) = R[H x - lam*A x] takes: diagonal, or one ``resolve`` per evaluation.
+``ResolventEngine.fixed_point_map`` alone picks the form of F(x) = R[H x - lam*A x]:
+diagonal, soft-thresholded when M = c*t + d|t|, or one ``resolve`` per evaluation.
 """
 
 import functools
@@ -73,6 +67,13 @@ def _weight_sum(a, b, beta):
     return k
 
 
+def shrink(v, theta):
+    """v - min(max(v, -theta), theta), in place on v: sign(v)*max(|v| - theta, 0) bit for bit, +0 if |v| <= theta."""
+    clipped = np.maximum(v, -theta)
+    v -= np.minimum(clipped, theta, out=clipped)
+    return v
+
+
 def _coordinate_failure(reason, index, failed, resid):
     k = np.flatnonzero(failed)[0]
     return ResolventDivergenceError("separable inner solve %s at coordinate %d: "
@@ -82,7 +83,7 @@ def _coordinate_failure(reason, index, failed, resid):
 class ResolventEngine:
     """Solver for u in H(x) + lam*M(x); the closed form keeps K's LU once ``resolve`` needs it."""
 
-    inner_tolerance = 1e-12  # relative residual at which the iterative strategies stop
+    inner_tolerance = 1e-12  # iterative stop: residual / max(1, |target|), or / max(1, ||u||) for Newton
     max_inner_steps = 100  # inner steps after which they raise ResolventDivergenceError
 
     def __init__(self, h_op, m_op, lam, dim):
@@ -140,28 +141,31 @@ class ResolventEngine:
     def fixed_point_map(self, a_op):
         """G(x) = R[H x - lam*A x] in the coordinates the operators act on, in one of two forms.
 
-        * diagonal, when the weights W_H = h, W_A = a and W_M = m are all scalars or
-          vectors (``operators.diagonal``): then K = diag(k) with k = h + lam*m, and
-          G(x) = t*x + c_hat with t = (h - lam*a)/k and c_hat = lam*(b_A + b_M)/k.
-          Nothing is factored.
+        * diagonal, when the weights W_H = h and W_A = a are scalars or vectors
+          (``operators.diagonal``) and W_M = m is too, or M = m*t + d|t|: with k = h + lam*m,
+          t = (h - lam*a)/k and c_hat = lam*(b_A + b_M)/k, G(x) = t*x + c_hat, or
+          ``shrink``(t*x + c_hat, lam/k) for the subdifferential. Nothing is factored.
         * resolve, for every other problem: G(x) = ``resolve``(H x - lam*A x); a closed
           form with a matrix K factors it on the first call.
         """
-        if not (ops.diagonal(self.h) and ops.diagonal(a_op) and ops.diagonal(self.m)):
+        sub = isinstance(self.m, ops.ShiftedSubdifferential)
+        if not (ops.diagonal(self.h) and ops.diagonal(a_op) and (sub or ops.diagonal(self.m))):
             return lambda x: self.resolve(self.h.apply(x) - self.lam * a_op.apply(x))
-        k = self.h.weight + self.lam * self.m.weight
+        k = self.h.weight + self.lam * (self.m.shift if sub else self.m.weight)
         b = self.lam * (_offset(a_op) + _offset(self.m))  # after k: peak RSS follows heap layout
         t = (self.h.weight - self.lam * a_op.weight) / k
         c = b / k if np.ndim(b) else 0.0
-        return lambda x: t * x + c
+        if not sub:
+            return lambda x: t * x + c
+        theta = self.lam / k
+        return lambda x: shrink(t * x + c, theta)
 
     def _resolve_separable(self, u):
         sub = isinstance(self.m, ops.ShiftedSubdifferential)
         c, w = (self.m.shift, 1.0) if sub else (self.m.weight, 0.0)  # M(t) = c*t + w*|t|
         lam, lw = self.lam, self.lam * w
-        if isinstance(self.h, ops.AffineLinear):  # a diagonal weight, offset already in u
-            # h*x + lam*c*x + lam*w*d|x| contains u  =>  soft threshold
-            return np.sign(u) * np.maximum(np.abs(u) - lw, 0.0) / (self.h.weight + lam * c)
+        if isinstance(self.h, ops.AffineLinear):  # h*x + lam*c*x + lam*d|x| contains u, offset in it
+            return shrink(u, lw) / (self.h.weight + lam * c)
         if not np.isfinite(u).all():  # no root to search for
             return np.full_like(u, np.nan)
         g0 = self.h.apply(np.zeros_like(u))  # g(0) = H(0)

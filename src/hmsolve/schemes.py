@@ -221,11 +221,7 @@ class ProblemInstance:
         return self.known_solution if self.basis is None else self.basis.T @ self.known_solution
 
     def f_map(self, x):
-        """F(x) = R[H x - lam*A x] for x in R^n, in the form ``ResolventEngine.fixed_point_map`` chose.
-
-        That map is built on the first call to this or to ``coordinates``; with a basis Q,
-        F(x) = Q G(Q^T x) builds no n x n array.
-        """
+        """F(x) = R[H x - lam*A x] for x in R^n: G(x), or Q G(Q^T x) with a basis Q; G is built on first use."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dim,):
             raise ValueError("dimension mismatch: %s vs %d" % (x.shape, self.dim))
@@ -281,7 +277,7 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=Tru
 
     Every step is a linear combination of x and F(x), so the loop runs in the coordinates
     y = Q^T x of ``problem.coordinates()``, with the residual ||G(y) - y|| = ||F(x) - x||: O(n)
-    per step on spectral problems. A zero x_0 starts at y_0 = x_0 with no product. Only
+    per step on diagonal-form problems. A zero x_0 starts at y_0 = x_0 with no product. Only
     x_N = Q y_N is mapped back, by one product, as ``iterates``; ``keep_iterates`` keeps every
     y_n as ``coordinates``, and without it a run holds O(n) memory at any length. Once y_(n+1)
     is finite, the loop takes errors[n] = ||y_n - y*||, with y* = Q^T x* cached on the problem:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hmsolve.analysis import (
     optimal_lambda,
     rate_compare,
 )
-from hmsolve.operators import InconsistentConstantsError, OperatorConstants
+from hmsolve.operators import _CONSISTENCY_TOL, InconsistentConstantsError, OperatorConstants
 from hmsolve.problems import gen_scalar_affine, gen_spd_linear
 from hmsolve.schemes import (
     CASTINGS,
@@ -71,6 +72,17 @@ class TestContractionFactor:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             contraction_factor(OperatorConstants(1, 1, 1, 1, 1), 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_radicand_floor_follows_the_consistency_tolerance(self, scale):
+        # gamma = tau = scale, s = eta = 1 and r = scale*(1 + e) put lam* at scale, where the
+        # radicand is -2*e*scale^2: r <= s*tau*(1 + delta) keeps it >= -tau^2*(2*delta + delta^2)
+        for e in (5e-10, _CONSISTENCY_TOL):
+            assert optimal_lambda(OperatorConstants(scale, scale, scale * (1 + e), 1, 1))[1] == 0.0
+        # e = 2*delta, past the constructor that rejects it, puts the radicand below that floor
+        corrupt = types.SimpleNamespace(gamma=scale, tau=scale, r=scale * (1 + 2e-9), s=1, eta=1)
+        with pytest.raises(InconsistentConstantsError, match="negative radicand"):
+            optimal_lambda(corrupt)
 
     @settings(max_examples=200)
     @given(c=_constants, lam=st.floats(min_value=1e-3, max_value=1e3))

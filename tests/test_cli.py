@@ -647,6 +647,21 @@ class TestParser:
                 node = node[key]
             assert node == kind(samples[flag])
 
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # main builds the parser on its first call only; a usage error, raised by the parser's
+        # own checks or by one of its subparsers, leaves it fit for the next call
+        cli._parser.cache_clear()
+        argv = ["solve", "--problem", "spd-linear", "--dim", "20", "--alg", "fh,zgy,mann,new"]
+        assert main(argv[:-1] + ["fh,bogus", "--out", str(tmp_path / "usage")]) == EXIT_USAGE
+        assert main(argv + ["--max-steps", "ten", "--out", str(tmp_path / "usage")]) == EXIT_USAGE
+        assert main(argv + ["--out", str(tmp_path / "reused")]) == EXIT_OK
+        assert cli._parser.cache_info().misses == 1
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-m", "hmsolve.cli", *argv, "--out", str(tmp_path / "fresh")],
+                       env=env, check=True)
+        summary = [(tmp_path / run / "summary.json").read_bytes() for run in ("reused", "fresh")]
+        assert summary[0] == summary[1]
+
     def test_grid_is_sweep_only(self, tmp_path):
         assert main(["solve", "--grid", "0.1:1:3", "--out", str(tmp_path)]) == EXIT_USAGE
 

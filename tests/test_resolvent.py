@@ -306,6 +306,55 @@ def test_inner_stop_is_relative(m, scale):
         assert inclusion_residual(eng, x, u) <= 10 * eng.inner_tolerance * max(1.0, np.linalg.norm(u))
 
 
+_scales = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def _soft_threshold_case(draw):
+    """(engine, A, x): H = diag(h) - b_H, A = diag(a) - b, M = c*t + d|t|, x possibly with one non-finite entry.
+
+    h and a are scalars or vectors, lam and c lie in [1e-3, 1e3], and the coordinates where x
+    is 0 and |b| <= 1/2 put u = H x - lam*A x + b_H = lam*b deep in the dead zone |u| <= lam.
+    """
+    dim = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    weight = lambda: draw(_scales) if draw(st.booleans()) else 10.0 ** rng.uniform(-1.0, 1.0, dim)
+    h, a = AffineLinear(weight(), draw(st.sampled_from([None, rng.standard_normal(dim)]))), weight()
+    b = rng.uniform(-3.0, 3.0, dim) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    x = rng.uniform(-3.0, 3.0, dim) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    dead = rng.random(dim) < 0.5
+    x[dead], b[dead] = 0.0, rng.uniform(-0.5, 0.5, dead.sum())
+    x[rng.integers(dim)] = draw(st.sampled_from([0.0, np.nan, np.inf, -np.inf]))
+    eng = ResolventEngine(h, ShiftedSubdifferential(draw(_scales)), draw(_scales), dim)
+    return eng, AffineLinear(a, b), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_soft_threshold_case())
+def test_soft_threshold_diagonal_form_matches_resolve(case):
+    # G(x) = shrink(t*x + c_hat, lam/k) against resolve(H x - lam*A x) = shrink(u, lam)/k
+    eng, a, x = case
+    lam, k = eng.lam, eng.h.weight + eng.lam * eng.m.shift
+    offset_h = 0.0 if eng.h.offset is None else eng.h.offset
+    given_x = x.copy()
+    with np.errstate(invalid="ignore", over="ignore"):  # 0*inf and inf - inf give NaN
+        g = eng.fixed_point_map(a)(x)
+        ref = eng.resolve(eng.h.apply(x) - lam * a.apply(x))
+        u = eng.h.apply(x) - lam * a.apply(x) + offset_h  # what resolve thresholds
+    assert np.array_equal(x, given_x, equal_nan=True)  # shrink works in place on its own vector only
+    # resolve's soft threshold is sign(u)*max(|u| - lam, 0)/k bit for bit, the sign of a zero aside
+    assert np.array_equal(ref, np.sign(u) * np.maximum(np.abs(u) - lam, 0.0) / k, equal_nan=True)
+    finite = np.isfinite(x)
+    assert not np.isfinite(g[~finite]).any() and not np.isfinite(ref[~finite]).any()
+    # each form rounds every term of u/k, and lam/k, a few times: an error of a few ulps of their sum
+    terms = (np.abs(eng.h.weight * x) + lam * np.abs(a.weight * x) + lam * np.abs(a.offset)
+             + np.abs(offset_h) + lam) / k
+    assert np.all(np.abs(g - ref)[finite] <= 8 * np.finfo(float).eps * np.broadcast_to(terms, x.shape)[finite])
+    # deep in the dead zone both are 0, the diagonal form +0
+    deep = finite & (x == 0.0) & (np.abs(a.offset) <= 0.5)
+    assert np.all(ref[deep] == 0.0) and not np.signbit(g[deep]).any() and np.all(g[deep] == 0.0)
+
+
 def _counting_lu(monkeypatch):
     """Count every ``scipy.linalg.lu_factor`` call in the returned list."""
     factored = []

@@ -524,7 +524,7 @@ class TestAffineFastPath:
         assert np.linalg.norm(p.f_map(np.ones(7)) - spd.f_map(np.ones(7))) <= 1e-13
 
     @pytest.mark.parametrize("problem", [lambda: gen_spd_linear(6, seed=1),  # spectral
-                                         lambda: gen_soft_threshold(6, seed=1)])  # resolve
+                                         lambda: gen_soft_threshold(6, seed=1)])  # no basis
     def test_wrong_dimension_raises(self, problem):
         p = problem()
         for x in (np.zeros(5), np.zeros(7)):
@@ -539,8 +539,16 @@ class TestAffineFastPath:
             assert trace.steps_used > 0
         assert calls == []
 
+    def test_soft_threshold_runs_make_no_resolve_call(self, monkeypatch):
+        # M = c*t + d|t| with scalar H and A weights takes the diagonal form, soft-thresholded
+        p = gen_soft_threshold(12, seed=1)
+        resolves = _counting_resolve(monkeypatch)
+        evaluations = _counting_f_evaluations(p)
+        trace = run_new(p, np.zeros(12), HALF, StoppingRule(tol=-1.0, max_steps=10))
+        assert trace.steps_used == 10 and len(evaluations) == 21
+        assert resolves == []
+
     @pytest.mark.parametrize("problem", [
-        lambda: gen_soft_threshold(12, seed=1),
         lambda: ProblemInstance(h=_tanh_h(), a=AffineLinear(1.0, np.linspace(-1, 1, 12)),
                                 m=ScaledIdentityMulti(1.0),
                                 constants=OperatorConstants(1.0, 1.5, 1.0, 1.0, 1.0),
