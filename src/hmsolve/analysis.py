@@ -41,16 +41,19 @@ DEFAULT_AUDIT_SLACK = 1e-8 + 10.0 * ResolventEngine.inner_tolerance
 
 
 def contraction_factor(constants, lam):
-    """kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta)."""
+    """kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta), over lam^2 if the radicand overflows."""
     if not lam > 0:
         raise ValueError("lam must be strictly positive")
-    c = constants
+    c, t = constants, 1.0
     radicand = c.tau * c.tau - 2.0 * lam * c.r + lam * lam * c.s * c.s
+    if not math.isfinite(radicand):  # lam*s past about 1.3e154: the same form over lam^2, which stays finite
+        t, radicand = lam, (c.tau / lam) ** 2 - 2.0 * c.r / lam + c.s * c.s
+    tau = c.tau / t
     # r <= s*tau*(1 + delta), which OperatorConstants holds, keeps it >= tau^2 - r^2/s^2 >= -tau^2*(2*delta
     # + delta^2); below that, and its rounding error of a few ulps of tau^2, it flags corrupted inputs
-    if radicand < -c.tau * c.tau * ((2.0 + _CONSISTENCY_TOL) * _CONSISTENCY_TOL + 1e-14):
+    if radicand < -tau * tau * ((2.0 + _CONSISTENCY_TOL) * _CONSISTENCY_TOL + 1e-14):
         raise InconsistentConstantsError("negative radicand %g in contraction factor" % radicand)
-    return math.sqrt(max(radicand, 0.0)) / (c.gamma + lam * c.eta)
+    return math.sqrt(max(radicand, 0.0)) / (c.gamma / t + lam / t * c.eta)
 
 
 def feasible_lambda(constants):

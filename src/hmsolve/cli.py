@@ -408,7 +408,7 @@ _FLAGS = (
     ("--mu", ("sequences", "mu"), str, "step sequence spec"),
     ("--tol", ("stopping", "tol"), float, "residual tolerance"),
     ("--max-steps", ("stopping", "max_steps"), int, "step cap"),
-    ("--seed", ("seed",), int, "problem seed"),
+    ("--seed", ("problem", "seed"), int, "problem seed"),
     ("--x0", ("x0",), _floats, "comma-separated start vector (scalar broadcasts)"),
     ("--out", ("output", "dir"), str, "output directory"),
 )

@@ -1,22 +1,22 @@
 """Resolvent engine: computes x = (H + lam*M)^{-1}(u).
 
 Three strategies, selected automatically from the operator kinds; each turns
-a non-finite u into a non-finite x without an inner solve:
+a non-finite u into a non-finite x without an inner solve. Affine offsets move
+into u first: u + b_H + lam*b_M.
 
-* ``closed-form-linear``: when H and M are both affine, K x = u + b_H + lam*b_M
-  with K = W_H + lam*W_M: a division when both weights are scalars or vectors,
-  else an LU of K (``_weight_sum``), factored in place on the first ``resolve``.
-* ``separable-scalar``: one vectorised pass over all coordinates when H (a
-  diagonal weight or ``DiagonalNonlinear``) and M = c*t + w*|t| act
-  coordinatewise, affine offsets moved into u. With g(t) = H(t) + lam*c*t,
-  the dead zone |u - g(0)| <= lam*w is exactly 0 and the rest solves
-  g(x) = u - lam*w*sign(u - g(0)): by ``shrink`` for a diagonal H, else by masked
-  safeguarded Newton/bisection in the bracket that g' >= gamma + lam*c gives.
+* ``closed-form-linear`` (H and M affine) and ``separable-scalar`` (M = c*t +
+  w*|t| per coordinate, a diagonal weight with w = 0 or a subdifferential with
+  w = 1) name the operator class. For a diagonal H both take one closed form,
+  x = ``shrink``(u, lam*w)/k with k = h + lam*c, a division alone when w = 0.
+  Otherwise a matrix H or M solves with an LU of K = W_H + lam*W_M, and a
+  ``DiagonalNonlinear`` H solves g(x) = u - lam*w*sign(u - g(0)), g(t) = H(t) +
+  lam*c*t, off the dead zone |u - g(0)| <= lam*w, by masked safeguarded
+  Newton/bisection in the bracket that g' >= gamma + lam*c gives.
 * ``newton-general``: damped Newton with Armijo backtracking on
   G(x) = H(x) + lam*m(x) - u for the general smooth case.
 
 ``ResolventEngine.fixed_point_map`` alone picks the form of F(x) = R[H x - lam*A x]:
-diagonal, soft-thresholded when M = c*t + d|t|, or one ``resolve`` per evaluation.
+diagonal, soft-thresholded when w = 1, or one ``resolve`` per evaluation.
 """
 
 import functools
@@ -51,13 +51,11 @@ def _offset(op):
 
 
 def _weight_sum(a, b, beta):
-    """a + beta*b for weights that are each a scalar (times I), a vector (its diagonal) or a matrix.
+    """a + beta*b for weights, one a matrix and the other a scalar (times I), a vector (its diagonal) or a matrix.
 
-    A scalar or a vector added to a matrix goes on its diagonal only; a matrix result is
-    a new Fortran-ordered array, which LAPACK may overwrite without a copy.
+    A scalar or a vector goes on the matrix's diagonal only; the result is a new
+    Fortran-ordered array, which LAPACK may overwrite without a copy.
     """
-    if np.ndim(a) < 2 and np.ndim(b) < 2:
-        return a + beta * b
     mat, scale, w = (b, beta, a) if np.ndim(b) == 2 else (a, 1.0, beta * b)
     k = np.multiply(mat, scale, order="F")
     if np.ndim(w) == 2:
@@ -81,7 +79,7 @@ def _coordinate_failure(reason, index, failed, resid):
 
 
 class ResolventEngine:
-    """Solver for u in H(x) + lam*M(x); the closed form keeps K's LU once ``resolve`` needs it."""
+    """Solver for u in H(x) + lam*M(x); an LU of a matrix K is kept once ``resolve`` needs it."""
 
     inner_tolerance = 1e-12  # iterative stop: residual / max(1, |target|), or / max(1, ||u||) for Newton
     max_inner_steps = 100  # inner steps after which they raise ResolventDivergenceError
@@ -93,25 +91,24 @@ class ResolventEngine:
         self.m = m_op
         self.lam = float(lam)
         self.dim = int(dim)
+        # M(t) = c*t + w*|t| per coordinate, or None; for a diagonal H, k = h + lam*c
+        self._cw = ((m_op.shift, 1.0) if isinstance(m_op, ops.ShiftedSubdifferential)
+                    else (m_op.weight, 0.0) if ops.diagonal(m_op) else None)
+        self._k = h_op.weight + self.lam * self._cw[0] if self._cw and ops.diagonal(h_op) else None
         self.strategy = self._auto_strategy()
-        # affine parts W x - b move their offsets into u: u + b_H + lam*b_M. A full
-        # vector even when zero: without it spd-solve's peak RSS rose 7% (heap layout)
-        self._shift = np.zeros(self.dim) + _offset(self.h) + self.lam * _offset(self.m)
+        self._shift = _offset(self.h) + self.lam * _offset(self.m)  # b_H + lam*b_M
 
     # -- strategy selection
 
     def _auto_strategy(self):
-        affine_h, affine_m = (isinstance(op, ops.AffineLinear) for op in (self.h, self.m))
         coordinatewise_h = isinstance(self.h, ops.DiagonalNonlinear) or ops.diagonal(self.h)
-        if isinstance(self.m, ops.ShiftedSubdifferential):
+        if self._cw and self._cw[1]:
             if not coordinatewise_h:
                 raise ValueError("a subdifferential M requires a coordinatewise H")
             return SEPARABLE
-        if affine_h and affine_m:
+        if isinstance(self.h, ops.AffineLinear) and isinstance(self.m, ops.AffineLinear):
             return CLOSED_FORM
-        if coordinatewise_h and ops.diagonal(self.m):
-            return SEPARABLE
-        return NEWTON
+        return SEPARABLE if coordinatewise_h and self._cw else NEWTON
 
     # -- solving
 
@@ -122,50 +119,45 @@ class ResolventEngine:
             raise ValueError("dimension mismatch: %d vs %d" % (u.shape[0], self.dim))
         if self.strategy == NEWTON:
             return self._resolve_newton(u)
-        u = u + self._shift
-        if self.strategy == CLOSED_FORM:  # a non-finite u gives a non-finite x
+        u = u + self._shift  # a new array, which the LU may overwrite
+        if self._k is not None:  # the closed form: a non-finite u gives a non-finite x
+            w = self._cw[1]
+            return (shrink(u, self.lam * w) if w else u) / self._k  # at w = 0 the division alone
+        if self.strategy == CLOSED_FORM:
             return self._k_solve(u)
         return self._resolve_separable(u)
 
     @functools.cached_property
     def _k_solve(self):
-        """b -> K^-1 b, free to overwrite b, with K = W_H + lam*W_M: a division or an in-place LU."""
-        k = _weight_sum(self.h.weight, self.m.weight, self.lam)
-        if np.ndim(k) < 2:
-            return lambda b: b / k
+        """b -> K^-1 b, free to overwrite b, by an LU of the matrix K = W_H + lam*W_M, factored in place."""
         from scipy.linalg import lu_factor, lu_solve  # only a matrix K needs scipy, whose import outlasts a small run
 
-        lu = lu_factor(k, overwrite_a=True, check_finite=False)
+        lu = lu_factor(_weight_sum(self.h.weight, self.m.weight, self.lam), overwrite_a=True, check_finite=False)
         return lambda b: lu_solve(lu, b, overwrite_b=True, check_finite=False)
 
     def fixed_point_map(self, a_op):
         """G(x) = R[H x - lam*A x] in the coordinates the operators act on, in one of two forms.
 
-        * diagonal, when the weights W_H = h and W_A = a are scalars or vectors
-          (``operators.diagonal``) and W_M = m is too, or M = m*t + d|t|: with k = h + lam*m,
-          t = (h - lam*a)/k and c_hat = lam*(b_A + b_M)/k, G(x) = t*x + c_hat, or
-          ``shrink``(t*x + c_hat, lam/k) for the subdifferential. Nothing is factored.
-        * resolve, for every other problem: G(x) = ``resolve``(H x - lam*A x); a closed
-          form with a matrix K factors it on the first call.
+        * diagonal, when the closed form's k = h + lam*c exists and W_A = a is a scalar or a
+          vector (``operators.diagonal``): with t = (h - lam*a)/k and c_hat = lam*(b_A + b_M)/k,
+          G(x) = t*x + c_hat, or ``shrink``(t*x + c_hat, lam/k) when w = 1. Nothing is factored.
+        * resolve, for every other problem: G(x) = ``resolve``(H x - lam*A x); an LU of a
+          matrix K is factored on the first call.
         """
-        sub = isinstance(self.m, ops.ShiftedSubdifferential)
-        if not (ops.diagonal(self.h) and ops.diagonal(a_op) and (sub or ops.diagonal(self.m))):
+        if self._k is None or not ops.diagonal(a_op):
             return lambda x: self.resolve(self.h.apply(x) - self.lam * a_op.apply(x))
-        k = self.h.weight + self.lam * (self.m.shift if sub else self.m.weight)
-        b = self.lam * (_offset(a_op) + _offset(self.m))  # after k: peak RSS follows heap layout
+        k = self._k
         t = (self.h.weight - self.lam * a_op.weight) / k
+        b = self.lam * (_offset(a_op) + _offset(self.m))
         c = b / k if np.ndim(b) else 0.0
-        if not sub:
+        if not self._cw[1]:
             return lambda x: t * x + c
         theta = self.lam / k
         return lambda x: shrink(t * x + c, theta)
 
-    def _resolve_separable(self, u):
-        sub = isinstance(self.m, ops.ShiftedSubdifferential)
-        c, w = (self.m.shift, 1.0) if sub else (self.m.weight, 0.0)  # M(t) = c*t + w*|t|
+    def _resolve_separable(self, u):  # a DiagonalNonlinear H
+        c, w = self._cw
         lam, lw = self.lam, self.lam * w
-        if isinstance(self.h, ops.AffineLinear):  # h*x + lam*c*x + lam*d|x| contains u, offset in it
-            return shrink(u, lw) / (self.h.weight + lam * c)
         if not np.isfinite(u).all():  # no root to search for
             return np.full_like(u, np.nan)
         g0 = self.h.apply(np.zeros_like(u))  # g(0) = H(0)

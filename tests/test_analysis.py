@@ -1,3 +1,4 @@
+import fractions
 import itertools
 import math
 import types
@@ -83,6 +84,37 @@ class TestContractionFactor:
         corrupt = types.SimpleNamespace(gamma=scale, tau=scale, r=scale * (1 + 2e-9), s=1, eta=1)
         with pytest.raises(InconsistentConstantsError, match="negative radicand"):
             optimal_lambda(corrupt)
+
+    # spd-linear's constants at m = 2: gamma = 1, tau = s = 1.2, r = 1 and eta = 2, so s/eta = 0.6
+    SPD_M2 = OperatorConstants(gamma=1, tau=1.2, r=1, s=1.2, eta=2)
+
+    @pytest.mark.parametrize("lam", [1e200, 1e308])
+    def test_large_lambda_limit_is_s_over_eta(self, lam):
+        # lam^2*s^2 overflows past lam*s of about 1.3e154, while kappa -> s/eta as lam -> inf
+        assert abs(contraction_factor(self.SPD_M2, lam) - 0.6) <= 4 * math.ulp(0.6)
+
+    @pytest.mark.parametrize("lam", [1.4e154, 1e156, 1e160, 1e200, 1e308])
+    def test_past_the_overflow_kappa_is_the_exact_one(self, lam):
+        # tau = 1e150 and r = tau/2 keep the tau and r terms visible just past the overflow; the
+        # oracle takes the radicand over lam^2 in exact rationals
+        c = OperatorConstants(gamma=3, tau=1e150, r=5e149, s=1, eta=0.7)
+        q = fractions.Fraction
+        radicand = (q(c.tau) ** 2 - 2 * q(lam) * q(c.r) + q(lam) ** 2 * q(c.s) ** 2) / q(lam) ** 2
+        exact = math.sqrt(float(radicand)) / float(q(c.gamma) / q(lam) + q(c.eta))
+        assert abs(contraction_factor(c, lam) - exact) <= 4 * math.ulp(exact)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.6, 7.0, 1e100, 1e154])
+    def test_below_the_overflow_kappa_is_the_plain_form_bit_for_bit(self, lam):
+        c = self.SPD_M2
+        plain = math.sqrt(c.tau * c.tau - 2.0 * lam * c.r + lam * lam * c.s * c.s) / (c.gamma + lam * c.eta)
+        assert contraction_factor(c, lam) == plain
+
+    def test_radicand_floor_is_taken_over_lambda_squared(self):
+        # past the overflow the radicand is -19 over lam^2; an unscaled floor, -tau^2*2e-9, would
+        # pass it
+        corrupt = types.SimpleNamespace(gamma=1, tau=1e150, r=1e201, s=1, eta=1)
+        with pytest.raises(InconsistentConstantsError, match="negative radicand"):
+            contraction_factor(corrupt, 1e200)
 
     @settings(max_examples=200)
     @given(c=_constants, lam=st.floats(min_value=1e-3, max_value=1e3))

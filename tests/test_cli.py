@@ -25,8 +25,9 @@ from hmsolve.cli import (
     parse_sequence,
     write_trace_csv,
 )
+from hmsolve.operators import AffineLinear, DiagonalNonlinear, ScaledIdentity, catalog_constants
 from hmsolve.problems import gen_spd_linear
-from hmsolve.schemes import run_fh
+from hmsolve.schemes import ProblemInstance, run_fh
 
 
 def _write_config(tmp_path, payload):
@@ -269,6 +270,35 @@ class TestSolve:
             assert not alg["converged"]
             rows = read_trace_csv(tmp_path / ("trace_%s.csv" % name))
             assert len(rows) == alg["steps"] + 1
+
+    def test_huge_lambda_writes_strict_json_and_checks_the_envelope(self, tmp_path):
+        # lam*s = 1.2e200 overflows lam^2*s^2, yet kappa is finite: near its limit s/eta = 0.6
+        code = main(["solve", "--problem", "spd-linear", "--dim", "20", "--m", "2", "--lambda", "1e200",
+                     "--alg", "fh", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+
+        def reject(constant):
+            raise ValueError("%s is not JSON" % constant)
+
+        summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        assert summary["kappa"] == pytest.approx(0.6, abs=1e-12)
+        assert not summary["hypothesis_violated"]
+        fh = summary["algorithms"]["fh"]
+        assert fh["converged"] and fh["envelope"]["checked"] and fh["envelope"]["passed"]
+
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        problem = {"kind": "spd-linear", "dim": 8, "seed": 3}
+        file_cfg = tmp_path / "top-level-seed.json"
+        file_cfg.write_text(json.dumps({"problem": problem, "seed": 5}))
+        runs = {"both": ["--config", _write_config(tmp_path, {"problem": problem}), "--seed", "5"],
+                "flag": ["--problem", "spd-linear", "--dim", "8", "--seed", "5"],
+                "file": ["--config", str(file_cfg)]}
+        for name, argv in runs.items():
+            assert main(["solve", *argv, "--out", str(tmp_path / name)]) == EXIT_OK
+        both, flag, file = ((tmp_path / name / "summary.json").read_bytes() for name in runs)
+        assert both == flag and b'"seed": 5' in both
+        # in the file alone, problem.seed wins over a top-level seed
+        assert b'"seed": 3' in file and file != both
 
     def test_determinism_identical_bytes(self, tmp_path):
         args = [
@@ -709,6 +739,23 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
         assert not any(out.iterdir())
+
+    def test_inner_solve_failure_exits_numerical(self, tmp_path, monkeypatch, capsys):
+        # no generator builds a nonlinear H; one swapped in, whose inner solve may take a single
+        # step, fails on the first F evaluation
+        def gen_nonlinear(lam, **_):
+            h = DiagonalNonlinear(lambda t: t + np.tanh(t), lambda t: 1 + 1 / np.cosh(t) ** 2, (1.0, 2.0))
+            a, m = AffineLinear(1.0, np.full(3, 2.0)), ScaledIdentity(1.0)
+            problem = ProblemInstance(h=h, a=a, m=m, constants=catalog_constants(h, a, m), lam=lam, dim=3)
+            problem.engine.max_inner_steps = 1
+            return problem
+
+        monkeypatch.setattr(problems, "gen_spd_linear", gen_nonlinear)
+        code = main(["solve", "--problem", "spd-linear", "--lambda", "0.5", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: separable inner solve did not reach relative tolerance")
+        assert "Traceback" not in err
 
     def test_compare_needs_a_known_solution(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"problem": _explicit(2, {"kind": "scaled-identity", "scale": 1.0}),

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmsolve.analysis import envelope
 from hmsolve.operators import (
     AffineLinear,
     DiagonalNonlinear,
@@ -15,6 +18,9 @@ from hmsolve.operators import (
     UnsupportedOperatorError,
     catalog_constants,
 )
+from hmsolve.problems import gen_scalar_affine, gen_soft_threshold
+from hmsolve.resolvent import ResolventEngine
+from hmsolve.schemes import as_vector, run_fh
 from oracles import validate_constants
 
 
@@ -316,3 +322,24 @@ class TestValidation:
             h, a, m, catalog_constants(h, a, m), samples=1000, seed=2
         )
         assert report.passed
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AffineLinear(0.0), "a scalar weight must be strictly positive"),
+    (lambda: LinearMonotone([[1.0, 1.0], [0.0, 1.0]]), "matrix must be symmetric"),
+    (lambda: DiagonalNonlinear(np.tanh, np.tanh, (2.0, 1.0)), "deriv_range must satisfy 0 < lo <= hi"),
+    (lambda: ShiftedSubdifferential(0.0), "shift must be strictly positive"),
+    (lambda: gen_soft_threshold(dim=3, c=0.0), "c must be strictly positive"),
+    (lambda: ResolventEngine(ScaledIdentity(1), ScaledIdentity(1), 1.0, 2).resolve(np.zeros(3)),
+     "dimension mismatch: 3 vs 2"),
+    (lambda: as_vector([[1.0, 2.0]]), "expected a scalar or a non-empty 1-d sequence"),
+    (lambda: dataclasses.replace(gen_scalar_affine(), known_solution=[1.0, 2.0]),
+     "known_solution dimension mismatch"),
+    (lambda: run_fh(gen_scalar_affine(), [0.0, 0.0]), "start dimension mismatch"),
+    (lambda: envelope("fh", 0.5, None, None, -1.0, 3), "e0 must be nonnegative"),
+], ids=["affine-scalar", "linear-monotone", "deriv-range", "shift", "soft-threshold-c", "resolve-dim",
+        "as-vector-2d", "known-solution-dim", "start-dim", "envelope-e0"])
+def test_input_checks_raise(build, message):
+    # each constructor or entry point refuses a bad input by a ValueError that names it
+    with pytest.raises(ValueError, match=message):
+        build()

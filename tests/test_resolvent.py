@@ -97,6 +97,16 @@ class TestResolve:
         dense_k = h * np.eye(n) + lam * (m * np.eye(n))
         assert np.array_equal(eng.resolve(u), lu_solve(lu_factor(dense_k), u + b))
 
+    def test_diagonal_division_keeps_the_sign_of_zero(self):
+        # with w = 0 the closed form is (u + b_H + lam*b_M)/k alone, bit for bit: -0 offsets
+        # and a -0 input give -0, as nothing adds a +0 to them
+        h = AffineLinear(np.array([2.0, 3.0]), [-0.0, 1.0])
+        m = AffineLinear(np.array([1.0, 0.5]), [-0.0, -2.0])
+        eng = ResolventEngine(h, m, 0.5, dim=2)
+        assert eng.strategy == CLOSED_FORM
+        x = eng.resolve(np.array([-0.0, 4.0]))
+        assert np.array_equal(x, [0.0, 4.0 / 3.25]) and np.signbit(x[0])
+
     @pytest.mark.parametrize("m, strategy", [(ScaledIdentityMulti(0.7), CLOSED_FORM),
                                              (ShiftedSubdifferential(0.7), SEPARABLE)])
     def test_scalar_h_offset_resolves(self, m, strategy):
@@ -207,6 +217,27 @@ class TestResolve:
         eng = ResolventEngine(_tanh_op(), LinearMonotone(np.eye(2)), 1.0, dim=2)
         with pytest.raises(ResolventDivergenceError):
             eng.resolve(np.array([10.0, -10.0]))
+
+    def test_newton_backtracks_an_overshooting_step(self):
+        # g(t) = 11t - 10 tanh t + 0.1t has g'(0) = 1.1: the full Newton step from 0 to the
+        # target 100 lands at 100/1.1, where g is near 990, and Armijo halves it three times
+        points = []
+        f = lambda t: points.append(float(t[0])) or 11 * t - 10 * np.tanh(t)
+        h = DiagonalNonlinear(f, lambda t: 11 - 10 / np.cosh(t) ** 2, (1.0, 11.0))
+        eng = ResolventEngine(h, LinearMonotone(0.1 * np.eye(1)), 1.0, dim=1)
+        assert eng.strategy == NEWTON
+        x = eng.resolve(np.array([100.0]))
+        assert points[1] == pytest.approx(100 / 1.1, rel=1e-14)
+        assert points[2:5] == [points[1] * t for t in (0.5, 0.25, 0.125)]
+        assert inclusion_residual(eng, x, np.array([100.0])) <= eng.inner_tolerance * 100
+
+    def test_newton_line_search_stalls_on_an_ascent_direction(self):
+        # an H that declares f' = -1 for f(t) = t makes the Jacobian -1 + 0.5: every Newton
+        # step climbs, and no step length down to 1e-12 meets the Armijo test
+        h = DiagonalNonlinear(lambda t: t, lambda t: -np.ones_like(t), (1.0, 1.0))
+        eng = ResolventEngine(h, LinearMonotone(0.5 * np.eye(2)), 1.0, dim=2)
+        with pytest.raises(ResolventDivergenceError, match="Armijo line search stalled"):
+            eng.resolve(np.array([1.0, -2.0]))
 
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
