@@ -13,6 +13,7 @@ and the equivalence audit pairs two runs by their castings: a relaxed run q
 with an unrelaxed run s (xi = 1) of the same mu.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -41,13 +42,16 @@ DEFAULT_AUDIT_SLACK = 1e-8 + 10.0 * ResolventEngine.inner_tolerance
 
 
 def contraction_factor(constants, lam):
-    """kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta), over lam^2 if the radicand overflows."""
+    """kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta), over lam^2 or max(tau, lam*s)^2 on overflow."""
     if not lam > 0:
         raise ValueError("lam must be strictly positive")
-    c, t = constants, 1.0
+    c, t, m = constants, 1.0, max(constants.tau, lam * constants.s)
     radicand = c.tau * c.tau - 2.0 * lam * c.r + lam * lam * c.s * c.s
     if not math.isfinite(radicand):  # lam*s past about 1.3e154: the same form over lam^2, which stays finite
-        t, radicand = lam, (c.tau / lam) ** 2 - 2.0 * c.r / lam + c.s * c.s
+        with contextlib.suppress(OverflowError):  # unless tau/lam is past it too
+            t, radicand = lam, (c.tau / lam) ** 2 - 2.0 * c.r / lam + c.s * c.s
+    if not math.isfinite(radicand) and m < math.inf:  # or s is: over m^2, where each term is at most 1
+        t, radicand = m, (c.tau / m) ** 2 - 2.0 * (lam / m) * (c.r / m) + (lam / m * c.s) ** 2
     tau = c.tau / t
     # r <= s*tau*(1 + delta), which OperatorConstants holds, keeps it >= tau^2 - r^2/s^2 >= -tau^2*(2*delta
     # + delta^2); below that, and its rounding error of a few ulps of tau^2, it flags corrupted inputs
@@ -88,6 +92,9 @@ def optimal_lambda(constants):
     """
     c = constants
     lam = (c.r * c.gamma + c.eta * c.tau * c.tau) / (c.s * c.s * c.gamma + c.r * c.eta)
+    if not 0.0 < lam < math.inf:  # tau or s past about 1.3e154: (tau/s)^2 (r*gamma/tau^2 + eta)/(gamma + r*eta/s^2)
+        ratio = c.tau / c.s
+        lam = ((c.r / c.tau) * (c.gamma / c.tau) + c.eta) / (c.gamma + (c.r / c.s) * (c.eta / c.s)) * ratio * ratio
     return lam, contraction_factor(constants, lam)
 
 

@@ -20,18 +20,13 @@ diagonal, soft-thresholded when w = 1, or one ``resolve`` per evaluation.
 """
 
 import functools
+import math
 
 import numpy as np
 
 from . import operators as ops
 
-__all__ = [
-    "ResolventDivergenceError",
-    "ResolventEngine",
-    "CLOSED_FORM",
-    "SEPARABLE",
-    "NEWTON",
-]
+__all__ = ["ResolventDivergenceError", "ResolventEngine", "CLOSED_FORM", "SEPARABLE", "NEWTON"]
 
 CLOSED_FORM = "closed-form-linear"
 SEPARABLE = "separable-scalar"
@@ -63,6 +58,16 @@ def _weight_sum(a, b, beta):
     else:
         k[np.diag_indices_from(k)] += w
     return k
+
+
+def vector_norm(v):
+    """||v|| of a 1-d float array by ``np.linalg.norm``'s own sqrt(v.dot(v)), bit for bit at a third
+    of its cost, unless only the squares overflow: then that of v/max|v_i|, scaled."""
+    norm = math.sqrt(v.dot(v))
+    if norm == math.inf and np.isfinite(v).all():  # from ||v|| ~ 1.3e154 on
+        scale = float(np.max(np.abs(v)))
+        norm = scale * vector_norm(v / scale)
+    return norm
 
 
 def shrink(v, theta):
@@ -142,7 +147,7 @@ class ResolventEngine:
           vector (``operators.diagonal``): with t = (h - lam*a)/k and c_hat = lam*(b_A + b_M)/k,
           G(x) = t*x + c_hat, or ``shrink``(t*x + c_hat, lam/k) when w = 1. Nothing is factored.
         * resolve, for every other problem: G(x) = ``resolve``(H x - lam*A x); an LU of a
-          matrix K is factored on the first call.
+          matrix K is factored on the first call. Either way G(x) is a fresh array: G never returns or writes x.
         """
         if self._k is None or not ops.diagonal(a_op):
             return lambda x: self.resolve(self.h.apply(x) - self.lam * a_op.apply(x))
@@ -150,10 +155,13 @@ class ResolventEngine:
         t = (self.h.weight - self.lam * a_op.weight) / k
         b = self.lam * (_offset(a_op) + _offset(self.m))
         c = b / k if np.ndim(b) else 0.0
-        if not self._cw[1]:
-            return lambda x: t * x + c
-        theta = self.lam / k
-        return lambda x: shrink(t * x + c, theta)
+        theta = self.lam / k if self._cw[1] else None
+
+        def g(x):  # t*x + c_hat in one fresh array, never x itself, soft-thresholded in place when w = 1
+            v = t * x
+            v += c
+            return v if theta is None else shrink(v, theta)
+        return g
 
     def _resolve_separable(self, u):  # a DiagonalNonlinear H
         c, w = self._cw
@@ -207,10 +215,12 @@ class ResolventEngine:
         lam = self.lam
         x = np.zeros(self.dim)
         g = self.h.apply(x) + lam * self.m.selection(x) - u
-        phi = float(np.dot(g, g))
-        tol = self.inner_tolerance * max(1.0, float(np.linalg.norm(u)))
+        # the merit ||g/s||^2, s = 1 unless ||g||^2 overflows: where it is finite, the tests on it bit for bit
+        s = 1.0 if np.dot(g, g) < np.inf else 2.0 ** math.frexp(vector_norm(g))[1]
+        phi = float(np.dot(g / s, g / s))
+        tol = self.inner_tolerance * max(1.0, vector_norm(u))
         for _ in range(self.max_inner_steps):
-            if np.sqrt(phi) <= tol:
+            if np.sqrt(phi) * s <= tol:
                 return x
             jac = _weight_sum(self.h.jacobian(x), self.m.weight, lam)
             step = np.linalg.solve(jac, g)
@@ -218,7 +228,7 @@ class ResolventEngine:
             while t >= 1e-12:
                 cand = x - t * step
                 gc = self.h.apply(cand) + lam * self.m.selection(cand) - u
-                phic = float(np.dot(gc, gc))
+                phic = float(np.dot(gc / s, gc / s))
                 if phic <= (1.0 - 1e-4 * t) * phi:
                     x, g, phi = cand, gc, phic
                     break

@@ -18,26 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import OperatorConstants
-from .resolvent import ResolventEngine
+from .resolvent import ResolventEngine, vector_norm
 
 __all__ = [
-    "as_vector",
-    "STEP_FAMILIES",
-    "StepSequence",
-    "make_step_sequence",
-    "StoppingRule",
-    "ProblemInstance",
-    "IterationTrace",
-    "vector_norm",
-    "ONE",
-    "ZERO",
-    "CASTINGS",
-    "casting",
-    "run_scheme",
-    "run_fh",
-    "run_zgy",
-    "run_mann",
-    "run_new",
+    "as_vector", "STEP_FAMILIES", "StepSequence", "make_step_sequence", "StoppingRule",
+    "ProblemInstance", "IterationTrace", "vector_norm", "ONE", "ZERO", "CASTINGS", "casting",
+    "run_scheme", "run_fh", "run_zgy", "run_mann", "run_new",
 ]
 
 
@@ -225,8 +211,7 @@ class ProblemInstance:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dim,):
             raise ValueError("dimension mismatch: %s vs %d" % (x.shape, self.dim))
-        g = self._map
-        return g(x) if self.basis is None else self.basis @ g(self.basis.T @ x)
+        return self._map(x) if self.basis is None else self.basis @ self._map(self.basis.T @ x)
 
     def contraction_factor(self):
         from .analysis import contraction_factor
@@ -241,7 +226,7 @@ class IterationTrace:
     Each list but ``iterates`` = [x_N] has an entry per step n = 0, ..., N; on request ``coordinates``
     keeps every y_n = Q^T x_n of ``ProblemInstance.coordinates()``, so x_n = ``Q @ coordinates[n]``
     (y_n = x_n without Q). ``wall_nanos[n]`` runs from before Q^T x_0 to the end of step n, the error
-    of y_(n-1) included; mapping x_N back and its error come after ``wall_nanos[N]``.
+    of y_n included; mapping x_N back and its error in x come after ``wall_nanos[N]``.
     """
 
     algorithm: str
@@ -257,35 +242,32 @@ class IterationTrace:
     coordinates: list = None
 
 
-def vector_norm(v):
-    """||v|| of a 1-d float array by ``np.linalg.norm``'s own sqrt(v.dot(v)), bit for bit at a third
-    of its cost, unless only the squares overflow: then that of v/max|v_i|, scaled."""
-    norm = math.sqrt(v.dot(v))
-    if norm == math.inf and np.isfinite(v).all():  # from ||v|| ~ 1.3e154 on
-        scale = float(np.max(np.abs(v)))
-        norm = scale * vector_norm(v / scale)
-    return norm
+def _relax(a, b, w):  # (1 - w)*a + w*b in one fresh array: the plain expression's bits, one temporary fewer
+    v = (1.0 - w) * a
+    v += w * b
+    return v
 
 
 def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=True):
     """Run scheme ``name`` as the relaxed two-step iteration of its casting.
 
-    A step with mu_n = 0 reuses F(x_n) as F(r_n), and one with xi_n = 1 takes F(r_n) as the next
-    iterate, so FH and MANN cost one F evaluation per step, NEW and ZGY two, and the degenerate
-    castings reproduce FH bit for bit. The run stops, ``diverged``, at the first non-finite
-    iterate without evaluating F on it.
+    Step n takes r_n = (1-mu_n) y_n + mu_n G(y_n) and y_(n+1) = (1-xi_n) y_n + xi_n G(r_n), then
+    G(y_(n+1)). A step with mu_n = 0 reuses G(y_n) as G(r_n), and one with xi_n = 1 takes G(r_n) as
+    y_(n+1), so FH and MANN cost one F evaluation per step, NEW and ZGY two, and the degenerate castings
+    reproduce FH bit for bit. The run stops, ``diverged``, at the first non-finite iterate without
+    evaluating F on it; with x* known, a finite errors[n+1] = ||y_(n+1) - y*|| proves y_(n+1) finite,
+    y* being finite, and only a non-finite one (inf without x*) scans the entries of y_(n+1).
 
-    Every step is a linear combination of x and F(x), so the loop runs in the coordinates
-    y = Q^T x of ``problem.coordinates()``, with the residual ||G(y) - y|| = ||F(x) - x||: O(n)
-    per step on diagonal-form problems. A zero x_0 starts at y_0 = x_0 with no product. Only
-    x_N = Q y_N is mapped back, by one product, as ``iterates``; ``keep_iterates`` keeps every
-    y_n as ``coordinates``, and without it a run holds O(n) memory at any length. Once y_(n+1)
-    is finite, the loop takes errors[n] = ||y_n - y*||, with y* = Q^T x* cached on the problem:
-    ||x_n - x*|| up to a few rounding units of ||x_n|| + ||x*||, Q being orthogonal. errors[N]
-    is ||x_N - x*|| exactly.
+    Every step is a linear combination of x and F(x), so the loop runs in the coordinates y = Q^T x of
+    ``problem.coordinates()``, with the residual ||G(y) - y|| = ||F(x) - x||: O(n) per step on diagonal-form
+    problems. A zero x_0 starts at y_0 = x_0 with no product. Only x_N = Q y_N is mapped back, by one
+    product, as ``iterates``; ``keep_iterates`` keeps every y_n as ``coordinates``, and without it a run
+    holds O(n) memory at any length. errors[n], with y* = Q^T x* cached on the problem, is ||x_n - x*||
+    up to a few rounding units of ||x_n|| + ||x*||, Q being orthogonal; errors[N] is ||x_N - x*|| exactly.
     """
     name = name.upper()
     xi, mu = casting(name, xi, mu)
+    (xi_term, xi_param), (mu_term, mu_param) = ((STEP_FAMILIES[s.family].term, s.param) for s in (xi, mu))
     stop = stop or StoppingRule()
     x = np.asarray(as_vector(x0), dtype=float)
     if x.shape[0] == 1 and problem.dim > 1:
@@ -299,34 +281,35 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=Tru
     start = time.perf_counter_ns()
 
     y = x if basis is None or not x.any() else basis.T @ x  # Q^T 0 = 0: a zero start needs no product
+    scratch = np.empty_like(y)  # each residual's and error's difference, in turn
+    error = (lambda v: math.inf) if ystar is None else lambda v: vector_norm(np.subtract(v, ystar, out=scratch))
     gy = g(y)
     ys = [y] if keep_iterates else None
-    residuals = [vector_norm(gy - y)]
-    errors = None if xstar is None else []
+    residuals = [vector_norm(np.subtract(gy, y, out=scratch))]
+    errors = None if xstar is None else [error(y)]
     wall = [time.perf_counter_ns() - start]
 
-    n = 0
-    diverged = False
+    n, diverged = 0, False
     # "not <=" keeps a NaN residual going, into the non-finite iterate check
     while not residuals[-1] <= stop.tol and n < stop.max_steps:
-        xi_n, mu_n = xi.value(n), mu.value(n)
-        gr = gy if mu_n == 0.0 else g((1.0 - mu_n) * y + mu_n * gy)
-        y_next = gr if xi_n == 1.0 else (1.0 - xi_n) * y + xi_n * gr
-        diverged = not np.isfinite(y_next).all()
+        xi_n, mu_n = xi_term(xi_param, n), mu_term(mu_param, n)
+        gr = gy if mu_n == 0.0 else g(_relax(y, gy, mu_n))
+        y_next = gr if xi_n == 1.0 else _relax(y, gr, xi_n)
+        diverged = not math.isfinite(e := error(y_next)) and not np.isfinite(y_next).all()
         if diverged:
             break
         if errors is not None:
-            errors.append(vector_norm(y - ystar))
+            errors.append(e)
         y, gy = y_next, g(y_next)
         if keep_iterates:
             ys.append(y)
-        residuals.append(vector_norm(gy - y))
+        residuals.append(vector_norm(np.subtract(gy, y, out=scratch)))
         wall.append(time.perf_counter_ns() - start)
         n += 1
 
     x = y if basis is None else basis @ y
-    if errors is not None:
-        errors.append(vector_norm(x - xstar))
+    if errors is not None and basis is not None:
+        errors[-1] = vector_norm(x - xstar)
     return IterationTrace(
         algorithm=name,
         iterates=[x],
@@ -336,7 +319,7 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=Tru
         steps_used=n,
         converged=residuals[-1] <= stop.tol,
         kappa=kappa,
-        solution_norm=None if xstar is None else float(np.linalg.norm(xstar)),
+        solution_norm=None if xstar is None else vector_norm(xstar),
         diverged=diverged,
         coordinates=ys,
     )

@@ -8,13 +8,18 @@ tests hold them to this sampler.
 ``dense_q`` and ``in_x`` give a basis Q, and an instance with one, as dense matrices in x,
 built from products with Q only, for tests that hold the diagonal form in Q's
 coordinates to a dense LU path.
+
+``plain_run_scheme`` is the relaxed two-step loop in its plain form, the reference
+that ``schemes.run_scheme`` is held to bit for bit.
 """
 
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from hmsolve import operators as ops
+from hmsolve.schemes import IterationTrace, StoppingRule, as_vector, casting, vector_norm
 
 
 @dataclass(frozen=True)
@@ -127,3 +132,68 @@ def in_x(problem):
     h = ops.AffineLinear(dense(problem.h))
     a = ops.AffineLinear(dense(problem.a), q @ problem.a.offset)
     return replace(problem, h=h, a=a, basis=None)
+
+
+def plain_run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=True):
+    """The relaxed two-step loop of ``schemes.run_scheme`` in its plain form, the reference it is held to.
+
+    Each step builds every linear combination in fresh temporaries and scans the new iterate with
+    ``np.isfinite(...).all()``; errors[n] is taken once y_(n+1) is known finite. ``run_scheme`` must
+    give the same trace bit for bit and hand G the same inputs.
+    """
+    name = name.upper()
+    xi, mu = casting(name, xi, mu)
+    stop = stop or StoppingRule()
+    x = np.asarray(as_vector(x0), dtype=float)
+    if x.shape[0] == 1 and problem.dim > 1:
+        x = np.full(problem.dim, x[0])
+    if x.shape[0] != problem.dim:
+        raise ValueError("start dimension mismatch")
+    kappa = problem.contraction_factor()
+    xstar = problem.known_solution
+    basis, g = problem.coordinates()
+    ystar = None if xstar is None else problem._solution_coordinates
+    start = time.perf_counter_ns()
+
+    y = x if basis is None or not x.any() else basis.T @ x  # Q^T 0 = 0: a zero start needs no product
+    gy = g(y)
+    ys = [y] if keep_iterates else None
+    residuals = [vector_norm(gy - y)]
+    errors = None if xstar is None else []
+    wall = [time.perf_counter_ns() - start]
+
+    n = 0
+    diverged = False
+    # "not <=" keeps a NaN residual going, into the non-finite iterate check
+    while not residuals[-1] <= stop.tol and n < stop.max_steps:
+        xi_n, mu_n = xi.value(n), mu.value(n)
+        gr = gy if mu_n == 0.0 else g((1.0 - mu_n) * y + mu_n * gy)
+        y_next = gr if xi_n == 1.0 else (1.0 - xi_n) * y + xi_n * gr
+        diverged = not np.isfinite(y_next).all()
+        if diverged:
+            break
+        if errors is not None:
+            errors.append(vector_norm(y - ystar))
+        y, gy = y_next, g(y_next)
+        if keep_iterates:
+            ys.append(y)
+        residuals.append(vector_norm(gy - y))
+        wall.append(time.perf_counter_ns() - start)
+        n += 1
+
+    x = y if basis is None else basis @ y
+    if errors is not None:
+        errors.append(vector_norm(x - xstar))
+    return IterationTrace(
+        algorithm=name,
+        iterates=[x],
+        residuals=residuals,
+        errors=errors,
+        wall_nanos=wall,
+        steps_used=n,
+        converged=residuals[-1] <= stop.tol,
+        kappa=kappa,
+        solution_norm=None if xstar is None else float(np.linalg.norm(xstar)),
+        diverged=diverged,
+        coordinates=ys,
+    )

@@ -116,6 +116,17 @@ class TestContractionFactor:
         with pytest.raises(InconsistentConstantsError, match="negative radicand"):
             contraction_factor(corrupt, 1e200)
 
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3, 1e100])
+    def test_past_the_overflow_of_tau_over_lam_kappa_is_the_exact_one(self, lam):
+        # (tau/lam)^2 overflows too here, so kappa takes every term over max(tau, lam*s)^2
+        c = OperatorConstants(1, 1e200, 1, 1e200, 1)
+        exact = _exact_kappa(c, lam)
+        assert abs(contraction_factor(c, lam) - exact) <= 4 * math.ulp(exact)
+
+    def test_past_the_largest_float_lam_s_leaves_kappa_infinite(self):
+        # lam*s itself overflows: no scale is left, and kappa stays inf rather than 0/0
+        assert contraction_factor(OperatorConstants(1, 1e200, 1, 1e200, 1), 1e200) == math.inf
+
     @settings(max_examples=200)
     @given(c=_constants, lam=st.floats(min_value=1e-3, max_value=1e3))
     def test_always_finite_nonnegative(self, c, lam):
@@ -170,7 +181,34 @@ class TestFeasibleLambda:
         assert optimal_lambda(c) == (1.0, 1.0)
 
 
+def _exact_kappa(c, lam):
+    """kappa at lam from exact rationals, over max(tau, lam*s), so that no float overflows."""
+    q, lam = fractions.Fraction, fractions.Fraction(lam)
+    radicand = q(c.tau) ** 2 - 2 * lam * q(c.r) + lam ** 2 * q(c.s) ** 2
+    scale = max(q(c.tau), lam * q(c.s))
+    return math.sqrt(float(radicand / scale ** 2)) / float((q(c.gamma) + lam * q(c.eta)) / scale)
+
+
 class TestOptimalLambda:
+    # tau or s past about 1.3e154, so that tau^2 or s^2 overflows, in constants OperatorConstants accepts:
+    # lam* = inf/inf, with the r terms visible (r*gamma = 2e308 against eta*tau^2 = 5e309 and r*eta
+    # = 5e307 against gamma*s^2 = 8e308) and with lam* far from 1; inf/finite at lam* = 100;
+    # finite/inf = 0 at lam* = 0.01; and tau/s past 1e154
+    HUGE = [OperatorConstants(1, 1e200, 1, 1e200, 1), OperatorConstants(2, 1e155, 1e308, 2e154, 0.5),
+            OperatorConstants(2, 3e160, 1e300, 1e158, 0.5), OperatorConstants(0.5, 7e170, 3e200, 2e160, 3.0),
+            OperatorConstants(1, 1e155, 1, 1e154, 1), OperatorConstants(1, 1e154, 1, 1e155, 1),
+            OperatorConstants(1, 1e300, 1, 1e145, 1e-10)]
+
+    @pytest.mark.parametrize("c", HUGE)
+    def test_past_the_overflow_lam_star_is_the_exact_one(self, c):
+        q = fractions.Fraction
+        exact = float((q(c.r) * q(c.gamma) + q(c.eta) * q(c.tau) ** 2)
+                      / (q(c.s) ** 2 * q(c.gamma) + q(c.r) * q(c.eta)))
+        lam, kappa = optimal_lambda(c)
+        assert abs(lam - exact) <= 4 * math.ulp(exact)
+        assert kappa == contraction_factor(c, lam)
+        assert abs(kappa - _exact_kappa(c, lam)) <= 4 * math.ulp(kappa)
+
     def test_finds_zero_at_lam_one(self):
         # lam* = (1 + 1)/(1 + 1) = 1, where kappa = sqrt(1 - 2 + 1)/2 = 0
         assert optimal_lambda(OperatorConstants(1, 1, 1, 1, 1)) == (1.0, 0.0)

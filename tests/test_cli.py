@@ -386,6 +386,18 @@ class TestCompare:
         summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
         assert [alg["envelope"] for alg in summary["algorithms"].values()] == [{"checked": False}] * 2
 
+    @pytest.mark.parametrize("b_scale", ["1e100", "1e160"])
+    def test_huge_solution_keeps_its_verdict(self, tmp_path, b_scale):
+        # ||x*|| ~ 1e161 squares past the largest float; the censoring threshold 10*eps*(1 + ||x*||)
+        # stays finite, so the fit and the verdict are those at 1e100
+        code = main(["compare", "--problem", "spd-linear", "--dim", "50", "--b-scale", b_scale,
+                     "--alg", "new,fh", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "rate_report.json").read_text())
+        assert report["verdict"] == "a-faster"
+        assert report["fitted_ratio"] == pytest.approx(0.6316, abs=1e-4)
+        assert sum(p is not None for p in report["pi"]) >= len(report["pi"]) // 2
+
     def test_self_comparison_same_rate(self, tmp_path):
         code = main([
             "compare", "--problem", "spd-linear", "--dim", "10", "--seed", "1",

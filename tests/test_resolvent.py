@@ -25,6 +25,7 @@ from hmsolve.resolvent import (
     SEPARABLE,
     ResolventDivergenceError,
     ResolventEngine,
+    vector_norm,
 )
 from hmsolve.schemes import make_step_sequence, run_scheme
 from oracles import dense_q, in_x, inclusion_residual, resolvent_lipschitz_bound
@@ -230,6 +231,32 @@ class TestResolve:
         assert points[1] == pytest.approx(100 / 1.1, rel=1e-14)
         assert points[2:5] == [points[1] * t for t in (0.5, 0.25, 0.125)]
         assert inclusion_residual(eng, x, np.array([100.0])) <= eng.inner_tolerance * 100
+
+    @pytest.mark.parametrize("scale", [1e100, 1e154, 1e200, 1e300])
+    def test_newton_solves_past_the_overflow_of_the_squares(self, scale):
+        # ||u||^2 and ||g||^2 overflow from ||u|| ~ 1.3e154 on: the tolerance and the merit stay
+        # finite, so the solve meets its relative tolerance where it once returned x = 0 unsolved
+        eng = ResolventEngine(_tanh_op(), LinearMonotone(2.0 * np.eye(3)), 1.0, dim=3)
+        assert eng.strategy == NEWTON
+        u = scale * np.array([1.0, -2.0, 0.3])
+        with np.errstate(over="ignore"):  # as hmsolve.cli.main runs
+            x = eng.resolve(u)
+            residual = vector_norm(eng.h.apply(x) + 2.0 * x - u)
+            assert residual <= eng.inner_tolerance * vector_norm(u)
+        np.testing.assert_allclose(x, (u - np.sign(u)) / 3.0, rtol=1e-12)  # 3x + tanh(x) = u
+
+    def test_newton_backtracks_alike_past_the_overflow_of_the_squares(self):
+        # the overshooting step above at the target 1e200, where ||g||^2 = 1e400 is no float: the
+        # merit, taken over a power of two, still rejects the full step and halves it three times
+        points = []
+        f = lambda t: points.append(float(t[0])) or 11 * t - 10 * np.tanh(t)
+        h = DiagonalNonlinear(f, lambda t: 11 - 10 / np.cosh(t) ** 2, (1.0, 11.0))
+        eng = ResolventEngine(h, LinearMonotone(0.1 * np.eye(1)), 1.0, dim=1)
+        with np.errstate(over="ignore"):  # as hmsolve.cli.main runs
+            x = eng.resolve(np.array([1e200]))
+        assert points[1] == pytest.approx(1e200 / 1.1, rel=1e-14)
+        assert points[2:5] == [points[1] * t for t in (0.5, 0.25, 0.125)]
+        assert x[0] == pytest.approx((1e200 + 10.0) / 11.1, rel=1e-12)
 
     def test_newton_line_search_stalls_on_an_ascent_direction(self):
         # an H that declares f' = -1 for f(t) = t makes the Jacobian -1 + 0.5: every Newton

@@ -1,6 +1,7 @@
 import dataclasses
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from hmsolve.schemes import (
     run_zgy,
     vector_norm,
 )
-from oracles import in_x, validate_constants
+from oracles import in_x, plain_run_scheme, validate_constants
 
 ONE = make_step_sequence("constant", value=1.0)
 ZERO = make_step_sequence("constant", value=0.0)
@@ -843,3 +844,128 @@ def test_overflowing_nonlinear_run_ends_diverged(m):
         trace = run_fh(p, np.full(4, 1e307))
     assert trace.diverged and not trace.converged
     assert trace.steps_used == 0
+
+
+def _soft_auto():
+    from hmsolve.cli import build_problem
+
+    return build_problem({"problem": {"kind": "soft-threshold", "dim": 30, "seed": 3}, "lambda": "auto"})
+
+
+def _resolve_form():  # scalar H and M with a matrix A: G is one resolve per evaluation
+    return _explicit_affine(ScaledIdentity(2.0), AffineLinear(_spd_matrix(8), np.linspace(-1, 1, 8)),
+                            ScaledIdentityMulti(0.5), 8)
+
+
+def _separable():  # a DiagonalNonlinear H: G solves coordinatewise
+    return ProblemInstance(h=_tanh_h(), a=AffineLinear(1.0, np.linspace(-1, 1, 12)), m=ScaledIdentityMulti(1.0),
+                           constants=OperatorConstants(1.0, 1.5, 1.0, 1.0, 1.0), lam=0.5, dim=12)
+
+
+#: (label, problem factory, x_0): every form of G that a run can take, with and without x*, a
+#: run that diverges and one whose iterates' squares overflow
+KERNEL_PROBLEMS = [
+    ("spd-x0-0", lambda: gen_spd_linear(20, seed=4), 0.0),
+    ("spd-x0-1", lambda: gen_spd_linear(20, seed=4), 1.0),
+    ("soft-0.7", lambda: gen_soft_threshold(30, seed=3, lam=0.7), 1.0),
+    ("soft-auto", _soft_auto, 1.0),
+    ("scalar-affine", lambda: gen_scalar_affine(b=2.0, lam=0.5), 3.0),
+    ("resolve-form", _resolve_form, 1.0),
+    ("separable", _separable, 1.0),
+    ("diverging", lambda: gen_spd_linear(20, seed=0, c_a=5.0, lam=50.0), 0.0),
+    ("b-scale-1e160", lambda: gen_spd_linear(20, seed=1, b_scale=1e160), 1.0),
+]
+KERNEL_SEQUENCES = [make_step_sequence("constant", value=0.5), make_step_sequence("harmonic", offset=1),
+                    make_step_sequence("custom-table", table=[0.5, 0.0, 1.0, 0.25, 0.0, 1.0, 0.75])]
+
+
+#: a problem for each form of G: diagonal in a basis, diagonal and soft-thresholded, diagonal with
+#: scalar weights, and one resolve per evaluation
+G_FORMS = [lambda: gen_spd_linear(30, seed=2), lambda: gen_soft_threshold(30, seed=2),
+           lambda: gen_scalar_affine(b=2.0, lam=0.5), _resolve_form]
+
+
+def _recorded_run(runner, make, x0, name, seq, keep):
+    """``runner``'s trace on a fresh problem, the inputs it handed G (copied at the call) and its warnings."""
+    p = make()
+    basis, g = p.coordinates()
+    inputs = []
+
+    def recording(y):
+        inputs.append(np.array(y, copy=True))
+        return g(y)
+
+    p.coordinates = lambda: (basis, recording)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = runner(name, p, np.full(p.dim, x0), seq, seq, StoppingRule(max_steps=600), keep)
+    return trace, inputs, {(w.category, str(w.message)) for w in caught}
+
+
+def _bits(values):
+    return None if values is None else np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("keep", [True, False])
+@pytest.mark.parametrize("label, make, x0", KERNEL_PROBLEMS, ids=[k[0] for k in KERNEL_PROBLEMS])
+def test_run_scheme_is_the_plain_loop_bit_for_bit(label, make, x0, keep):
+    # the lean kernel (one scratch vector, in-place relaxations, the error as the finite test)
+    # against the plain loop: every trace field, and every input handed to G, bit for bit
+    traces = {}
+    for seq in KERNEL_SEQUENCES:
+        for name in ("FH", "MANN", "NEW", "ZGY"):
+            lean, lean_inputs, lean_warned = _recorded_run(run_scheme, make, x0, name, seq, keep)
+            traces[seq.family, name] = lean
+            plain, plain_inputs, plain_warned = _recorded_run(plain_run_scheme, make, x0, name, seq, keep)
+            assert (lean.steps_used, lean.converged, lean.diverged) == (
+                plain.steps_used, plain.converged, plain.diverged)
+            for field in ("residuals", "errors", "iterates"):
+                assert _bits(getattr(lean, field)) == _bits(getattr(plain, field)), field
+            assert (lean.coordinates is None) == (plain.coordinates is None) == (not keep)
+            if keep:
+                assert _bits(lean.coordinates) == _bits(plain.coordinates)
+            assert [y.tobytes() for y in lean_inputs] == [y.tobytes() for y in plain_inputs]
+            assert lean_warned <= plain_warned
+    fh = traces["constant", "FH"]
+    if label == "diverging":  # FH's y_404 is the first non-finite iterate
+        assert fh.diverged and fh.steps_used == 403
+    if label == "b-scale-1e160":  # the errors' squares overflow, and vector_norm rescales
+        assert np.isfinite(fh.errors).all() and fh.errors[0] > 1e154 and 1e154 < fh.solution_norm < np.inf
+
+
+@pytest.mark.parametrize("make", G_FORMS, ids=["diagonal-basis", "diagonal-shrink", "diagonal-scalar", "resolve"])
+@pytest.mark.parametrize("name", ["FH", "MANN", "NEW", "ZGY"])
+def test_kept_coordinates_are_distinct_and_never_written(make, name):
+    # keep_iterates stores references: each y_n is its own array, G never writes its argument
+    # or returns it, and no later step writes a stored y_n
+    p = make()
+    basis, g = p.coordinates()
+    seen = {}
+
+    def snapshotting(y):
+        before = y.copy()
+        gy = g(y)
+        assert np.array_equal(y, before) and not np.shares_memory(gy, y)
+        seen[id(y)] = (y, before)
+        return gy
+
+    p.coordinates = lambda: (basis, snapshotting)
+    trace = run_scheme(name, p, np.ones(p.dim), HALF, HALF, StoppingRule(tol=-1.0, max_steps=25))
+    ys = trace.coordinates
+    assert len(ys) == 26
+    for i, y in enumerate(ys):
+        assert all(not np.shares_memory(y, other) for other in ys[i + 1:])
+        # every y_n went to G as soon as it existed, and still holds what G saw
+        assert seen[id(y)][0] is y and np.array_equal(y, seen[id(y)][1])
+
+
+@pytest.mark.parametrize("make", G_FORMS, ids=["diagonal-basis", "diagonal-shrink", "diagonal-scalar", "resolve"])
+def test_g_returns_a_fresh_array_and_never_writes_its_argument(make):
+    p = make()
+    g = p.engine.fixed_point_map(p.a)
+    x = np.random.default_rng(0).standard_normal(p.dim)
+    x.setflags(write=False)  # a write into x would raise
+    first, second = g(x), g(x)
+    assert not (np.shares_memory(first, x) or np.shares_memory(first, second))
+    assert np.array_equal(first, second)
+
