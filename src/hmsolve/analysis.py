@@ -10,10 +10,9 @@ regime; the error envelope of each scheme is the product of the per-step
 bounds of its (xi, mu) casting, and ``check_envelope`` checks a run against
 it; the rate comparison classifies the ratio of measured error sequences;
 and the equivalence audit pairs two runs by their castings: a relaxed run q
-with an unrelaxed run s (xi = 1) of the same mu.
+with an unrelaxed run s (xi = 1) of the same mu. Both bounds read ``_steps``.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -42,22 +41,23 @@ DEFAULT_AUDIT_SLACK = 1e-8 + 10.0 * ResolventEngine.inner_tolerance
 
 
 def contraction_factor(constants, lam):
-    """kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta), over lam^2 or max(tau, lam*s)^2 on overflow."""
+    """kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta), over lam times a power of two on overflow."""
     if not lam > 0:
         raise ValueError("lam must be strictly positive")
-    c, t, m = constants, 1.0, max(constants.tau, lam * constants.s)
-    radicand = c.tau * c.tau - 2.0 * lam * c.r + lam * lam * c.s * c.s
-    if not math.isfinite(radicand):  # lam*s past about 1.3e154: the same form over lam^2, which stays finite
-        with contextlib.suppress(OverflowError):  # unless tau/lam is past it too
-            t, radicand = lam, (c.tau / lam) ** 2 - 2.0 * c.r / lam + c.s * c.s
-    if not math.isfinite(radicand) and m < math.inf:  # or s is: over m^2, where each term is at most 1
-        t, radicand = m, (c.tau / m) ** 2 - 2.0 * (lam / m) * (c.r / m) + (lam / m * c.s) ** 2
-    tau = c.tau / t
+    tau, r, s, gamma, eta = constants.tau, constants.r, constants.s, constants.gamma, constants.eta
+    if not math.isfinite(tau * tau - 2.0 * lam * r + lam * lam * s * s):  # tau or lam*s past about 1.3e154:
+        # the same form over lam*2^(e-k) for lam = m*2^k and 2^e > max(tau, lam*s, lam): exact, and no overflow
+        m, k = math.frexp(lam)
+        e = max(math.frexp(tau)[1], k + math.frexp(s)[1], k)
+        tau, r, gamma = (math.ldexp(v, j) / m for v, j in ((tau, -e), (r, k - 2 * e), (gamma, -e)))
+        lam, s, eta = 1.0, math.ldexp(s, k - e), math.ldexp(eta, k - e)
+    radicand = tau * tau - 2.0 * lam * r + lam * lam * s * s
     # r <= s*tau*(1 + delta), which OperatorConstants holds, keeps it >= tau^2 - r^2/s^2 >= -tau^2*(2*delta
     # + delta^2); below that, and its rounding error of a few ulps of tau^2, it flags corrupted inputs
     if radicand < -tau * tau * ((2.0 + _CONSISTENCY_TOL) * _CONSISTENCY_TOL + 1e-14):
         raise InconsistentConstantsError("negative radicand %g in contraction factor" % radicand)
-    return math.sqrt(max(radicand, 0.0)) / (c.gamma / t + lam / t * c.eta)
+    # the scaled gamma + lam*eta may underflow to 0, where kappa is taken as inf
+    return math.sqrt(max(radicand, 0.0)) / den if (den := gamma + lam * eta) else math.inf
 
 
 def feasible_lambda(constants):
@@ -98,9 +98,10 @@ def optimal_lambda(constants):
     return lam, contraction_factor(constants, lam)
 
 
-def _terms(seq, n):
-    """The first n terms of the step sequence ``seq``, as an array."""
-    return np.array([seq.value(k) for k in range(n)], dtype=float)
+def _steps(xi, mu, kappa, n):
+    """The step table of the sequences (xi, mu) for k < n: arrays xi_k, mu_k and 1 - mu_k (1 - kappa)."""
+    xis, mus = (np.broadcast_to(seq.value(np.arange(n)), (n,)) for seq in (xi, mu))
+    return xis, mus, 1.0 - mus * (1.0 - kappa)
 
 
 def envelope(scheme, kappa, xi, mu, e0, n):
@@ -126,9 +127,8 @@ def envelope(scheme, kappa, xi, mu, e0, n):
         raise ValueError("kappa must lie in [0, 1)")
     if e0 < 0:
         raise ValueError("e0 must be nonnegative")
-    xi, mu = casting(scheme, xi, mu)
-    xis, mus = _terms(xi, n), _terms(mu, n)
-    factors = (1.0 - xis) + xis * (kappa * (1.0 - mus * (1.0 - kappa)))
+    xis, _, shrink = _steps(*casting(scheme, xi, mu), kappa, n)
+    factors = (1.0 - xis) + xis * (kappa * shrink)
     return e0 * np.concatenate(([1.0], np.cumprod(factors)))
 
 
@@ -272,9 +272,8 @@ def equivalence_audit(trace_a, trace_b, xi, mu, kappa, gap_tol=1e-8):
             return report
         q, s, xi_q = (trace_a, trace_b, xi_a) if xi_b == ONE else (trace_b, trace_a, xi_b)
         m = len(gaps) - 1  # zip truncated the gaps to the common length
-        xis, mus = _terms(xi_q, m), _terms(mu_a, m)
+        xis, mus, shrink = _steps(xi_q, mu_a, kappa, m)
         g0, g1 = np.array(gaps[:-1]), np.array(gaps[1:])
-        shrink = 1.0 - mus * (1.0 - kappa)
         rho_scale = (1.0 - xis) * (1.0 + kappa * shrink)
         forward = (1.0 - xis * mus * (1.0 - kappa)) * g0 + rho_scale * np.asarray(s.errors[:m])
         symmetric = shrink * g0 + rho_scale * np.asarray(q.errors[:m])

@@ -63,15 +63,15 @@ def _table(t):
 
 StepFamily = collections.namedtuple("StepFamily", "param check term properties")
 
-#: family -> its one parameter's name, the check returning the parameter taken, the n-th term and
-#: the series properties (sum diverges, terms tend to 0, lower bound); a table repeats its last entry
+#: family -> its one parameter's name, the check returning the parameter taken, the n-th term (n an int or
+#: an integer array) and the series properties (sum diverges, lower bound); a table repeats its last entry
 STEP_FAMILIES = {
-    "constant": StepFamily("value", _unit, lambda c, n: c, lambda c: (c > 0, c == 0, c)),
-    "harmonic": StepFamily("offset", _offset, lambda k, n: 1.0 / (n + k), lambda k: (True, True, 0.0)),
+    "constant": StepFamily("value", _unit, lambda c, n: c, lambda c: (c > 0, c)),
+    "harmonic": StepFamily("offset", _offset, lambda k, n: 1.0 / (n + k), lambda k: (True, 0.0)),
     "one-minus-harmonic": StepFamily("offset", _offset, lambda k, n: 1.0 - 1.0 / (n + k),
-                                     lambda k: (True, False, 1.0 - 1.0 / k)),
-    "custom-table": StepFamily("table", _table, lambda t, n: t[n] if n < len(t) else t[-1],
-                               lambda t: (t[-1] > 0, t[-1] == 0, min(t))),
+                                     lambda k: (True, 1.0 - 1.0 / k)),
+    "custom-table": StepFamily("table", _table, lambda t, n: (t[n] if n < len(t) else t[-1]) if isinstance(n, int)
+                               else np.take(t, n, mode="clip"), lambda t: (t[-1] > 0, min(t))),
 }
 
 
@@ -86,7 +86,6 @@ class StepSequence:
     family: str
     param: object = None
     sums_to_infinity: bool = field(init=False)
-    tends_to_zero: bool = field(init=False)
     lower_bound: float = field(init=False)
 
     def __post_init__(self):
@@ -94,11 +93,11 @@ class StepSequence:
             raise ValueError("unknown family %r" % (self.family,))
         family = STEP_FAMILIES[self.family]
         param = family.check(self.param)
-        for name, value in zip(("param", "sums_to_infinity", "tends_to_zero", "lower_bound"),
-                               (param, *family.properties(param))):
+        for name, value in zip(("param", "sums_to_infinity", "lower_bound"), (param, *family.properties(param))):
             object.__setattr__(self, name, value)
 
     def value(self, n):
+        """The n-th term, or for an integer array n the terms at n (a constant gives its one value)."""
         return STEP_FAMILIES[self.family].term(self.param, n)
 
 

@@ -11,6 +11,10 @@ coordinates to a dense LU path.
 
 ``plain_run_scheme`` is the relaxed two-step loop in its plain form, the reference
 that ``schemes.run_scheme`` is held to bit for bit.
+
+``per_term_envelope`` is ``analysis.envelope`` with each step term taken by one
+``StepSequence.value`` call, the reference that the step table ``analysis._steps``
+is held to bit for bit.
 """
 
 import time
@@ -197,3 +201,20 @@ def plain_run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterat
         diverged=diverged,
         coordinates=ys,
     )
+
+
+def _terms(seq, n):
+    """The first n terms of the step sequence ``seq``, as an array."""
+    return np.array([seq.value(k) for k in range(n)], dtype=float)
+
+
+def per_term_envelope(scheme, kappa, xi, mu, e0, n):
+    """``analysis.envelope`` as it was before the step table: its terms built one ``value`` call at a time."""
+    if not 0.0 <= kappa < 1.0:
+        raise ValueError("kappa must lie in [0, 1)")
+    if e0 < 0:
+        raise ValueError("e0 must be nonnegative")
+    xi, mu = casting(scheme, xi, mu)
+    xis, mus = _terms(xi, n), _terms(mu, n)
+    factors = (1.0 - xis) + xis * (kappa * (1.0 - mus * (1.0 - kappa)))
+    return e0 * np.concatenate(([1.0], np.cumprod(factors)))

@@ -32,6 +32,7 @@ from hmsolve.schemes import (
     run_scheme,
     run_zgy,
 )
+from oracles import per_term_envelope
 
 
 def _consistent_constants(gamma, tau_extra, r, s_scale, eta):
@@ -123,9 +124,28 @@ class TestContractionFactor:
         exact = _exact_kappa(c, lam)
         assert abs(contraction_factor(c, lam) - exact) <= 4 * math.ulp(exact)
 
-    def test_past_the_largest_float_lam_s_leaves_kappa_infinite(self):
-        # lam*s itself overflows: no scale is left, and kappa stays inf rather than 0/0
-        assert contraction_factor(OperatorConstants(1, 1e200, 1, 1e200, 1), 1e200) == math.inf
+    @pytest.mark.parametrize("c, lam", [
+        (OperatorConstants(1, 1e200, 1, 1e200, 1), 1e199), (OperatorConstants(1, 1e200, 1, 1e200, 1), 1e200),
+        (OperatorConstants(gamma=1e8, tau=1.7e308, r=1e308, s=1.9, eta=1e-300), 1.5e308),
+        (OperatorConstants(1, 1e200, 1, 1, 1), 1e-3), (OperatorConstants(1, 1e200, 1, 1, 1), 1.0)])
+    def test_past_each_overflow_kappa_is_the_exact_one(self, c, lam):
+        # lam*s itself overflows, yet kappa is finite: about s/eta = 1e200 for the first two, and with
+        # the r and gamma terms visible in the third (2*lam*r against lam^2*s^2, gamma against lam*eta);
+        # in the last two tau^2 alone overflows, and tau's own exponent sets the scale
+        exact = _exact_kappa(c, lam)
+        assert abs(contraction_factor(c, lam) - exact) <= 4 * math.ulp(exact)
+
+    @pytest.mark.parametrize("eta", [1e300, 1.5e308])
+    def test_past_the_overflow_eta_is_scaled_down_only(self, eta):
+        # lam^2 overflows with s < 1 and tau < lam, so e is lam's exponent k: eta is taken times 2^(k-e) = 1,
+        # and any larger factor would overflow it. kappa = sqrt(1 - 2e149 + 1e300)/(1 + 1e160*eta) is s/eta
+        # to within 1e-149 relative, a subnormal
+        kappa = contraction_factor(OperatorConstants(1, 1, 1e-11, 1e-10, eta), 1e160)
+        assert abs(kappa - 1e-10 / eta) <= 4 * math.ulp(0.0)
+
+    def test_past_the_largest_float_kappa_is_inf(self):
+        # kappa is s/eta = 1e350 to within 1e-80 relative: the scaled gamma + lam*eta underflows to 0
+        assert contraction_factor(OperatorConstants(1e-30, 1e-30, 5e269, 1e300, 1e-50), 1e100) == math.inf
 
     @settings(max_examples=200)
     @given(c=_constants, lam=st.floats(min_value=1e-3, max_value=1e3))
@@ -652,6 +672,26 @@ def _audit_loop(trace_a, trace_b, xi, mu, kappa):
         if excess_s > 0:
             vs, ms = vs + 1, max(ms, excess_s)
     return gaps, True, vf, vs, mf, ms
+
+
+class TestStepTableReference:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(tuple(CASTINGS)), xi=_SEQUENCE, mu=_SEQUENCE,
+           kappa=st.floats(0.0, 1.0, exclude_max=True), n=st.integers(0, 300))
+    def test_bounds_and_terms_match_the_per_term_forms_bit_for_bit(self, data, name, xi, mu, kappa, n):
+        # tables are read up to 300 steps past their end, which repeats their last entry
+        for seq in (xi, mu):
+            terms = [seq.value(k) for k in range(n)]
+            assert all(type(t) is float for t in terms)  # an int n takes the scalar path
+            assert np.broadcast_to(seq.value(np.arange(n)), (n,)).tobytes() == np.array(terms).tobytes()
+        e0 = data.draw(st.floats(0.0, 10.0))
+        bounds = envelope(name, kappa, xi, mu, e0, n)
+        assert bounds.tobytes() == per_term_envelope(name, kappa, xi, mu, e0, n).tobytes()
+        errors = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n + 1, max_size=n + 1))
+        bounds, passed = check_envelope(_made_trace(name, [0.0] * (n + 1), errors), kappa, xi, mu)
+        reference = per_term_envelope(name, kappa, xi, mu, errors[0], n)
+        assert bounds.tobytes() == reference.tobytes()
+        assert passed.tolist() == (np.array(errors) - reference <= DEFAULT_AUDIT_SLACK).tolist()
 
 
 class TestEquivalenceAuditReference:

@@ -60,15 +60,15 @@ def _explicit(dim, a, constants=(1, 1, 1, 1, 1)):
 
 #: (family, its parameter, a spec string for it, series properties, n-th term)
 _SEQUENCES = [
-    ("constant", 0.5, "const:0.5", (True, False, 0.5), lambda n: 0.5),
-    ("constant", 0.0, "const:0", (False, True, 0.0), lambda n: 0.0),
-    ("constant", 1.0, "constant:1", (True, False, 1.0), lambda n: 1.0),
-    ("harmonic", 1, "harmonic:", (True, True, 0.0), lambda n: 1.0 / (n + 1)),
-    ("harmonic", 3, "harmonic:3", (True, True, 0.0), lambda n: 1.0 / (n + 3)),
-    ("one-minus-harmonic", 2, "one-minus-harmonic:2", (True, False, 0.5), lambda n: 1.0 - 1.0 / (n + 2)),
-    ("one-minus-harmonic", 1, "one-minus-harmonic:1", (True, False, 0.0), lambda n: 1.0 - 1.0 / (n + 1)),
-    ("custom-table", (0.1, 0.4), "table:0.1,0.4", (True, False, 0.1), lambda n: 0.1 if n == 0 else 0.4),
-    ("custom-table", (0.3, 0.0), "table:0.3,0,", (False, True, 0.0), lambda n: 0.3 if n == 0 else 0.0),
+    ("constant", 0.5, "const:0.5", (True, 0.5), lambda n: 0.5),
+    ("constant", 0.0, "const:0", (False, 0.0), lambda n: 0.0),
+    ("constant", 1.0, "constant:1", (True, 1.0), lambda n: 1.0),
+    ("harmonic", 1, "harmonic:", (True, 0.0), lambda n: 1.0 / (n + 1)),
+    ("harmonic", 3, "harmonic:3", (True, 0.0), lambda n: 1.0 / (n + 3)),
+    ("one-minus-harmonic", 2, "one-minus-harmonic:2", (True, 0.5), lambda n: 1.0 - 1.0 / (n + 2)),
+    ("one-minus-harmonic", 1, "one-minus-harmonic:1", (True, 0.0), lambda n: 1.0 - 1.0 / (n + 1)),
+    ("custom-table", (0.1, 0.4), "table:0.1,0.4", (True, 0.1), lambda n: 0.1 if n == 0 else 0.4),
+    ("custom-table", (0.3, 0.0), "table:0.3,0,", (False, 0.0), lambda n: 0.3 if n == 0 else 0.0),
 ]
 
 #: spec strings and dicts, each with whether the CLI accepts it
@@ -121,7 +121,7 @@ class TestParseSequence:
         assert all(seq == forms[0] and hash(seq) == hash(forms[0]) for seq in forms)
         for seq in forms:
             assert [seq.value(n) for n in range(50)] == [term(n) for n in range(50)]
-            assert (seq.sums_to_infinity, seq.tends_to_zero, seq.lower_bound) == properties
+            assert (seq.sums_to_infinity, seq.lower_bound) == properties
 
     def test_unit_constants_are_one_and_zero(self):
         # the audit pairs runs by comparing their castings' sequences with ONE

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hmsolve.analysis import DEFAULT_AUDIT_SLACK, contraction_factor, envelope, optimal_lambda
+from hmsolve.analysis import DEFAULT_AUDIT_SLACK, _steps, contraction_factor, envelope, optimal_lambda
 from hmsolve.operators import (
     AffineLinear,
     DiagonalNonlinear,
@@ -27,6 +27,7 @@ from hmsolve.schemes import (
     StepSequence,
     StoppingRule,
     as_vector,
+    casting,
     make_step_sequence,
     run_fh,
     run_mann,
@@ -60,13 +61,12 @@ class TestStepSequences:
         seq = make_step_sequence("constant", value=0.9)
         assert seq.sums_to_infinity
         assert seq.lower_bound == 0.9
-        assert not seq.tends_to_zero
         assert seq.value(17) == 0.9
 
     def test_harmonic(self):
         seq = make_step_sequence("harmonic", offset=1)
         assert [seq.value(n) for n in range(3)] == [1.0, 0.5, 1 / 3]
-        assert seq.sums_to_infinity and seq.tends_to_zero
+        assert seq.sums_to_infinity
 
     def test_zero_constant_does_not_diverge(self):
         assert not make_step_sequence("constant", value=0.0).sums_to_infinity
@@ -75,7 +75,6 @@ class TestStepSequences:
         seq = make_step_sequence("one-minus-harmonic", offset=2)
         assert seq.value(0) == 0.5
         assert seq.lower_bound == 0.5
-        assert not seq.tends_to_zero
 
     def test_custom_table_repeats_last(self):
         seq = make_step_sequence("custom-table", table=[0.1, 0.4])
@@ -276,6 +275,13 @@ class TestFEvaluationCounts:
         assert trace.steps_used == 10
         # one evaluation at the start, then per_step for each of the 10 steps
         assert len(calls) == 1 + 10 * per_step
+        # a mu table mixing 0 and nonzero entries, read past its end: step n costs 1 + (mu_n != 0), with
+        # mu_n the casting's, as the step table gives it
+        mixed = make_step_sequence("custom-table", table=[0.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.3])
+        calls.clear()
+        run_scheme(name, p, np.zeros(6), HALF, mixed, StoppingRule(tol=-1.0, max_steps=10))
+        mus = _steps(*casting(name, HALF, mixed), p.contraction_factor(), 10)[1]
+        assert len(calls) == 1 + int(np.sum(1 + (mus != 0.0)))
 
     def test_zero_mu_reuses_f_of_x(self):
         p = gen_spd_linear(6, seed=1)
