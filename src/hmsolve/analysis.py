@@ -3,9 +3,7 @@
 Everything here is a pure function of immutable inputs. The contraction
 factor kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta) drives
 all of it: when s > eta, the feasible-lam interval is exactly the set where
-kappa < 1, and ``feasible_lambda`` returns None when s <= eta (the interval
-formula does not apply) or when its discriminant is <= 0 (no lam gives
-kappa < 1); the minimiser of kappa over lam has a closed form in every
+kappa < 1; the minimiser of kappa over lam has a closed form in every
 regime; the error envelope of each scheme is the product of the per-step
 bounds of its (xi, mu) casting, and ``check_envelope`` checks a run against
 it; the rate comparison classifies the ratio of measured error sequences;
@@ -41,16 +39,17 @@ DEFAULT_AUDIT_SLACK = 1e-8 + 10.0 * ResolventEngine.inner_tolerance
 
 
 def contraction_factor(constants, lam):
-    """kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta), over lam times a power of two on overflow."""
+    """kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta), rescaled on overflow and below lam = 2^-511."""
     if not lam > 0:
         raise ValueError("lam must be strictly positive")
     tau, r, s, gamma, eta = constants.tau, constants.r, constants.s, constants.gamma, constants.eta
-    if not math.isfinite(tau * tau - 2.0 * lam * r + lam * lam * s * s):  # tau or lam*s past about 1.3e154:
-        # the same form over lam*2^(e-k) for lam = m*2^k and 2^e > max(tau, lam*s, lam): exact, and no overflow
+    if (huge := not math.isfinite(tau * tau - 2.0 * lam * r + lam * lam * s * s)) or lam < 2.0 ** -511:
+        # tau or lam*s past about 1.3e154, or lam*lam below the normal floats. For lam = m*2^k and 2^e > max(tau,
+        # lam*s, lam): the same form over lam*2^(e-k) with lam = 1, else over 2^min(e, 0) with lam = m, both exact
         m, k = math.frexp(lam)
-        e = max(math.frexp(tau)[1], k + math.frexp(s)[1], k)
-        tau, r, gamma = (math.ldexp(v, j) / m for v, j in ((tau, -e), (r, k - 2 * e), (gamma, -e)))
-        lam, s, eta = 1.0, math.ldexp(s, k - e), math.ldexp(eta, k - e)
+        e = min(max(math.frexp(tau)[1], k + math.frexp(s)[1], k), math.inf if huge else 0)
+        tau, r, gamma = (math.ldexp(v, j) / (m if huge else 1.0) for v, j in ((tau, -e), (r, k - 2 * e), (gamma, -e)))
+        lam, s, eta = 1.0 if huge else m, math.ldexp(s, k - e), math.ldexp(eta, k - e)
     radicand = tau * tau - 2.0 * lam * r + lam * lam * s * s
     # r <= s*tau*(1 + delta), which OperatorConstants holds, keeps it >= tau^2 - r^2/s^2 >= -tau^2*(2*delta
     # + delta^2); below that, and its rounding error of a few ulps of tau^2, it flags corrupted inputs
@@ -67,19 +66,22 @@ def feasible_lambda(constants):
     and radius = sqrt(disc)/(s^2 - eta^2), lo clipped at 0. None when s <= eta,
     where the formula does not apply (``optimal_lambda`` covers that regime),
     or when disc = (r + gamma*eta)^2 - (s^2 - eta^2)(tau^2 - gamma^2) <= 0,
-    where no lam gives kappa < 1.
+    where no lam gives kappa < 1, or when the ends round to one float.
     """
     c = constants
     if c.s <= c.eta:
         return None
-    denom = c.s * c.s - c.eta * c.eta
-    num = c.r + c.gamma * c.eta
-    disc = num * num - denom * (c.tau * c.tau - c.gamma * c.gamma)
+    # tau, gamma in units of 2^a, s, eta of 2^b and r of 2^(a+b), putting tau and s in [1/2, 1): no term passes 4
+    (tau, a), (s, b) = math.frexp(c.tau), math.frexp(c.s)
+    gamma, eta, r = math.ldexp(c.gamma, -a), math.ldexp(c.eta, -b), math.ldexp(c.r, -a - b)
+    denom, num = s * s - eta * eta, r + gamma * eta
+    disc = num * num - denom * (tau * tau - gamma * gamma)
     if disc <= 0:
         return None
-    center = num / denom
-    radius = math.sqrt(disc) / denom
-    return max(0.0, center - radius), center + radius
+    center, radius = num / denom, math.sqrt(disc) / denom
+    with np.errstate(over="ignore"):  # lam is 2^(a-b) times lam in these units; an end past the largest float, inf
+        lo, hi = np.ldexp([max(0.0, center - radius), center + radius], a - b).tolist()
+    return (lo, hi) if lo < hi else None
 
 
 def optimal_lambda(constants):

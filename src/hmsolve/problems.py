@@ -77,9 +77,7 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     ``basis`` is Q, a ``ReflectorBasis`` of ``_REFLECTORS`` unit vectors drawn
     from the seed before b, and its operators act on y = Q^T x: H = diag(h)
     for the spectrum h, A(y) = c_a*h*y - Q^T b, so no n x n array is built.
-    A seed names a different Q and b than in versions that drew a Haar Q; the
-    spectrum, the constants and the law of Q^T b, N(0, b_scale^2 I), are the
-    same. The solution of (c_a*H + m*I) x = b is Q((Q^T b) / (c_a*h + m)).
+    The solution of (c_a*H + m*I) x = b is Q((Q^T b) / (c_a*h + m)).
     Generation takes 4 products with Q: Q^T b, x* and the basis probe's 2.
     """
     lo, hi = float(eigen_range[0]), float(eigen_range[1])

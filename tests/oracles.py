@@ -15,15 +15,25 @@ that ``schemes.run_scheme`` is held to bit for bit.
 ``per_term_envelope`` is ``analysis.envelope`` with each step term taken by one
 ``StepSequence.value`` call, the reference that the step table ``analysis._steps``
 is held to bit for bit.
+
+``exact_kappa``, ``exact_optimal_lambda`` and ``exact_feasible_lambda`` are the closed forms
+of ``analysis`` in exact rationals. Below them, the toolkit every test file shares: Hypothesis
+strategies, the nonlinear H ``tanh_h``, the call recorder ``recorded`` and ``traced_peak``.
 """
 
+import fractions
+import functools
+import math
 import time
+import tracemalloc
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from hmsolve import operators as ops
-from hmsolve.schemes import IterationTrace, StoppingRule, as_vector, casting, vector_norm
+from hmsolve.schemes import IterationTrace, StoppingRule, as_vector, casting, make_step_sequence, vector_norm
 
 
 @dataclass(frozen=True)
@@ -218,3 +228,142 @@ def per_term_envelope(scheme, kappa, xi, mu, e0, n):
     xis, mus = _terms(xi, n), _terms(mu, n)
     factors = (1.0 - xis) + xis * (kappa * (1.0 - mus * (1.0 - kappa)))
     return e0 * np.concatenate(([1.0], np.cumprod(factors)))
+
+
+def _sqrt(x):
+    """The square root of a nonnegative Fraction, to far below one rounding of a float."""
+    bits = 400 + x.denominator.bit_length()
+    return fractions.Fraction(math.isqrt(int(x * 4 ** bits)), 2 ** bits)
+
+
+def _rounded(x):
+    """A nonnegative Fraction rounded once to a float, inf past the largest one."""
+    return float(x) if x <= np.finfo(float).max else math.inf
+
+
+def exact_kappa(c, lam):
+    """kappa at lam from exact rationals, rounded once."""
+    q, lam = fractions.Fraction, fractions.Fraction(lam)
+    radicand = q(c.tau) ** 2 - 2 * lam * q(c.r) + lam ** 2 * q(c.s) ** 2
+    return _rounded(_sqrt(max(radicand, q(0)) / (q(c.gamma) + lam * q(c.eta)) ** 2))
+
+
+def exact_optimal_lambda(c):
+    """lam* = (r*gamma + eta*tau^2)/(s^2*gamma + r*eta) from exact rationals, rounded once."""
+    q = fractions.Fraction
+    return float((q(c.r) * q(c.gamma) + q(c.eta) * q(c.tau) ** 2) / (q(c.s) ** 2 * q(c.gamma) + q(c.r) * q(c.eta)))
+
+
+def exact_feasible_lambda(c):
+    """``feasible_lambda``'s interval from exact rationals, each end rounded once (inf past the largest float)."""
+    q = fractions.Fraction
+    denom, num = q(c.s) ** 2 - q(c.eta) ** 2, q(c.r) + q(c.gamma) * q(c.eta)
+    disc = num ** 2 - denom * (q(c.tau) ** 2 - q(c.gamma) ** 2)
+    if denom <= 0 or disc <= 0:
+        return None
+    root = _sqrt(disc)
+    return _rounded(max(q(0), (num - root) / denom)), _rounded((num + root) / denom)
+
+
+_STEP = st.floats(min_value=0.0, max_value=1.0)
+
+#: step sequences of all four families; a table of up to 8 entries may end in 0, making its sum
+#: finite, or in 1
+sequences = st.one_of(
+    _STEP.map(lambda v: make_step_sequence("constant", value=v)),
+    st.integers(1, 5).map(lambda k: make_step_sequence("harmonic", offset=k)),
+    st.integers(1, 5).map(lambda k: make_step_sequence("one-minus-harmonic", offset=k)),
+    st.tuples(st.lists(_STEP, min_size=1, max_size=8), st.sampled_from([[], [0.0], [1.0]])).map(
+        lambda t: make_step_sequence("custom-table", table=t[0] + t[1])),
+)
+
+
+def _consistent_constants(gamma, tau_extra, r, s_scale, eta):
+    tau = gamma + tau_extra
+    s = s_scale * max(r / tau, 1e-3)
+    return ops.OperatorConstants(gamma=gamma, tau=tau, r=min(r, s * tau), s=s, eta=eta)
+
+
+#: consistent constants of order one
+constants = st.builds(
+    _consistent_constants,
+    gamma=st.floats(min_value=0.1, max_value=2.0),
+    tau_extra=st.floats(min_value=0.0, max_value=2.0),
+    r=st.floats(min_value=0.1, max_value=2.0),
+    s_scale=st.floats(min_value=1.0, max_value=3.0),
+    eta=st.floats(min_value=0.1, max_value=2.0),
+)
+
+#: a positive normal float, log-uniform across the float exponents
+positive = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1021, 1024))
+
+
+@st.composite
+def scale_free_constants(draw):
+    """Constants each drawn by ``positive``, consistent by construction: gamma <= tau and r <= s*tau."""
+    gamma, tau, s, r, eta = (draw(positive) for _ in range(5))
+    gamma, tau = sorted((gamma, tau))
+    assume(s * tau >= np.finfo(float).tiny)  # a subnormal s*tau may round far above s times tau, and r with it
+    return ops.OperatorConstants(gamma=gamma, tau=tau, r=min(r, s * tau), s=s, eta=eta)
+
+
+@st.composite
+def triples(draw):
+    """(H, A, M, seed) from the catalog, with random offsets on H and A.
+
+    H is a scalar, a positive vector or a matrix whose symmetric part is positive definite,
+    symmetric or not; A a scalar, a positive multiple of H or W_H^-T P for such a matrix P, so
+    that W_H^T W_A = P; M a scalar, a positive vector, such a matrix or, when H is diagonal, a
+    subdifferential.
+    """
+    dim = draw(st.integers(min_value=1, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    scale = st.floats(min_value=0.2, max_value=3.0)
+
+    def matrix(skews):  # Q diag(w) Q^T plus a skew part, which leaves the symmetric part alone
+        q, g = np.linalg.qr(rng.standard_normal((dim, dim)))[0], rng.standard_normal((dim, dim))
+        w = (q * rng.uniform(0.2, 3.0, dim)) @ q.T
+        return (w + w.T) / 2.0 + draw(st.sampled_from(skews)) * (g - g.T)
+
+    def pick(**kinds):
+        return kinds[draw(st.sampled_from(sorted(kinds)))]()
+
+    h = ops.AffineLinear(pick(scalar=lambda: draw(scale), vector=lambda: rng.uniform(0.2, 3.0, dim),
+                              matrix=lambda: matrix([0.0, 0.5, 2.0])), rng.standard_normal(dim))
+    w_h = h.weight * np.eye(dim) if h.matrix is None else h.matrix
+    a = ops.AffineLinear(pick(scalar=lambda: draw(scale), multiple=lambda: draw(scale) * h.weight,
+                              inverse=lambda: np.linalg.solve(w_h.T, matrix([0.0, 1.0]))),
+                         rng.standard_normal(dim))
+    m = pick(scalar=lambda: ops.ScaledIdentity(draw(scale)), matrix=lambda: ops.AffineLinear(matrix([0.0, 1.0])),
+             vector=lambda: ops.AffineLinear(rng.uniform(0.2, 3.0, dim)),
+             **({} if h.matrix is not None else {"subdifferential": lambda: ops.ShiftedSubdifferential(draw(scale))}))
+    return h, a, m, seed
+
+
+def tanh_h(a):
+    """H(t) = t + a*tanh(t) per coordinate, with f' = 1 + a*sech(t)^2 in [1, 1 + a]; sech^2 is taken
+    as 1 - tanh^2, which overflows at no t."""
+    return ops.DiagonalNonlinear(lambda t: t + a * np.tanh(t), lambda t: 1 + a * (1 - np.tanh(t) ** 2), (1, 1 + a))
+
+
+def recorded(monkeypatch, owner, name):
+    """Wrap ``owner.<name>`` for the test: the returned list gets each call's result, its length the call count."""
+    results, wrapped = [], getattr(owner, name)
+
+    @functools.wraps(wrapped)
+    def recording(*args, **kwargs):
+        results.append(wrapped(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, recording)
+    return results
+
+
+def traced_peak(call):
+    """(call(), the peak of the memory that tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

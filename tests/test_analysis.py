@@ -1,4 +1,3 @@
-import fractions
 import itertools
 import math
 import types
@@ -32,23 +31,8 @@ from hmsolve.schemes import (
     run_scheme,
     run_zgy,
 )
-from oracles import per_term_envelope
-
-
-def _consistent_constants(gamma, tau_extra, r, s_scale, eta):
-    tau = gamma + tau_extra
-    s = s_scale * max(r / tau, 1e-3)
-    return OperatorConstants(gamma=gamma, tau=tau, r=min(r, s * tau), s=s, eta=eta)
-
-
-_constants = st.builds(
-    _consistent_constants,
-    gamma=st.floats(min_value=0.1, max_value=2.0),
-    tau_extra=st.floats(min_value=0.0, max_value=2.0),
-    r=st.floats(min_value=0.1, max_value=2.0),
-    s_scale=st.floats(min_value=1.0, max_value=3.0),
-    eta=st.floats(min_value=0.1, max_value=2.0),
-)
+from oracles import (constants, exact_feasible_lambda, exact_kappa, exact_optimal_lambda, per_term_envelope, positive,
+                     scale_free_constants, sequences)
 
 
 class TestContractionFactor:
@@ -96,12 +80,9 @@ class TestContractionFactor:
 
     @pytest.mark.parametrize("lam", [1.4e154, 1e156, 1e160, 1e200, 1e308])
     def test_past_the_overflow_kappa_is_the_exact_one(self, lam):
-        # tau = 1e150 and r = tau/2 keep the tau and r terms visible just past the overflow; the
-        # oracle takes the radicand over lam^2 in exact rationals
+        # tau = 1e150 and r = tau/2 keep the tau and r terms visible just past the overflow
         c = OperatorConstants(gamma=3, tau=1e150, r=5e149, s=1, eta=0.7)
-        q = fractions.Fraction
-        radicand = (q(c.tau) ** 2 - 2 * q(lam) * q(c.r) + q(lam) ** 2 * q(c.s) ** 2) / q(lam) ** 2
-        exact = math.sqrt(float(radicand)) / float(q(c.gamma) / q(lam) + q(c.eta))
+        exact = exact_kappa(c, lam)
         assert abs(contraction_factor(c, lam) - exact) <= 4 * math.ulp(exact)
 
     @pytest.mark.parametrize("lam", [1e-3, 0.6, 7.0, 1e100, 1e154])
@@ -121,7 +102,7 @@ class TestContractionFactor:
     def test_past_the_overflow_of_tau_over_lam_kappa_is_the_exact_one(self, lam):
         # (tau/lam)^2 overflows too here, so kappa takes every term over max(tau, lam*s)^2
         c = OperatorConstants(1, 1e200, 1, 1e200, 1)
-        exact = _exact_kappa(c, lam)
+        exact = exact_kappa(c, lam)
         assert abs(contraction_factor(c, lam) - exact) <= 4 * math.ulp(exact)
 
     @pytest.mark.parametrize("c, lam", [
@@ -132,7 +113,7 @@ class TestContractionFactor:
         # lam*s itself overflows, yet kappa is finite: about s/eta = 1e200 for the first two, and with
         # the r and gamma terms visible in the third (2*lam*r against lam^2*s^2, gamma against lam*eta);
         # in the last two tau^2 alone overflows, and tau's own exponent sets the scale
-        exact = _exact_kappa(c, lam)
+        exact = exact_kappa(c, lam)
         assert abs(contraction_factor(c, lam) - exact) <= 4 * math.ulp(exact)
 
     @pytest.mark.parametrize("eta", [1e300, 1.5e308])
@@ -143,12 +124,30 @@ class TestContractionFactor:
         kappa = contraction_factor(OperatorConstants(1, 1, 1e-11, 1e-10, eta), 1e160)
         assert abs(kappa - 1e-10 / eta) <= 4 * math.ulp(0.0)
 
+    @pytest.mark.parametrize("c, lam", [
+        (OperatorConstants(1e-100, 1e-100, 1, 1e100, 1), 1e-170),
+        (OperatorConstants(1, 1.2e154, 1, 1, 1), 1e-160),
+        (OperatorConstants(7.928790497061357e-158, 1.379560376550614e151, 1, 1, 1e-100), 7.636726054827598e-162)])
+    def test_below_the_underflow_of_lam_squared_kappa_is_the_exact_one(self, c, lam):
+        # lam*lam underflows below lam = 2^-511. In the first, lam^2*s^2 = 1e-140, the largest term, went with it,
+        # and the radicand read tau^2 - 2*lam*r = -2e-170: "negative radicand". Below 2^-511 the form is scaled up
+        # only: by 2, tau^2 would overflow in the second; scaled down, gamma + lam*eta would turn subnormal in the
+        # third, where kappa is 1.7e308
+        exact = exact_kappa(c, lam)
+        assert abs(contraction_factor(c, lam) - exact) <= 4 * math.ulp(exact)
+
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(c=scale_free_constants(), lam=positive)
+    def test_no_negative_radicand_at_any_scale(self, c, lam):
+        kappa = contraction_factor(c, lam)
+        assert kappa >= 0.0
+
     def test_past_the_largest_float_kappa_is_inf(self):
         # kappa is s/eta = 1e350 to within 1e-80 relative: the scaled gamma + lam*eta underflows to 0
         assert contraction_factor(OperatorConstants(1e-30, 1e-30, 5e269, 1e300, 1e-50), 1e100) == math.inf
 
     @settings(max_examples=200)
-    @given(c=_constants, lam=st.floats(min_value=1e-3, max_value=1e3))
+    @given(c=constants, lam=st.floats(min_value=1e-3, max_value=1e3))
     def test_always_finite_nonnegative(self, c, lam):
         k = contraction_factor(c, lam)
         assert k >= 0.0 and math.isfinite(k)
@@ -193,20 +192,28 @@ class TestFeasibleLambda:
         assert [contraction_factor(c, lam) for lam in interval] == [1.0, 1.0]
 
 
+    @pytest.mark.parametrize("c, interval", [
+        # tau^2 - gamma^2 was inf - inf, and the upper end NaN; in units of powers of two no term passes 4
+        (OperatorConstants(1e160, 1e160, 1e300, 1e140, 1), (0.0, 2e20)),
+        # s^2 - eta^2 underflowed to 0, a ZeroDivisionError; the upper end, about 2.2e350, is past the largest float
+        (OperatorConstants(1e100, 1e100, 1e-150, 1e-250, 1e-251), (0.0, math.inf)),
+        # gamma above tau, within the consistency tolerance, puts center - radius below 0
+        (OperatorConstants(1 + 5e-10, 1, 1, 2, 1), (0.0, 1.3333333339166667))])
+    def test_ends_are_the_exact_ones_at_any_scale(self, c, interval):
+        assert feasible_lambda(c) == exact_feasible_lambda(c) == interval
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(c=scale_free_constants())
+    def test_interval_is_none_or_ordered_at_any_scale(self, c):
+        interval = feasible_lambda(c)
+        assert interval is None or 0.0 <= interval[0] < interval[1]  # and neither end NaN
+
     def test_tangent_constants_have_no_interval(self):
         # gamma = eta = 0.5, tau = s = 2.5, r = 5.75: disc = 6^2 - 6*6 = 0 exactly, and kappa
         # touches 1 at lam* = 6/6 = 1 without going below it
         c = OperatorConstants(gamma=0.5, tau=2.5, r=5.75, s=2.5, eta=0.5)
         assert feasible_lambda(c) is None
         assert optimal_lambda(c) == (1.0, 1.0)
-
-
-def _exact_kappa(c, lam):
-    """kappa at lam from exact rationals, over max(tau, lam*s), so that no float overflows."""
-    q, lam = fractions.Fraction, fractions.Fraction(lam)
-    radicand = q(c.tau) ** 2 - 2 * lam * q(c.r) + lam ** 2 * q(c.s) ** 2
-    scale = max(q(c.tau), lam * q(c.s))
-    return math.sqrt(float(radicand / scale ** 2)) / float((q(c.gamma) + lam * q(c.eta)) / scale)
 
 
 class TestOptimalLambda:
@@ -221,13 +228,21 @@ class TestOptimalLambda:
 
     @pytest.mark.parametrize("c", HUGE)
     def test_past_the_overflow_lam_star_is_the_exact_one(self, c):
-        q = fractions.Fraction
-        exact = float((q(c.r) * q(c.gamma) + q(c.eta) * q(c.tau) ** 2)
-                      / (q(c.s) ** 2 * q(c.gamma) + q(c.r) * q(c.eta)))
+        exact = exact_optimal_lambda(c)
         lam, kappa = optimal_lambda(c)
         assert abs(lam - exact) <= 4 * math.ulp(exact)
         assert kappa == contraction_factor(c, lam)
-        assert abs(kappa - _exact_kappa(c, lam)) <= 4 * math.ulp(kappa)
+        assert abs(kappa - exact_kappa(c, lam)) <= 4 * math.ulp(kappa)
+
+    def test_below_the_underflow_of_lam_squared_lam_star_is_the_exact_one(self):
+        # lam* = 1e-200, where kappa raised "negative radicand -1e-200". There the radicand cancels to about
+        # 1e-17 of its terms, so kappa is held to the exact one within the rounding of those terms
+        c = OperatorConstants(1e-100, 1e-100, 1, 1e100, 1)
+        lam, kappa = optimal_lambda(c)
+        assert abs(lam - exact_optimal_lambda(c)) <= 4 * math.ulp(lam)
+        assert kappa == contraction_factor(c, lam)
+        rounding = 4 * math.sqrt(np.finfo(float).eps) * max(c.tau, lam * c.s) / (c.gamma + lam * c.eta)
+        assert abs(kappa - exact_kappa(c, lam)) <= rounding
 
     def test_finds_zero_at_lam_one(self):
         # lam* = (1 + 1)/(1 + 1) = 1, where kappa = sqrt(1 - 2 + 1)/2 = 0
@@ -262,7 +277,7 @@ class TestOptimalLambda:
         assert min(contraction_factor(c, x) for x in np.linspace(lo, hi, 2001)) >= kappa - 1e-12
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(c=_constants)
+    @given(c=constants)
     def test_interval_is_where_kappa_is_below_one(self, c):
         # for s > eta: kappa = 1 at each unclipped end and < 1 at the midpoint, or no lam at
         # all gives kappa < 1 when the interval is None
@@ -279,7 +294,7 @@ class TestOptimalLambda:
         assert contraction_factor(c, 0.5 * (lo + hi)) < 1.0
 
     @settings(max_examples=300)
-    @given(c=_constants, lam=st.floats(min_value=1e-4, max_value=1e4))
+    @given(c=constants, lam=st.floats(min_value=1e-4, max_value=1e4))
     def test_never_above_any_lambda(self, c, lam):
         lam_star, kappa_star = optimal_lambda(c)
         assert lam_star > 0
@@ -602,18 +617,6 @@ class TestEquivalenceAudit:
             assert np.all(np.abs(report.gaps - x_gaps) <= 32 * np.finfo(float).eps / 2 * scale), (a, b)
 
 
-_STEP = st.floats(min_value=0.0, max_value=1.0)
-
-#: step sequences of all four families; a table may end in 0 or 1
-_SEQUENCE = st.one_of(
-    _STEP.map(lambda v: make_step_sequence("constant", value=v)),
-    st.integers(1, 5).map(lambda k: make_step_sequence("harmonic", offset=k)),
-    st.integers(1, 5).map(lambda k: make_step_sequence("one-minus-harmonic", offset=k)),
-    st.tuples(st.lists(_STEP, min_size=1, max_size=6), st.sampled_from([[], [0.0], [1.0]])).map(
-        lambda t: make_step_sequence("custom-table", table=t[0] + t[1])),
-)
-
-
 def _poisoned(draw, values, specials):
     """``values`` with up to two entries replaced by non-finite ``specials``."""
     spots = st.tuples(st.integers(0, len(values) - 1), st.sampled_from(specials))
@@ -676,7 +679,7 @@ def _audit_loop(trace_a, trace_b, xi, mu, kappa):
 
 class TestStepTableReference:
     @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(data=st.data(), name=st.sampled_from(tuple(CASTINGS)), xi=_SEQUENCE, mu=_SEQUENCE,
+    @given(data=st.data(), name=st.sampled_from(tuple(CASTINGS)), xi=sequences, mu=sequences,
            kappa=st.floats(0.0, 1.0, exclude_max=True), n=st.integers(0, 300))
     def test_bounds_and_terms_match_the_per_term_forms_bit_for_bit(self, data, name, xi, mu, kappa, n):
         # tables are read up to 300 steps past their end, which repeats their last entry
@@ -702,7 +705,7 @@ class TestEquivalenceAuditReference:
                 report.max_violation_symmetric)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 3), xi=_SEQUENCE, mu=_SEQUENCE,
+    @given(data=st.data(), dim=st.integers(1, 3), xi=sequences, mu=sequences,
            kappa=st.floats(0.0, 1.0, exclude_max=True))
     def test_array_form_matches_scalar_loop(self, data, dim, xi, mu, kappa):
         a, b = data.draw(_trace(dim)), data.draw(_trace(dim))

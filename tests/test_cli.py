@@ -25,9 +25,10 @@ from hmsolve.cli import (
     parse_sequence,
     write_trace_csv,
 )
-from hmsolve.operators import AffineLinear, DiagonalNonlinear, ScaledIdentity, catalog_constants
+from hmsolve.operators import AffineLinear, ScaledIdentity, catalog_constants
 from hmsolve.problems import gen_spd_linear
 from hmsolve.schemes import ProblemInstance, run_fh
+from oracles import recorded, tanh_h
 
 
 def _write_config(tmp_path, payload):
@@ -47,11 +48,11 @@ def read_trace_csv(path):
         } for row in csv.DictReader(fh)]
 
 
-def _explicit(dim, a, constants=(1, 1, 1, 1, 1)):
+def _explicit(dim, a, constants=(1, 1, 1, 1, 1), h_scale=1.0):
     return {
         "kind": "explicit",
         "dim": dim,
-        "h": {"kind": "scaled-identity", "scale": 1.0},
+        "h": {"kind": "scaled-identity", "scale": h_scale},
         "a": a,
         "m": {"kind": "scaled-identity", "scale": 1.0},
         "constants": dict(zip(("gamma", "tau", "r", "s", "eta"), constants)),
@@ -445,6 +446,14 @@ class TestSweep:
         # closed-form feasible interval out of scope here
         assert all(line.split(",")[2] == "1" for line in lines[1:])
 
+    def test_interval_past_the_overflow_is_strict_json(self, tmp_path):
+        # tau^2 - gamma^2 = inf - inf made the interval's upper end NaN, which strict JSON has no word for
+        a = {"kind": "affine", "matrix": (1e140 * np.eye(3)).tolist(), "offset": [1, 2, 3]}
+        cfg = _write_config(tmp_path, {"problem": _explicit(3, a, (1e160, 1e160, 1e300, 1e140, 1), h_scale=1e160)})
+        assert main(["sweep", "--config", cfg, "--grid", "1e19:2e20:3", "--out", str(tmp_path)]) == EXIT_OK
+        summary = (tmp_path / "sweep_summary.json").read_text()
+        assert "NaN" not in summary and json.loads(summary)["feasible_interval"] == [0.0, 2e20]
+
     def test_invalid_grid(self, tmp_path):
         code = main([
             "sweep", "--problem", "scalar-affine", "--grid", "2:1:10",
@@ -465,14 +474,6 @@ class TestSpdLinearStaysSpectral:
     """spd-linear's H and A are vectors in the coordinates of its reflector basis: no subcommand builds
     an n x n matrix, and each product with Q is counted."""
 
-    @staticmethod
-    def _count(monkeypatch, method):
-        """Count every call of ``ReflectorBasis.<method>`` in the returned list."""
-        calls, wrapped = [], getattr(problems.ReflectorBasis, method)
-        monkeypatch.setattr(problems.ReflectorBasis, method,
-                            lambda *args, **kw: calls.append(1) or wrapped(*args, **kw))
-        return calls
-
     @pytest.mark.parametrize("command", [
         ["solve", "--alg", "fh,zgy,mann,new"],
         ["solve", "--lambda", "auto", "--alg", "fh,new"],
@@ -481,21 +482,18 @@ class TestSpdLinearStaysSpectral:
         ["sweep"],
     ])
     def test_no_dense_h_or_a(self, command, tmp_path, monkeypatch):
-        made, gen = [], problems.gen_spd_linear
-        monkeypatch.setattr(problems, "gen_spd_linear", lambda **kw: made.append(gen(**kw)) or made[-1])
+        made = recorded(monkeypatch, problems, "gen_spd_linear")
         assert main([*command, "--problem", "spd-linear", "--dim", "30", "--out", str(tmp_path)]) == EXIT_OK
         assert len(made) == 1
         assert all(np.ndim(value) < 2 for op in (made[0].h, made[0].a) for value in vars(op).values())
         assert made[0].basis._v.shape == (3, 30)  # Q stays its reflectors
 
     def test_solve_maps_only_each_final_iterate_back(self, tmp_path, monkeypatch):
-        products, traces = self._count(monkeypatch, "__matmul__"), []
-        for name in ("fh", "zgy", "mann", "new"):
-            run = getattr(schemes, "run_" + name)
-            monkeypatch.setattr(schemes, "run_" + name,
-                                lambda *args, run=run, **kw: traces.append(run(*args, **kw)) or traces[-1])
+        products = recorded(monkeypatch, problems.ReflectorBasis, "__matmul__")
+        runs = [recorded(monkeypatch, schemes, "run_" + name) for name in ("fh", "zgy", "mann", "new")]
         assert main(["solve", "--problem", "spd-linear", "--dim", "50", "--alg", "fh,zgy,mann,new",
                      "--out", str(tmp_path)]) == EXIT_OK
+        traces = sum(runs, [])
         # Q^T b and x* take 1 product each and the instance's probe of Q 2; then y* = Q^T x* 1
         # and each run's x_N 1
         assert len(products) == 4 + 1 + 4
@@ -503,13 +501,11 @@ class TestSpdLinearStaysSpectral:
         assert all(t.steps_used > 0 and t.coordinates is None for t in traces)
 
     def test_audit_maps_only_each_final_iterate_back(self, tmp_path, monkeypatch):
-        products, traces = self._count(monkeypatch, "__matmul__"), []
-        for name in ("fh", "zgy", "mann", "new"):
-            run = getattr(schemes, "run_" + name)
-            monkeypatch.setattr(schemes, "run_" + name,
-                                lambda *args, run=run, **kw: traces.append(run(*args, **kw)) or traces[-1])
+        products = recorded(monkeypatch, problems.ReflectorBasis, "__matmul__")
+        runs = [recorded(monkeypatch, schemes, "run_" + name) for name in ("fh", "zgy", "mann", "new")]
         assert main(["audit", "--problem", "spd-linear", "--dim", "50", "--alg", "fh,zgy,mann,new",
                      "--out", str(tmp_path)]) == EXIT_OK
+        traces = sum(runs, [])
         # the generator's 4 products and y* = Q^T x*'s 1; then one per run, probe or rerun, for
         # its x_N: the gaps are taken between the kept coordinates
         assert len(traces) > 4 and len(products) == 4 + 1 + len(traces)
@@ -542,17 +538,7 @@ class TestAudit:
     ])
     def test_finished_probe_runs_once(self, tmp_path, monkeypatch, problem, code, each_once):
         # a probe run that already has the common length, or that diverged, is not run again
-        runs = {}
-
-        def counted(name, run):
-            def wrapper(*args, **kwargs):
-                runs.setdefault(name, []).append(run(*args, **kwargs))
-                return runs[name][-1]
-            return wrapper
-
-        for name in ("fh", "zgy", "mann", "new"):
-            monkeypatch.setattr(schemes, "run_" + name,
-                                counted(name, getattr(schemes, "run_" + name)))
+        runs = {name: recorded(monkeypatch, schemes, "run_" + name) for name in ("fh", "zgy", "mann", "new")}
         assert main(["audit", "--problem", *problem, "--alg", "fh,zgy,mann,new",
                      "--out", str(tmp_path)]) == code
         common = max(traces[0].steps_used for traces in runs.values())
@@ -756,7 +742,7 @@ class TestExitCodes:
         # no generator builds a nonlinear H; one swapped in, whose inner solve may take a single
         # step, fails on the first F evaluation
         def gen_nonlinear(lam, **_):
-            h = DiagonalNonlinear(lambda t: t + np.tanh(t), lambda t: 1 + 1 / np.cosh(t) ** 2, (1.0, 2.0))
+            h = tanh_h(1.0)
             a, m = AffineLinear(1.0, np.full(3, 2.0)), ScaledIdentity(1.0)
             problem = ProblemInstance(h=h, a=a, m=m, constants=catalog_constants(h, a, m), lam=lam, dim=3)
             problem.engine.max_inner_steps = 1
@@ -776,6 +762,13 @@ class TestExitCodes:
         assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
         assert "known solution" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", [["solve", "--lambda", "auto"], ["sweep", "--grid", "1e-201:1e-199:3"]])
+    def test_lambda_squared_below_the_normal_floats(self, tmp_path, command):
+        # lam* = 1e-200 here: lam*lam underflowed, and kappa raised "negative radicand -1e-200", exit 2
+        a = {"kind": "affine", "matrix": (1e100 * np.eye(3)).tolist(), "offset": [1, 2, 3]}
+        cfg = _write_config(tmp_path, {"problem": _explicit(3, a, (1e-100, 1e-100, 1, 1e100, 1), h_scale=1e-100)})
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_infeasible_constants_auto_lambda(self, tmp_path):
         # no lam gives kappa < 1 for these constants

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hmsolve.analysis import envelope
 from hmsolve.operators import (
@@ -21,11 +20,7 @@ from hmsolve.operators import (
 from hmsolve.problems import gen_scalar_affine, gen_soft_threshold
 from hmsolve.resolvent import ResolventEngine
 from hmsolve.schemes import as_vector, run_fh
-from oracles import validate_constants
-
-
-def _tanh_h():
-    return DiagonalNonlinear(lambda t: t + np.tanh(t), lambda t: 1 + 1 / np.cosh(t) ** 2, (1.0, 2.0))
+from oracles import tanh_h, triples, validate_constants
 
 
 class TestApply:
@@ -54,7 +49,7 @@ class TestApply:
             AffineLinear(np.array([[1.0, bad], [0.0, 1.0]]))
 
     def test_diagonal_nonlinear_odd_at_origin(self):
-        assert np.array_equal(_tanh_h().apply([0.0]), [0.0])
+        assert np.array_equal(tanh_h(1.0).apply([0.0]), [0.0])
 
 
 class TestVectorWeight:
@@ -183,14 +178,14 @@ class TestCatalog:
 
     def test_nonlinear_h(self):
         # <a d, H x - H y> >= a*gamma ||d||^2 with gamma the least slope of H
-        h = _tanh_h()
+        h = tanh_h(1.0)
         assert _constants(h=h, a=ScaledIdentity(0.5)) == (1.0, 2.0, 0.5, 0.5, 1.0)
         with pytest.raises(UnsupportedOperatorError):
             catalog_constants(h, AffineLinear(np.eye(2)), ScaledIdentityMulti(1.0))
 
     @pytest.mark.parametrize("h, a, m", [
-        (ScaledIdentity(1.0), _tanh_h(), ScaledIdentityMulti(1.0)),
-        (ScaledIdentity(1.0), ScaledIdentity(1.0), _tanh_h()),
+        (ScaledIdentity(1.0), tanh_h(1.0), ScaledIdentityMulti(1.0)),
+        (ScaledIdentity(1.0), ScaledIdentity(1.0), tanh_h(1.0)),
         (ShiftedSubdifferential(1.0), ScaledIdentity(1.0), ScaledIdentityMulti(1.0)),
     ])
     def test_unsupported_kinds(self, h, a, m):
@@ -204,38 +199,16 @@ class TestCatalog:
         assert (c.gamma, c.tau, c.r, c.s, c.eta) == (1.0, 1.0, 2.0, 2.0, 3.0)
 
 
-@st.composite
-def _random_triple(draw):
-    """(H, A, M, seed): a matrix H whose symmetric part is positive definite, non-symmetric
-    when drawn so, a scalar or matrix A with sym(W_H^T W_A) positive definite, and a
-    scalar or matrix M whose symmetric part is positive definite."""
-    dim = draw(st.integers(min_value=1, max_value=6))
-    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
-
-    def positive(skew):
-        # Q diag(w) Q^T plus a skew part, which leaves the symmetric part alone
-        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-        g = rng.standard_normal((dim, dim))
-        return (q * rng.uniform(0.2, 3.0, dim)) @ q.T + skew * (g - g.T)
-
-    h = AffineLinear(positive(draw(st.sampled_from([0.0, 0.5, 2.0]))), rng.standard_normal(dim))
-    if draw(st.booleans()):
-        a = AffineLinear(draw(st.floats(min_value=0.2, max_value=3.0)), rng.standard_normal(dim))
-    else:  # W_A = W_H^-T P gives W_H^T W_A = P
-        a = AffineLinear(np.linalg.solve(h.matrix.T, positive(draw(st.sampled_from([0.0, 1.0])))))
-    m = (ScaledIdentityMulti(draw(st.floats(min_value=0.2, max_value=3.0))) if draw(st.booleans())
-         else AffineLinear(positive(draw(st.sampled_from([0.0, 1.0])))))
-    return h, a, m, seed
-
-
 def _weight(op, dim):
-    return op.matrix if op.matrix is not None else op.scale * np.eye(dim)
+    """The n x n weight of an affine ``op``, or shift*I for a subdifferential: the part that sets its constants."""
+    if isinstance(op, ShiftedSubdifferential):
+        return op.shift * np.eye(dim)
+    return op.matrix if op.matrix is not None else op.weight * np.eye(dim)
 
 
 class TestExactCatalog:
     @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(triple=_random_triple())
+    @given(triple=triples())
     def test_constants_hold_and_are_attained(self, triple):
         # sampling falsifies an overstated gamma, r or eta, or an understated tau or s;
         # the vector that attains each constant falsifies the other side

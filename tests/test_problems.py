@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from hmsolve.problems import ReflectorBasis, gen_scalar_affine, gen_soft_threshold, gen_spd_linear
 from hmsolve.schemes import StoppingRule, make_step_sequence, run_scheme
-from oracles import dense_q, in_x, validate_constants
+from oracles import dense_q, in_x, traced_peak, validate_constants
 
 
 @pytest.mark.parametrize("problem", [gen_scalar_affine(), gen_soft_threshold(dim=40)])
@@ -119,12 +118,7 @@ class TestSpdLinear:
         # k reflectors and a few n-vectors, where one n x n buffer would take 800 MB
         dim = 10 ** 4
         gen_spd_linear(2)
-        tracemalloc.start()
-        try:
-            gen_spd_linear(dim)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: gen_spd_linear(dim))[1]
         assert peak <= 64 * 8 * dim
 
     def test_fixed_point_residual(self):

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,13 +27,7 @@ from hmsolve.resolvent import (
     vector_norm,
 )
 from hmsolve.schemes import make_step_sequence, run_scheme
-from oracles import dense_q, in_x, inclusion_residual, resolvent_lipschitz_bound
-
-
-def _tanh_op():
-    return DiagonalNonlinear(
-        lambda t: t + np.tanh(t), lambda t: 1 + 1 / np.cosh(t) ** 2, (1.0, 2.0)
-    )
+from oracles import dense_q, in_x, inclusion_residual, recorded, resolvent_lipschitz_bound, tanh_h, traced_peak
 
 
 def _scalar_reference(eng, u):
@@ -122,19 +115,19 @@ class TestResolve:
     def test_strategy_auto_selection(self):
         assert ResolventEngine(ScaledIdentity(1), ScaledIdentityMulti(1), 1.0, dim=2).strategy == CLOSED_FORM
         assert ResolventEngine(ScaledIdentity(1), ShiftedSubdifferential(1), 1.0, dim=2).strategy == SEPARABLE
-        assert ResolventEngine(_tanh_op(), LinearMonotone(np.eye(2)), 1.0, dim=2).strategy == NEWTON
-        assert ResolventEngine(_tanh_op(), ScaledIdentityMulti(1), 1.0, dim=2).strategy == SEPARABLE
+        assert ResolventEngine(tanh_h(1.0), LinearMonotone(np.eye(2)), 1.0, dim=2).strategy == NEWTON
+        assert ResolventEngine(tanh_h(1.0), ScaledIdentityMulti(1), 1.0, dim=2).strategy == SEPARABLE
         with pytest.raises(ValueError):
             ResolventEngine(AffineLinear(np.eye(2)), ShiftedSubdifferential(1), 1.0, dim=2)
 
     def test_newton_matches_inclusion(self):
-        eng = ResolventEngine(_tanh_op(), LinearMonotone(np.diag([1.0, 2.0])), 0.7, dim=2)
+        eng = ResolventEngine(tanh_h(1.0), LinearMonotone(np.diag([1.0, 2.0])), 0.7, dim=2)
         u = np.array([1.3, -2.4])
         x = eng.resolve(u)
         assert inclusion_residual(eng, x, u) <= eng.inner_tolerance
 
     def test_separable_nonlinear_scalar_solve(self):
-        eng = ResolventEngine(_tanh_op(), ShiftedSubdifferential(0.5), 1.0, dim=3)
+        eng = ResolventEngine(tanh_h(1.0), ShiftedSubdifferential(0.5), 1.0, dim=3)
         u = np.array([4.0, -3.0, 0.2])
         x = eng.resolve(u)
         assert inclusion_residual(eng, x, u) <= 10 * eng.inner_tolerance
@@ -144,7 +137,7 @@ class TestResolve:
         # resolve(H(x) + lam*m(x)) = x for single-valued m
         for h, m in [
             (ScaledIdentity(1.5), ScaledIdentityMulti(0.5)),
-            (_tanh_op(), ScaledIdentityMulti(1.0)),
+            (tanh_h(1.0), ScaledIdentityMulti(1.0)),
         ]:
             eng = ResolventEngine(h, m, 0.8, dim=4)
             x = np.array([0.3, -1.2, 2.0, 0.0])
@@ -157,12 +150,12 @@ class TestResolve:
         rng = np.random.default_rng(dim)
         u = 3.0 * rng.standard_normal(dim)
         u[::7] = 0.0
-        eng = ResolventEngine(_tanh_op(), m, 1.3, dim=dim)
+        eng = ResolventEngine(tanh_h(1.0), m, 1.3, dim=dim)
         assert np.array_equal(eng.resolve(u), _scalar_reference(eng, u))
 
     def test_separable_cap_names_coordinate(self, monkeypatch):
         monkeypatch.setattr(ResolventEngine, "max_inner_steps", 1)
-        eng = ResolventEngine(_tanh_op(), ScaledIdentityMulti(1), 1.0, dim=2)
+        eng = ResolventEngine(tanh_h(1.0), ScaledIdentityMulti(1), 1.0, dim=2)
         with pytest.raises(ResolventDivergenceError, match=r"coordinate 1: \|g\(t\) - target\|"):
             eng.resolve(np.array([0.0, 7.5]))
 
@@ -207,7 +200,7 @@ class TestResolve:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_input_skips_inner_solve(self, m, strategy, bad):
         # no inner solve evaluates H, and no RuntimeWarning (an error under this suite)
-        h = _tanh_op()
+        h = tanh_h(1.0)
         h.f = h.fprime = None
         eng = ResolventEngine(h, m, 1.0, dim=3)
         assert eng.strategy == strategy
@@ -215,7 +208,7 @@ class TestResolve:
 
     def test_divergence_error_on_tiny_cap(self, monkeypatch):
         monkeypatch.setattr(ResolventEngine, "max_inner_steps", 1)
-        eng = ResolventEngine(_tanh_op(), LinearMonotone(np.eye(2)), 1.0, dim=2)
+        eng = ResolventEngine(tanh_h(1.0), LinearMonotone(np.eye(2)), 1.0, dim=2)
         with pytest.raises(ResolventDivergenceError):
             eng.resolve(np.array([10.0, -10.0]))
 
@@ -236,7 +229,7 @@ class TestResolve:
     def test_newton_solves_past_the_overflow_of_the_squares(self, scale):
         # ||u||^2 and ||g||^2 overflow from ||u|| ~ 1.3e154 on: the tolerance and the merit stay
         # finite, so the solve meets its relative tolerance where it once returned x = 0 unsolved
-        eng = ResolventEngine(_tanh_op(), LinearMonotone(2.0 * np.eye(3)), 1.0, dim=3)
+        eng = ResolventEngine(tanh_h(1.0), LinearMonotone(2.0 * np.eye(3)), 1.0, dim=3)
         assert eng.strategy == NEWTON
         u = scale * np.array([1.0, -2.0, 0.3])
         with np.errstate(over="ignore"):  # as hmsolve.cli.main runs
@@ -335,8 +328,7 @@ _entries = st.one_of(
 )
 def test_separable_inclusion_property(u, a, c, lam, subdifferential):
     # H(t) = t + a*tanh(t) per coordinate, g(0) = 0: the dead zone is |u| <= lam*w
-    h = DiagonalNonlinear(lambda t: t + a * np.tanh(t),
-                          lambda t: 1.0 + a * (1.0 - np.tanh(t) ** 2), (1.0, 1.0 + a))
+    h = tanh_h(a)
     m = ShiftedSubdifferential(c) if subdifferential else ScaledIdentityMulti(c)
     u = np.array(u)
     eng = ResolventEngine(h, m, lam, dim=u.shape[0])
@@ -354,8 +346,7 @@ def test_separable_inclusion_property(u, a, c, lam, subdifferential):
 def test_inner_stop_is_relative(m, scale):
     # rounding keeps |g(t) - target| near |u|*1e-16: an absolute stop at 1e-12 made 31 to 89
     # of these 200 resolves raise, at the step cap or in a stalled line search
-    h = DiagonalNonlinear(lambda t: t + 0.5 * np.tanh(t),
-                          lambda t: 1.0 + 0.5 * (1.0 - np.tanh(t) ** 2), (1.0, 1.5))
+    h = tanh_h(0.5)
     eng = ResolventEngine(h, m, 50.0, dim=4)
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -411,15 +402,6 @@ def test_soft_threshold_diagonal_form_matches_resolve(case):
     # deep in the dead zone both are 0, the diagonal form +0
     deep = finite & (x == 0.0) & (np.abs(a.offset) <= 0.5)
     assert np.all(ref[deep] == 0.0) and not np.signbit(g[deep]).any() and np.all(g[deep] == 0.0)
-
-
-def _counting_lu(monkeypatch):
-    """Count every ``scipy.linalg.lu_factor`` call in the returned list."""
-    factored = []
-    lu_factor_ = scipy.linalg.lu_factor
-    monkeypatch.setattr(scipy.linalg, "lu_factor",
-                        lambda *args, **kwargs: factored.append(1) or lu_factor_(*args, **kwargs))
-    return factored
 
 
 def _assert_close(x, y):
@@ -487,24 +469,18 @@ class TestSpectralAffineMap:
         dim = 300
         p = _spectral_problem(dim, "mixed")
         x = np.linspace(-1.0, 1.0, dim)
-        tracemalloc.start()
-        try:
-            for _ in range(2):  # the first call builds t and c_hat
-                p.f_map(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: [p.f_map(x) for _ in range(2)])[1]  # the first call builds t and c_hat
         assert peak < 8 * dim * dim
 
     def test_spd_linear_factors_nothing(self, monkeypatch):
-        factored = _counting_lu(monkeypatch)
+        factored = recorded(monkeypatch, scipy.linalg, "lu_factor")
         p = gen_spd_linear(50, seed=2)
         p.f_map(np.zeros(50))
         assert factored == []
         assert not (_built(p.h) or _built(p.a))
 
     def test_other_affine_problems_keep_lu_or_scalar_path(self, monkeypatch):
-        factored = _counting_lu(monkeypatch)
+        factored = recorded(monkeypatch, scipy.linalg, "lu_factor")
         p = gen_spd_linear(6, seed=1)
         diagonal = p.engine.fixed_point_map(p.a)  # G in Q's coordinates
         # a matrix H or M takes the LU path; a matrix A with a vector H and a scalar M, the

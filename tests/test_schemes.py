@@ -1,6 +1,5 @@
 import dataclasses
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from hmsolve.analysis import DEFAULT_AUDIT_SLACK, _steps, contraction_factor, envelope, optimal_lambda
 from hmsolve.operators import (
     AffineLinear,
-    DiagonalNonlinear,
     LinearMonotone,
     OperatorConstants,
     ScaledIdentity,
@@ -36,7 +34,7 @@ from hmsolve.schemes import (
     run_zgy,
     vector_norm,
 )
-from oracles import in_x, plain_run_scheme, validate_constants
+from oracles import in_x, plain_run_scheme, recorded, sequences, tanh_h, traced_peak, triples, validate_constants
 
 ONE = make_step_sequence("constant", value=1.0)
 ZERO = make_step_sequence("constant", value=0.0)
@@ -253,17 +251,16 @@ class TestRunNew:
             assert trace.errors[n + 1] <= factor * trace.errors[n] + 1e-8
 
 
+def _watching(p, watch):
+    """Make ``p``'s runs record ``watch(y)`` for each y they hand G, F in p's coordinates, in the returned list."""
+    seen, (basis, g) = [], p.coordinates()
+    p.coordinates = lambda: (basis, lambda y: (seen.append(watch(y)), g(y))[1])
+    return seen
+
+
 def _counting_f_evaluations(p):
     """Make ``p`` record each F evaluation ``run_scheme`` makes, in its coordinates, in the returned list."""
-    calls = []
-    basis, g = p.coordinates()
-
-    def counting(y):
-        calls.append(1)
-        return g(y)
-
-    p.coordinates = lambda: (basis, counting)
-    return calls
+    return _watching(p, lambda y: 1)
 
 
 class TestFEvaluationCounts:
@@ -307,53 +304,9 @@ class TestCollapseIdentities:
                 assert np.array_equal(a, b)
 
 
-@st.composite
-def _cataloged_triple(draw):
-    """(H, A, M, seed) from the catalog, with random offsets on H and A.
-
-    H is a scalar, a positive vector or a random SPD weight, A a scalar or a
-    positive multiple of H, M a scalar, a positive vector, an SPD matrix or,
-    when H is diagonal, a subdifferential.
-    """
-    dim = draw(st.integers(min_value=1, max_value=6))
-    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
-    scale = st.floats(min_value=0.2, max_value=3.0)
-
-    def spd():
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        w = (q * rng.uniform(0.5, 2.0, dim)) @ q.T
-        return (w + w.T) / 2.0
-
-    h_weight = {"scalar": lambda: draw(scale), "vector": lambda: rng.uniform(0.5, 2.0, dim),
-                "spd": spd}[draw(st.sampled_from(["scalar", "vector", "spd"]))]()
-    h = AffineLinear(h_weight, rng.standard_normal(dim))
-    a_weight = draw(scale) * (h.weight if draw(st.booleans()) else 1.0)
-    a = AffineLinear(a_weight, rng.standard_normal(dim))
-    kinds = ["scalar", "vector", "spd"] + (["subdifferential"] if h.matrix is None else [])
-    m = {"scalar": lambda: ScaledIdentityMulti(draw(scale)),
-         "vector": lambda: AffineLinear(rng.uniform(0.5, 2.0, dim)),
-         "spd": lambda: LinearMonotone(spd()),
-         "subdifferential": lambda: ShiftedSubdifferential(draw(scale))}[
-        draw(st.sampled_from(kinds))]()
-    return h, a, m, seed
-
-
-_STEP = st.floats(min_value=0.0, max_value=1.0)
-
-#: step sequences of all four families; a table may end in 0, making its sum finite
-_SEQUENCE = st.one_of(
-    _STEP.map(lambda v: make_step_sequence("constant", value=v)),
-    st.integers(1, 5).map(lambda k: make_step_sequence("harmonic", offset=k)),
-    st.integers(1, 5).map(lambda k: make_step_sequence("one-minus-harmonic", offset=k)),
-    st.tuples(st.lists(_STEP, min_size=1, max_size=8), st.booleans()).map(
-        lambda t: make_step_sequence("custom-table", table=t[0] + [0.0] * t[1])),
-)
-
-
 class TestEnvelopeProperty:
     @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(triple=_cataloged_triple(), xi=_SEQUENCE, mu=_SEQUENCE,
+    @given(triple=triples(), xi=sequences, mu=sequences,
            steps=st.integers(1, 50))
     def test_errors_stay_under_own_envelope(self, triple, xi, mu, steps):
         h, a, m, seed = triple
@@ -377,7 +330,7 @@ class TestEnvelopeProperty:
 
 class TestContractionOfF:
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(triple=_cataloged_triple())
+    @given(triple=triples())
     def test_cataloged_triples_property(self, triple):
         # the catalog's constants survive sampling, and F is a kappa(lam*)-contraction
         h, a, m, seed = triple
@@ -425,9 +378,7 @@ class TestContractionOfF:
     def test_stops_at_first_nonfinite_iterate(self):
         # kappa >= 1 at lam = 50: the iterates grow until H x - lam*A x overflows
         p = gen_spd_linear(20, seed=0, c_a=5.0, lam=50.0)
-        finite_inputs = []
-        basis, g = p.coordinates()
-        p.coordinates = lambda: (basis, lambda y: (finite_inputs.append(np.isfinite(y).all()), g(y))[1])
+        finite_inputs = _watching(p, lambda y: np.isfinite(y).all())
         trace = run_fh(p, np.zeros(20))
         assert trace.diverged and not trace.converged
         assert len(finite_inputs) == trace.steps_used + 1 and all(finite_inputs)
@@ -443,11 +394,6 @@ def _resolved_f(p, x):
     return fy if q is None else q @ fy
 
 
-def _tanh_h():
-    return DiagonalNonlinear(lambda t: t + 0.5 * np.tanh(t),
-                             lambda t: 1.0 + 0.5 / np.cosh(t) ** 2, (1.0, 1.5))
-
-
 def _explicit_affine(h, a, m, dim, lam=0.4):
     return ProblemInstance(h=h, a=a, m=m, constants=catalog_constants(h, a, m), lam=lam, dim=dim)
 
@@ -455,19 +401,6 @@ def _explicit_affine(h, a, m, dim, lam=0.4):
 def _spd_matrix(dim):
     w = np.eye(dim) + 0.1 * np.random.default_rng(dim).standard_normal((dim, dim))
     return w @ w.T
-
-
-def _counting_resolve(monkeypatch):
-    """Count every ``ResolventEngine.resolve`` call in the returned list."""
-    calls = []
-    resolve = ResolventEngine.resolve
-
-    def counting(self, u):
-        calls.append(1)
-        return resolve(self, u)
-
-    monkeypatch.setattr(ResolventEngine, "resolve", counting)
-    return calls
 
 
 class TestAffineFastPath:
@@ -509,17 +442,14 @@ class TestAffineFastPath:
             self._assert_equivalent(_explicit_affine(h, a, m, dim), dim)
 
     @settings(max_examples=50, derandomize=True, deadline=None)
-    @given(triple=_cataloged_triple())
+    @given(triple=triples())
     def test_cataloged_triples_match_resolvent(self, triple):
         h, a, m, seed = triple
         assume(not isinstance(m, ShiftedSubdifferential))  # never affine
         self._assert_equivalent(_explicit_affine(h, a, m, a.dim), seed)
 
     def test_k_is_factored_once_on_first_use(self, monkeypatch):
-        factored = []
-        lu_factor = scipy.linalg.lu_factor
-        monkeypatch.setattr(scipy.linalg, "lu_factor",
-                            lambda *args, **kwargs: factored.append(1) or lu_factor(*args, **kwargs))
+        factored = recorded(monkeypatch, scipy.linalg, "lu_factor")
         spd = gen_spd_linear(7, seed=7)
         # H as the matrix diag(h) in Q's coordinates: spd-linear's own F would factor nothing
         p = dataclasses.replace(spd, h=AffineLinear(np.diag(spd.h.weight)))
@@ -539,7 +469,7 @@ class TestAffineFastPath:
                 p.f_map(x)
 
     def test_affine_runs_make_no_resolve_call(self, monkeypatch):
-        calls = _counting_resolve(monkeypatch)
+        calls = recorded(monkeypatch, ResolventEngine, "resolve")
         p = gen_spd_linear(20, seed=3)
         for name in ("FH", "ZGY", "MANN", "NEW"):
             trace = run_scheme(name, p, np.zeros(20), HALF, HALF, StoppingRule(max_steps=50))
@@ -549,14 +479,14 @@ class TestAffineFastPath:
     def test_soft_threshold_runs_make_no_resolve_call(self, monkeypatch):
         # M = c*t + d|t| with scalar H and A weights takes the diagonal form, soft-thresholded
         p = gen_soft_threshold(12, seed=1)
-        resolves = _counting_resolve(monkeypatch)
+        resolves = recorded(monkeypatch, ResolventEngine, "resolve")
         evaluations = _counting_f_evaluations(p)
         trace = run_new(p, np.zeros(12), HALF, StoppingRule(tol=-1.0, max_steps=10))
         assert trace.steps_used == 10 and len(evaluations) == 21
         assert resolves == []
 
     @pytest.mark.parametrize("problem", [
-        lambda: ProblemInstance(h=_tanh_h(), a=AffineLinear(1.0, np.linspace(-1, 1, 12)),
+        lambda: ProblemInstance(h=tanh_h(0.5), a=AffineLinear(1.0, np.linspace(-1, 1, 12)),
                                 m=ScaledIdentityMulti(1.0),
                                 constants=OperatorConstants(1.0, 1.5, 1.0, 1.0, 1.0),
                                 lam=0.5, dim=12),
@@ -570,7 +500,7 @@ class TestAffineFastPath:
     ])
     def test_other_problems_resolve_once_per_evaluation(self, problem, monkeypatch):
         p = problem()
-        resolves = _counting_resolve(monkeypatch)
+        resolves = recorded(monkeypatch, ResolventEngine, "resolve")
         evaluations = _counting_f_evaluations(p)
         run_new(p, np.zeros(12), HALF, StoppingRule(tol=-1.0, max_steps=10))
         assert len(resolves) == len(evaluations) == 21
@@ -582,12 +512,7 @@ class TestAffineFastPath:
                             constants=OperatorConstants(1.0, 1.0, 2.0, 2.0, 1.0),
                             lam=0.3, dim=dim)
         x = np.linspace(-1.0, 1.0, dim)
-        tracemalloc.start()
-        try:
-            fx = p.f_map(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        fx, peak = traced_peak(lambda: p.f_map(x))
         assert peak < 2 ** 20  # a dim x dim matrix would take 200 MB
         assert np.allclose(fx, (0.4 * x + 0.3) / 1.3, rtol=0, atol=1e-15)
         # the diagonal form G(x) = t*x + c with t = (h - lam*a)/k and c = lam*b_A/k, k = h + lam*m
@@ -600,10 +525,7 @@ class TestEigenbasisHotPath:
     """spd-linear runs evaluate F in H's eigenbasis, never through ``f_map``; other problems keep it."""
 
     def test_f_map_calls(self, monkeypatch):
-        calls = []
-        f_map = ProblemInstance.f_map
-        monkeypatch.setattr(ProblemInstance, "f_map",
-                            lambda self, x: calls.append(1) or f_map(self, x))
+        calls = recorded(monkeypatch, ProblemInstance, "f_map")
         spd = gen_spd_linear(12, seed=1)
         dense = in_x(spd)
         explicit = _explicit_affine(dense.h, dense.a, dense.m, 12)
@@ -613,10 +535,7 @@ class TestEigenbasisHotPath:
             assert trace.steps_used == 10 and len(calls) == evaluations
 
     def test_fixed_point_map_built_once(self, monkeypatch):
-        calls = []
-        fixed_point_map = ResolventEngine.fixed_point_map
-        monkeypatch.setattr(ResolventEngine, "fixed_point_map",
-                            lambda self, a_op: calls.append(1) or fixed_point_map(self, a_op))
+        calls = recorded(monkeypatch, ResolventEngine, "fixed_point_map")
         p = gen_spd_linear(12, seed=1)
         p.f_map(np.zeros(12))
         assert p.coordinates()[0] is p.basis
@@ -731,13 +650,8 @@ class TestLastIterateOnly:
         # errors are taken as the run steps, so with x* known a run still keeps no y_n:
         # 4,000 kept y_n at dim 500 would take 16 MB
         p = make()
-        tracemalloc.start()
-        try:
-            trace = run_scheme(name, p, np.ones(500), HALF, HALF, StoppingRule(tol=-1.0, max_steps=4000),
-                               keep_iterates=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        trace, peak = traced_peak(lambda: run_scheme(name, p, np.ones(500), HALF, HALF,
+                                                     StoppingRule(tol=-1.0, max_steps=4000), keep_iterates=False))
         assert trace.steps_used == 4000 and len(trace.errors) == 4001 and trace.coordinates is None
         assert peak < 2 * 2 ** 20
 
@@ -844,7 +758,7 @@ def test_spd_linear_errors_match_closed_form():
 def test_overflowing_nonlinear_run_ends_diverged(m):
     # kappa > 1 and H x - lam*A x overflows on the first F evaluation: the
     # separable and Newton resolvents hand the runner a non-finite iterate
-    p = ProblemInstance(h=_tanh_h(), a=ScaledIdentity(5.0), m=m,
+    p = ProblemInstance(h=tanh_h(0.5), a=ScaledIdentity(5.0), m=m,
                         constants=OperatorConstants(1.0, 1.5, 5.0, 5.0, 1.0), lam=50.0, dim=4)
     with np.errstate(over="ignore", invalid="ignore"):  # as hmsolve.cli.main runs
         trace = run_fh(p, np.full(4, 1e307))
@@ -864,7 +778,7 @@ def _resolve_form():  # scalar H and M with a matrix A: G is one resolve per eva
 
 
 def _separable():  # a DiagonalNonlinear H: G solves coordinatewise
-    return ProblemInstance(h=_tanh_h(), a=AffineLinear(1.0, np.linspace(-1, 1, 12)), m=ScaledIdentityMulti(1.0),
+    return ProblemInstance(h=tanh_h(0.5), a=AffineLinear(1.0, np.linspace(-1, 1, 12)), m=ScaledIdentityMulti(1.0),
                            constants=OperatorConstants(1.0, 1.5, 1.0, 1.0, 1.0), lam=0.5, dim=12)
 
 
@@ -894,14 +808,7 @@ G_FORMS = [lambda: gen_spd_linear(30, seed=2), lambda: gen_soft_threshold(30, se
 def _recorded_run(runner, make, x0, name, seq, keep):
     """``runner``'s trace on a fresh problem, the inputs it handed G (copied at the call) and its warnings."""
     p = make()
-    basis, g = p.coordinates()
-    inputs = []
-
-    def recording(y):
-        inputs.append(np.array(y, copy=True))
-        return g(y)
-
-    p.coordinates = lambda: (basis, recording)
+    inputs = _watching(p, lambda y: np.array(y, copy=True))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         trace = runner(name, p, np.full(p.dim, x0), seq, seq, StoppingRule(max_steps=600), keep)
