@@ -19,10 +19,8 @@ from .operators import (
     AffineLinear,
     DiagonalNonlinear,
     InconsistentConstantsError,
-    LinearMonotone,
     OperatorConstants,
     ScaledIdentity,
-    ScaledIdentityMulti,
     ShiftedSubdifferential,
     UnsupportedOperatorError,
     catalog_constants,

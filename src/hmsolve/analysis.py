@@ -51,7 +51,7 @@ def contraction_factor(constants, lam):
         tau, r, gamma = (math.ldexp(v, j) / (m if huge else 1.0) for v, j in ((tau, -e), (r, k - 2 * e), (gamma, -e)))
         lam, s, eta = 1.0 if huge else m, math.ldexp(s, k - e), math.ldexp(eta, k - e)
     radicand = tau * tau - 2.0 * lam * r + lam * lam * s * s
-    # r <= s*tau*(1 + delta), which OperatorConstants holds, keeps it >= tau^2 - r^2/s^2 >= -tau^2*(2*delta
+    # r/s <= tau*(1 + delta), which OperatorConstants holds, keeps it >= tau^2 - r^2/s^2 >= -tau^2*(2*delta
     # + delta^2); below that, and its rounding error of a few ulps of tau^2, it flags corrupted inputs
     if radicand < -tau * tau * ((2.0 + _CONSISTENCY_TOL) * _CONSISTENCY_TOL + 1e-14):
         raise InconsistentConstantsError("negative radicand %g in contraction factor" % radicand)

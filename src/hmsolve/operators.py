@@ -53,7 +53,7 @@ class OperatorConstants:
     """The five constants (gamma, tau, r, s, eta) of a problem instance.
 
     Construction rejects inconsistent declarations: all constants must be
-    strictly positive, gamma cannot exceed tau, and r cannot exceed s*tau.
+    strictly positive, gamma cannot exceed tau, and r/s cannot exceed tau.
     """
 
     gamma: float
@@ -74,9 +74,10 @@ class OperatorConstants:
                 "gamma=%g exceeds tau=%g; a gamma-strongly-monotone, tau-Lipschitz "
                 "map forces gamma <= tau" % (self.gamma, self.tau)
             )
-        if self.r > self.s * self.tau * (1 + _CONSISTENCY_TOL):
+        # r/s, not s*tau: a subnormal s*tau may round far above s times tau
+        if self.r / self.s > self.tau * (1 + _CONSISTENCY_TOL):
             raise InconsistentConstantsError(
-                "r=%g exceeds s*tau=%g" % (self.r, self.s * self.tau)
+                "r/s=%g exceeds tau=%g" % (self.r / self.s, self.tau)
             )
 
 

@@ -300,11 +300,12 @@ positive = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integ
 
 @st.composite
 def scale_free_constants(draw):
-    """Constants each drawn by ``positive``, consistent by construction: gamma <= tau and r <= s*tau."""
+    """Constants each drawn by ``positive``, consistent by construction: gamma <= tau and r/s <= tau."""
     gamma, tau, s, r, eta = (draw(positive) for _ in range(5))
     gamma, tau = sorted((gamma, tau))
-    assume(s * tau >= np.finfo(float).tiny)  # a subnormal s*tau may round far above s times tau, and r with it
-    return ops.OperatorConstants(gamma=gamma, tau=tau, r=min(r, s * tau), s=s, eta=eta)
+    r = min(r, s * tau)
+    assume(0.0 < r and r / s <= tau)  # s*tau may underflow to 0, or as a subnormal round far above s times tau
+    return ops.OperatorConstants(gamma=gamma, tau=tau, r=r, s=s, eta=eta)
 
 
 @st.composite

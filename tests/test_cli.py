@@ -48,6 +48,14 @@ def read_trace_csv(path):
         } for row in csv.DictReader(fh)]
 
 
+def _strict_json(path):
+    """The JSON in path, refusing NaN and Infinity, which strict JSON has no word for."""
+    def reject(constant):
+        raise ValueError("%s is not JSON" % constant)
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def _explicit(dim, a, constants=(1, 1, 1, 1, 1), h_scale=1.0):
     return {
         "kind": "explicit",
@@ -58,6 +66,9 @@ def _explicit(dim, a, constants=(1, 1, 1, 1, 1), h_scale=1.0):
         "constants": dict(zip(("gamma", "tau", "r", "s", "eta"), constants)),
     }
 
+
+#: a symmetric positive definite H with off-diagonal entries: gamma 1 and tau 1.2
+_DENSE_H = [[1.1, 0.1, 0.0], [0.1, 1.1, 0.0], [0.0, 0.0, 1.2]]
 
 #: (family, its parameter, a spec string for it, series properties, n-th term)
 _SEQUENCES = [
@@ -194,6 +205,31 @@ class TestSolve:
         for alg in summary["algorithms"].values():
             assert alg["converged"] and alg["final_error"] < 1e-8
 
+    #: the forms no other CLI run solves with every scheme: a scalar problem; spd-linear at dim 1 and 2,
+    #: where Q's reflectors are sign flips and reflections of the plane; spd-linear with c_a = 2 and lam = 1,
+    #: where T = -H/(H + I) has every t negative; and, each with a scalar M, a scalar H with a matrix A and
+    #: a dense H, the CLI's one run of K's LU
+    ALL_FOUR = {
+        "scalar-affine": ["--problem", "scalar-affine"],
+        "spd-linear-dim-1": ["--problem", "spd-linear", "--dim", "1"],
+        "spd-linear-dim-2": ["--problem", "spd-linear", "--dim", "2"],
+        "spd-linear-negative-t": ["--problem", "spd-linear", "--dim", "300", "--c-a", "2", "--lambda", "1"],
+        "explicit-matrix-a": _explicit(3, {"kind": "affine", "matrix": (2 * np.eye(3)).tolist(),
+                                           "offset": [1, 2, 3]}, (1, 1, 2, 2, 1)),
+        "explicit-dense-h": {**_explicit(3, {"kind": "affine", "matrix": _DENSE_H, "offset": [1, 2, 3]},
+                                         (1, 1.2, 1, 1.2, 1)), "h": {"kind": "affine", "matrix": _DENSE_H}},
+    }
+
+    @pytest.mark.parametrize("case", sorted(ALL_FOUR))
+    def test_all_four_schemes_converge(self, tmp_path, case):
+        flags = self.ALL_FOUR[case]
+        if isinstance(flags, dict):
+            flags = ["--config", _write_config(tmp_path, {"problem": flags, "lambda": "auto"})]
+        out = tmp_path / "out"
+        assert main(["solve", *flags, "--alg", "fh,zgy,mann,new", "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert [alg["converged"] for alg in summary["algorithms"].values()] == [True] * 4
+
     def test_multiple_algorithms(self, tmp_path):
         code = main([
             "solve", "--problem", "spd-linear", "--dim", "10", "--seed", "3",
@@ -277,11 +313,7 @@ class TestSolve:
         code = main(["solve", "--problem", "spd-linear", "--dim", "20", "--m", "2", "--lambda", "1e200",
                      "--alg", "fh", "--out", str(tmp_path)])
         assert code == EXIT_OK
-
-        def reject(constant):
-            raise ValueError("%s is not JSON" % constant)
-
-        summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        summary = _strict_json(tmp_path / "summary.json")
         assert summary["kappa"] == pytest.approx(0.6, abs=1e-12)
         assert not summary["hypothesis_violated"]
         fh = summary["algorithms"]["fh"]
@@ -408,13 +440,14 @@ class TestCompare:
         report = json.loads((tmp_path / "rate_report.json").read_text())
         assert report["verdict"] == "same-rate"
 
-    def test_diverged_runs_get_no_fit(self, tmp_path):
+    def test_diverged_runs_get_no_fit(self, tmp_path, capsys):
         # kappa >= 1: both errors overflow; their ratios are censored, not 0 or NaN
         code = main([
             "compare", "--problem", "spd-linear", "--dim", "20", "--c-a", "5",
             "--lambda", "50", "--alg", "fh,new", "--out", str(tmp_path),
         ])
         assert code == EXIT_NUMERICAL
+        assert "non-finite iterate" in capsys.readouterr().err
         report = json.loads((tmp_path / "rate_report.json").read_text())
         assert not any(p == 0.0 or np.isnan(p) for p in report["pi"] if p is not None)
         assert report["fitted_ratio"] is None
@@ -453,6 +486,15 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--grid", "1e19:2e20:3", "--out", str(tmp_path)]) == EXIT_OK
         summary = (tmp_path / "sweep_summary.json").read_text()
         assert "NaN" not in summary and json.loads(summary)["feasible_interval"] == [0.0, 2e20]
+
+    def test_kappa_past_the_overflow_is_strict_json(self, tmp_path):
+        # lam*s = 1e399 and 1e400 pass the largest float, yet kappa is finite: about s/eta = 1e200
+        a = {"kind": "affine", "matrix": (2 * np.eye(3)).tolist(), "offset": [1, 2, 3]}
+        cfg = _write_config(tmp_path, {"problem": _explicit(3, a, (1, 1e200, 1, 1e200, 1))})
+        assert main(["sweep", "--config", cfg, "--grid", "1e199:1e200:2", "--out", str(tmp_path)]) == EXIT_OK
+        assert _strict_json(tmp_path / "sweep_summary.json")["best_kappa"] == 1e200
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and np.isfinite([[float(v) for v in row.split(",")] for row in rows]).all()
 
     def test_invalid_grid(self, tmp_path):
         code = main([

@@ -95,6 +95,13 @@ class TestConstantsRecord:
         with pytest.raises(InconsistentConstantsError):
             OperatorConstants(gamma=1, tau=1, r=3.0, s=2.0, eta=1)
 
+    def test_r_above_a_subnormal_s_tau(self):
+        # s times tau is 2.896e-323, yet s*tau rounds to the subnormal r = 2.964e-323 (written 3e-323), 2.4%
+        # above it: r <= s*tau let r through, and kappa raised "negative radicand" at lam = 2.06e76
+        with pytest.raises(InconsistentConstantsError, match=r"r/s=7\.89227e-124 exceeds tau=7\.70998e-124"):
+            OperatorConstants(gamma=3.066196725530573e-156, tau=7.709981562618043e-124, r=3e-323,
+                              s=3.7560714346219987e-200, eta=4.604821597010471e-24)
+
     def test_consistent_accepted(self):
         c = OperatorConstants(1, 1, 1, 2, 1)
         assert c.s == 2
