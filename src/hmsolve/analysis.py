@@ -1,13 +1,11 @@
 """Quantitative theory: contraction factor, feasibility, envelopes, rates, audits.
 
-Everything here is a pure function of immutable inputs. The contraction
-factor kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta) drives
-all of it: when s > eta, the feasible-lam interval is exactly the set where
-kappa < 1; the minimiser of kappa over lam has a closed form in every
-regime; the error envelope of each scheme is the product of the per-step
-bounds of its (xi, mu) casting, and ``check_envelope`` checks a run against
-it; the rate comparison classifies the ratio of measured error sequences;
-and the equivalence audit pairs two runs by their castings: a relaxed run q
+Everything here is a pure function of immutable inputs. The contraction factor kappa = sqrt(tau^2 - 2*lam*r +
+lam^2*s^2) / (gamma + lam*eta) drives all of it: when s > eta, the feasible-lam interval is exactly the set where
+kappa < 1, and kappa's minimiser lam* has a closed form. kappa and lam* are taken over powers of two, exact
+scalings, so that no term leaves the float range. The error envelope of each scheme is the product of the per-step
+bounds of its (xi, mu) casting, and ``check_envelope`` checks a run against it; the rate comparison classifies the
+ratio of measured error sequences; and the equivalence audit pairs two runs by their castings: a relaxed run q
 with an unrelaxed run s (xi = 1) of the same mu. Both bounds read ``_steps``.
 """
 
@@ -39,24 +37,22 @@ DEFAULT_AUDIT_SLACK = 1e-8 + 10.0 * ResolventEngine.inner_tolerance
 
 
 def contraction_factor(constants, lam):
-    """kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta), rescaled on overflow and below lam = 2^-511."""
+    """kappa = sqrt(tau^2 - 2*lam*r + lam^2*s^2) / (gamma + lam*eta), taken over powers of two."""
     if not lam > 0:
         raise ValueError("lam must be strictly positive")
-    tau, r, s, gamma, eta = constants.tau, constants.r, constants.s, constants.gamma, constants.eta
-    if (huge := not math.isfinite(tau * tau - 2.0 * lam * r + lam * lam * s * s)) or lam < 2.0 ** -511:
-        # tau or lam*s past about 1.3e154, or lam*lam below the normal floats. For lam = m*2^k and 2^e > max(tau,
-        # lam*s, lam): the same form over lam*2^(e-k) with lam = 1, else over 2^min(e, 0) with lam = m, both exact
-        m, k = math.frexp(lam)
-        e = min(max(math.frexp(tau)[1], k + math.frexp(s)[1], k), math.inf if huge else 0)
-        tau, r, gamma = (math.ldexp(v, j) / (m if huge else 1.0) for v, j in ((tau, -e), (r, k - 2 * e), (gamma, -e)))
-        lam, s, eta = 1.0 if huge else m, math.ldexp(s, k - e), math.ldexp(eta, k - e)
-    radicand = tau * tau - 2.0 * lam * r + lam * lam * s * s
-    # r/s <= tau*(1 + delta), which OperatorConstants holds, keeps it >= tau^2 - r^2/s^2 >= -tau^2*(2*delta
-    # + delta^2); below that, and its rounding error of a few ulps of tau^2, it flags corrupted inputs
-    if radicand < -tau * tau * ((2.0 + _CONSISTENCY_TOL) * _CONSISTENCY_TOL + 1e-14):
-        raise InconsistentConstantsError("negative radicand %g in contraction factor" % radicand)
-    # the scaled gamma + lam*eta may underflow to 0, where kappa is taken as inf
-    return math.sqrt(max(radicand, 0.0)) / den if (den := gamma + lam * eta) else math.inf
+    c, frexp, ldexp = constants, math.frexp, math.ldexp
+    (tau, kt), (r, kr), (s, ks), (gamma, kg), (eta, ke), (lam, kl) = map(frexp, (c.tau, c.r, c.s, c.gamma, c.eta, lam))
+    # mantissas times 2^k: the numerator over 2^e > max(tau, lam*s), the denominator over 2^f > max(gamma, lam*eta)
+    e, f = max(kt, kl + ks), max(kg, kl + ke)
+    tau2 = ldexp(tau * tau, 2 * (kt - e))
+    radicand = tau2 - ldexp(2.0 * lam * r, kl + kr - 2 * e) + ldexp(lam * lam * s * s, 2 * (kl + ks - e))
+    # OperatorConstants' r/s <= tau*(1 + delta) keeps it >= -tau^2*(2*delta + delta^2), less a few ulps of tau^2
+    if radicand < -tau2 * ((2.0 + _CONSISTENCY_TOL) * _CONSISTENCY_TOL + 1e-14):
+        raise InconsistentConstantsError("negative radicand %g * 4^%d in contraction factor" % (radicand, e))
+    try:
+        return ldexp(math.sqrt(max(radicand, 0.0)) / (ldexp(gamma, kg - f) + ldexp(lam * eta, kl + ke - f)), e - f)
+    except OverflowError:  # kappa past the largest float
+        return math.inf
 
 
 def feasible_lambda(constants):
@@ -85,18 +81,22 @@ def feasible_lambda(constants):
 
 
 def optimal_lambda(constants):
-    """The kappa-minimising lam* = (r*gamma + eta*tau^2)/(s^2*gamma + r*eta).
+    """The kappa-minimising lam* = (r*gamma + eta*tau^2)/(s^2*gamma + r*eta), clamped to the positive floats.
 
     Returns (lam*, kappa(lam*)). The lam^2 terms cancel in d(kappa^2)/d(lam) = 0,
     so lam* is the only stationary point on lam > 0, and kappa falls before it
     and rises after it: lam* is the global minimiser in every regime, and the
     constants are infeasible exactly when kappa(lam*) >= 1.
     """
-    c = constants
-    lam = (c.r * c.gamma + c.eta * c.tau * c.tau) / (c.s * c.s * c.gamma + c.r * c.eta)
-    if not 0.0 < lam < math.inf:  # tau or s past about 1.3e154: (tau/s)^2 (r*gamma/tau^2 + eta)/(gamma + r*eta/s^2)
-        ratio = c.tau / c.s
-        lam = ((c.r / c.tau) * (c.gamma / c.tau) + c.eta) / (c.gamma + (c.r / c.s) * (c.eta / c.s)) * ratio * ratio
+    c, frexp, ldexp = constants, math.frexp, math.ldexp
+    (tau, kt), (r, kr), (s, ks), (gamma, kg), (eta, ke) = map(frexp, (c.tau, c.r, c.s, c.gamma, c.eta))
+    # mantissas times 2^k: numerator over 2^e > max(r*gamma, eta*tau^2), denominator over 2^f > max(s^2*gamma, r*eta)
+    e, f = max(kr + kg, ke + 2 * kt), max(2 * ks + kg, kr + ke)
+    try:
+        lam = max(ldexp((ldexp(r * gamma, kr + kg - e) + ldexp(eta * tau * tau, ke + 2 * kt - e))
+                        / (ldexp(s * s * gamma, 2 * ks + kg - f) + ldexp(r * eta, kr + ke - f)), e - f), math.ulp(0.0))
+    except OverflowError:
+        lam = math.nextafter(math.inf, 0.0)
     return lam, contraction_factor(constants, lam)
 
 

@@ -17,7 +17,8 @@ that ``schemes.run_scheme`` is held to bit for bit.
 is held to bit for bit.
 
 ``exact_kappa``, ``exact_optimal_lambda`` and ``exact_feasible_lambda`` are the closed forms
-of ``analysis`` in exact rationals. Below them, the toolkit every test file shares: Hypothesis
+of ``analysis`` in exact rationals, and ``kappa_cancellation_rounding`` what rounding may cost
+kappa where its radicand cancels. Below them, the toolkit every test file shares: Hypothesis
 strategies, the nonlinear H ``tanh_h``, the call recorder ``recorded`` and ``traced_peak``.
 """
 
@@ -246,6 +247,20 @@ def exact_kappa(c, lam):
     q, lam = fractions.Fraction, fractions.Fraction(lam)
     radicand = q(c.tau) ** 2 - 2 * lam * q(c.r) + lam ** 2 * q(c.s) ** 2
     return _rounded(_sqrt(max(radicand, q(0)) / (q(c.gamma) + lam * q(c.eta)) ** 2))
+
+
+def kappa_cancellation_rounding(c, lam):
+    """What the rounding of kappa's radicand R = tau^2 - 2*lam*r + lam^2*s^2 may cost kappa beyond 4 ulps.
+
+    R's seven roundings move it by about 3.5*eps times its terms' sum, R + 4*lam*r: 4*ulp(kappa) holds the share
+    of R, and err = 16*eps*lam*r bounds the share of the terms that cancel. Carried through the square root, err
+    moves kappa by (sqrt(R + err) - sqrt(max(R - err, 0)))/(gamma + lam*eta) at most: next to nothing where
+    2*lam*r is small beside R, and sqrt(err)/(gamma + lam*eta) where R cancels to 0. From exact rationals.
+    """
+    q, lam = fractions.Fraction, fractions.Fraction(lam)
+    radicand = max(q(c.tau) ** 2 - 2 * lam * q(c.r) + lam ** 2 * q(c.s) ** 2, q(0))
+    err = 16 * q(np.finfo(float).eps) * lam * q(c.r)
+    return _rounded((_sqrt(radicand + err) - _sqrt(max(radicand - err, q(0)))) / (q(c.gamma) + lam * q(c.eta)))
 
 
 def exact_optimal_lambda(c):

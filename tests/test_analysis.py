@@ -4,7 +4,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmsolve.analysis import (
@@ -31,8 +31,8 @@ from hmsolve.schemes import (
     run_scheme,
     run_zgy,
 )
-from oracles import (constants, exact_feasible_lambda, exact_kappa, exact_optimal_lambda, per_term_envelope, positive,
-                     scale_free_constants, sequences)
+from oracles import (constants, exact_feasible_lambda, exact_kappa, exact_optimal_lambda, kappa_cancellation_rounding,
+                     per_term_envelope, positive, scale_free_constants, sequences)
 
 
 class TestContractionFactor:
@@ -73,18 +73,6 @@ class TestContractionFactor:
     # spd-linear's constants at m = 2: gamma = 1, tau = s = 1.2, r = 1 and eta = 2, so s/eta = 0.6
     SPD_M2 = OperatorConstants(gamma=1, tau=1.2, r=1, s=1.2, eta=2)
 
-    @pytest.mark.parametrize("lam", [1e200, 1e308])
-    def test_large_lambda_limit_is_s_over_eta(self, lam):
-        # lam^2*s^2 overflows past lam*s of about 1.3e154, while kappa -> s/eta as lam -> inf
-        assert abs(contraction_factor(self.SPD_M2, lam) - 0.6) <= 4 * math.ulp(0.6)
-
-    @pytest.mark.parametrize("lam", [1.4e154, 1e156, 1e160, 1e200, 1e308])
-    def test_past_the_overflow_kappa_is_the_exact_one(self, lam):
-        # tau = 1e150 and r = tau/2 keep the tau and r terms visible just past the overflow
-        c = OperatorConstants(gamma=3, tau=1e150, r=5e149, s=1, eta=0.7)
-        exact = exact_kappa(c, lam)
-        assert abs(contraction_factor(c, lam) - exact) <= 4 * math.ulp(exact)
-
     @pytest.mark.parametrize("lam", [1e-3, 0.6, 7.0, 1e100, 1e154])
     def test_below_the_overflow_kappa_is_the_plain_form_bit_for_bit(self, lam):
         c = self.SPD_M2
@@ -98,9 +86,21 @@ class TestContractionFactor:
         with pytest.raises(InconsistentConstantsError, match="negative radicand"):
             contraction_factor(corrupt, 1e200)
 
+    @pytest.mark.parametrize("lam", [1e200, 1e308])
+    def test_large_lambda_limit_is_s_over_eta(self, lam):
+        # lam^2*s^2 overflows past lam*s of about 1.3e154, while kappa -> s/eta as lam -> inf
+        assert abs(contraction_factor(self.SPD_M2, lam) - 0.6) <= 4 * math.ulp(0.6)
+
+    @pytest.mark.parametrize("lam", [1.4e154, 1e156, 1e160, 1e200, 1e308])
+    def test_past_the_overflow_kappa_is_the_exact_one(self, lam):
+        # tau = 1e150 and r = tau/2 keep the tau and r terms visible just past the overflow
+        c = OperatorConstants(gamma=3, tau=1e150, r=5e149, s=1, eta=0.7)
+        exact = exact_kappa(c, lam)
+        assert abs(contraction_factor(c, lam) - exact) <= 4 * math.ulp(exact)
+
     @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3, 1e100])
     def test_past_the_overflow_of_tau_over_lam_kappa_is_the_exact_one(self, lam):
-        # (tau/lam)^2 overflows too here, so kappa takes every term over max(tau, lam*s)^2
+        # tau^2 and (tau/lam)^2 overflow too here: every term is taken over max(tau, lam*s)^2
         c = OperatorConstants(1, 1e200, 1, 1e200, 1)
         exact = exact_kappa(c, lam)
         assert abs(contraction_factor(c, lam) - exact) <= 4 * math.ulp(exact)
@@ -118,9 +118,9 @@ class TestContractionFactor:
 
     @pytest.mark.parametrize("eta", [1e300, 1.5e308])
     def test_past_the_overflow_eta_is_scaled_down_only(self, eta):
-        # lam^2 overflows with s < 1 and tau < lam, so e is lam's exponent k: eta is taken times 2^(k-e) = 1,
-        # and any larger factor would overflow it. kappa = sqrt(1 - 2e149 + 1e300)/(1 + 1e160*eta) is s/eta
-        # to within 1e-149 relative, a subnormal
+        # lam^2 overflows with s < 1 and tau < lam, so the denominator is taken over lam*eta's own power of
+        # two: eta is never scaled up, which would overflow it. kappa = sqrt(1 - 2e149 + 1e300)/(1 + 1e160*eta)
+        # is s/eta to within 1e-149 relative, a subnormal
         kappa = contraction_factor(OperatorConstants(1, 1, 1e-11, 1e-10, eta), 1e160)
         assert abs(kappa - 1e-10 / eta) <= 4 * math.ulp(0.0)
 
@@ -129,10 +129,9 @@ class TestContractionFactor:
         (OperatorConstants(1, 1.2e154, 1, 1, 1), 1e-160),
         (OperatorConstants(7.928790497061357e-158, 1.379560376550614e151, 1, 1, 1e-100), 7.636726054827598e-162)])
     def test_below_the_underflow_of_lam_squared_kappa_is_the_exact_one(self, c, lam):
-        # lam*lam underflows below lam = 2^-511. In the first, lam^2*s^2 = 1e-140, the largest term, went with it,
-        # and the radicand read tau^2 - 2*lam*r = -2e-170: "negative radicand". Below 2^-511 the form is scaled up
-        # only: by 2, tau^2 would overflow in the second; scaled down, gamma + lam*eta would turn subnormal in the
-        # third, where kappa is 1.7e308
+        # lam*lam underflows below lam = 2^-511. In the first, lam^2*s^2 = 1e-140, the largest term, would go
+        # with it, and the radicand would read tau^2 - 2*lam*r = -2e-170: "negative radicand". tau^2 would
+        # overflow in the second; in the third gamma + lam*eta is near the subnormals and kappa is 1.7e308
         exact = exact_kappa(c, lam)
         assert abs(contraction_factor(c, lam) - exact) <= 4 * math.ulp(exact)
 
@@ -143,8 +142,19 @@ class TestContractionFactor:
         assert kappa >= 0.0
 
     def test_past_the_largest_float_kappa_is_inf(self):
-        # kappa is s/eta = 1e350 to within 1e-80 relative: the scaled gamma + lam*eta underflows to 0
+        # kappa is s/eta = 1e350 to within 1e-80 relative, past the largest float
         assert contraction_factor(OperatorConstants(1e-30, 1e-30, 5e269, 1e300, 1e-50), 1e100) == math.inf
+
+    # lam subnormal, with lam*eta = 1e-20 the denominator's largest term: only lam's exponent keeps it normal
+    @example(c=OperatorConstants(1e-300, 1, 1e-10, 1, 1e300), lam=1e-320)
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(c=scale_free_constants(), lam=positive)
+    def test_kappa_is_the_exact_one_at_any_scale(self, c, lam):
+        # |kappa - exact| <= 4*ulp(exact), widened where the radicand cancels by its rounding carried through the
+        # square root (oracles.kappa_cancellation_rounding); kappa never raises "negative radicand"
+        exact = exact_kappa(c, lam)
+        kappa = contraction_factor(c, lam)
+        assert kappa == exact or abs(kappa - exact) <= 4 * math.ulp(exact) + kappa_cancellation_rounding(c, lam)
 
     @settings(max_examples=200)
     @given(c=constants, lam=st.floats(min_value=1e-3, max_value=1e3))
@@ -243,6 +253,25 @@ class TestOptimalLambda:
         assert kappa == contraction_factor(c, lam)
         rounding = 4 * math.sqrt(np.finfo(float).eps) * max(c.tau, lam * c.s) / (c.gamma + lam * c.eta)
         assert abs(kappa - exact_kappa(c, lam)) <= rounding
+
+    # s^2 overflows while tau is ordinary; s^2*gamma + r*eta underflows to 0; and lam* = 2.8e161, where lam^2*s^2
+    # overflows and the radicand tau^2 - 2*lam*r + lam^2*s^2 = 0.39 - 0.78 + 0.39 cancels to about 0
+    @example(c=OperatorConstants(0.5, 0.5, 0.25, 4.4989137945431964e+161, 0.5))
+    @example(c=OperatorConstants(0.5, 0.5, 1.1113793747425387e-162, 2.2227587494850775e-162, 2.2227587494850775e-162))
+    @example(c=OperatorConstants(0.5, 0.625, 1.3892242184281734e-162, 2.2227587494850775e-162, 1))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(c=scale_free_constants())
+    def test_lam_star_is_the_exact_one_at_any_scale(self, c):
+        # never raises: lam* is within 4 ulps of the exact one where that is a normal float, and clamped to the
+        # positive floats where it is not
+        lam, kappa = optimal_lambda(c)
+        try:
+            exact = exact_optimal_lambda(c)
+        except OverflowError:  # past the largest float
+            exact = math.inf
+        clamped = min(max(exact, math.ulp(0.0)), np.finfo(float).max)
+        assert math.ulp(0.0) <= lam and abs(lam - clamped) <= 4 * math.ulp(clamped)
+        assert kappa == contraction_factor(c, lam)
 
     def test_finds_zero_at_lam_one(self):
         # lam* = (1 + 1)/(1 + 1) = 1, where kappa = sqrt(1 - 2 + 1)/2 = 0

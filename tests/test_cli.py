@@ -70,6 +70,9 @@ def _explicit(dim, a, constants=(1, 1, 1, 1, 1), h_scale=1.0):
 #: a symmetric positive definite H with off-diagonal entries: gamma 1 and tau 1.2
 _DENSE_H = [[1.1, 0.1, 0.0], [0.1, 1.1, 0.0], [0.0, 0.0, 1.2]]
 
+#: an s whose square underflows
+_TINY_S = 2.2227587494850775e-162
+
 #: (family, its parameter, a spec string for it, series properties, n-th term)
 _SEQUENCES = [
     ("constant", 0.5, "const:0.5", (True, 0.5), lambda n: 0.5),
@@ -207,8 +210,9 @@ class TestSolve:
 
     #: the forms no other CLI run solves with every scheme: a scalar problem; spd-linear at dim 1 and 2,
     #: where Q's reflectors are sign flips and reflections of the plane; spd-linear with c_a = 2 and lam = 1,
-    #: where T = -H/(H + I) has every t negative; and, each with a scalar M, a scalar H with a matrix A and
-    #: a dense H, the CLI's one run of K's LU
+    #: where T = -H/(H + I) has every t negative; and, each with a scalar M, a scalar H with a matrix A,
+    #: a dense H, the CLI's one run of K's LU, and s = eta = 2.2e-162, whose s^2 underflows: lam* = 1/(2s)
+    #: = 2.25e161 and kappa(lam*) = 0
     ALL_FOUR = {
         "scalar-affine": ["--problem", "scalar-affine"],
         "spd-linear-dim-1": ["--problem", "spd-linear", "--dim", "1"],
@@ -218,6 +222,10 @@ class TestSolve:
                                            "offset": [1, 2, 3]}, (1, 1, 2, 2, 1)),
         "explicit-dense-h": {**_explicit(3, {"kind": "affine", "matrix": _DENSE_H, "offset": [1, 2, 3]},
                                          (1, 1.2, 1, 1.2, 1)), "h": {"kind": "affine", "matrix": _DENSE_H}},
+        "explicit-s-squared-underflows": {
+            **_explicit(3, {"kind": "affine", "matrix": (_TINY_S * np.eye(3)).tolist(), "offset": [1, 2, 3]},
+                        (0.5, 0.5, _TINY_S / 2, _TINY_S, _TINY_S), h_scale=0.5),
+            "m": {"kind": "scaled-identity", "scale": _TINY_S}},
     }
 
     @pytest.mark.parametrize("case", sorted(ALL_FOUR))
