@@ -160,7 +160,8 @@ class RateReport:
     below the floating-point noise floor or not finite) are None and excluded
     from the verdict. The verdict classifies the fitted geometric decay ratio
     of the trailing window of pi: its last quarter of uncensored entries, at
-    least 3. A pair with a diverged run gets no fit: the ratio is NaN.
+    least 3. A pair with a diverged run, or with fewer than two uncensored
+    entries, gets no fit: the ratio is NaN and the verdict ``undecided``.
     """
 
     pi: list
@@ -191,14 +192,10 @@ def rate_compare(trace_a, trace_b, decision_margin=0.05):
     with np.errstate(over="ignore", invalid="ignore"):
         pis = np.divide(ea, eb, out=np.zeros(n_common), where=~censored)
         usable = np.flatnonzero(~censored)
-        if usable.size and not (trace_a.diverged or trace_b.diverged):
+        if usable.size >= 2 and not (trace_a.diverged or trace_b.diverged):
             window = usable[-max(3, math.ceil(0.25 * usable.size)):]
             vals = pis[window]
-            if window.size >= 2:
-                slope = np.polyfit(window.astype(float), np.log(vals), 1)[0]
-                ratio = float(np.exp(slope))
-            else:
-                ratio = 1.0
+            ratio = float(np.exp(np.polyfit(window.astype(float), np.log(vals), 1)[0]))
             nonincreasing = np.all(vals[1:] <= vals[:-1] * (1.0 + 1e-12) + 1e-300)
             if ratio < 1.0 - decision_margin and nonincreasing:
                 verdict = "a-faster"

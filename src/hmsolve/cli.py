@@ -208,34 +208,35 @@ def _divergence_status(traces):
     return EXIT_NUMERICAL
 
 
+def _record(trace, seqs):
+    """``check_envelope``'s (bounds, passed) or None, and the run's ``algorithms.<name>`` in every artifact."""
+    checked = analysis.check_envelope(trace, trace.kappa, seqs["xi"], seqs["mu"])
+    return checked, {
+        "final_residual": trace.residuals[-1],
+        "final_error": None if trace.errors is None else trace.errors[-1],
+        "steps": trace.steps_used,
+        "converged": trace.converged,
+        "hypothesis_violated": trace.kappa >= 1.0,
+        "envelope": {"checked": False} if checked is None else {
+            "checked": True, "passed": bool(checked[1].all()),
+            "max_excess": float(np.max(np.asarray(trace.errors) - checked[0]))},
+    }
+
+
 def cmd_solve(cfg, out_dir):
     problem, stop, seqs, x0, algorithms = _setup(cfg)
     kappa = problem.contraction_factor()
-
-    summary = {
+    traces = []
+    for name in algorithms:
+        traces.append(_RUNNERS[name](problem, x0, seqs, stop, keep_iterates=False))
+        write_trace_csv(out_dir / ("trace_%s.csv" % name), traces[-1])
+    _write_json(out_dir / "summary.json", {
         "kappa": kappa,
         "lambda": problem.lam,
         "hypothesis_violated": kappa >= 1.0,
         "problem": problem.metadata,
-        "algorithms": {},
-    }
-    traces = []
-    for name in algorithms:
-        trace = _RUNNERS[name](problem, x0, seqs, stop, keep_iterates=False)
-        traces.append(trace)
-        write_trace_csv(out_dir / ("trace_%s.csv" % name), trace)
-        checked = analysis.check_envelope(trace, trace.kappa, seqs["xi"], seqs["mu"])
-        summary["algorithms"][name] = {
-            "final_residual": trace.residuals[-1],
-            "final_error": None if trace.errors is None else trace.errors[-1],
-            "steps": trace.steps_used,
-            "converged": trace.converged,
-            "hypothesis_violated": trace.kappa >= 1.0,
-            "envelope": {"checked": False} if checked is None else {
-                "checked": True, "passed": bool(checked[1].all()),
-                "max_excess": float(np.max(np.asarray(trace.errors) - checked[0]))},
-        }
-    _write_json(out_dir / "summary.json", summary)
+        "algorithms": {name: _record(trace, seqs)[1] for name, trace in zip(algorithms, traces)},
+    })
     return _divergence_status(traces)
 
 
@@ -247,27 +248,26 @@ def cmd_compare(cfg, out_dir):
         decision_margin = float(cfg.get("decision_margin", 0.05))
         if not decision_margin >= 0:
             raise ValueError("decision_margin must be nonnegative, got %r" % decision_margin)
-    kappa = problem.contraction_factor()
 
     # both runs start from the same x0; only errors are compared, so neither keeps its coordinates
     trace_a, trace_b = (_RUNNERS[name](problem, x0, seqs, stop, keep_iterates=False)
                         for name in (name_a, name_b))
     report = analysis.rate_compare(trace_a, trace_b, decision_margin=decision_margin)
     n_common = min(len(trace_a.errors), len(trace_b.errors))
+    checks, records = zip(*(_record(t, seqs) for t in (trace_a, trace_b)))
     # kappa >= 1 checks neither run; an envelope's prefix is the envelope of the run's prefix
-    checks = [analysis.check_envelope(t, kappa, seqs["xi"], seqs["mu"]) for t in (trace_a, trace_b)]
-    bounds_a, bounds_b = ([None] * n_common if c is None else c[0][:n_common].tolist()
-                          for c in checks)
-    passed_a = [] if checks[0] is None else checks[0][1].tolist()
+    bounds_a, bounds_b = ([None] * n_common if c is None else c[0][:n_common].tolist() for c in checks)
 
     _write_json(out_dir / "rate_report.json", {
         "pi": report.pi,
         "verdict": report.verdict,
-        "kappa": kappa,
+        "kappa": trace_a.kappa,
         "lambda": problem.lam,
         "fitted_ratio": None if np.isnan(report.fitted_ratio) else report.fitted_ratio,
-        "envelope_checks": [{"n": n, "bound": bound, "measured": e, "pass": ok} for n, (bound, e, ok)
-                            in enumerate(zip(bounds_a, trace_a.errors, passed_a))],
+        "envelope_checks": [] if checks[0] is None else [
+            {"n": n, "bound": bound, "measured": e, "pass": ok} for n, (bound, e, ok)
+            in enumerate(zip(bounds_a, trace_a.errors, checks[0][1].tolist()))],
+        "algorithms": dict(zip((name_a, name_b), records)),
     })
 
     _write_csv(out_dir / "compare.csv", ["n", "e_a", "e_b", "pi_n", "envelope_a", "envelope_b"],
@@ -356,6 +356,8 @@ def cmd_audit(cfg, out_dir):
         "gap_tol": gap_tol,
         "pairs": pairs,
         "all_ok": all_ok,
+        # the tol-stopped probes, the runs that solve makes
+        "algorithms": {name: _record(trace, seqs)[1] for name, trace in probe.items()},
     })
     status = _divergence_status(probe.values())  # names diverged runs, even of passing pairs
     return status if all_ok else EXIT_NUMERICAL

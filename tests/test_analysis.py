@@ -484,6 +484,29 @@ class TestRateCompare:
                               trace([2.0, 2.0, math.inf, math.inf, math.nan, 1.0]))
         assert report.pi == [0.5, None, None, None, None, 0.5]
 
+    @pytest.mark.parametrize("errors_a, errors_b, verdict, ratio", [
+        # one uncensored ratio measures no rate: pi_0 = 1 for any pair from one x_0
+        ([1.0], [1.0], "undecided", None),
+        ([1.0, 0.0, 0.0], [1.0, 0.5, 0.0], "undecided", None),
+        # two are the fewest that fit one: (1/4) / 1 over one step
+        ([1.0, 0.25], [1.0, 1.0], "a-faster", 0.25),
+        ([1.0, 1.0, 0.0], [1.0, 1.0, 0.0], "same-rate", 1.0),
+    ])
+    def test_fewer_than_two_ratios_give_no_fit(self, errors_a, errors_b, verdict, ratio):
+        def trace(errors):
+            n = len(errors)
+            return IterationTrace(
+                algorithm="FH", iterates=[np.zeros(1)] * n, residuals=[0.0] * n, errors=errors,
+                wall_nanos=[0] * n, steps_used=n - 1, converged=True, kappa=0.5,
+            )
+
+        report = rate_compare(trace(errors_a), trace(errors_b))
+        assert report.verdict == verdict
+        if ratio is None:
+            assert math.isnan(report.fitted_ratio)
+        else:
+            assert report.fitted_ratio == pytest.approx(ratio, rel=1e-12)
+
     def test_requires_errors(self):
         p = gen_scalar_affine(b=2.0, lam=0.5)
         trace = run_fh(p, [4.0])

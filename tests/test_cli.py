@@ -193,7 +193,7 @@ class TestSolve:
         assert summary["kappa"] == 0.0
         alg = summary["algorithms"]["fh"]
         assert alg["converged"]
-        assert alg["final_error"] == 0.0
+        assert alg["final_error"] == alg["final_residual"] == 0.0
         assert (tmp_path / "trace_fh.csv").exists()
 
     def test_explicit_subdifferential_m(self, tmp_path):
@@ -461,6 +461,16 @@ class TestCompare:
         assert report["fitted_ratio"] is None
         assert report["verdict"] == "undecided"
 
+    def test_one_ratio_gives_no_verdict(self, tmp_path):
+        # at lambda = 1 with c_a = 1 both runs reach x* in one step: pi keeps only pi_0 = 1, no rate
+        code = main(["compare", "--problem", "spd-linear", "--dim", "20", "--lambda", "1",
+                     "--alg", "new,fh", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        report = _strict_json(tmp_path / "rate_report.json")
+        assert report["pi"] == [1.0, None]
+        assert report["verdict"] == "undecided"
+        assert report["fitted_ratio"] is None
+
     def test_requires_exactly_two(self, tmp_path):
         code = main([
             "compare", "--problem", "scalar-affine", "--alg", "fh",
@@ -686,6 +696,68 @@ class TestAuditFailureCause:
         assert pair["gap_converged"] and pair["cause"] is None
         assert code == EXIT_NUMERICAL
         assert err == ["numerical failure: non-finite iterate (fh at step 404, mann at step 404)"]
+
+
+class TestRunRecord:
+    """solve, compare and audit write each run's ``algorithms.<name>`` from one record."""
+
+    @staticmethod
+    def _run(tmp_path, command, *flags):
+        """The exit code and the JSON artifact of ``command``."""
+        out = tmp_path / command
+        code = main([command, *flags, "--out", str(out)])
+        artifact = {"solve": "summary.json", "compare": "rate_report.json", "audit": "audit.json"}[command]
+        return code, json.loads((out / artifact).read_text())
+
+    @pytest.mark.parametrize("problem, code", [
+        (["spd-linear", "--dim", "50"], EXIT_OK),
+        (["soft-threshold", "--dim", "60", "--lambda", "auto"], EXIT_OK),
+        # both runs diverge
+        (["spd-linear", "--dim", "20", "--c-a", "5", "--lambda", "50"], EXIT_NUMERICAL),
+    ])
+    def test_every_subcommand_writes_the_same_record(self, tmp_path, problem, code):
+        results = [self._run(tmp_path, command, "--problem", *problem, "--alg", "new,fh")
+                   for command in ("solve", "compare", "audit")]
+        assert [c for c, _ in results] == [code] * 3
+        solved, compared, audited = (artifact["algorithms"] for _, artifact in results)
+        assert set(solved) == {"new", "fh"}
+        assert solved == compared == audited
+
+    @pytest.mark.parametrize("algorithms, a_passed", [("new,fh", False), ("mann,fh", True)])
+    def test_compare_records_run_b_failed_envelope(self, tmp_path, algorithms, a_passed):
+        # the rounding floor puts FH's error past its envelope (max_excess 1.4e-7); envelope_checks
+        # hold run a's checks only, so the record is where run b's verdict shows
+        code, report = self._run(tmp_path, "compare", "--problem", "spd-linear", "--dim", "200", "--seed", "1",
+                                 "--b-scale", "1e8", "--tol", "-1", "--max-steps", "80", "--alg", algorithms)
+        assert code == EXIT_OK
+        records = report["algorithms"]
+        assert records["fh"]["envelope"]["checked"]
+        assert not records["fh"]["envelope"]["passed"]
+        assert records["fh"]["envelope"]["max_excess"] > DEFAULT_AUDIT_SLACK
+        assert records[algorithms.split(",")[0]]["envelope"]["passed"] == a_passed
+        assert all(c["pass"] for c in report["envelope_checks"]) == a_passed
+
+    def test_audit_records_each_run_convergence(self, tmp_path):
+        # xi = (0.5, 0, 0, ...) stalls ZGY and MANN after one step; NEW takes no xi and converges
+        _, report = self._run(tmp_path, "audit", "--problem", "spd-linear", "--dim", "20",
+                              "--alg", "zgy,mann,new", "--xi", "table:0.5,0", "--max-steps", "200")
+        records = report["algorithms"]
+        assert [(records[name]["converged"], records[name]["steps"]) for name in ("zgy", "mann")] == [
+            (False, 200)] * 2
+        assert records["new"]["converged"]
+        assert records["new"]["steps"] < 200
+
+    def test_kappa_of_exactly_one_violates_the_hypothesis(self, tmp_path):
+        # declared r = 1/2 and s = 2 bound A = I loosely: kappa(1) = sqrt(1 - 1 + 4)/(1 + 1) = 1
+        problem = _explicit(3, {"kind": "affine", "matrix": np.eye(3).tolist(), "offset": [1, 2, 3]},
+                            constants=(1, 1, 0.5, 2, 1))
+        code, summary = self._run(tmp_path, "solve", "--config", _write_config(tmp_path, {"problem": problem}),
+                                  "--lambda", "1", "--alg", "new,fh")
+        assert code == EXIT_OK
+        assert summary["kappa"] == 1.0
+        assert summary["hypothesis_violated"]
+        assert [(r["hypothesis_violated"], r["envelope"]) for r in summary["algorithms"].values()] == [
+            (True, {"checked": False})] * 2
 
 
 @pytest.mark.parametrize("problem", ["spd-linear", "soft-threshold"])
