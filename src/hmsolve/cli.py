@@ -22,17 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, problems, schemes
-from .operators import (
-    _CONSISTENCY_TOL,
-    AffineLinear,
-    InconsistentConstantsError,
-    OperatorConstants,
-    ScaledIdentity,
-    ShiftedSubdifferential,
-    catalog_constants,
-)
+from .operators import InconsistentConstantsError
 from .resolvent import ResolventDivergenceError
-from .schemes import ProblemInstance, StepSequence, StoppingRule, as_vector, make_step_sequence
+from .schemes import StepSequence, StoppingRule, as_vector, make_step_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,55 +70,14 @@ def parse_sequence(spec):
     return StepSequence(family, _SPEC_PARAMS[schemes.STEP_FAMILIES[family].param](arg) if arg else None)
 
 
-def _operator_from_dict(d, multivalued=False):
-    kind = d["kind"]
-    if kind == "scaled-identity":
-        return ScaledIdentity(d["scale"])
-    if multivalued and kind == "shifted-subdifferential":
-        return ShiftedSubdifferential(d["shift"])
-    if not multivalued and kind == "affine":
-        return AffineLinear(np.atleast_2d(np.asarray(d["matrix"], float)), d.get("offset"))
-    raise UsageError("unknown %soperator kind %r" % ("multivalued " if multivalued else "", kind))
-
-
-#: (constant, the inequality it states, +1 if it bounds from below, -1 if from above)
-_INEQUALITIES = (("tau", "h_lipschitz", -1), ("gamma", "h_strong_monotone", 1),
-                 ("s", "a_lipschitz", -1), ("r", "a_strong_monotone_wrt_h", 1),
-                 ("eta", "m_strong_monotone", 1))
-
-
-def _explicit(dim, h, a, m, constants, lam=1.0, known_solution=None):
-    """A ProblemInstance from operators and constants given inline.
-
-    Each declared constant is held against the exact one of ``catalog_constants``:
-    gamma, r and eta may not exceed it and tau and s may not fall below it, to a
-    relative ``_CONSISTENCY_TOL``; else the constants are inconsistent.
-    """
-    inst = ProblemInstance(
-        h=_operator_from_dict(h), a=_operator_from_dict(a),
-        m=_operator_from_dict(m, multivalued=True),
-        constants=OperatorConstants(**constants), lam=float(lam), dim=int(dim),
-        known_solution=known_solution, metadata={"kind": "explicit"},
-    )
-    exact = catalog_constants(inst.h, inst.a, inst.m)
-    for name, inequality, side in _INEQUALITIES:
-        declared, best = getattr(inst.constants, name), getattr(exact, name)
-        if not side * (declared - best) <= _CONSISTENCY_TOL * best:
-            raise InconsistentConstantsError("declared %s = %.6g fails %s: the exact %s is %.6g"
-                                             % (name, declared, inequality, name, best))
-    return inst
-
-
-#: problem kind -> (builder, the ``problem`` keys it takes besides ``lam``). This
-#: table and ``_RUNNERS`` look ``problems.gen_*`` and ``schemes.run_*`` up at call
-#: time, so that a wrapped one is the one called.
-_GENERATORS = {
-    "scalar-affine": (lambda **kw: problems.gen_scalar_affine(**kw), ("b",)),
-    "spd-linear": (lambda **kw: problems.gen_spd_linear(**kw),
-                   ("dim", "eigen_range", "seed", "c_a", "m", "b_scale")),
-    "soft-threshold": (lambda **kw: problems.gen_soft_threshold(**kw), ("dim", "c", "b", "seed")),
-    "explicit": (_explicit, ("dim", "h", "a", "m", "constants", "known_solution")),
-}
+#: problem kind -> {key: default} for the ``problem`` keys but ``lam`` that its builder ``problems.gen_<kind>``
+#: takes, read off the builder's signature once. The builder and each ``schemes.run_*`` are looked up at
+#: call time, so that a wrapped one is the one called.
+_KINDS = {name[4:].replace("_", "-"): {key: param.default for key, param in
+                                       inspect.signature(getattr(problems, name)).parameters.items() if key != "lam"}
+          for name in problems.__all__ if name.startswith("gen_")}
+#: the keys a ``problem`` section may hold: one of another kind is ignored, one of no kind refused
+_PROBLEM_KEYS = {"kind", "lambda"}.union(*_KINDS.values())
 _RUNNERS = {
     "fh": lambda p, x0, seqs, stop, **kw: schemes.run_fh(p, x0, stop, **kw),
     "zgy": lambda p, x0, seqs, stop, **kw: schemes.run_zgy(p, x0, seqs["xi"], seqs["mu"], stop, **kw),
@@ -135,24 +86,26 @@ _RUNNERS = {
 }
 
 #: the spectrum that a lone --eigen-lo or --eigen-hi completes
-_EIGEN_RANGE = inspect.signature(problems.gen_spd_linear).parameters["eigen_range"].default
+_EIGEN_RANGE = _KINDS["spd-linear"]["eigen_range"]
 
 
 def build_problem(cfg):
     """Build a ProblemInstance from the ``problem`` config section.
 
-    Only the keys present are passed on, so the builders' signatures hold
-    every default; a top-level ``lambda`` wins over ``problem.lambda``, and
-    ``problem.seed`` over a top-level ``seed``. ``"auto"`` takes the
-    closed-form kappa minimiser lam*, infeasible when even kappa(lam*) >= 1.
+    Only the keys present that the kind's builder takes are passed on, so its signature
+    holds every default; a key of no kind is a usage error. A top-level ``lambda`` wins
+    over ``problem.lambda``, and ``problem.seed`` over a top-level ``seed``. ``"auto"``
+    takes the closed-form kappa minimiser lam*, infeasible when even kappa(lam*) >= 1.
     """
     p = cfg.get("problem") or {}
-    if p.get("kind") not in _GENERATORS:
+    if p.get("kind") not in _KINDS:
         raise UsageError("unknown or missing problem kind %r" % (p.get("kind"),))
-    make, keys = _GENERATORS[p["kind"]]
+    if not p.keys() <= _PROBLEM_KEYS:
+        raise UsageError("unknown problem keys %s" % sorted(p.keys() - _PROBLEM_KEYS))
     lam = cfg.get("lambda", p.get("lambda"))
     given = {"seed": cfg.get("seed"), **p, "lam": None if lam == "auto" else lam}
-    inst = make(**{k: given[k] for k in keys + ("lam",) if given.get(k) is not None})
+    make = getattr(problems, "gen_" + p["kind"].replace("-", "_"))
+    inst = make(**{k: given[k] for k in (*_KINDS[p["kind"]], "lam") if given.get(k) is not None})
     if lam != "auto":
         return inst
     best, best_kappa = analysis.optimal_lambda(inst.constants)
@@ -291,10 +244,11 @@ def cmd_sweep(cfg, out_dir):
 
     _write_csv(out_dir / "sweep.csv", ["lambda", "kappa", "in_feasible_interval"],
                ((lam, kappa, int(kappa < 1.0)) for lam, kappa in rows))
-    _write_json(out_dir / "sweep_summary.json", {
+    interval = analysis.feasible_lambda(problem.constants)
+    _write_json(out_dir / "sweep_summary.json", {  # strict JSON: a kappa or an end past the floats is null
         "best_lambda": best_lam,
-        "best_kappa": best_kappa,
-        "feasible_interval": analysis.feasible_lambda(problem.constants),
+        "best_kappa": best_kappa if best_kappa < np.inf else None,
+        "feasible_interval": interval and [end if end < np.inf else None for end in interval],
         "all_kappa_ge_one": best_kappa >= 1.0,
     })
     if best_kappa >= 1.0:
@@ -394,7 +348,7 @@ def _grid(text):
 
 #: (flag, config path, type, help) for the flags every subcommand takes
 _FLAGS = (
-    ("--problem", ("problem", "kind"), str, "scalar-affine, spd-linear, soft-threshold or explicit"),
+    ("--problem", ("problem", "kind"), str, "problem kind (%s)" % ", ".join(_KINDS)),
     ("--dim", ("problem", "dim"), int, "problem dimension"),
     ("--b", ("problem", "b"), float, "affine offset for scalar/soft problems"),
     ("--c", ("problem", "c"), float, "shift of the subdifferential part"),

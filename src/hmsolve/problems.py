@@ -1,22 +1,25 @@
-"""Benchmark problem generators with exact constants and known solutions.
+"""Problem builders, one ``gen_<kind>`` for each problem kind of the CLI.
 
-Each generator returns a ProblemInstance whose constants are the exact ones
-that ``catalog_constants`` reads off its operators, and whose known_solution
-solves the inclusion 0 in A(x) + M(x) in closed form. ``gen_spd_linear``'s
-operators act on the coordinates y = Q^T x of its ``basis`` Q; x* is in x.
+Each generator but ``gen_explicit``, which takes operators and declared
+constants inline, returns a ProblemInstance with the exact constants of
+``catalog_constants`` and a known_solution of 0 in A(x) + M(x) in closed form.
+``gen_spd_linear``'s operators act on y = Q^T x for its ``basis`` Q; x* is in x.
 """
 
 import numpy as np
 
 from .operators import (
+    _CONSISTENCY_TOL,
     AffineLinear,
+    InconsistentConstantsError,
+    OperatorConstants,
     ScaledIdentity,
     ShiftedSubdifferential,
     catalog_constants,
 )
 from .schemes import ProblemInstance
 
-__all__ = ["gen_scalar_affine", "gen_spd_linear", "gen_soft_threshold", "ReflectorBasis"]
+__all__ = ["gen_scalar_affine", "gen_spd_linear", "gen_soft_threshold", "gen_explicit", "ReflectorBasis"]
 
 
 def gen_scalar_affine(b=2.0, lam=1.0):
@@ -130,3 +133,42 @@ def gen_soft_threshold(dim=50, c=1.0, b=None, lam=0.5, seed=0):
         known_solution=xstar,
         metadata={"kind": "soft-threshold", "c": float(c), "seed": int(seed)},
     )
+
+
+def _operator_from_dict(d, multivalued=False):
+    kind = d["kind"]
+    if kind == "scaled-identity":
+        return ScaledIdentity(d["scale"])
+    if multivalued and kind == "shifted-subdifferential":
+        return ShiftedSubdifferential(d["shift"])
+    if not multivalued and kind == "affine":
+        return AffineLinear(np.atleast_2d(np.asarray(d["matrix"], float)), d.get("offset"))
+    raise ValueError("unknown %soperator kind %r" % ("multivalued " if multivalued else "", kind))
+
+
+#: (constant, the inequality it states, +1 if it bounds from below, -1 if from above)
+_INEQUALITIES = (("tau", "h_lipschitz", -1), ("gamma", "h_strong_monotone", 1),
+                 ("s", "a_lipschitz", -1), ("r", "a_strong_monotone_wrt_h", 1),
+                 ("eta", "m_strong_monotone", 1))
+
+
+def gen_explicit(dim, h, a, m, constants, lam=1.0, known_solution=None):
+    """A ProblemInstance from operators and constants given inline.
+
+    Each declared constant is held against the exact one of ``catalog_constants``:
+    gamma, r and eta may not exceed it and tau and s may not fall below it, to a
+    relative ``_CONSISTENCY_TOL``; else the constants are inconsistent.
+    """
+    inst = ProblemInstance(
+        h=_operator_from_dict(h), a=_operator_from_dict(a),
+        m=_operator_from_dict(m, multivalued=True),
+        constants=OperatorConstants(**constants), lam=float(lam), dim=int(dim),
+        known_solution=known_solution, metadata={"kind": "explicit"},
+    )
+    exact = catalog_constants(inst.h, inst.a, inst.m)
+    for name, inequality, side in _INEQUALITIES:
+        declared, best = getattr(inst.constants, name), getattr(exact, name)
+        if not side * (declared - best) <= _CONSISTENCY_TOL * best:
+            raise InconsistentConstantsError("declared %s = %.6g fails %s: the exact %s is %.6g"
+                                             % (name, declared, inequality, name, best))
+    return inst

@@ -276,6 +276,7 @@ class TestSolve:
         ([1.5, 3.0], ["--eigen-lo", "2"], [2.0, 3.0]),
         ([1.5, 3.0], ["--eigen-hi", "2"], [1.5, 2.0]),
         (None, ["--eigen-hi", "1.5"], [1.0, 1.5]),
+        (None, ["--eigen-lo", "1.1"], [1.1, 1.2]),
     ])
     def test_eigen_flag_overrides_only_its_endpoint(self, tmp_path, config_range, flag,
                                                     expected):
@@ -514,6 +515,30 @@ class TestSweep:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 and np.isfinite([[float(v) for v in row.split(",")] for row in rows]).all()
 
+    def test_open_interval_end_is_null(self, tmp_path):
+        # kappa < 1 for every lam > 0, so the interval's upper end is past the floats. Each grid kappa
+        # is below 1 by less than half an ulp: the rounded kappa, 1.0, decides the summary's flags
+        a = {"kind": "affine", "matrix": (1e-250 * np.eye(3)).tolist(), "offset": [1, 2, 3]}
+        problem = {**_explicit(3, a, (1e100, 1e100, 1e-150, 1e-250, 1e-251), h_scale=1e100),
+                   "m": {"kind": "scaled-identity", "scale": 1e-251}}
+        cfg = _write_config(tmp_path, {"problem": problem})
+        assert main(["sweep", "--config", cfg, "--grid", "1e19:2e20:3", "--out", str(tmp_path)]) == EXIT_OK
+        summary = _strict_json(tmp_path / "sweep_summary.json")
+        assert summary["feasible_interval"] == [0.0, None]
+        assert (summary["best_kappa"], summary["all_kappa_ge_one"]) == (1.0, True)
+
+    def test_kappa_past_the_overflow_at_every_point_is_null(self, tmp_path):
+        # tau = 1e308 over gamma + lam*eta = 1e-300 + lam*1e-300 puts kappa past the largest float
+        a = {"kind": "affine", "matrix": [[1.0]], "offset": [1.0]}
+        cfg = _write_config(tmp_path, {"problem": _explicit(1, a, (1e-300, 1e308, 1e-300, 1, 1e-300))})
+        assert main(["sweep", "--config", cfg, "--grid", "1:2:2", "--out", str(tmp_path)]) == EXIT_OK
+        summary = _strict_json(tmp_path / "sweep_summary.json")
+        assert (summary["best_kappa"], summary["feasible_interval"], summary["all_kappa_ge_one"]) == (
+            None, None, True)
+        # summary.json keeps kappa as Infinity, as README states
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert json.loads((tmp_path / "summary.json").read_text())["kappa"] == np.inf
+
     def test_invalid_grid(self, tmp_path):
         code = main([
             "sweep", "--problem", "scalar-affine", "--grid", "2:1:10",
@@ -570,6 +595,55 @@ class TestSpdLinearStaysSpectral:
         # its x_N: the gaps are taken between the kept coordinates
         assert len(traces) > 4 and len(products) == 4 + 1 + len(traces)
         assert all(len(t.iterates) == 1 and len(t.coordinates) == t.steps_used + 1 for t in traces)
+
+
+#: a config of each problem kind on which every subcommand exits 0 with ``--alg new,fh``
+_KIND_CONFIGS = {
+    "scalar-affine": {"kind": "scalar-affine"},
+    "spd-linear": {"kind": "spd-linear", "dim": 10},
+    "soft-threshold": {"kind": "soft-threshold", "dim": 10},
+    "explicit": {**_explicit(3, {"kind": "affine", "matrix": np.eye(3).tolist(), "offset": [1.0] * 3}),
+                 "known_solution": [0.5] * 3},
+}
+
+
+class TestProblemKinds:
+    """Each kind's ``problem`` keys are the parameters of its builder ``problems.gen_<kind>``."""
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "sweep", "audit"])
+    @pytest.mark.parametrize("kind", sorted(_KIND_CONFIGS))
+    def test_builder_is_looked_up_at_call_time(self, tmp_path, monkeypatch, kind, command):
+        # a builder captured at import would miss a wrapper set later, such as the benchmark's tracing
+        made = recorded(monkeypatch, problems, "gen_" + kind.replace("-", "_"))
+        cfg = _write_config(tmp_path, {"problem": _KIND_CONFIGS[kind]})
+        assert main([command, "--config", cfg, "--alg", "new,fh", "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("key", ["dimm", "lam", "tol"])
+    def test_key_of_no_kind_is_a_usage_error(self, tmp_path, capsys, command, key):
+        # a misspelt dim once ran spd-linear at its default dim 50 and exited 0
+        cfg = _write_config(tmp_path, {"problem": {"kind": "spd-linear", key: 500}})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert "unknown problem keys ['%s']" % key in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_key_of_another_kind_is_ignored(self, tmp_path, monkeypatch):
+        made = recorded(monkeypatch, problems, "gen_scalar_affine")
+        assert main(["solve", "--problem", "scalar-affine", "--dim", "6", "--c-a", "2",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert made[0].dim == 1
+
+    @pytest.mark.parametrize("flags, lam", [([], 0.5), (["--lambda", "0.25"], 0.25)])
+    def test_problem_lambda_is_taken_unless_given_at_the_top(self, tmp_path, flags, lam):
+        cfg = _write_config(tmp_path, {"problem": {"kind": "scalar-affine", "lambda": 0.5}})
+        assert main(["solve", "--config", cfg, *flags, "--out", str(tmp_path)]) == EXIT_OK
+        assert json.loads((tmp_path / "summary.json").read_text())["lambda"] == lam
+
+    def test_help_names_every_kind(self):
+        (text,) = [text for flag, _, _, text in cli._FLAGS if flag == "--problem"]
+        assert text == "problem kind (scalar-affine, spd-linear, soft-threshold, explicit)"
 
 
 class TestAudit:
