@@ -1,9 +1,8 @@
 """Command-line surface: solve, compare, sweep and audit subcommands.
 
-Configuration comes from an optional JSON file (``--config``) with top-level
-keys ``problem``, ``algorithms``, ``sequences``, ``lambda``, ``stopping``,
-``output``, ``seed``; CLI flags override file values. All emitted artifacts
-are data-only (CSV/JSON); plotting is downstream.
+Configuration comes from an optional JSON file (``--config``) with the flags laid
+over it; ``_DEFAULTS`` states every key it may hold and its default. All emitted
+artifacts are data-only (CSV/JSON); plotting is downstream.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible constants (or declared
 constants that the exact ones contradict), 3 numerical failure.
@@ -24,7 +23,7 @@ import numpy as np
 from . import analysis, problems, schemes
 from .operators import InconsistentConstantsError
 from .resolvent import ResolventDivergenceError
-from .schemes import StepSequence, StoppingRule, as_vector, make_step_sequence
+from .schemes import StepSequence, StoppingRule, as_number, as_vector, make_step_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,9 +59,9 @@ _SPEC_PARAMS = {"value": float, "offset": int, "table": lambda text: [float(v) f
 
 
 def parse_sequence(spec):
-    """A StepSequence from a spec like ``const:0.5``, or from a dict of ``family`` and its parameter."""
+    """A StepSequence from a spec like ``const:0.5``, or from a dict of ``family`` and its one parameter."""
     if isinstance(spec, dict):
-        return make_step_sequence(spec["family"], **{name: spec.get(name) for name in _SPEC_PARAMS})
+        return make_step_sequence(**spec)
     name, _, arg = str(spec).partition(":")
     if name not in _SPEC_FAMILIES:
         raise UsageError("unknown step sequence spec %r" % (spec,))
@@ -85,9 +84,6 @@ _RUNNERS = {
     "new": lambda p, x0, seqs, stop, **kw: schemes.run_new(p, x0, seqs["mu"], stop, **kw),
 }
 
-#: the spectrum that a lone --eigen-lo or --eigen-hi completes
-_EIGEN_RANGE = _KINDS["spd-linear"]["eigen_range"]
-
 
 def build_problem(cfg):
     """Build a ProblemInstance from the ``problem`` config section.
@@ -98,11 +94,11 @@ def build_problem(cfg):
     takes the closed-form kappa minimiser lam*, infeasible when even kappa(lam*) >= 1.
     """
     p = cfg.get("problem") or {}
-    if p.get("kind") not in _KINDS:
-        raise UsageError("unknown or missing problem kind %r" % (p.get("kind"),))
+    if not isinstance(p, dict) or p.get("kind") not in _KINDS:
+        raise UsageError("unknown or missing problem kind %r" % (p.get("kind") if isinstance(p, dict) else p,))
     if not p.keys() <= _PROBLEM_KEYS:
         raise UsageError("unknown problem keys %s" % sorted(p.keys() - _PROBLEM_KEYS))
-    lam = cfg.get("lambda", p.get("lambda"))
+    lam = p.get("lambda") if cfg.get("lambda") is None else cfg["lambda"]
     given = {"seed": cfg.get("seed"), **p, "lam": None if lam == "auto" else lam}
     make = getattr(problems, "gen_" + p["kind"].replace("-", "_"))
     inst = make(**{k: given[k] for k in (*_KINDS[p["kind"]], "lam") if given.get(k) is not None})
@@ -110,10 +106,8 @@ def build_problem(cfg):
         return inst
     best, best_kappa = analysis.optimal_lambda(inst.constants)
     if best_kappa >= 1.0:
-        raise InconsistentConstantsError(
-            "no lam with kappa < 1: constants are infeasible "
-            "(minimal kappa %.6g at lam %.6g)" % (best_kappa, best)
-        )
+        raise InconsistentConstantsError("no lam with kappa < 1: constants are infeasible "
+                                         "(minimal kappa %.6g at lam %.6g)" % (best_kappa, best))
     return dataclasses.replace(inst, lam=best, metadata={**inst.metadata, "lambda_auto": True})
 
 
@@ -124,24 +118,18 @@ def _setup(cfg, fewest=1, most=float("inf")):
     first: a bad one stops the command before any run.
     """
     with _interpreting():
-        algorithms = [str(a).lower() for a in cfg.get("algorithms") or ["fh"]]
+        algorithms = [str(a).lower() for a in cfg["algorithms"]]
         if not set(algorithms) <= set(_RUNNERS):
             raise UsageError("unknown algorithm in %s (choose from %s)" % (algorithms, ", ".join(_RUNNERS)))
         if not fewest <= len(algorithms) <= most:
             raise UsageError("this command needs %s algorithms, got %d" % (
-                "exactly %d" % most if fewest == most else "at least %d" % fewest,
-                len(algorithms)))
+                "exactly %d" % most if fewest == most else "at least %d" % fewest, len(algorithms)))
         problem = build_problem(cfg)
-        stopping = cfg.get("stopping") or {}
-        stop = StoppingRule(**{key: kind(stopping[key]) for key, kind in
-                               (("tol", float), ("max_steps", int)) if key in stopping})
-        sequences = cfg.get("sequences") or {}
-        seqs = {key: parse_sequence(sequences.get(key, "const:0.5")) for key in ("xi", "mu")}
-        x0 = cfg.get("x0")
-        x0 = as_vector(0.0 if x0 is None else x0)  # one entry broadcasts
+        stop = StoppingRule(**cfg["stopping"])
+        seqs = {key: parse_sequence(spec) for key, spec in cfg["sequences"].items()}
+        x0 = as_vector(cfg["x0"])  # one entry broadcasts
         if x0.shape[0] not in (1, problem.dim):
-            raise UsageError("x0 dimension %d does not match problem dimension %d"
-                             % (x0.shape[0], problem.dim))
+            raise UsageError("x0 dimension %d does not match problem dimension %d" % (x0.shape[0], problem.dim))
     return problem, stop, seqs, x0, algorithms
 
 
@@ -153,8 +141,7 @@ def write_trace_csv(path, trace):
 
 def _divergence_status(traces):
     """EXIT_NUMERICAL, naming each run that hit a non-finite iterate, else EXIT_OK."""
-    diverged = ["%s at step %d" % (t.algorithm.lower(), t.steps_used + 1)
-                for t in traces if t.diverged]
+    diverged = ["%s at step %d" % (t.algorithm.lower(), t.steps_used + 1) for t in traces if t.diverged]
     if not diverged:
         return EXIT_OK
     print("numerical failure: non-finite iterate (%s)" % ", ".join(diverged), file=sys.stderr)
@@ -198,9 +185,7 @@ def cmd_compare(cfg, out_dir):
     if problem.known_solution is None:
         raise UsageError("compare requires a problem with a known solution")
     with _interpreting():
-        decision_margin = float(cfg.get("decision_margin", 0.05))
-        if not decision_margin >= 0:
-            raise ValueError("decision_margin must be nonnegative, got %r" % decision_margin)
+        decision_margin = as_number(cfg["decision_margin"], "decision_margin", least=0)
 
     # both runs start from the same x0; only errors are compared, so neither keeps its coordinates
     trace_a, trace_b = (_RUNNERS[name](problem, x0, seqs, stop, keep_iterates=False)
@@ -231,10 +216,8 @@ def cmd_compare(cfg, out_dir):
 def cmd_sweep(cfg, out_dir):
     with _interpreting():
         problem = build_problem(cfg)
-        grid_cfg = cfg.get("grid") or {}
-        lo = float(grid_cfg.get("lo", 1e-3))
-        hi = float(grid_cfg.get("hi", 10.0))
-        points = int(grid_cfg.get("points", 100))
+        lo, hi, points = (as_number(value, "grid." + key, whole=key == "points")
+                          for key, value in cfg["grid"].items())
     if not (0 < lo <= hi < np.inf) or points < 1:
         raise UsageError("invalid lambda grid")
     grid = np.linspace(lo, hi, points) if points > 1 else np.array([lo])
@@ -259,9 +242,7 @@ def cmd_sweep(cfg, out_dir):
 def cmd_audit(cfg, out_dir):
     problem, stop, seqs, x0, algorithms = _setup(cfg, fewest=2)
     with _interpreting():
-        gap_tol = float(cfg.get("gap_tol", 1e-8))
-        if not gap_tol >= 0:
-            raise ValueError("gap_tol must be nonnegative, got %r" % gap_tol)
+        gap_tol = as_number(cfg["gap_tol"], "gap_tol", least=0)
     kappa = problem.contraction_factor()
 
     # first pass finds how long the slowest algorithm needs, second pass runs
@@ -294,16 +275,9 @@ def cmd_audit(cfg, out_dir):
                 print("audit failure: %s,%s final gap %g: %s" % (
                     name_a, name_b, report.gaps[-1], cause), file=sys.stderr)
             all_ok = all_ok and not cause
-            pairs.append({
-                "a": name_a,
-                "b": name_b,
-                "cause": cause,
-                "final_gap": report.gaps[-1],
-                "gap_converged": report.gap_converged,
-                "recursion_checked": report.recursion_checked,
-                "violations": report.violations,
-                "max_violation": max_violation,
-            })
+            pairs.append({"a": name_a, "b": name_b, "cause": cause, "final_gap": report.gaps[-1],
+                          "gap_converged": report.gap_converged, "recursion_checked": report.recursion_checked,
+                          "violations": report.violations, "max_violation": max_violation})
     _write_json(out_dir / "audit.json", {
         "kappa": kappa,
         "lambda": problem.lam,
@@ -333,20 +307,19 @@ def _write_csv(path, header, rows):
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
-def _lambda(text):
-    return text if text == "auto" else float(text)
+#: every config key and its default, which a key left out or null takes; build_problem checks ``problem``'s
+#: keys, and the defaults of stopping, decision_margin and gap_tol are those of the library calls that take them
+_DEFAULTS = {
+    "problem": None, "lambda": None, "seed": None, "algorithms": ["fh"], "x0": 0.0,
+    "sequences": {"xi": "const:0.5", "mu": "const:0.5"},
+    "stopping": {f.name: f.default for f in dataclasses.fields(StoppingRule)},
+    "grid": {"lo": 1e-3, "hi": 10.0, "points": 100}, "output": {"dir": "."},
+    "decision_margin": inspect.signature(analysis.rate_compare).parameters["decision_margin"].default,
+    "gap_tol": inspect.signature(analysis.equivalence_audit).parameters["gap_tol"].default,
+}
 
 
-def _floats(text):
-    return [float(v) for v in text.split(",")]
-
-
-def _grid(text):
-    lo, hi, points = text.split(":")
-    return {"lo": float(lo), "hi": float(hi), "points": int(points)}
-
-
-#: (flag, config path, type, help) for the flags every subcommand takes
+#: (flag, config path, type, help) for the flags every subcommand takes, but --grid, which is sweep's alone
 _FLAGS = (
     ("--problem", ("problem", "kind"), str, "problem kind (%s)" % ", ".join(_KINDS)),
     ("--dim", ("problem", "dim"), int, "problem dimension"),
@@ -357,41 +330,53 @@ _FLAGS = (
     ("--b-scale", ("problem", "b_scale"), float, "scale of the spd-linear offset"),
     ("--eigen-lo", ("problem", "eigen_range", 0), float, "lowest eigenvalue of spd-linear H"),
     ("--eigen-hi", ("problem", "eigen_range", 1), float, "highest eigenvalue of spd-linear H"),
-    ("--lambda", ("lambda",), _lambda, "resolvent parameter, or 'auto'"),
+    ("--lambda", ("lambda",), lambda text: text if text == "auto" else float(text), "resolvent parameter, or 'auto'"),
     ("--alg", ("algorithms",), lambda text: [a for a in text.split(",") if a],
      "comma-separated algorithms (%s)" % ",".join(_RUNNERS)),
     ("--xi", ("sequences", "xi"), str, "step sequence spec, e.g. const:0.5 or harmonic:1"),
     ("--mu", ("sequences", "mu"), str, "step sequence spec"),
     ("--tol", ("stopping", "tol"), float, "residual tolerance"),
-    ("--max-steps", ("stopping", "max_steps"), int, "step cap"),
+    ("--max-steps", ("stopping", "max_steps"), float, "step cap, a whole number"),
     ("--seed", ("problem", "seed"), int, "problem seed"),
-    ("--x0", ("x0",), _floats, "comma-separated start vector (scalar broadcasts)"),
+    ("--x0", ("x0",), lambda text: [float(v) for v in text.split(",")],
+     "comma-separated start vector (scalar broadcasts)"),
     ("--out", ("output", "dir"), str, "output directory"),
+    ("--grid", ("grid",), lambda text: dict(zip(_DEFAULTS["grid"], map(float, text.split(":")), strict=True)),
+     "lambda grid lo:hi:points"),
 )
-_SWEEP_FLAGS = (("--grid", ("grid",), _grid, "lambda grid lo:hi:points"),)
-_SECTIONS = ("problem", "sequences", "stopping", "grid", "output")
+
+
+def _filled(given, defaults, unknown, path=""):
+    """``given`` with the ``defaults`` of the keys it leaves out or null; each other key's path goes to ``unknown``."""
+    if not isinstance(given, dict):
+        raise TypeError("config %s must be a JSON object, got %r" % (path[:-1] or "file", given))
+    unknown += [path + key for key in given.keys() - defaults.keys()]
+    given = {key: default if given.get(key) is None else given[key] for key, default in defaults.items()}
+    return {key: _filled(value, defaults[key], unknown, path + key + ".") if isinstance(defaults[key], dict)
+            else value for key, value in given.items()}
 
 
 def _load_config(args):
-    """The config file with the given flags laid over it, and the output directory."""
-    with _interpreting():
-        cfg = {}
-        if args.config:
-            with open(args.config, encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        if not (isinstance(cfg, dict)
-                and all(isinstance(cfg.get(key) or {}, dict) for key in _SECTIONS)):
-            raise TypeError("the config and its %s must be JSON objects" % ", ".join(_SECTIONS))
-        for flag, path, _, _ in _FLAGS + _SWEEP_FLAGS:
-            value = getattr(args, flag[2:].replace("-", "_"), None)
-            if value is not None:
-                node = cfg
-                for key in path[:-1]:
-                    # a flag for one end of eigen_range keeps the other end
-                    node[key] = node.get(key) or (list(_EIGEN_RANGE) if key == "eigen_range" else {})
-                    node = node[key]
-                node[path[-1]] = value
-        return cfg, Path((cfg.get("output") or {}).get("dir", "."))
+    """The effective config: the file, refused if it holds a key outside ``_DEFAULTS``, with their defaults
+    filled in and the given flags laid over it. Each value is checked where a command reads it."""
+    cfg = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    unknown = []
+    cfg = _filled(cfg, _DEFAULTS, unknown)
+    if unknown:
+        raise UsageError("unknown config keys %s" % sorted(unknown))
+    for flag, path, _, _ in _FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            node = cfg
+            for key in path[:-1]:
+                # a flag for one end of eigen_range keeps the other end, else spd-linear's default one
+                node[key] = node.get(key) or (list(_KINDS["spd-linear"][key]) if key == "eigen_range" else {})
+                node = node[key]
+            node[path[-1]] = value
+    return cfg
 
 
 _COMMANDS = {"solve": cmd_solve, "compare": cmd_compare, "sweep": cmd_sweep, "audit": cmd_audit}
@@ -405,15 +390,18 @@ def _parser():
     for name in _COMMANDS:
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", help="JSON config file")
-        for flag, _, kind, help_text in _FLAGS + (_SWEEP_FLAGS if name == "sweep" else ()):
-            sub.add_argument(flag, type=kind, help=help_text)
+        for flag, path, kind, help_text in _FLAGS:
+            if path != ("grid",) or name == "sweep":  # grid, which only sweep reads
+                sub.add_argument(flag, type=kind, help=help_text)
     return parser
 
 
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
-        cfg, out_dir = _load_config(args)
+        with _interpreting():
+            cfg = _load_config(args)
+            out_dir = Path(cfg["output"]["dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         # a run that overflows ends in a non-finite iterate or gap, which the
         # command reports with EXIT_NUMERICAL

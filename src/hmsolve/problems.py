@@ -135,7 +135,9 @@ def gen_soft_threshold(dim=50, c=1.0, b=None, lam=0.5, seed=0):
     )
 
 
-def _operator_from_dict(d, multivalued=False):
+def _operator_from_dict(key, d, multivalued=False):
+    if not isinstance(d, dict):
+        raise ValueError("explicit problem key %r must be an operator object, got %r" % (key, d))
     kind = d["kind"]
     if kind == "scaled-identity":
         return ScaledIdentity(d["scale"])
@@ -160,8 +162,8 @@ def gen_explicit(dim, h, a, m, constants, lam=1.0, known_solution=None):
     relative ``_CONSISTENCY_TOL``; else the constants are inconsistent.
     """
     inst = ProblemInstance(
-        h=_operator_from_dict(h), a=_operator_from_dict(a),
-        m=_operator_from_dict(m, multivalued=True),
+        h=_operator_from_dict("h", h), a=_operator_from_dict("a", a),
+        m=_operator_from_dict("m", m, multivalued=True),
         constants=OperatorConstants(**constants), lam=float(lam), dim=int(dim),
         known_solution=known_solution, metadata={"kind": "explicit"},
     )

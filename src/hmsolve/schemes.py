@@ -21,7 +21,7 @@ from .operators import OperatorConstants
 from .resolvent import ResolventEngine, vector_norm
 
 __all__ = [
-    "as_vector", "STEP_FAMILIES", "StepSequence", "make_step_sequence", "StoppingRule",
+    "as_vector", "as_number", "STEP_FAMILIES", "StepSequence", "make_step_sequence", "StoppingRule",
     "ProblemInstance", "IterationTrace", "vector_norm", "ONE", "ZERO", "CASTINGS", "casting",
     "run_scheme", "run_fh", "run_zgy", "run_mann", "run_new",
 ]
@@ -42,17 +42,23 @@ def as_vector(entries):
     return v
 
 
+def as_number(v, what, whole=False, least=None):
+    """``v``, a number (not text, true/false or a list) and a whole one if asked, at least ``least`` if given."""
+    if (np.ndim(v) or np.asarray(v).dtype.kind not in "iuf" or whole and not float(v).is_integer()
+            or least is not None and not v >= least):
+        raise ValueError("%s must be a %s%s, got %r" % (
+            what, "whole number" if whole else "number", "" if least is None else " >= %g" % least, v))
+    return int(v) if whole else float(v)
+
+
 def _unit(v, what="constant step value"):
-    if v is None or not 0.0 <= v <= 1.0 or np.asarray(v).dtype.kind not in "iuf":  # no bool either
+    if not 0.0 <= as_number(v, what) <= 1.0:
         raise ValueError("%s must lie in [0, 1]" % what)
     return float(v)
 
 
 def _offset(k):
-    k = 1 if k is None else k
-    if np.asarray(k).dtype.kind not in "iuf" or not (k >= 1 and float(k).is_integer()):
-        raise ValueError("offset must be a whole number >= 1, got %r" % (k,))
-    return int(k)
+    return as_number(1 if k is None else k, "offset", whole=True, least=1)
 
 
 def _table(t):
@@ -101,10 +107,12 @@ class StepSequence:
         return STEP_FAMILIES[self.family].term(self.param, n)
 
 
-def make_step_sequence(family, value=None, offset=None, table=None):
-    """StepSequence(family, param), the parameter given by its name: ``value``, ``offset`` or ``table``."""
-    given = {"value": value, "offset": offset, "table": table}
-    return StepSequence(family, given[STEP_FAMILIES[family].param] if family in STEP_FAMILIES else None)
+def make_step_sequence(family, **param):
+    """StepSequence(family, param), its one parameter given by name (``value``, ``offset`` or ``table``)."""
+    other = param.keys() - {STEP_FAMILIES[family].param if family in STEP_FAMILIES else None}
+    if other:
+        raise ValueError("step family %r takes no %s" % (family, ", ".join(sorted(other))))
+    return StepSequence(family, *param.values())
 
 
 ONE = StepSequence("constant", 1.0)
@@ -137,14 +145,16 @@ def casting(name, xi=None, mu=None):
 class StoppingRule:
     """Stop when the fixed-point residual ||F(x) - x|| <= tol or at the cap.
 
-    A negative tol disables the residual test entirely (fixed-length runs);
-    a NaN tol, which no residual meets, and a negative cap are errors.
+    tol is a number and max_steps a whole one. A negative tol disables the residual test entirely
+    (fixed-length runs); a NaN tol, which no residual meets, and a negative cap are errors.
     """
 
     tol: float = 1e-10
     max_steps: int = 100_000
 
     def __post_init__(self):
+        object.__setattr__(self, "tol", as_number(self.tol, "tol"))
+        object.__setattr__(self, "max_steps", as_number(self.max_steps, "max_steps", whole=True))
         if np.isnan(self.tol) or self.max_steps < 0:
             raise ValueError("tol must not be NaN and max_steps not negative, got %r" % (self,))
 

@@ -106,6 +106,8 @@ _SPECS = [
     ({"family": "harmonic", "offset": float("inf")}, False), ({"family": "constant", "value": True}, False),
     ({"family": "custom-table", "table": [0, 1]}, True), ({"family": "custom-table", "table": "1"}, False),
     ({"family": "custom-table", "table": ["0.1"]}, False),
+    # a parameter of another family, or a key of none, once ran harmonic:1 and const:0.5
+    ({"family": "harmonic", "value": 0.5}, False), ({"family": "constant", "value": 0.5, "ofset": 3}, False),
 ]
 
 
@@ -539,6 +541,12 @@ class TestSweep:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         assert json.loads((tmp_path / "summary.json").read_text())["kappa"] == np.inf
 
+    def test_default_grid(self, tmp_path):
+        assert main(["sweep", "--problem", "scalar-affine", "--out", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "sweep.csv", encoding="utf-8", newline="") as fh:
+            lambdas = [float(row["lambda"]) for row in csv.DictReader(fh)]
+        assert lambdas == np.linspace(1e-3, 10.0, 100).tolist()
+
     def test_invalid_grid(self, tmp_path):
         code = main([
             "sweep", "--problem", "scalar-affine", "--grid", "2:1:10",
@@ -644,6 +652,123 @@ class TestProblemKinds:
     def test_help_names_every_kind(self):
         (text,) = [text for flag, _, _, text in cli._FLAGS if flag == "--problem"]
         assert text == "problem kind (scalar-affine, spd-linear, soft-threshold, explicit)"
+
+    def test_operator_key_given_a_number_names_itself(self, tmp_path, capsys):
+        # --m sets spd-linear's scale of M, yet explicit's m is an operator: a TypeError once named neither
+        cfg = _write_config(tmp_path, {"problem": _KIND_CONFIGS["explicit"]})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--m", "2", "--out", str(out)]) == EXIT_USAGE
+        assert "explicit problem key 'm' must be an operator object, got 2.0" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
+#: (command, config keys beside a problem, what the usage error names): a key outside ``cli._DEFAULTS``, or a
+#: value that its flag's check refuses. Each once ran something other than what was written, and exited 0
+_REFUSED = [
+    ("solve", {"stopping": {"max_step": 3}}, "unknown config keys ['stopping.max_step']"),
+    ("solve", {"stoping": {"max_steps": 3}}, "unknown config keys ['stoping']"),
+    ("solve", {"sequence": {"mu": "const:0.9"}}, "unknown config keys ['sequence']"),
+    ("audit", {"gaptol": 0.1}, "unknown config keys ['gaptol']"),
+    ("sweep", {"grid": {"step": 0.1}}, "unknown config keys ['grid.step']"),
+    ("solve", {"output": {"path": "elsewhere"}}, "unknown config keys ['output.path']"),
+    ("solve", {"stoping": {}, "stopping": {"max_step": 3}}, "unknown config keys ['stoping', 'stopping.max_step']"),
+    ("solve", {"stopping": {"max_steps": 2.7}}, "max_steps must be a whole number, got 2.7"),
+    ("audit", {"stopping": {"max_steps": True}}, "max_steps must be a whole number, got True"),
+    ("sweep", {"grid": {"points": 2.9}}, "grid.points must be a whole number, got 2.9"),
+    ("compare", {"stopping": {"tol": "1e-3"}}, "tol must be a number, got '1e-3'"),
+    ("audit", {"gap_tol": "0"}, "gap_tol must be a number >= 0, got '0'"),
+    ("compare", {"decision_margin": False}, "decision_margin must be a number >= 0, got False"),
+]
+
+
+class TestConfigKeys:
+    """``cli._DEFAULTS`` states every config key outside ``problem``; a file value gets its flag's check."""
+
+    #: the effective config of no file and no flag: README's table of keys and defaults
+    DEFAULTS = {"problem": None, "lambda": None, "seed": None, "algorithms": ["fh"], "x0": 0.0,
+                "sequences": {"xi": "const:0.5", "mu": "const:0.5"}, "stopping": {"tol": 1e-10, "max_steps": 100000},
+                "grid": {"lo": 1e-3, "hi": 10.0, "points": 100}, "decision_margin": 0.05, "gap_tol": 1e-8,
+                "output": {"dir": "."}}
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "sweep", "audit"])
+    def test_defaults_are_the_documented_ones(self, command):
+        assert cli._load_config(cli._parser().parse_args([command])) == self.DEFAULTS
+
+    @pytest.mark.parametrize("command, config, named", _REFUSED)
+    def test_stray_key_or_malformed_value_is_a_usage_error(self, tmp_path, capsys, command, config, named):
+        cfg = _write_config(tmp_path, {"problem": _KIND_CONFIGS["spd-linear"], **config})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--alg", "new,fh", "--out", str(out)]) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not any(out.glob("*"))  # the output directory is made, if at all, after the key check
+
+    @pytest.mark.parametrize("argv, named", [
+        (["solve", "--max-steps", "2.7"], "max_steps must be a whole number, got 2.7"),
+        (["sweep", "--grid", "0.1:1:2.5"], "grid.points must be a whole number, got 2.5"),
+    ])
+    def test_flag_gets_the_check_of_its_file_value(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        assert main([*argv, "--problem", "scalar-affine", "--out", str(out)]) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
+    @pytest.mark.parametrize("command, config", [
+        ("solve", {"gap_tol": "0"}), ("audit", {"grid": {"points": 2.9}}), ("sweep", {"stopping": {"tol": "1e-3"}}),
+    ])
+    def test_key_another_command_reads_is_ignored(self, tmp_path, command, config):
+        cfg = _write_config(tmp_path, {"problem": _KIND_CONFIGS["spd-linear"], **config})
+        assert main([command, "--config", cfg, "--alg", "new,fh", "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    def test_null_takes_the_default(self, tmp_path):
+        cfg = _write_config(tmp_path, {"problem": {"kind": "scalar-affine"}, "stopping": None, "x0": None,
+                                       "sequences": {"xi": None}, "lambda": None, "output": None})
+        assert cli._load_config(cli._parser().parse_args(["solve", "--config", cfg])) == {
+            **self.DEFAULTS, "problem": {"kind": "scalar-affine"}}
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "audit"])
+    def test_grid_flag_is_sweep_only(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [command, "--problem", "spd-linear", "--alg", "new,fh", "--grid", "0.1:1:3", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments: --grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0.1:1", "0.1:1:3:4", "0.1:1:x"])
+    def test_grid_flag_takes_three_numbers(self, tmp_path, grid):
+        out = tmp_path / "out"
+        assert main(["sweep", "--problem", "scalar-affine", "--grid", grid, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["solve", "--problem", "spd-linear", "--dim", "20", "--alg", "fh,zgy,mann,new", "--mu", "harmonic:2",
+          "--x0", "0.5"], EXIT_OK),
+        (["compare", "--problem", "spd-linear", "--dim", "20", "--seed", "3", "--alg", "new,fh", "--mu", "const:0.9",
+          "--tol", "0", "--max-steps", "120"], EXIT_OK),
+        (["sweep", "--problem", "scalar-affine", "--grid", "0.1:2:50"], EXIT_OK),
+        (["audit", "--problem", "soft-threshold", "--dim", "30", "--lambda", "auto", "--alg", "fh,zgy,mann,new"],
+         EXIT_OK),
+        (["solve", "--problem", "spd-linear", "--dim", "20", "--c-a", "5", "--lambda", "50", "--alg", "fh,new"],
+         EXIT_NUMERICAL),
+    ])
+    def test_effective_config_replays_the_run(self, tmp_path, argv, code):
+        # the effective config, as strict JSON, given back as --config with a fresh --out, writes the same
+        # deterministic artifacts, and is its own effective config
+        first, again = tmp_path / "first", tmp_path / "again"
+        cfg = cli._load_config(cli._parser().parse_args([*argv, "--out", str(first)]))
+        path = tmp_path / "effective.json"
+        path.write_text(json.dumps(cfg, allow_nan=False))
+        replay = [argv[0], "--config", str(path), "--out", str(again)]
+        assert cli._load_config(cli._parser().parse_args(replay)) == {**cfg, "output": {"dir": str(again)}}
+        assert main([*argv, "--out", str(first)]) == code
+        assert main(replay) == code
+        names = sorted(p.name for p in first.iterdir())
+        assert names and names == sorted(p.name for p in again.iterdir())
+        for name in names:
+            if name.startswith("trace_"):
+                rows = [[(r["n"], r["residual"], r["error"]) for r in read_trace_csv(d / name)] for d in (first, again)]
+                assert rows[0] == rows[1], name
+            else:
+                assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 class TestAudit:
@@ -861,11 +986,13 @@ class TestParser:
         seen = []
         monkeypatch.setitem(cli._COMMANDS, command, lambda cfg, out_dir: seen.append(cfg) or EXIT_OK)
         samples = {**self.SAMPLES, "--out": str(tmp_path / "out")}
-        assert set(samples) == {flag for flag, *_ in cli._FLAGS}
+        if command == "sweep":  # --grid is the sweep's alone
+            samples["--grid"] = "0.1:2:5"
+        assert set(samples) == {flag for flag, *_ in cli._FLAGS} - ({"--grid"} if command != "sweep" else set())
         argv = [command, "--config", _write_config(tmp_path, {"gap_tol": 0.1})]
         assert main(argv + [v for item in samples.items() for v in item]) == EXIT_OK
         assert seen[0]["gap_tol"] == 0.1
-        for flag, path, kind, _ in cli._FLAGS:
+        for flag, path, kind, _ in (row for row in cli._FLAGS if row[0] in samples):
             node = seen[0]
             for key in path:
                 node = node[key]

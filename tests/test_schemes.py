@@ -92,6 +92,12 @@ class TestStepSequences:
         with pytest.raises(ValueError, match="must lie in"):
             StepSequence("constant", 5.0)
 
+    @pytest.mark.parametrize("family, param", [("harmonic", {"value": 0.5}), ("constant", {"value": 0.5, "ofset": 3}),
+                                               ("custom-table", {"table": [0.5], "offset": 1})])
+    def test_parameter_of_another_family_rejected(self, family, param):
+        with pytest.raises(ValueError, match="step family %r takes no" % family):
+            make_step_sequence(family, **param)
+
     def test_properties_are_derived_not_declared(self):
         with pytest.raises(TypeError):
             StepSequence("harmonic", 1, sums_to_infinity=False)
@@ -138,6 +144,21 @@ def test_stopping_rule_rejects_meaningless_inputs(kwargs):
         StoppingRule(**kwargs)
     # a negative tol is valid: it disables the residual test
     assert StoppingRule(tol=-1.0, max_steps=0).max_steps == 0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_steps": 2.7}, "max_steps must be a whole number, got 2.7"),
+    ({"max_steps": True}, "max_steps must be a whole number, got True"),
+    ({"max_steps": float("inf")}, "max_steps must be a whole number, got inf"),
+    ({"tol": "1e-3"}, "tol must be a number, got '1e-3'"),
+    ({"tol": [1e-3]}, r"tol must be a number, got \[0.001\]"),
+])
+def test_stopping_rule_takes_numbers_only(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        StoppingRule(**kwargs)
+    # a whole float is taken as the int it names
+    stop = StoppingRule(tol=0, max_steps=3.0)
+    assert (stop.tol, stop.max_steps) == (0.0, 3) and type(stop.max_steps) is int
 
 
 class TestFMap:
