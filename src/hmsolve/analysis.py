@@ -260,11 +260,12 @@ def equivalence_audit(trace_a, trace_b, xi, mu, kappa, gap_tol=1e-8):
     """
     if trace_a.coordinates is None or trace_b.coordinates is None:
         raise ValueError("the audit needs every y_n: run with keep_iterates=True")
-    xi_a, mu_a = casting(trace_a.algorithm, xi, mu)
-    xi_b, mu_b = casting(trace_b.algorithm, xi, mu)
+    (xi_a, mu_a), (xi_b, mu_b) = (casting(trace.algorithm, xi, mu) for trace in (trace_a, trace_b))
     # non-finite iterates and errors propagate silently, as in scalar float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = [vector_norm(a - b) for a, b in zip(trace_a.coordinates, trace_b.coordinates)]
+        gaps, ya, yb = [], trace_a.coordinates, trace_b.coordinates
+        for n, (a, b) in enumerate(zip(ya, yb)):  # a pair that repeats the last one, array for array, repeats its gap
+            gaps.append(gaps[-1] if n and a is ya[n - 1] and b is yb[n - 1] else vector_norm(a - b))
         report = AuditReport(gaps=gaps, gap_converged=gaps[-1] <= gap_tol, recursion_checked=False)
         if (mu_a != mu_b or ONE not in (xi_a, xi_b) or not kappa < 1.0
                 or trace_a.errors is None or trace_b.errors is None):
@@ -277,8 +278,7 @@ def equivalence_audit(trace_a, trace_b, xi, mu, kappa, gap_tol=1e-8):
         forward = (1.0 - xis * mus * (1.0 - kappa)) * g0 + rho_scale * np.asarray(s.errors[:m])
         symmetric = shrink * g0 + rho_scale * np.asarray(q.errors[:m])
         report.recursion_checked = True
-        report.violations_forward, report.max_violation_forward = _exceedances(
-            g1 - forward - DEFAULT_AUDIT_SLACK)
+        report.violations_forward, report.max_violation_forward = _exceedances(g1 - forward - DEFAULT_AUDIT_SLACK)
         report.violations_symmetric, report.max_violation_symmetric = _exceedances(
             g1 - symmetric - DEFAULT_AUDIT_SLACK)
     return report

@@ -401,10 +401,11 @@ def main(argv=None):
         args = _parser().parse_args(argv)
         with _interpreting():
             cfg = _load_config(args)
-            out_dir = Path(cfg["output"]["dir"])
+            if not isinstance(out_dir := cfg["output"]["dir"], str):
+                raise UsageError("output.dir must be text, got %r" % (out_dir,))
+            out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # a run that overflows ends in a non-finite iterate or gap, which the
-        # command reports with EXIT_NUMERICAL
+        # a run that overflows ends in a non-finite iterate or gap, which the command reports with EXIT_NUMERICAL
         with np.errstate(over="ignore", invalid="ignore"):
             return _COMMANDS[args.command](cfg, out_dir)
     except UsageError as exc:

@@ -43,9 +43,9 @@ def as_vector(entries):
 
 
 def as_number(v, what, whole=False, least=None):
-    """``v``, a number (not text, true/false or a list) and a whole one if asked, at least ``least`` if given."""
+    """``v``, a number (not text, true/false or a list), whole if asked, finite and at least ``least`` if given."""
     if (np.ndim(v) or np.asarray(v).dtype.kind not in "iuf" or whole and not float(v).is_integer()
-            or least is not None and not v >= least):
+            or least is not None and not least <= v < math.inf):
         raise ValueError("%s must be a %s%s, got %r" % (
             what, "whole number" if whole else "number", "" if least is None else " >= %g" % least, v))
     return int(v) if whole else float(v)
@@ -145,8 +145,8 @@ def casting(name, xi=None, mu=None):
 class StoppingRule:
     """Stop when the fixed-point residual ||F(x) - x|| <= tol or at the cap.
 
-    tol is a number and max_steps a whole one. A negative tol disables the residual test entirely
-    (fixed-length runs); a NaN tol, which no residual meets, and a negative cap are errors.
+    tol is a finite number and max_steps a whole one. A negative tol disables the residual test entirely
+    (fixed-length runs); a NaN tol, which no residual meets, an infinite one and a negative cap are errors.
     """
 
     tol: float = 1e-10
@@ -155,8 +155,8 @@ class StoppingRule:
     def __post_init__(self):
         object.__setattr__(self, "tol", as_number(self.tol, "tol"))
         object.__setattr__(self, "max_steps", as_number(self.max_steps, "max_steps", whole=True))
-        if np.isnan(self.tol) or self.max_steps < 0:
-            raise ValueError("tol must not be NaN and max_steps not negative, got %r" % (self,))
+        if not math.isfinite(self.tol) or self.max_steps < 0:
+            raise ValueError("tol must not be NaN and max_steps not negative, nor tol infinite, got %r" % (self,))
 
 
 @dataclass
@@ -234,8 +234,8 @@ class IterationTrace:
 
     Each list but ``iterates`` = [x_N] has an entry per step n = 0, ..., N; on request ``coordinates``
     keeps every y_n = Q^T x_n of ``ProblemInstance.coordinates()``, so x_n = ``Q @ coordinates[n]``
-    (y_n = x_n without Q). ``wall_nanos[n]`` runs from before Q^T x_0 to the end of step n, the error
-    of y_n included; mapping x_N back and its error in x come after ``wall_nanos[N]``.
+    (y_n = x_n without Q). ``wall_nanos[n]`` runs from before Q^T x_0 to the end of step n, the error of y_n
+    included, or of the fill of a repeating run; mapping x_N back and its error in x come after ``wall_nanos[N]``.
     """
 
     algorithm: str
@@ -265,7 +265,9 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=Tru
     y_(n+1), so FH and MANN cost one F evaluation per step, NEW and ZGY two, and the degenerate castings
     reproduce FH bit for bit. The run stops, ``diverged``, at the first non-finite iterate without
     evaluating F on it; with x* known, a finite errors[n+1] = ||y_(n+1) - y*|| proves y_(n+1) finite,
-    y* being finite, and only a non-finite one (inf without x*) scans the entries of y_(n+1).
+    y* being finite, and only a non-finite one (inf without x*) scans the entries of y_(n+1). Constant steps
+    map y_n alone to y_(n+1): once y_n = y_(n-1) bit for bit, every later step repeats step n, so a run that
+    would go on fills its trace in to the cap without G, with the read-only y_n as each later y_n.
 
     Every step is a linear combination of x and F(x), so the loop runs in the coordinates y = Q^T x of
     ``problem.coordinates()``, with the residual ||G(y) - y|| = ||F(x) - x||: O(n) per step on diagonal-form
@@ -298,18 +300,24 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=Tru
     errors = None if xstar is None else [error(y)]
     wall = [time.perf_counter_ns() - start]
 
-    n, diverged = 0, False
+    n, diverged, constant = 0, False, xi.family == mu.family == "constant"
     # "not <=" keeps a NaN residual going, into the non-finite iterate check
     while not residuals[-1] <= stop.tol and n < stop.max_steps:
+        if constant and n and residuals[-1] == residuals[-2] and y.tobytes() == y_last.tobytes():
+            y.setflags(write=False)
+            for values in (v for v in (residuals, errors, ys) if v is not None):
+                values += values[-1:] * (stop.max_steps - n)
+            wall += [time.perf_counter_ns() - start] * (stop.max_steps - n)
+            n = stop.max_steps
+            break
         xi_n, mu_n = xi_term(xi_param, n), mu_term(mu_param, n)
         gr = gy if mu_n == 0.0 else g(_relax(y, gy, mu_n))
         y_next = gr if xi_n == 1.0 else _relax(y, gr, xi_n)
-        diverged = not math.isfinite(e := error(y_next)) and not np.isfinite(y_next).all()
-        if diverged:
+        if diverged := not math.isfinite(e := error(y_next)) and not np.isfinite(y_next).all():
             break
         if errors is not None:
             errors.append(e)
-        y, gy = y_next, g(y_next)
+        y_last, y, gy = y, y_next, g(y_next)
         if keep_iterates:
             ys.append(y)
         residuals.append(vector_norm(np.subtract(gy, y, out=scratch)))
@@ -320,18 +328,9 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=Tru
     if errors is not None and basis is not None:
         errors[-1] = vector_norm(x - xstar)
     return IterationTrace(
-        algorithm=name,
-        iterates=[x],
-        residuals=residuals,
-        errors=errors,
-        wall_nanos=wall,
-        steps_used=n,
-        converged=residuals[-1] <= stop.tol,
-        kappa=kappa,
-        solution_norm=None if xstar is None else vector_norm(xstar),
-        diverged=diverged,
-        coordinates=ys,
-    )
+        algorithm=name, iterates=[x], residuals=residuals, errors=errors, wall_nanos=wall, steps_used=n,
+        converged=residuals[-1] <= stop.tol, kappa=kappa, diverged=diverged, coordinates=ys,
+        solution_norm=None if xstar is None else vector_norm(xstar))
 
 
 def run_fh(problem, u0, stop=None, keep_iterates=True):

@@ -678,6 +678,10 @@ _REFUSED = [
     ("compare", {"stopping": {"tol": "1e-3"}}, "tol must be a number, got '1e-3'"),
     ("audit", {"gap_tol": "0"}, "gap_tol must be a number >= 0, got '0'"),
     ("compare", {"decision_margin": False}, "decision_margin must be a number >= 0, got False"),
+    ("solve", {"stopping": {"tol": float("inf")}}, "nor tol infinite, got StoppingRule(tol=inf,"),
+    ("compare", {"stopping": {"tol": -float("inf")}}, "nor tol infinite, got StoppingRule(tol=-inf,"),
+    ("audit", {"gap_tol": float("inf")}, "gap_tol must be a number >= 0, got inf"),
+    ("compare", {"decision_margin": float("inf")}, "decision_margin must be a number >= 0, got inf"),
 ]
 
 
@@ -705,12 +709,21 @@ class TestConfigKeys:
     @pytest.mark.parametrize("argv, named", [
         (["solve", "--max-steps", "2.7"], "max_steps must be a whole number, got 2.7"),
         (["sweep", "--grid", "0.1:1:2.5"], "grid.points must be a whole number, got 2.5"),
+        (["solve", "--tol", "inf"], "nor tol infinite, got StoppingRule(tol=inf,"),
     ])
     def test_flag_gets_the_check_of_its_file_value(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out"
         assert main([*argv, "--problem", "scalar-affine", "--out", str(out)]) == EXIT_USAGE
         assert named in capsys.readouterr().err
         assert not any(out.glob("*"))
+
+    def test_output_dir_must_be_text(self, tmp_path, monkeypatch, capsys):
+        # a number once reached Path() and failed with a TypeError that named neither the key nor the value
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_config(tmp_path, {"problem": {"kind": "scalar-affine"}, "output": {"dir": 5}})
+        assert main(["solve", "--config", cfg]) == EXIT_USAGE
+        assert "output.dir must be text, got 5" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("command, config", [
         ("solve", {"gap_tol": "0"}), ("audit", {"grid": {"points": 2.9}}), ("sweep", {"stopping": {"tol": "1e-3"}}),
@@ -772,6 +785,21 @@ class TestConfigKeys:
 
 
 class TestAudit:
+    def test_runs_stop_calling_g_at_a_floating_point_fixed_point(self, tmp_path, monkeypatch):
+        # at b_scale 1e8 tol 1e-10 lies below the rounding floor: ZGY and MANN spin to the cap, FH and NEW are
+        # rerun to it, and each iterate soon repeats bit for bit. Run to the cap step by step, FH, ZGY, MANN
+        # and NEW would call G 1 + 20,000 x (1, 2, 1 and 2) times
+        calls, coordinates = [], ProblemInstance.coordinates
+
+        def counting(problem):
+            basis, g = coordinates(problem)
+            return basis, lambda y: (calls.append(1), g(y))[1]
+
+        monkeypatch.setattr(ProblemInstance, "coordinates", counting)
+        assert main(["audit", "--problem", "spd-linear", "--dim", "200", "--seed", "1", "--b-scale", "1e8",
+                     "--alg", "fh,zgy,mann,new", "--max-steps", "20000", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert 0 < len(calls) < 0.01 * (4 + 20000 * (1 + 2 + 1 + 2))
+
     def test_all_four_algorithms_pass(self, tmp_path):
         cfg = _write_config(tmp_path, {
             "problem": {"kind": "spd-linear", "dim": 20, "seed": 3},

@@ -138,7 +138,8 @@ class TestProblemInstance:
                             constants=OperatorConstants(1, 1, 1, 1, 1), lam=lam, dim=1)
 
 
-@pytest.mark.parametrize("kwargs", [{"max_steps": -1}, {"tol": float("nan")}])
+@pytest.mark.parametrize("kwargs", [{"max_steps": -1}, {"tol": float("nan")}, {"tol": float("inf")},
+                                    {"tol": -float("inf")}])
 def test_stopping_rule_rejects_meaningless_inputs(kwargs):
     with pytest.raises(ValueError, match="tol must not be NaN and max_steps not negative"):
         StoppingRule(**kwargs)
@@ -826,13 +827,13 @@ G_FORMS = [lambda: gen_spd_linear(30, seed=2), lambda: gen_soft_threshold(30, se
            lambda: gen_scalar_affine(b=2.0, lam=0.5), _resolve_form]
 
 
-def _recorded_run(runner, make, x0, name, seq, keep):
+def _recorded_run(runner, make, x0, name, seq, keep, stop):
     """``runner``'s trace on a fresh problem, the inputs it handed G (copied at the call) and its warnings."""
     p = make()
     inputs = _watching(p, lambda y: np.array(y, copy=True))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        trace = runner(name, p, np.full(p.dim, x0), seq, seq, StoppingRule(max_steps=600), keep)
+        trace = runner(name, p, np.full(p.dim, x0), seq, seq, stop, keep)
     return trace, inputs, {(w.category, str(w.message)) for w in caught}
 
 
@@ -840,17 +841,14 @@ def _bits(values):
     return None if values is None else np.asarray(values, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("keep", [True, False])
-@pytest.mark.parametrize("label, make, x0", KERNEL_PROBLEMS, ids=[k[0] for k in KERNEL_PROBLEMS])
-def test_run_scheme_is_the_plain_loop_bit_for_bit(label, make, x0, keep):
-    # the lean kernel (one scratch vector, in-place relaxations, the error as the finite test)
-    # against the plain loop: every trace field, and every input handed to G, bit for bit
+def _against_the_plain_loop(make, x0, keep, stop):
+    """Each scheme's run_scheme trace under each of KERNEL_SEQUENCES against the plain loop's: every trace
+    field bit for bit, and G's inputs. {(family, scheme): (trace, how many G inputs the fill saved)}."""
     traces = {}
     for seq in KERNEL_SEQUENCES:
         for name in ("FH", "MANN", "NEW", "ZGY"):
-            lean, lean_inputs, lean_warned = _recorded_run(run_scheme, make, x0, name, seq, keep)
-            traces[seq.family, name] = lean
-            plain, plain_inputs, plain_warned = _recorded_run(plain_run_scheme, make, x0, name, seq, keep)
+            lean, lean_inputs, lean_warned = _recorded_run(run_scheme, make, x0, name, seq, keep, stop)
+            plain, plain_inputs, plain_warned = _recorded_run(plain_run_scheme, make, x0, name, seq, keep, stop)
             assert (lean.steps_used, lean.converged, lean.diverged) == (
                 plain.steps_used, plain.converged, plain.diverged)
             for field in ("residuals", "errors", "iterates"):
@@ -858,20 +856,65 @@ def test_run_scheme_is_the_plain_loop_bit_for_bit(label, make, x0, keep):
             assert (lean.coordinates is None) == (plain.coordinates is None) == (not keep)
             if keep:
                 assert _bits(lean.coordinates) == _bits(plain.coordinates)
-            assert [y.tobytes() for y in lean_inputs] == [y.tobytes() for y in plain_inputs]
+            # once y_n repeats bit for bit the kernel fills the trace in without G: its inputs are a prefix of
+            # the plain loop's, whose remaining inputs repeat the kernel's last step's inputs (1 or 2 a step)
+            lean_bits, plain_bits = ([y.tobytes() for y in inputs] for inputs in (lean_inputs, plain_inputs))
+            rest = plain_bits[len(lean_bits):]
+            per_step = 1 if casting(name, seq, seq)[1].value(0) == 0.0 else 2  # G evaluations of a constant step
+            assert plain_bits[:len(lean_bits)] == lean_bits
+            assert len(rest) % per_step == 0 and rest == lean_bits[-per_step:] * (len(rest) // per_step)
             assert lean_warned <= plain_warned
-    fh = traces["constant", "FH"]
+            traces[seq.family, name] = lean, len(rest)
+    return traces
+
+
+@pytest.mark.parametrize("keep", [True, False])
+@pytest.mark.parametrize("label, make, x0", KERNEL_PROBLEMS, ids=[k[0] for k in KERNEL_PROBLEMS])
+def test_run_scheme_is_the_plain_loop_bit_for_bit(label, make, x0, keep):
+    # the lean kernel (one scratch vector, in-place relaxations, the error as the finite test)
+    # against the plain loop: every trace field, and every input handed to G, bit for bit
+    traces = _against_the_plain_loop(make, x0, keep, StoppingRule(max_steps=600))
+    fh = traces["constant", "FH"][0]
     if label == "diverging":  # FH's y_404 is the first non-finite iterate
         assert fh.diverged and fh.steps_used == 403
     if label == "b-scale-1e160":  # the errors' squares overflow, and vector_norm rescales
         assert np.isfinite(fh.errors).all() and fh.errors[0] > 1e154 and 1e154 < fh.solution_norm < np.inf
 
 
+@pytest.mark.parametrize("label, make, x0", KERNEL_PROBLEMS, ids=[k[0] for k in KERNEL_PROBLEMS])
+def test_run_scheme_is_the_plain_loop_bit_for_bit_to_the_cap(label, make, x0):
+    # with the residual test off a convergent run may reach a floating-point fixed point before the cap and
+    # be filled in; FH's casting (1, 0) is constant under every sequence family, and FH reaches one on each
+    # form of G
+    traces = _against_the_plain_loop(make, x0, True, StoppingRule(tol=-1.0, max_steps=300))
+    assert all(trace.steps_used == 300 or trace.diverged for trace, _ in traces.values())
+    if label != "diverging":  # kappa > 1: nothing repeats
+        assert all(traces[seq.family, "FH"][1] > 0 for seq in KERNEL_SEQUENCES)
+    # the other castings under a varying sequence are never filled in, whatever their steps
+    assert all(saved == 0 for (family, name), (_, saved) in traces.items() if family != "constant" and name != "FH")
+
+
+@pytest.mark.parametrize("keep", [True, False])
+@pytest.mark.parametrize("name, most", [("FH", 3), ("NEW", 5)])
+def test_run_at_kappa_zero_stops_calling_g_once_it_repeats(name, most, keep):
+    # kappa = 0 at auto lambda: G(y_1) is the fixed point in floats, and a run to the cap without the residual
+    # test evaluates G at most `most` times instead of 1 + 40 times its per-step cost, with the plain loop's trace
+    p, stop, x0 = _soft_auto(), StoppingRule(tol=-1.0, max_steps=40), np.ones(30)
+    calls = _counting_f_evaluations(p)
+    trace = run_fh(p, x0, stop, keep) if name == "FH" else run_new(p, x0, HALF, stop, keep)
+    plain = plain_run_scheme(name, _soft_auto(), x0, mu=HALF, stop=stop, keep_iterates=keep)
+    assert p.contraction_factor() == 0.0 and len(calls) <= most
+    for field in ("residuals", "errors", "iterates", "coordinates"):
+        assert _bits(getattr(trace, field)) == _bits(getattr(plain, field)), field
+    assert (trace.steps_used, trace.converged, trace.diverged) == (40, False, False)
+
+
 @pytest.mark.parametrize("make", G_FORMS, ids=["diagonal-basis", "diagonal-shrink", "diagonal-scalar", "resolve"])
 @pytest.mark.parametrize("name", ["FH", "MANN", "NEW", "ZGY"])
 def test_kept_coordinates_are_distinct_and_never_written(make, name):
-    # keep_iterates stores references: each y_n is its own array, G never writes its argument
-    # or returns it, and no later step writes a stored y_n
+    # keep_iterates stores references: each computed y_n is its own array, G never writes its argument
+    # or returns it, and no later step writes a stored y_n; once y_n repeats y_(n-1) bit for bit, the
+    # rest of the run repeats the read-only y_n
     p = make()
     basis, g = p.coordinates()
     seen = {}
@@ -887,10 +930,13 @@ def test_kept_coordinates_are_distinct_and_never_written(make, name):
     trace = run_scheme(name, p, np.ones(p.dim), HALF, HALF, StoppingRule(tol=-1.0, max_steps=25))
     ys = trace.coordinates
     assert len(ys) == 26
-    for i, y in enumerate(ys):
-        assert all(not np.shares_memory(y, other) for other in ys[i + 1:])
+    computed = next((n for n in range(1, 26) if ys[n] is ys[n - 1]), 26)
+    for i, y in enumerate(ys[:computed]):
+        assert all(not np.shares_memory(y, other) for other in ys[i + 1:computed])
         # every y_n went to G as soon as it existed, and still holds what G saw
         assert seen[id(y)][0] is y and np.array_equal(y, seen[id(y)][1])
+    assert all(y is ys[computed - 1] for y in ys[computed:])
+    assert computed == 26 or not ys[-1].flags.writeable
 
 
 @pytest.mark.parametrize("make", G_FORMS, ids=["diagonal-basis", "diagonal-shrink", "diagonal-scalar", "resolve"])
