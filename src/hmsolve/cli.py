@@ -92,16 +92,19 @@ def build_problem(cfg):
     holds every default; a key of no kind is a usage error. A top-level ``lambda`` wins
     over ``problem.lambda``, and ``problem.seed`` over a top-level ``seed``. ``"auto"``
     takes the closed-form kappa minimiser lam*, infeasible when even kappa(lam*) >= 1.
+    The instance's ``metadata`` is the kind and each builder parameter but ``lam``, as
+    passed or else its default, with ``lambda_auto`` under ``"auto"``.
     """
     p = cfg.get("problem") or {}
-    if not isinstance(p, dict) or p.get("kind") not in _KINDS:
+    if not isinstance(p, dict) or (kind := p.get("kind")) not in _KINDS:
         raise UsageError("unknown or missing problem kind %r" % (p.get("kind") if isinstance(p, dict) else p,))
     if not p.keys() <= _PROBLEM_KEYS:
         raise UsageError("unknown problem keys %s" % sorted(p.keys() - _PROBLEM_KEYS))
     lam = p.get("lambda") if cfg.get("lambda") is None else cfg["lambda"]
     given = {"seed": cfg.get("seed"), **p, "lam": None if lam == "auto" else lam}
-    make = getattr(problems, "gen_" + p["kind"].replace("-", "_"))
-    inst = make(**{k: given[k] for k in (*_KINDS[p["kind"]], "lam") if given.get(k) is not None})
+    args = {k: given[k] for k in (*_KINDS[kind], "lam") if given.get(k) is not None}
+    inst = getattr(problems, "gen_" + kind.replace("-", "_"))(**args)
+    inst.metadata = {"kind": kind, **{k: args.get(k, default) for k, default in _KINDS[kind].items()}}
     if lam != "auto":
         return inst
     best, best_kappa = analysis.optimal_lambda(inst.constants)
@@ -220,7 +223,7 @@ def cmd_sweep(cfg, out_dir):
                           for key, value in cfg["grid"].items())
     if not (0 < lo <= hi < np.inf) or points < 1:
         raise UsageError("invalid lambda grid")
-    grid = np.linspace(lo, hi, points) if points > 1 else np.array([lo])
+    grid = np.linspace(lo, hi, points)
 
     rows = [(lam, analysis.contraction_factor(problem.constants, lam)) for lam in grid.tolist()]
     best_lam, best_kappa = min(rows, key=lambda row: row[1])
@@ -387,6 +390,9 @@ def _parser():
     """The parser, built on the first call only: each subcommand takes --config and the shared flags."""
     parser = _Parser(prog="hmsolve", description=__doc__)  # its subparsers are _Parsers too
     subparsers = parser.add_subparsers(dest="command", required=True)
+    for _, path, kind, _ in _FLAGS:  # argparse names a refused value by its type's __name__, and a lambda's says nothing
+        if kind.__name__ == "<lambda>":
+            kind.__name__ = path[-1]
     for name in _COMMANDS:
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", help="JSON config file")

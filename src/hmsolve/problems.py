@@ -34,7 +34,6 @@ def gen_scalar_affine(b=2.0, lam=1.0):
     return ProblemInstance(
         h=h, a=a, m=m, constants=catalog_constants(h, a, m), lam=lam, dim=1,
         known_solution=np.array([float(b) / 2.0]),
-        metadata={"kind": "scalar-affine", "b": float(b)},
     )
 
 
@@ -89,7 +88,7 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((_REFLECTORS, dim))
     q = ReflectorBasis(v / np.linalg.norm(v, axis=1, keepdims=True))
-    spectrum = np.linspace(lo, hi, dim) if dim > 1 else np.array([lo])
+    spectrum = np.linspace(lo, hi, dim)
     qb = q.T @ (b_scale * rng.standard_normal(dim))
 
     h = AffineLinear(spectrum)
@@ -99,14 +98,6 @@ def gen_spd_linear(dim=50, eigen_range=(1.0, 1.2), seed=0, c_a=1.0, m=1.0,
     return ProblemInstance(
         h=h, a=a, m=mm, constants=catalog_constants(h, a, mm), lam=lam, dim=dim,
         known_solution=xstar, basis=q,
-        metadata={
-            "kind": "spd-linear",
-            "eigen_range": (lo, hi),
-            "seed": int(seed),
-            "c_a": float(c_a),
-            "m": float(m),
-            "coupling": "A = c_a*H - b, hence r = c_a*gamma^2 and s = c_a*tau",
-        },
     )
 
 
@@ -131,7 +122,6 @@ def gen_soft_threshold(dim=50, c=1.0, b=None, lam=0.5, seed=0):
     return ProblemInstance(
         h=h, a=a, m=m, constants=catalog_constants(h, a, m), lam=lam, dim=dim,
         known_solution=xstar,
-        metadata={"kind": "soft-threshold", "c": float(c), "seed": int(seed)},
     )
 
 
@@ -165,7 +155,7 @@ def gen_explicit(dim, h, a, m, constants, lam=1.0, known_solution=None):
         h=_operator_from_dict("h", h), a=_operator_from_dict("a", a),
         m=_operator_from_dict("m", m, multivalued=True),
         constants=OperatorConstants(**constants), lam=float(lam), dim=int(dim),
-        known_solution=known_solution, metadata={"kind": "explicit"},
+        known_solution=known_solution,
     )
     exact = catalog_constants(inst.h, inst.a, inst.m)
     for name, inequality, side in _INEQUALITIES:

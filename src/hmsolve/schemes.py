@@ -168,7 +168,8 @@ class ProblemInstance:
     vectors there. Q is an array or any object that offers ``Q @ V``, ``Q.T @ V`` and
     ``shape``, such as ``problems.ReflectorBasis``; it is checked on one seeded probe
     vector v, where Q(Q^T v) must give v back to 1e-9 relative, else ``ValueError``.
-    ``known_solution`` and ``f_map`` are in x.
+    ``known_solution`` and ``f_map`` are in x. ``metadata``, the ``problem`` block of ``summary.json``, is
+    left empty by the generators and filled by ``cli.build_problem`` with the kind and its builder's arguments.
     """
 
     h: object

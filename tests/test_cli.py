@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -262,6 +263,13 @@ class TestSolve:
         assert summary["kappa"] < 1.0
         assert summary["problem"].get("lambda_auto")
 
+    def test_summary_names_the_instance(self, tmp_path):
+        # the generators once wrote some of their parameters by hand, and spd-linear's dim and b_scale were not
+        argv = ["--problem", "spd-linear", "--dim", "200", "--seed", "1", "--b-scale", "1e8", "--tol", "-1"]
+        assert main(["solve", *argv, "--max-steps", "80", "--out", str(tmp_path)]) == EXIT_OK
+        problem = json.loads((tmp_path / "summary.json").read_text())["problem"]
+        assert (problem["dim"], problem["b_scale"], problem["seed"]) == (200, 1e8, 1)
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = _write_config(tmp_path, {
             "problem": {"kind": "scalar-affine", "b": 2.0},
@@ -499,6 +507,11 @@ class TestSweep:
         # kappa < 1 on every grid point, although s <= eta puts the
         # closed-form feasible interval out of scope here
         assert all(line.split(",")[2] == "1" for line in lines[1:])
+        # a grid of one point is its lower end
+        one = tmp_path / "one"
+        assert main(["sweep", "--problem", "scalar-affine", "--grid", "0.7:3:1", "--out", str(one)]) == EXIT_OK
+        assert [line.split(",")[0] for line in (one / "sweep.csv").read_text().splitlines()[1:]] == ["0.7"]
+        assert json.loads((one / "sweep_summary.json").read_text())["best_lambda"] == 0.7
 
     def test_interval_past_the_overflow_is_strict_json(self, tmp_path):
         # tau^2 - gamma^2 = inf - inf made the interval's upper end NaN, which strict JSON has no word for
@@ -649,6 +662,18 @@ class TestProblemKinds:
         assert main(["solve", "--config", cfg, *flags, "--out", str(tmp_path)]) == EXIT_OK
         assert json.loads((tmp_path / "summary.json").read_text())["lambda"] == lam
 
+    @pytest.mark.parametrize("auto", [[], ["--lambda", "auto"]])
+    @pytest.mark.parametrize("kind", sorted(_KIND_CONFIGS))
+    def test_summary_names_each_parameter_of_the_builder(self, tmp_path, kind, auto):
+        cfg = _write_config(tmp_path, {"problem": _KIND_CONFIGS[kind]})
+        assert main(["solve", "--config", cfg, *auto, "--out", str(tmp_path / "out")]) == EXIT_OK
+        problem = json.loads((tmp_path / "out" / "summary.json").read_text())["problem"]
+        params = inspect.signature(getattr(problems, "gen_" + kind.replace("-", "_"))).parameters
+        assert problem.keys() == {"kind", *params} - {"lam"} | ({"lambda_auto"} if auto else set())
+        # each given value as given, each other one the builder's default
+        assert problem == json.loads(json.dumps({**{k: p.default for k, p in params.items() if k != "lam"},
+                                                 **_KIND_CONFIGS[kind], **({"lambda_auto": True} if auto else {})}))
+
     def test_help_names_every_kind(self):
         (text,) = [text for flag, _, _, text in cli._FLAGS if flag == "--problem"]
         assert text == "problem kind (scalar-affine, spd-linear, soft-threshold, explicit)"
@@ -744,6 +769,14 @@ class TestConfigKeys:
         argv = [command, "--problem", "spd-linear", "--alg", "new,fh", "--grid", "0.1:1:3", "--out", str(out)]
         assert main(argv) == EXIT_USAGE
         assert "unrecognized arguments: --grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--x0", "a,b"), ("--lambda", "x"), ("--grid", "0.1:1")])
+    def test_malformed_flag_names_its_value(self, tmp_path, capsys, flag, value):
+        # argparse names the refused value by its type function, which once read "<lambda>"
+        out = tmp_path / "out"
+        assert main(["sweep", "--problem", "scalar-affine", flag, value, "--out", str(out)]) == EXIT_USAGE
+        assert "argument %s: invalid %s value: %r" % (flag, flag[2:], value) in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["0.1:1", "0.1:1:3:4", "0.1:1:x"])

@@ -91,6 +91,8 @@ class TestStepSequences:
             make_step_sequence("constant", value=1.5)
         with pytest.raises(ValueError, match="must lie in"):
             StepSequence("constant", 5.0)
+        with pytest.raises(ValueError, match="unknown family 'bogus'"):  # and a family outside STEP_FAMILIES
+            StepSequence("bogus")
 
     @pytest.mark.parametrize("family, param", [("harmonic", {"value": 0.5}), ("constant", {"value": 0.5, "ofset": 3}),
                                                ("custom-table", {"table": [0.5], "offset": 1})])
