@@ -5,8 +5,8 @@ lam^2*s^2) / (gamma + lam*eta) drives all of it: when s > eta, the feasible-lam 
 kappa < 1, and kappa's minimiser lam* has a closed form. kappa and lam* are taken over powers of two, exact
 scalings, so that no term leaves the float range. The error envelope of each scheme is the product of the per-step
 bounds of its (xi, mu) casting, and ``check_envelope`` checks a run against it; the rate comparison classifies the
-ratio of measured error sequences; and the equivalence audit pairs two runs by their castings: a relaxed run q
-with an unrelaxed run s (xi = 1) of the same mu. Both bounds read ``_steps``.
+ratio of measured error sequences; and the equivalence audit pairs two runs by the castings they record: a relaxed
+run q with an unrelaxed run s (xi = 1) of the same mu. Both bounds read ``_steps``.
 """
 
 import math
@@ -134,8 +134,8 @@ def envelope(scheme, kappa, xi, mu, e0, n):
     return e0 * np.concatenate(([1.0], np.cumprod(factors)))
 
 
-def check_envelope(trace, kappa, xi, mu):
-    """(bounds, passed): ``trace``'s errors against its scheme's envelope under (xi, mu).
+def check_envelope(trace, kappa):
+    """(bounds, passed): ``trace``'s errors against the envelope of the (xi, mu) casting it records.
 
     bounds has one entry per error, and passed[n] is errors[n] - bounds[n] <=
     DEFAULT_AUDIT_SLACK, which a NaN error fails. None when the trace has no
@@ -144,7 +144,7 @@ def check_envelope(trace, kappa, xi, mu):
     if trace.errors is None or not kappa < 1.0:
         return None
     errors = np.asarray(trace.errors, dtype=float)
-    bounds = envelope(trace.algorithm, kappa, xi, mu, trace.errors[0], errors.size - 1)
+    bounds = envelope(trace.algorithm, kappa, *trace.casting, trace.errors[0], errors.size - 1)
     return bounds, errors - bounds <= DEFAULT_AUDIT_SLACK
 
 
@@ -245,14 +245,13 @@ def _exceedances(excess):
     return hit.size, float(hit.max(initial=0.0))
 
 
-def equivalence_audit(trace_a, trace_b, xi, mu, kappa, gap_tol=1e-8):
+def equivalence_audit(trace_a, trace_b, kappa, gap_tol=1e-8):
     """Audit the equivalence-of-convergence recursions on any pair of runs.
 
-    The castings of ``trace_a.algorithm`` and ``trace_b.algorithm`` under the
-    sequences (xi, mu) that drove both runs decide the pairing. The pair is comparable when
-    one run is unrelaxed (its casting's xi is the constant 1) and both
-    castings share mu; the other run is then the relaxed q, and trace_a when
-    both are unrelaxed. The recursions are checked only for a comparable pair
+    The (xi, mu) castings that the two traces record decide the pairing. The pair is
+    comparable when one run is unrelaxed (its casting's xi is the constant 1) and both
+    castings share mu; the other run is then the relaxed q, and trace_a when both are
+    unrelaxed. The recursions are checked only for a comparable pair
     with kappa < 1 whose traces both carry errors; every pair gets its gaps.
     Traces of unequal length are truncated to the common length. Gaps are taken
     in the ``coordinates`` of runs on one problem, ||y_a,n - y_b,n|| = ||x_a,n - x_b,n||
@@ -260,7 +259,7 @@ def equivalence_audit(trace_a, trace_b, xi, mu, kappa, gap_tol=1e-8):
     """
     if trace_a.coordinates is None or trace_b.coordinates is None:
         raise ValueError("the audit needs every y_n: run with keep_iterates=True")
-    (xi_a, mu_a), (xi_b, mu_b) = (casting(trace.algorithm, xi, mu) for trace in (trace_a, trace_b))
+    (xi_a, mu_a), (xi_b, mu_b) = trace_a.casting, trace_b.casting
     # non-finite iterates and errors propagate silently, as in scalar float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         gaps, ya, yb = [], trace_a.coordinates, trace_b.coordinates

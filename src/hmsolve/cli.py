@@ -151,9 +151,9 @@ def _divergence_status(traces):
     return EXIT_NUMERICAL
 
 
-def _record(trace, seqs):
+def _record(trace):
     """``check_envelope``'s (bounds, passed) or None, and the run's ``algorithms.<name>`` in every artifact."""
-    checked = analysis.check_envelope(trace, trace.kappa, seqs["xi"], seqs["mu"])
+    checked = analysis.check_envelope(trace, trace.kappa)
     return checked, {
         "final_residual": trace.residuals[-1],
         "final_error": None if trace.errors is None else trace.errors[-1],
@@ -178,7 +178,7 @@ def cmd_solve(cfg, out_dir):
         "lambda": problem.lam,
         "hypothesis_violated": kappa >= 1.0,
         "problem": problem.metadata,
-        "algorithms": {name: _record(trace, seqs)[1] for name, trace in zip(algorithms, traces)},
+        "algorithms": {name: _record(trace)[1] for name, trace in zip(algorithms, traces)},
     })
     return _divergence_status(traces)
 
@@ -195,7 +195,7 @@ def cmd_compare(cfg, out_dir):
                         for name in (name_a, name_b))
     report = analysis.rate_compare(trace_a, trace_b, decision_margin=decision_margin)
     n_common = min(len(trace_a.errors), len(trace_b.errors))
-    checks, records = zip(*(_record(t, seqs) for t in (trace_a, trace_b)))
+    checks, records = zip(*(_record(t) for t in (trace_a, trace_b)))
     # kappa >= 1 checks neither run; an envelope's prefix is the envelope of the run's prefix
     bounds_a, bounds_b = ([None] * n_common if c is None else c[0][:n_common].tolist() for c in checks)
 
@@ -264,8 +264,7 @@ def cmd_audit(cfg, out_dir):
     all_ok = True
     for i, name_a in enumerate(algorithms):
         for name_b in algorithms[i + 1:]:
-            report = analysis.equivalence_audit(traces[name_a], traces[name_b], seqs["xi"],
-                                                seqs["mu"], kappa, gap_tol=gap_tol)
+            report = analysis.equivalence_audit(traces[name_a], traces[name_b], kappa, gap_tol=gap_tol)
             max_violation = max(report.max_violation_forward, report.max_violation_symmetric)
             causes = [] if report.gap_converged else [
                 ", ".join("%s %s" % (n, unfinished[n]) for n in (name_a, name_b) if n in unfinished)
@@ -288,7 +287,7 @@ def cmd_audit(cfg, out_dir):
         "pairs": pairs,
         "all_ok": all_ok,
         # the tol-stopped probes, the runs that solve makes
-        "algorithms": {name: _record(trace, seqs)[1] for name, trace in probe.items()},
+        "algorithms": {name: _record(trace)[1] for name, trace in probe.items()},
     })
     status = _divergence_status(probe.values())  # names diverged runs, even of passing pairs
     return status if all_ok else EXIT_NUMERICAL

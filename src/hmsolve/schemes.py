@@ -237,6 +237,7 @@ class IterationTrace:
     keeps every y_n = Q^T x_n of ``ProblemInstance.coordinates()``, so x_n = ``Q @ coordinates[n]``
     (y_n = x_n without Q). ``wall_nanos[n]`` runs from before Q^T x_0 to the end of step n, the error of y_n
     included, or of the fill of a repeating run; mapping x_N back and its error in x come after ``wall_nanos[N]``.
+    ``casting`` is the (xi, mu) pair that ``casting`` gave the run; ``analysis`` reads its envelope and pairing off it.
     """
 
     algorithm: str
@@ -247,6 +248,7 @@ class IterationTrace:
     steps_used: int
     converged: bool
     kappa: float
+    casting: tuple
     solution_norm: float = None
     diverged: bool = False
     coordinates: list = None
@@ -330,7 +332,7 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=Tru
         errors[-1] = vector_norm(x - xstar)
     return IterationTrace(
         algorithm=name, iterates=[x], residuals=residuals, errors=errors, wall_nanos=wall, steps_used=n,
-        converged=residuals[-1] <= stop.tol, kappa=kappa, diverged=diverged, coordinates=ys,
+        converged=residuals[-1] <= stop.tol, kappa=kappa, casting=(xi, mu), diverged=diverged, coordinates=ys,
         solution_norm=None if xstar is None else vector_norm(xstar))
 
 

@@ -208,6 +208,7 @@ def plain_run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterat
         steps_used=n,
         converged=residuals[-1] <= stop.tol,
         kappa=kappa,
+        casting=(xi, mu),
         solution_norm=None if xstar is None else float(np.linalg.norm(xstar)),
         diverged=diverged,
         coordinates=ys,

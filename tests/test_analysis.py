@@ -477,7 +477,7 @@ class TestRateCompare:
             n = len(errors)
             return IterationTrace(
                 algorithm="FH", iterates=[np.zeros(1)] * n, residuals=[0.0] * n, errors=errors,
-                wall_nanos=[0] * n, steps_used=n - 1, converged=False, kappa=0.5,
+                wall_nanos=[0] * n, steps_used=n - 1, converged=False, kappa=0.5, casting=casting("FH"),
             )
 
         report = rate_compare(trace([1.0, math.inf, 1.0, math.inf, 1.0, 0.5]),
@@ -497,7 +497,7 @@ class TestRateCompare:
             n = len(errors)
             return IterationTrace(
                 algorithm="FH", iterates=[np.zeros(1)] * n, residuals=[0.0] * n, errors=errors,
-                wall_nanos=[0] * n, steps_used=n - 1, converged=True, kappa=0.5,
+                wall_nanos=[0] * n, steps_used=n - 1, converged=True, kappa=0.5, casting=casting("FH"),
             )
 
         report = rate_compare(trace(errors_a), trace(errors_b))
@@ -521,12 +521,13 @@ class TestRateCompare:
             rate_compare(trace, bad)
 
 
-def _made_trace(algorithm, coordinates, errors):
-    """An IterationTrace built directly, with 1-d coordinates."""
+def _made_trace(algorithm, coordinates, errors, xi=None, mu=None):
+    """An IterationTrace built directly, with 1-d coordinates and the casting of ``algorithm`` under (xi, mu)."""
     n = len(coordinates)
     return IterationTrace(algorithm=algorithm, iterates=[np.array([coordinates[-1]])], residuals=[0.0] * n,
                           errors=list(errors), wall_nanos=[0] * n, steps_used=n - 1, converged=False,
-                          kappa=0.5, coordinates=[np.array([v]) for v in coordinates])
+                          kappa=0.5, casting=casting(algorithm, xi, mu),
+                          coordinates=[np.array([v]) for v in coordinates])
 
 
 class TestCertificateTolerances:
@@ -539,7 +540,7 @@ class TestCertificateTolerances:
     def test_envelope_flags_an_excess_of_1e_minus_6(self):
         # FH at kappa = 0.5 from e0 = 1: bounds 1, 0.5, 0.25, 0.125, held with equality but at the end
         trace = _made_trace("FH", [0.0] * 4, [1.0, 0.5, 0.25, 0.125 + 1e-6])
-        bounds, passed = check_envelope(trace, 0.5, None, None)
+        bounds, passed = check_envelope(trace, 0.5)
         assert bounds.tolist() == [1.0, 0.5, 0.25, 0.125]
         assert passed.tolist() == [True, True, True, False]
 
@@ -553,9 +554,9 @@ class TestCertificateTolerances:
         # = 0.875 + 0.6875 e_s and the symmetric one (1 - mu*(1 - kappa)) + 0.6875 e_q = 0.75 + 0.6875 e_q,
         # each held with equality or exceeded by 1e-6
         half = make_step_sequence("constant", value=0.5)
-        q = _made_trace("ZGY", [1.0, gap], [error_q, 0.0])
-        s = _made_trace("NEW", [0.0, 0.0], [error_s, 0.0])
-        report = equivalence_audit(q, s, half, half, 0.5)
+        q = _made_trace("ZGY", [1.0, gap], [error_q, 0.0], half, half)
+        s = _made_trace("NEW", [0.0, 0.0], [error_s, 0.0], mu=half)
+        report = equivalence_audit(q, s, 0.5)
         assert report.recursion_checked
         assert (report.violations_forward, report.violations_symmetric) == (forward, symmetric)
 
@@ -563,31 +564,57 @@ class TestCertificateTolerances:
         # errors and gaps from 0 to the slack, where every bound is 0: each meets its bound plus slack
         slack = 1e-8 + 10 * 1e-12
         half = make_step_sequence("constant", value=0.5)
-        bounds, passed = check_envelope(_made_trace("FH", [0.0] * 2, [0.0, slack]), 0.5, None, None)
+        bounds, passed = check_envelope(_made_trace("FH", [0.0] * 2, [0.0, slack]), 0.5)
         assert bounds.tolist() == [0.0, 0.0] and passed.tolist() == [True, True]
-        report = equivalence_audit(_made_trace("ZGY", [0.0, slack], [0.0, 0.0]),
-                                   _made_trace("NEW", [0.0, 0.0], [0.0, 0.0]), half, half, 0.5)
+        report = equivalence_audit(_made_trace("ZGY", [0.0, slack], [0.0, 0.0], half, half),
+                                   _made_trace("NEW", [0.0, 0.0], [0.0, 0.0], mu=half), 0.5)
         assert report.recursion_checked and report.violations == 0
 
     @pytest.mark.parametrize("kappa", [1.0, 1.5])
     def test_no_envelope_checked_at_kappa_one_or_above(self, kappa):
-        assert check_envelope(_made_trace("FH", [0.0] * 2, [1.0, 10.0]), kappa, None, None) is None
+        assert check_envelope(_made_trace("FH", [0.0] * 2, [1.0, 10.0]), kappa) is None
 
     @pytest.mark.parametrize("kappa", [1.0, 1.5])
     def test_no_recursion_checked_at_kappa_one_or_above(self, kappa):
         # no recursion holds without a contraction, so a pair far past every bound is not checked
         half = make_step_sequence("constant", value=0.5)
-        q = _made_trace("ZGY", [1.0, 10.0], [0.0, 0.0])
-        s = _made_trace("NEW", [0.0, 0.0], [0.0, 0.0])
-        report = equivalence_audit(q, s, half, half, kappa)
+        q = _made_trace("ZGY", [1.0, 10.0], [0.0, 0.0], half, half)
+        s = _made_trace("NEW", [0.0, 0.0], [0.0, 0.0], mu=half)
+        report = equivalence_audit(q, s, kappa)
         assert not report.recursion_checked and report.violations == 0
 
     @pytest.mark.parametrize("gap, converged", [(2e-8, False), (1e-8, True), (5e-9, True)])
     def test_default_gap_tolerance(self, gap, converged):
         half = make_step_sequence("constant", value=0.5)
-        q = _made_trace("ZGY", [1.0, gap], [0.0, 0.0])
-        s = _made_trace("NEW", [0.0, 0.0], [0.0, 0.0])
-        assert equivalence_audit(q, s, half, half, 0.5).gap_converged is converged
+        q = _made_trace("ZGY", [1.0, gap], [0.0, 0.0], half, half)
+        s = _made_trace("NEW", [0.0, 0.0], [0.0, 0.0], mu=half)
+        assert equivalence_audit(q, s, 0.5).gap_converged is converged
+
+
+class TestRecordedCastings:
+    """Each check reads the (xi, mu) casting that its run records, never a pair restated by the caller."""
+
+    def test_envelope_of_a_harmonic_mann_run(self):
+        p = gen_scalar_affine(b=2.0, lam=0.5)
+        harmonic = make_step_sequence("harmonic", offset=1)
+        trace = run_scheme("MANN", p, [4.0], xi=harmonic, stop=StoppingRule(tol=-1.0, max_steps=30))
+        kappa = p.contraction_factor()
+        bounds, passed = check_envelope(trace, kappa)
+        expected = envelope("MANN", kappa, harmonic, None, trace.errors[0], trace.steps_used)
+        assert bounds.tobytes() == expected.tobytes() and passed.all()
+        # (1, 0), FH's casting, gives other bounds
+        assert not np.array_equal(bounds, envelope("FH", kappa, None, None, trace.errors[0], trace.steps_used))
+
+    def test_castings_of_unequal_mu_are_not_paired(self):
+        # ZGY at mu = 0.5 and NEW at mu = 0.9 satisfy no recursion together; at one mu they do
+        p = gen_spd_linear(50, seed=3)
+        half, most = (make_step_sequence("constant", value=v) for v in (0.5, 0.9))
+        x0, kappa = np.zeros(50), p.contraction_factor()
+        new = run_scheme("NEW", p, x0, mu=most)
+        report = equivalence_audit(run_scheme("ZGY", p, x0, half, half), new, kappa)
+        assert not report.recursion_checked and report.violations == 0
+        report = equivalence_audit(run_scheme("ZGY", p, x0, half, most), new, kappa)
+        assert report.recursion_checked and report.violations == 0
 
 
 class TestEquivalenceAudit:
@@ -598,7 +625,7 @@ class TestEquivalenceAudit:
         stop = StoppingRule(tol=-1.0, max_steps=50)
         q = run_zgy(p, [4.0], xi, mu, stop)
         s = run_new(p, [4.0], mu, stop)
-        report = equivalence_audit(q, s, xi, mu, p.contraction_factor())
+        report = equivalence_audit(q, s, p.contraction_factor())
         assert report.recursion_checked
         assert report.gap_converged
         assert report.gaps[-1] <= 1e-8
@@ -613,7 +640,7 @@ class TestEquivalenceAudit:
         stop = StoppingRule(tol=-1.0, max_steps=40)
         q = run_zgy(p, [4.0], xi, mu, stop)
         s = run_new(p, [4.0], mu, stop)
-        report = equivalence_audit(q, s, xi, mu, p.contraction_factor())
+        report = equivalence_audit(q, s, p.contraction_factor())
         assert report.violations == 0
         assert report.gap_converged
 
@@ -622,9 +649,7 @@ class TestEquivalenceAudit:
         mu = make_step_sequence("constant", value=0.5)
         stop = StoppingRule(tol=-1.0, max_steps=10)
         s = run_new(p, [4.0], mu, stop)
-        report = equivalence_audit(
-            s, s, make_step_sequence("constant", value=0.5), mu, p.contraction_factor()
-        )
+        report = equivalence_audit(s, s, p.contraction_factor())
         assert report.gaps[-1] == 0.0
         assert all(g == 0.0 for g in report.gaps)
 
@@ -634,7 +659,7 @@ class TestEquivalenceAudit:
         xi = make_step_sequence("constant", value=0.5)
         q = run_zgy(p, [4.0], xi, mu, StoppingRule(tol=-1.0, max_steps=8))
         s = run_new(p, [4.0], mu, StoppingRule(tol=-1.0, max_steps=12))
-        report = equivalence_audit(q, s, xi, mu, p.contraction_factor())
+        report = equivalence_audit(q, s, p.contraction_factor())
         assert len(report.gaps) == 9
 
     def test_trace_with_only_its_last_iterate_rejected(self):
@@ -647,7 +672,7 @@ class TestEquivalenceAudit:
         assert len(last.iterates) == 1 and len(last.residuals) == 9
         for pair in ((full, last), (last, full), (last, last)):
             with pytest.raises(ValueError, match="keep_iterates"):
-                equivalence_audit(*pair, mu, mu, p.contraction_factor())
+                equivalence_audit(*pair, p.contraction_factor())
 
     @pytest.mark.parametrize("dim", [1, 7, 200])
     @pytest.mark.parametrize("b_scale", [1.0, 1e12])
@@ -663,7 +688,7 @@ class TestEquivalenceAudit:
         basis = p.coordinates()[0]
         xs = {name: (basis @ np.array(t.coordinates).T).T for name, t in traces.items()}
         for a, b in itertools.combinations(traces, 2):
-            report = equivalence_audit(traces[a], traces[b], half, half, p.contraction_factor())
+            report = equivalence_audit(traces[a], traces[b], p.contraction_factor())
             x_gaps = np.linalg.norm(xs[a] - xs[b], axis=1)
             scale = np.linalg.norm(xs[a], axis=1) + np.linalg.norm(xs[b], axis=1)
             assert np.all(np.abs(report.gaps - x_gaps) <= 32 * np.finfo(float).eps / 2 * scale), (a, b)
@@ -678,21 +703,22 @@ def _poisoned(draw, values, specials):
 
 
 @st.composite
-def _trace(draw, dim):
-    """An IterationTrace built directly, with coordinates and errors that may be inf or NaN."""
+def _trace(draw, dim, xi, mu):
+    """An IterationTrace built directly, cast under (xi, mu), with coordinates and errors that may be inf or NaN."""
     n = draw(st.integers(1, 12))
     flat = draw(st.lists(st.floats(-10.0, 10.0), min_size=n * dim, max_size=n * dim))
     coordinates = list(np.array(_poisoned(draw, flat, [math.inf, -math.inf, math.nan])).reshape(n, dim))
     errors = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
     errors = None if draw(st.integers(0, 4)) == 0 else _poisoned(draw, errors, [math.inf, math.nan])
+    algorithm = draw(st.sampled_from(tuple(CASTINGS)))
     return IterationTrace(
-        algorithm=draw(st.sampled_from(tuple(CASTINGS))), iterates=coordinates[-1:], residuals=[0.0] * n,
-        errors=errors, wall_nanos=[0] * n,
-        steps_used=n - 1, converged=False, kappa=0.0, coordinates=coordinates,
+        algorithm=algorithm, iterates=coordinates[-1:], residuals=[0.0] * n,
+        errors=errors, wall_nanos=[0] * n, steps_used=n - 1, converged=False, kappa=0.0,
+        casting=casting(algorithm, xi, mu), coordinates=coordinates,
     )
 
 
-def _audit_loop(trace_a, trace_b, xi, mu, kappa):
+def _audit_loop(trace_a, trace_b, kappa):
     """The audit as a per-step loop over Python floats, pairing the runs as the CLI
     once did: the reference for ``equivalence_audit``'s array form.
 
@@ -701,8 +727,8 @@ def _audit_loop(trace_a, trace_b, xi, mu, kappa):
     """
     params = None
     for q, s in ((trace_a, trace_b), (trace_b, trace_a)):
-        xi_q, mu_q = casting(q.algorithm, xi, mu)
-        xi_s, mu_s = casting(s.algorithm, xi, mu)
+        xi_q, mu_q = q.casting
+        xi_s, mu_s = s.casting
         if xi_s == ONE and mu_q == mu_s:
             params = q, s, xi_q, mu_q
             break
@@ -743,7 +769,7 @@ class TestStepTableReference:
         bounds = envelope(name, kappa, xi, mu, e0, n)
         assert bounds.tobytes() == per_term_envelope(name, kappa, xi, mu, e0, n).tobytes()
         errors = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n + 1, max_size=n + 1))
-        bounds, passed = check_envelope(_made_trace(name, [0.0] * (n + 1), errors), kappa, xi, mu)
+        bounds, passed = check_envelope(_made_trace(name, [0.0] * (n + 1), errors, xi, mu), kappa)
         reference = per_term_envelope(name, kappa, xi, mu, errors[0], n)
         assert bounds.tobytes() == reference.tobytes()
         assert passed.tolist() == (np.array(errors) - reference <= DEFAULT_AUDIT_SLACK).tolist()
@@ -760,12 +786,12 @@ class TestEquivalenceAuditReference:
     @given(data=st.data(), dim=st.integers(1, 3), xi=sequences, mu=sequences,
            kappa=st.floats(0.0, 1.0, exclude_max=True))
     def test_array_form_matches_scalar_loop(self, data, dim, xi, mu, kappa):
-        a, b = data.draw(_trace(dim)), data.draw(_trace(dim))
-        report = equivalence_audit(a, b, xi, mu, kappa)
-        swapped = equivalence_audit(b, a, xi, mu, kappa)
+        a, b = data.draw(_trace(dim, xi, mu)), data.draw(_trace(dim, xi, mu))
+        report = equivalence_audit(a, b, kappa)
+        swapped = equivalence_audit(b, a, kappa)
         # gaps compare NaN-aware; counts and maxima exactly
-        np.testing.assert_equal(self._fields(report), _audit_loop(a, b, xi, mu, kappa))
-        np.testing.assert_equal(self._fields(swapped), _audit_loop(b, a, xi, mu, kappa))
+        np.testing.assert_equal(self._fields(report), _audit_loop(a, b, kappa))
+        np.testing.assert_equal(self._fields(swapped), _audit_loop(b, a, kappa))
         # swapping the runs keeps what the audit reports. When both runs are
         # unrelaxed, the two forms differ only in which run's errors they
         # multiply by 1 - xi = 0, so a swap may exchange their counts.

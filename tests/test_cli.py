@@ -411,8 +411,7 @@ class TestCompare:
         p = gen_spd_linear(dim=20, seed=3, lam=0.6)
         xi, mu = (schemes.make_step_sequence("constant", value=v) for v in (0.3, 0.5))
         traces = [schemes.run_scheme(name, p, [0.0], xi, mu, keep_iterates=False) for name in ("zgy", "new")]
-        (bounds_a, passed_a), (bounds_b, _) = (
-            analysis.check_envelope(t, p.contraction_factor(), xi, mu) for t in traces)
+        (bounds_a, passed_a), (bounds_b, _) = (analysis.check_envelope(t, p.contraction_factor()) for t in traces)
         n_common = len(traces[1].errors)
         assert len(traces[0].errors) > n_common
         report = json.loads((tmp_path / "rate_report.json").read_text())
@@ -605,6 +604,22 @@ class TestSpdLinearStaysSpectral:
         assert len(products) == 4 + 1 + 4
         assert [len(t.iterates) for t in traces] == [1] * 4
         assert all(t.steps_used > 0 and t.coordinates is None for t in traces)
+
+    def test_compare_maps_only_each_final_iterate_back(self, tmp_path, monkeypatch):
+        # the benchmark's oracle reads compare's runs off the runners it wraps, looked up at call time
+        made = recorded(monkeypatch, problems, "gen_spd_linear")
+        products = recorded(monkeypatch, problems.ReflectorBasis, "__matmul__")
+        runs = [recorded(monkeypatch, schemes, "run_" + name) for name in ("new", "fh")]
+        assert main(["compare", "--problem", "spd-linear", "--dim", "50", "--alg", "new,fh",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert [len(r) for r in runs] == [1, 1]
+        # the generator's 4 products and y* = Q^T x*'s 1; then each run's x_N 1
+        assert len(products) == 4 + 1 + 2
+        half = schemes.make_step_sequence("constant", value=0.5)
+        for (trace,) in runs:
+            assert trace.coordinates is None and len(trace.iterates) == 1
+            kept = schemes.run_scheme(trace.algorithm, made[0], np.zeros(50), half, half)
+            assert np.array_equal(trace.iterates[0], made[0].basis @ kept.coordinates[-1])
 
     def test_audit_maps_only_each_final_iterate_back(self, tmp_path, monkeypatch):
         products = recorded(monkeypatch, problems.ReflectorBasis, "__matmul__")

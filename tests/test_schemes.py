@@ -326,6 +326,18 @@ class TestCollapseIdentities:
             assert len(trace.coordinates) == len(fh.coordinates)
             for a, b in zip(trace.coordinates + trace.iterates, fh.coordinates + fh.iterates):
                 assert np.array_equal(a, b)
+            assert trace.casting == fh.casting == (ONE, ZERO)
+
+    @pytest.mark.parametrize("name, expected", [
+        ("FH", lambda xi, mu: (ONE, ZERO)), ("MANN", lambda xi, mu: (xi, ZERO)),
+        ("NEW", lambda xi, mu: (ONE, mu)), ("ZGY", lambda xi, mu: (xi, mu)),
+    ])
+    def test_each_run_records_its_casting(self, name, expected):
+        # given both sequences, each scheme records the pair it ran with: a sequence its casting
+        # does not use is replaced by the constant it fixes
+        xi, mu = make_step_sequence("harmonic", offset=1), make_step_sequence("constant", value=0.3)
+        trace = run_scheme(name, gen_scalar_affine(b=2.0, lam=0.5), [3.0], xi, mu, StoppingRule(max_steps=5))
+        assert trace.casting == expected(xi, mu)
 
 
 class TestEnvelopeProperty:
@@ -851,8 +863,8 @@ def _against_the_plain_loop(make, x0, keep, stop):
         for name in ("FH", "MANN", "NEW", "ZGY"):
             lean, lean_inputs, lean_warned = _recorded_run(run_scheme, make, x0, name, seq, keep, stop)
             plain, plain_inputs, plain_warned = _recorded_run(plain_run_scheme, make, x0, name, seq, keep, stop)
-            assert (lean.steps_used, lean.converged, lean.diverged) == (
-                plain.steps_used, plain.converged, plain.diverged)
+            assert (lean.steps_used, lean.converged, lean.diverged, lean.casting) == (
+                plain.steps_used, plain.converged, plain.diverged, plain.casting)
             for field in ("residuals", "errors", "iterates"):
                 assert _bits(getattr(lean, field)) == _bits(getattr(plain, field)), field
             assert (lean.coordinates is None) == (plain.coordinates is None) == (not keep)
