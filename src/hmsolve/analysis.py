@@ -16,7 +16,7 @@ import numpy as np
 
 from .operators import _CONSISTENCY_TOL, InconsistentConstantsError
 from .resolvent import ResolventEngine
-from .schemes import ONE, casting, vector_norm
+from .schemes import ONE, vector_norm
 
 __all__ = [
     "contraction_factor",
@@ -106,14 +106,14 @@ def _steps(xi, mu, kappa, n):
     return xis, mus, 1.0 - mus * (1.0 - kappa)
 
 
-def envelope(scheme, kappa, xi, mu, e0, n):
+def envelope(kappa, xi, mu, e0, n):
     """Error bounds e0 * prod_{k<m} f_k for m = 0..n, as an array of n + 1.
 
     f_k = (1 - xi_k) + xi_k * kappa * (1 - mu_k (1 - kappa)) bounds one step of
-    the relaxed two-step iteration under the (xi, mu) casting of ``scheme``:
-    kappa for FH, 1 - xi_k (1 - kappa) for MANN, kappa (1 - mu_k (1 - kappa))
-    for NEW and 1 - xi_k (1 - kappa (1 - mu_k (1 - kappa))) for ZGY. Sequences
-    a casting does not use may be None.
+    the relaxed two-step iteration under the (xi, mu) casting, a scheme's being
+    ``casting(name, xi, mu)``: kappa for FH, 1 - xi_k (1 - kappa) for MANN,
+    kappa (1 - mu_k (1 - kappa)) for NEW and 1 - xi_k (1 - kappa (1 - mu_k (1 - kappa)))
+    for ZGY.
 
     Per F evaluation the two-step bounds never win. A NEW or ZGY step costs
     two F evaluations and an FH or MANN step one, and for kappa, xi, mu in
@@ -129,13 +129,13 @@ def envelope(scheme, kappa, xi, mu, e0, n):
         raise ValueError("kappa must lie in [0, 1)")
     if e0 < 0:
         raise ValueError("e0 must be nonnegative")
-    xis, _, shrink = _steps(*casting(scheme, xi, mu), kappa, n)
+    xis, _, shrink = _steps(xi, mu, kappa, n)
     factors = (1.0 - xis) + xis * (kappa * shrink)
     return e0 * np.concatenate(([1.0], np.cumprod(factors)))
 
 
 def check_envelope(trace, kappa):
-    """(bounds, passed): ``trace``'s errors against the envelope of the (xi, mu) casting it records.
+    """(bounds, passed): ``trace``'s errors against the envelope of the (xi, mu) casting it records, whatever its label.
 
     bounds has one entry per error, and passed[n] is errors[n] - bounds[n] <=
     DEFAULT_AUDIT_SLACK, which a NaN error fails. None when the trace has no
@@ -144,7 +144,7 @@ def check_envelope(trace, kappa):
     if trace.errors is None or not kappa < 1.0:
         return None
     errors = np.asarray(trace.errors, dtype=float)
-    bounds = envelope(trace.algorithm, kappa, *trace.casting, trace.errors[0], errors.size - 1)
+    bounds = envelope(kappa, *trace.casting, trace.errors[0], errors.size - 1)
     return bounds, errors - bounds <= DEFAULT_AUDIT_SLACK
 
 

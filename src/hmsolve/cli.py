@@ -70,19 +70,19 @@ def parse_sequence(spec):
 
 
 #: problem kind -> {key: default} for the ``problem`` keys but ``lam`` that its builder ``problems.gen_<kind>``
-#: takes, read off the builder's signature once. The builder and each ``schemes.run_*`` are looked up at
-#: call time, so that a wrapped one is the one called.
+#: takes, read off the builder's signature once. The builder, like each ``schemes.run_<name>`` (see ``_run``),
+#: is looked up at call time, so that a wrapped one is the one called.
 _KINDS = {name[4:].replace("_", "-"): {key: param.default for key, param in
                                        inspect.signature(getattr(problems, name)).parameters.items() if key != "lam"}
           for name in problems.__all__ if name.startswith("gen_")}
 #: the keys a ``problem`` section may hold: one of another kind is ignored, one of no kind refused
 _PROBLEM_KEYS = {"kind", "lambda"}.union(*_KINDS.values())
-_RUNNERS = {
-    "fh": lambda p, x0, seqs, stop, **kw: schemes.run_fh(p, x0, stop, **kw),
-    "zgy": lambda p, x0, seqs, stop, **kw: schemes.run_zgy(p, x0, seqs["xi"], seqs["mu"], stop, **kw),
-    "mann": lambda p, x0, seqs, stop, **kw: schemes.run_mann(p, x0, seqs["xi"], stop, **kw),
-    "new": lambda p, x0, seqs, stop, **kw: schemes.run_new(p, x0, seqs["mu"], stop, **kw),
-}
+
+
+def _run(name, problem, x0, seqs, stop, **kw):
+    """``schemes.run_<name>``, looked up at call time, given by keyword the sequences its casting takes."""
+    taken = {seq: seqs[seq] for seq in schemes.CASTINGS[name.upper()] if isinstance(seq, str)}
+    return getattr(schemes, "run_" + name)(problem, x0, stop=stop, **taken, **kw)
 
 
 def build_problem(cfg):
@@ -122,8 +122,9 @@ def _setup(cfg, fewest=1, most=float("inf")):
     """
     with _interpreting():
         algorithms = [str(a).lower() for a in cfg["algorithms"]]
-        if not set(algorithms) <= set(_RUNNERS):
-            raise UsageError("unknown algorithm in %s (choose from %s)" % (algorithms, ", ".join(_RUNNERS)))
+        if not set(algorithms) <= set(map(str.lower, schemes.CASTINGS)):
+            raise UsageError("unknown algorithm in %s (choose from %s)"
+                             % (algorithms, ", ".join(schemes.CASTINGS).lower()))
         if not fewest <= len(algorithms) <= most:
             raise UsageError("this command needs %s algorithms, got %d" % (
                 "exactly %d" % most if fewest == most else "at least %d" % fewest, len(algorithms)))
@@ -171,7 +172,7 @@ def cmd_solve(cfg, out_dir):
     kappa = problem.contraction_factor()
     traces = []
     for name in algorithms:
-        traces.append(_RUNNERS[name](problem, x0, seqs, stop, keep_iterates=False))
+        traces.append(_run(name, problem, x0, seqs, stop, keep_iterates=False))
         write_trace_csv(out_dir / ("trace_%s.csv" % name), traces[-1])
     _write_json(out_dir / "summary.json", {
         "kappa": kappa,
@@ -191,7 +192,7 @@ def cmd_compare(cfg, out_dir):
         decision_margin = as_number(cfg["decision_margin"], "decision_margin", least=0)
 
     # both runs start from the same x0; only errors are compared, so neither keeps its coordinates
-    trace_a, trace_b = (_RUNNERS[name](problem, x0, seqs, stop, keep_iterates=False)
+    trace_a, trace_b = (_run(name, problem, x0, seqs, stop, keep_iterates=False)
                         for name in (name_a, name_b))
     report = analysis.rate_compare(trace_a, trace_b, decision_margin=decision_margin)
     n_common = min(len(trace_a.errors), len(trace_b.errors))
@@ -250,7 +251,7 @@ def cmd_audit(cfg, out_dir):
 
     # first pass finds how long the slowest algorithm needs, second pass runs
     # the shorter ones for that common length so gaps are comparable per step
-    probe = {name: _RUNNERS[name](problem, x0, seqs, stop) for name in algorithms}
+    probe = {name: _run(name, problem, x0, seqs, stop) for name in algorithms}
     common = max(trace.steps_used for trace in probe.values())
     # why a probe run ended unconverged, for the failure messages
     unfinished = {name: "diverged" if trace.diverged else "hit the step cap %d" % stop.max_steps
@@ -259,7 +260,7 @@ def cmd_audit(cfg, out_dir):
     # or a diverged one (it stops at a non-finite iterate whatever tol), is its own fixed-length rerun
     fixed_stop = StoppingRule(tol=-1.0, max_steps=common)
     traces = {name: trace if trace.steps_used == common or trace.diverged
-              else _RUNNERS[name](problem, x0, seqs, fixed_stop) for name, trace in probe.items()}
+              else _run(name, problem, x0, seqs, fixed_stop) for name, trace in probe.items()}
     pairs = []
     all_ok = True
     for i, name_a in enumerate(algorithms):
@@ -334,7 +335,7 @@ _FLAGS = (
     ("--eigen-hi", ("problem", "eigen_range", 1), float, "highest eigenvalue of spd-linear H"),
     ("--lambda", ("lambda",), lambda text: text if text == "auto" else float(text), "resolvent parameter, or 'auto'"),
     ("--alg", ("algorithms",), lambda text: [a for a in text.split(",") if a],
-     "comma-separated algorithms (%s)" % ",".join(_RUNNERS)),
+     "comma-separated algorithms (%s)" % ",".join(schemes.CASTINGS).lower()),
     ("--xi", ("sequences", "xi"), str, "step sequence spec, e.g. const:0.5 or harmonic:1"),
     ("--mu", ("sequences", "mu"), str, "step sequence spec"),
     ("--tol", ("stopping", "tol"), float, "residual tolerance"),

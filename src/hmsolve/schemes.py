@@ -118,26 +118,22 @@ def make_step_sequence(family, **param):
 ONE = StepSequence("constant", 1.0)
 ZERO = StepSequence("constant", 0.0)
 
-#: each scheme as the relaxed two-step iteration: name -> (xi, mu) casting
-#: built from the caller's sequences
-CASTINGS = {
-    "FH": lambda xi, mu: (ONE, ZERO),
-    "ZGY": lambda xi, mu: (xi, mu),
-    "MANN": lambda xi, mu: (xi, ZERO),
-    "NEW": lambda xi, mu: (ONE, mu),
-}
+#: each scheme as the relaxed two-step iteration, name -> its (xi, mu) casting: ONE or ZERO where the casting
+#: fixes a sequence, "xi" or "mu" where it takes the caller's sequence of that name (``run_<name>``'s keyword)
+CASTINGS = {"FH": (ONE, ZERO), "ZGY": ("xi", "mu"), "MANN": ("xi", ZERO), "NEW": (ONE, "mu")}
 
 
 def casting(name, xi=None, mu=None):
-    """The (xi, mu) sequences with which the relaxed two-step iteration is ``name``.
+    """The (xi, mu) sequences with which the relaxed two-step iteration is ``name``: its row of ``CASTINGS``
+    with the caller's sequences filled in.
 
-    ``name`` is case-insensitive; a sequence the casting needs but which is
+    ``name`` is case-insensitive; a sequence the casting takes but which is
     not given is an error.
     """
-    cast = CASTINGS[name.upper()](xi, mu)
+    row, given = CASTINGS[name.upper()], {"xi": xi, "mu": mu}
+    cast = tuple(given[seq] if isinstance(seq, str) else seq for seq in row)
     if None in cast:
-        raise ValueError("scheme %s needs the %s sequence"
-                         % (name.upper(), "xi" if cast[0] is None else "mu"))
+        raise ValueError("scheme %s needs the %s sequence" % (name.upper(), row[cast.index(None)]))
     return cast
 
 
@@ -238,6 +234,7 @@ class IterationTrace:
     (y_n = x_n without Q). ``wall_nanos[n]`` runs from before Q^T x_0 to the end of step n, the error of y_n
     included, or of the fill of a repeating run; mapping x_N back and its error in x come after ``wall_nanos[N]``.
     ``casting`` is the (xi, mu) pair that ``casting`` gave the run; ``analysis`` reads its envelope and pairing off it.
+    ``algorithm`` is the run's label, which ``analysis`` does not read.
     """
 
     algorithm: str

@@ -22,6 +22,7 @@ from hmsolve.problems import gen_scalar_affine, gen_soft_threshold, gen_spd_line
 from hmsolve.schemes import (
     CASTINGS,
     StoppingRule,
+    casting,
     make_step_sequence,
     run_fh,
     run_mann,
@@ -98,7 +99,7 @@ def test_04_two_step_envelope():
         ok = ok and kappa <= 0.8
         for name in CASTINGS:
             trace = run_scheme(name, p, np.full(p.dim, 2.5), xi, mu)
-            bounds = envelope(name, kappa, xi, mu, trace.errors[0], trace.steps_used)
+            bounds = envelope(kappa, *casting(name, xi, mu), trace.errors[0], trace.steps_used)
             ok = ok and all(e <= b + 1e-8 for e, b in zip(trace.errors, bounds))
     _report("all four schemes under their envelopes e0 prod[1 - xi(1 - kappa"
             "(1 - mu(1-kappa)))] on all three generators",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import types
@@ -334,29 +335,29 @@ class TestOptimalLambda:
 
 class TestEnvelopes:
     def test_fh_oracle(self):
-        assert envelope("FH", 0.5, None, None, 1.0, 3).tolist() == [1.0, 0.5, 0.25, 0.125]
+        assert envelope(0.5, *casting("FH"), 1.0, 3).tolist() == [1.0, 0.5, 0.25, 0.125]
 
     def test_fh_step_zero_is_initial_error(self):
-        assert envelope("FH", 0.9, None, None, 7.0, 0).tolist() == [7.0]
+        assert envelope(0.9, *casting("FH"), 7.0, 0).tolist() == [7.0]
 
     def test_new_collapses_to_fh_when_mu_zero(self):
         mu = make_step_sequence("constant", value=0.0)
-        assert np.array_equal(envelope("NEW", 1 / 3, None, mu, 2.0, 5),
-                              envelope("FH", 1 / 3, None, None, 2.0, 5))
+        assert np.array_equal(envelope(1 / 3, *casting("NEW", mu=mu), 2.0, 5),
+                              envelope(1 / 3, *casting("FH"), 2.0, 5))
 
     def test_new_oracle_mu_one(self):
         # kappa = 1/3, mu = 1: each step multiplies by (1/3)*(1/3) = 1/9
         mu = make_step_sequence("constant", value=1.0)
-        assert envelope("NEW", 1 / 3, None, mu, 1.0, 2)[2] == pytest.approx(1 / 81, abs=1e-15)
+        assert envelope(1 / 3, *casting("NEW", mu=mu), 1.0, 2)[2] == pytest.approx(1 / 81, abs=1e-15)
 
     def test_new_never_above_fh(self):
         mu = make_step_sequence("constant", value=0.7)
-        new = envelope("NEW", 0.6, None, mu, 1.0, 10)
-        assert np.all(new <= envelope("FH", 0.6, None, None, 1.0, 10) + 1e-15)
+        new = envelope(0.6, *casting("NEW", mu=mu), 1.0, 10)
+        assert np.all(new <= envelope(0.6, *casting("FH"), 1.0, 10) + 1e-15)
 
     def test_rejects_kappa_out_of_range(self):
         with pytest.raises(ValueError):
-            envelope("FH", 1.0, None, None, 1.0, 1)
+            envelope(1.0, *casting("FH"), 1.0, 1)
 
     def test_relaxed_oracles(self):
         # kappa = 1/2, xi = 1/2, mu = 1/2: MANN factor 1 - 1/4 = 3/4; ZGY
@@ -364,14 +365,14 @@ class TestEnvelopes:
         # factors 1 - (1/(k+1))(1/2) = 1/2, 3/4, 5/6 for k = 0, 1, 2
         half = make_step_sequence("constant", value=0.5)
         harmonic = make_step_sequence("harmonic", offset=1)
-        assert envelope("MANN", 0.5, half, None, 1.0, 2).tolist() == [1.0, 0.75, 0.5625]
-        assert envelope("zgy", 0.5, half, half, 1.0, 1).tolist() == [1.0, 11 / 16]
-        assert envelope("MANN", 0.5, harmonic, None, 1.0, 3) == pytest.approx(
+        assert envelope(0.5, *casting("MANN", half), 1.0, 2).tolist() == [1.0, 0.75, 0.5625]
+        assert envelope(0.5, *casting("zgy", half, half), 1.0, 1).tolist() == [1.0, 11 / 16]
+        assert envelope(0.5, *casting("MANN", harmonic), 1.0, 3) == pytest.approx(
             [1.0, 1 / 2, 3 / 8, 5 / 16], rel=1e-15)
 
     def test_missing_sequence_rejected(self):
         with pytest.raises(ValueError):
-            envelope("ZGY", 0.5, None, make_step_sequence("constant", value=0.5), 1.0, 3)
+            envelope(0.5, *casting("ZGY", mu=make_step_sequence("constant", value=0.5)), 1.0, 3)
 
     @settings(max_examples=500, deadline=None)
     @given(kappa=st.floats(0.0, 1.0, exclude_max=True), xi=st.floats(0.0, 1.0),
@@ -380,10 +381,10 @@ class TestEnvelopes:
         # a NEW or ZGY step costs two F evaluations, an FH or MANN step one: the
         # two-step factor is at least the one-step factor squared (proof in envelope)
         xi, mu = (make_step_sequence("constant", value=v) for v in (xi, mu))
-        assert (envelope("NEW", kappa, None, mu, 1.0, 1)[1]
-                >= envelope("FH", kappa, None, None, 1.0, 2)[2] - 1e-15)
-        assert (envelope("ZGY", kappa, xi, mu, 1.0, 1)[1]
-                >= envelope("MANN", kappa, xi, None, 1.0, 2)[2] - 1e-15)
+        assert (envelope(kappa, *casting("NEW", mu=mu), 1.0, 1)[1]
+                >= envelope(kappa, *casting("FH"), 1.0, 2)[2] - 1e-15)
+        assert (envelope(kappa, *casting("ZGY", xi, mu), 1.0, 1)[1]
+                >= envelope(kappa, *casting("MANN", xi), 1.0, 2)[2] - 1e-15)
 
 
 class TestBoundarySharpness:
@@ -456,7 +457,7 @@ class TestRateCompare:
         # slack scales with the (deliberately huge) starting error so a few
         # ulps of rounding in the envelope product do not count as violations
         for trace in (fast, slow):
-            bounds = envelope(trace.algorithm, kappa, None, mu, trace.errors[0], trace.steps_used)
+            bounds = envelope(kappa, *casting(trace.algorithm, mu=mu), trace.errors[0], trace.steps_used)
             assert np.all(np.asarray(trace.errors) <= bounds + 1e-8 * fast.errors[0])
 
     def test_reversed_order_not_a_faster(self):
@@ -600,10 +601,18 @@ class TestRecordedCastings:
         trace = run_scheme("MANN", p, [4.0], xi=harmonic, stop=StoppingRule(tol=-1.0, max_steps=30))
         kappa = p.contraction_factor()
         bounds, passed = check_envelope(trace, kappa)
-        expected = envelope("MANN", kappa, harmonic, None, trace.errors[0], trace.steps_used)
+        expected = envelope(kappa, *casting("MANN", harmonic), trace.errors[0], trace.steps_used)
         assert bounds.tobytes() == expected.tobytes() and passed.all()
         # (1, 0), FH's casting, gives other bounds
-        assert not np.array_equal(bounds, envelope("FH", kappa, None, None, trace.errors[0], trace.steps_used))
+        assert not np.array_equal(bounds, envelope(kappa, *casting("FH"), trace.errors[0], trace.steps_used))
+
+    def test_envelope_reads_the_casting_not_the_label(self):
+        # a run labelled FH but cast (1/2, 1/2) gets ZGY's factor 1 - (1/2)(1 - (1/2)(3/4)) = 11/16, not FH's 1/2
+        half = make_step_sequence("constant", value=0.5)
+        trace = dataclasses.replace(_made_trace("ZGY", [0.0] * 4, [1.0, 0.5, 0.25, 0.125], half, half), algorithm="FH")
+        bounds, passed = check_envelope(trace, 0.5)
+        assert bounds.tolist() == [1.0, 11 / 16, (11 / 16) ** 2, (11 / 16) ** 3] and passed.all()
+        assert bounds.tobytes() == envelope(0.5, half, half, 1.0, 3).tobytes()
 
     def test_castings_of_unequal_mu_are_not_paired(self):
         # ZGY at mu = 0.5 and NEW at mu = 0.9 satisfy no recursion together; at one mu they do
@@ -766,7 +775,7 @@ class TestStepTableReference:
             assert all(type(t) is float for t in terms)  # an int n takes the scalar path
             assert np.broadcast_to(seq.value(np.arange(n)), (n,)).tobytes() == np.array(terms).tobytes()
         e0 = data.draw(st.floats(0.0, 10.0))
-        bounds = envelope(name, kappa, xi, mu, e0, n)
+        bounds = envelope(kappa, *casting(name, xi, mu), e0, n)
         assert bounds.tobytes() == per_term_envelope(name, kappa, xi, mu, e0, n).tobytes()
         errors = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n + 1, max_size=n + 1))
         bounds, passed = check_envelope(_made_trace(name, [0.0] * (n + 1), errors, xi, mu), kappa)

@@ -870,6 +870,8 @@ class TestAudit:
         (["soft-threshold", "--dim", "60", "--lambda", "auto"], EXIT_OK, False),
         # every run diverges: FH, ZGY and NEW after 404, 352 and 269 steps, MANN after 806
         (["spd-linear", "--dim", "20", "--seed", "0", "--c-a", "5", "--lambda", "50"], EXIT_NUMERICAL, True),
+        # FH, ZGY and NEW converge after 18, 45 and 14 steps and are rerun to MANN's 52, in a basis
+        (["spd-linear", "--dim", "50", "--seed", "2"], EXIT_OK, False),
     ])
     def test_finished_probe_runs_once(self, tmp_path, monkeypatch, problem, code, each_once):
         # a probe run that already has the common length, or that diverged, is not run again
@@ -880,6 +882,13 @@ class TestAudit:
         for name, traces in runs.items():
             finished = traces[0].steps_used == common or traces[0].diverged
             assert len(traces) == (1 if finished else 2), name
+            if not finished:
+                # audit.json records the probe and takes the gaps from the rerun: the rerun's prefix is the probe,
+                # but for the probe's last error, which in a basis is ||x_N - x*|| taken in x, not in y
+                (probe, rerun), k = traces, traces[0].steps_used + 1
+                assert rerun.residuals[:k] == probe.residuals, name
+                assert [y.tobytes() for y in rerun.coordinates[:k]] == [y.tobytes() for y in probe.coordinates], name
+                assert rerun.errors[:k - 1] == probe.errors[:-1], name
         assert each_once == all(len(traces) == 1 for traces in runs.values())
 
     def test_start_at_solution_gives_zero_length_recursion(self, tmp_path):
@@ -1021,6 +1030,20 @@ class TestRunRecord:
             (False, 200)] * 2
         assert records["new"]["converged"]
         assert records["new"]["steps"] < 200
+
+    def test_every_run_takes_the_sequences_of_its_casting(self, tmp_path, monkeypatch):
+        # xi and mu differ, so a run given one sequence for the other, or none, records another casting. At
+        # 50 steps ZGY and MANN hit the cap, so audit reruns FH and NEW, and its gaps stay above gap_tol
+        runs = {name: recorded(monkeypatch, schemes, "run_" + name) for name in ("fh", "zgy", "mann", "new")}
+        codes = [self._run(tmp_path / algorithms, command, "--problem", "spd-linear", "--dim", "20",
+                           "--alg", algorithms, "--xi", "harmonic:2", "--mu", "const:0.9", "--max-steps", "50")[0]
+                 for command, algorithms in (("solve", "fh,zgy,mann,new"), ("compare", "fh,zgy"),
+                                             ("compare", "mann,new"), ("audit", "fh,zgy,mann,new"))]
+        assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_NUMERICAL]
+        xi, mu = parse_sequence("harmonic:2"), parse_sequence("const:0.9")
+        assert [len(traces) for traces in runs.values()] == [4, 3, 3, 4]
+        for name, traces in runs.items():
+            assert all(trace.casting == schemes.casting(name, xi, mu) for trace in traces), name
 
     def test_kappa_of_exactly_one_violates_the_hypothesis(self, tmp_path):
         # declared r = 1/2 and s = 2 bound A = I loosely: kappa(1) = sqrt(1 - 1 + 4)/(1 + 1) = 1

@@ -19,7 +19,7 @@ from hmsolve.operators import (
 )
 from hmsolve.problems import gen_scalar_affine, gen_soft_threshold
 from hmsolve.resolvent import ResolventEngine
-from hmsolve.schemes import as_vector, run_fh
+from hmsolve.schemes import as_vector, casting, run_fh
 from oracles import tanh_h, triples, validate_constants
 
 
@@ -316,7 +316,7 @@ class TestValidation:
     (lambda: dataclasses.replace(gen_scalar_affine(), known_solution=[1.0, 2.0]),
      "known_solution dimension mismatch"),
     (lambda: run_fh(gen_scalar_affine(), [0.0, 0.0]), "start dimension mismatch"),
-    (lambda: envelope("fh", 0.5, None, None, -1.0, 3), "e0 must be nonnegative"),
+    (lambda: envelope(0.5, *casting("fh"), -1.0, 3), "e0 must be nonnegative"),
 ], ids=["affine-scalar", "linear-monotone", "deriv-range", "shift", "soft-threshold-c", "resolve-dim",
         "as-vector-2d", "known-solution-dim", "start-dim", "envelope-e0"])
 def test_input_checks_raise(build, message):

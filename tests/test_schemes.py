@@ -360,7 +360,7 @@ class TestEnvelopeProperty:
         p = dataclasses.replace(p, known_solution=fh.iterates[-1])
         for name in ("FH", "MANN", "NEW", "ZGY"):
             trace = run_scheme(name, p, x0, xi, mu, StoppingRule(tol=-1.0, max_steps=steps))
-            bounds = envelope(name, kappa, xi, mu, trace.errors[0], steps)
+            bounds = envelope(kappa, *casting(name, xi, mu), trace.errors[0], steps)
             assert np.all(np.asarray(trace.errors) <= bounds + slack), name
 
 
