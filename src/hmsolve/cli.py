@@ -117,14 +117,16 @@ def build_problem(cfg):
 def _setup(cfg, fewest=1, most=float("inf")):
     """Interpret the inputs of a run: (problem, stop, seqs, x0, algorithms).
 
-    The algorithm names and their number, ``fewest`` to ``most``, are checked
-    first: a bad one stops the command before any run.
+    The algorithm names and their number, ``fewest`` to ``most``, are checked first: a bad one stops the
+    command before any run. Only a fixed number of names, compare's pair, may name one scheme twice.
     """
     with _interpreting():
         algorithms = [str(a).lower() for a in cfg["algorithms"]]
         if not set(algorithms) <= set(map(str.lower, schemes.CASTINGS)):
             raise UsageError("unknown algorithm in %s (choose from %s)"
                              % (algorithms, ", ".join(schemes.CASTINGS).lower()))
+        if fewest != most and (repeated := sorted({a for a in algorithms if algorithms.count(a) > 1})):
+            raise UsageError("repeated algorithm %s in %s: name each once" % (", ".join(repeated), algorithms))
         if not fewest <= len(algorithms) <= most:
             raise UsageError("this command needs %s algorithms, got %d" % (
                 "exactly %d" % most if fewest == most else "at least %d" % fewest, len(algorithms)))
@@ -169,15 +171,14 @@ def _record(trace):
 
 def cmd_solve(cfg, out_dir):
     problem, stop, seqs, x0, algorithms = _setup(cfg)
-    kappa = problem.contraction_factor()
     traces = []
     for name in algorithms:
         traces.append(_run(name, problem, x0, seqs, stop, keep_iterates=False))
         write_trace_csv(out_dir / ("trace_%s.csv" % name), traces[-1])
     _write_json(out_dir / "summary.json", {
-        "kappa": kappa,
+        "kappa": traces[0].kappa,  # every run records the kappa of the one problem
         "lambda": problem.lam,
-        "hypothesis_violated": kappa >= 1.0,
+        "hypothesis_violated": traces[0].kappa >= 1.0,
         "problem": problem.metadata,
         "algorithms": {name: _record(trace)[1] for name, trace in zip(algorithms, traces)},
     })
@@ -247,7 +248,6 @@ def cmd_audit(cfg, out_dir):
     problem, stop, seqs, x0, algorithms = _setup(cfg, fewest=2)
     with _interpreting():
         gap_tol = as_number(cfg["gap_tol"], "gap_tol", least=0)
-    kappa = problem.contraction_factor()
 
     # first pass finds how long the slowest algorithm needs, second pass runs
     # the shorter ones for that common length so gaps are comparable per step
@@ -265,7 +265,7 @@ def cmd_audit(cfg, out_dir):
     all_ok = True
     for i, name_a in enumerate(algorithms):
         for name_b in algorithms[i + 1:]:
-            report = analysis.equivalence_audit(traces[name_a], traces[name_b], kappa, gap_tol=gap_tol)
+            report = analysis.equivalence_audit(traces[name_a], traces[name_b], probe[name_a].kappa, gap_tol=gap_tol)
             max_violation = max(report.max_violation_forward, report.max_violation_symmetric)
             causes = [] if report.gap_converged else [
                 ", ".join("%s %s" % (n, unfinished[n]) for n in (name_a, name_b) if n in unfinished)
@@ -282,7 +282,7 @@ def cmd_audit(cfg, out_dir):
                           "gap_converged": report.gap_converged, "recursion_checked": report.recursion_checked,
                           "violations": report.violations, "max_violation": max_violation})
     _write_json(out_dir / "audit.json", {
-        "kappa": kappa,
+        "kappa": probe[algorithms[0]].kappa,
         "lambda": problem.lam,
         "gap_tol": gap_tol,
         "pairs": pairs,

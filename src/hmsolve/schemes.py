@@ -219,11 +219,6 @@ class ProblemInstance:
             raise ValueError("dimension mismatch: %s vs %d" % (x.shape, self.dim))
         return self._map(x) if self.basis is None else self.basis @ self._map(self.basis.T @ x)
 
-    def contraction_factor(self):
-        from .analysis import contraction_factor
-
-        return contraction_factor(self.constants, self.lam)
-
 
 @dataclass
 class IterationTrace:
@@ -234,7 +229,8 @@ class IterationTrace:
     (y_n = x_n without Q). ``wall_nanos[n]`` runs from before Q^T x_0 to the end of step n, the error of y_n
     included, or of the fill of a repeating run; mapping x_N back and its error in x come after ``wall_nanos[N]``.
     ``casting`` is the (xi, mu) pair that ``casting`` gave the run; ``analysis`` reads its envelope and pairing off it.
-    ``algorithm`` is the run's label, which ``analysis`` does not read.
+    ``algorithm`` is the run's label, which ``analysis`` does not read. ``kappa`` is the contraction factor
+    at the problem's lam, evaluated once per run; the CLI reads the kappa it writes off its runs.
     """
 
     algorithm: str
@@ -276,16 +272,17 @@ def run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterates=Tru
     holds O(n) memory at any length. errors[n], with y* = Q^T x* cached on the problem, is ||x_n - x*||
     up to a few rounding units of ||x_n|| + ||x*||, Q being orthogonal; errors[N] is ||x_N - x*|| exactly.
     """
+    from .analysis import contraction_factor  # at call time: analysis imports this module
     name = name.upper()
     xi, mu = casting(name, xi, mu)
     (xi_term, xi_param), (mu_term, mu_param) = ((STEP_FAMILIES[s.family].term, s.param) for s in (xi, mu))
     stop = stop or StoppingRule()
-    x = np.asarray(as_vector(x0), dtype=float)
+    x = as_vector(x0)
     if x.shape[0] == 1 and problem.dim > 1:
         x = np.full(problem.dim, x[0])
     if x.shape[0] != problem.dim:
         raise ValueError("start dimension mismatch")
-    kappa = problem.contraction_factor()
+    kappa = contraction_factor(problem.constants, problem.lam)
     xstar = problem.known_solution
     basis, g = problem.coordinates()
     ystar = None if xstar is None else problem._solution_coordinates

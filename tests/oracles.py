@@ -34,6 +34,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from hmsolve import operators as ops
+from hmsolve.analysis import contraction_factor
 from hmsolve.schemes import IterationTrace, StoppingRule, as_vector, casting, make_step_sequence, vector_norm
 
 
@@ -164,7 +165,7 @@ def plain_run_scheme(name, problem, x0, xi=None, mu=None, stop=None, keep_iterat
         x = np.full(problem.dim, x[0])
     if x.shape[0] != problem.dim:
         raise ValueError("start dimension mismatch")
-    kappa = problem.contraction_factor()
+    kappa = contraction_factor(problem.constants, problem.lam)
     xstar = problem.known_solution
     basis, g = problem.coordinates()
     ystar = None if xstar is None else problem._solution_coordinates

@@ -447,7 +447,7 @@ class TestRateCompare:
     def test_two_step_beats_one_step(self):
         # exact scalar ratios: pi_n = (1/9)^n / (1/3)^n = (1/3)^n
         p, fast, slow, mu = self._scalar_traces()
-        kappa = p.contraction_factor()
+        kappa = contraction_factor(p.constants, p.lam)
         report = rate_compare(fast, slow)
         assert report.verdict == "a-faster"
         assert report.fitted_ratio == pytest.approx(1 / 3, rel=1e-6)
@@ -599,7 +599,7 @@ class TestRecordedCastings:
         p = gen_scalar_affine(b=2.0, lam=0.5)
         harmonic = make_step_sequence("harmonic", offset=1)
         trace = run_scheme("MANN", p, [4.0], xi=harmonic, stop=StoppingRule(tol=-1.0, max_steps=30))
-        kappa = p.contraction_factor()
+        kappa = contraction_factor(p.constants, p.lam)
         bounds, passed = check_envelope(trace, kappa)
         expected = envelope(kappa, *casting("MANN", harmonic), trace.errors[0], trace.steps_used)
         assert bounds.tobytes() == expected.tobytes() and passed.all()
@@ -618,7 +618,7 @@ class TestRecordedCastings:
         # ZGY at mu = 0.5 and NEW at mu = 0.9 satisfy no recursion together; at one mu they do
         p = gen_spd_linear(50, seed=3)
         half, most = (make_step_sequence("constant", value=v) for v in (0.5, 0.9))
-        x0, kappa = np.zeros(50), p.contraction_factor()
+        x0, kappa = np.zeros(50), contraction_factor(p.constants, p.lam)
         new = run_scheme("NEW", p, x0, mu=most)
         report = equivalence_audit(run_scheme("ZGY", p, x0, half, half), new, kappa)
         assert not report.recursion_checked and report.violations == 0
@@ -634,7 +634,7 @@ class TestEquivalenceAudit:
         stop = StoppingRule(tol=-1.0, max_steps=50)
         q = run_zgy(p, [4.0], xi, mu, stop)
         s = run_new(p, [4.0], mu, stop)
-        report = equivalence_audit(q, s, p.contraction_factor())
+        report = equivalence_audit(q, s, contraction_factor(p.constants, p.lam))
         assert report.recursion_checked
         assert report.gap_converged
         assert report.gaps[-1] <= 1e-8
@@ -649,7 +649,7 @@ class TestEquivalenceAudit:
         stop = StoppingRule(tol=-1.0, max_steps=40)
         q = run_zgy(p, [4.0], xi, mu, stop)
         s = run_new(p, [4.0], mu, stop)
-        report = equivalence_audit(q, s, p.contraction_factor())
+        report = equivalence_audit(q, s, contraction_factor(p.constants, p.lam))
         assert report.violations == 0
         assert report.gap_converged
 
@@ -658,7 +658,7 @@ class TestEquivalenceAudit:
         mu = make_step_sequence("constant", value=0.5)
         stop = StoppingRule(tol=-1.0, max_steps=10)
         s = run_new(p, [4.0], mu, stop)
-        report = equivalence_audit(s, s, p.contraction_factor())
+        report = equivalence_audit(s, s, contraction_factor(p.constants, p.lam))
         assert report.gaps[-1] == 0.0
         assert all(g == 0.0 for g in report.gaps)
 
@@ -668,7 +668,7 @@ class TestEquivalenceAudit:
         xi = make_step_sequence("constant", value=0.5)
         q = run_zgy(p, [4.0], xi, mu, StoppingRule(tol=-1.0, max_steps=8))
         s = run_new(p, [4.0], mu, StoppingRule(tol=-1.0, max_steps=12))
-        report = equivalence_audit(q, s, p.contraction_factor())
+        report = equivalence_audit(q, s, contraction_factor(p.constants, p.lam))
         assert len(report.gaps) == 9
 
     def test_trace_with_only_its_last_iterate_rejected(self):
@@ -681,7 +681,7 @@ class TestEquivalenceAudit:
         assert len(last.iterates) == 1 and len(last.residuals) == 9
         for pair in ((full, last), (last, full), (last, last)):
             with pytest.raises(ValueError, match="keep_iterates"):
-                equivalence_audit(*pair, p.contraction_factor())
+                equivalence_audit(*pair, contraction_factor(p.constants, p.lam))
 
     @pytest.mark.parametrize("dim", [1, 7, 200])
     @pytest.mark.parametrize("b_scale", [1.0, 1e12])
@@ -697,7 +697,7 @@ class TestEquivalenceAudit:
         basis = p.coordinates()[0]
         xs = {name: (basis @ np.array(t.coordinates).T).T for name, t in traces.items()}
         for a, b in itertools.combinations(traces, 2):
-            report = equivalence_audit(traces[a], traces[b], p.contraction_factor())
+            report = equivalence_audit(traces[a], traces[b], contraction_factor(p.constants, p.lam))
             x_gaps = np.linalg.norm(xs[a] - xs[b], axis=1)
             scale = np.linalg.norm(xs[a], axis=1) + np.linalg.norm(xs[b], axis=1)
             assert np.all(np.abs(report.gaps - x_gaps) <= 32 * np.finfo(float).eps / 2 * scale), (a, b)

@@ -411,7 +411,8 @@ class TestCompare:
         p = gen_spd_linear(dim=20, seed=3, lam=0.6)
         xi, mu = (schemes.make_step_sequence("constant", value=v) for v in (0.3, 0.5))
         traces = [schemes.run_scheme(name, p, [0.0], xi, mu, keep_iterates=False) for name in ("zgy", "new")]
-        (bounds_a, passed_a), (bounds_b, _) = (analysis.check_envelope(t, p.contraction_factor()) for t in traces)
+        kappa = analysis.contraction_factor(p.constants, p.lam)
+        (bounds_a, passed_a), (bounds_b, _) = (analysis.check_envelope(t, kappa) for t in traces)
         n_common = len(traces[1].errors)
         assert len(traces[0].errors) > n_common
         report = json.loads((tmp_path / "rate_report.json").read_text())
@@ -750,6 +751,11 @@ class TestConfigKeys:
         (["solve", "--max-steps", "2.7"], "max_steps must be a whole number, got 2.7"),
         (["sweep", "--grid", "0.1:1:2.5"], "grid.points must be a whole number, got 2.5"),
         (["solve", "--tol", "inf"], "nor tol infinite, got StoppingRule(tol=inf,"),
+        # a list of runs names each scheme once, else it runs one scheme twice into one trace_<name>.csv or audits
+        # a run against itself; compare's pair may repeat one, a self-comparison
+        (["solve", "--alg", "new,NEW"], "repeated algorithm new in ['new', 'new']"),
+        (["audit", "--alg", "fh,fh"], "repeated algorithm fh in ['fh', 'fh']"),
+        (["audit", "--alg", "fh,zgy,mann,zgy,fh"], "repeated algorithm fh, zgy in"),
     ])
     def test_flag_gets_the_check_of_its_file_value(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out"

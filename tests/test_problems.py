@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from hmsolve.analysis import contraction_factor
 from hmsolve.problems import ReflectorBasis, gen_scalar_affine, gen_soft_threshold, gen_spd_linear
 from hmsolve.schemes import StoppingRule, make_step_sequence, run_scheme
 from oracles import dense_q, in_x, traced_peak, validate_constants
@@ -149,12 +150,13 @@ class TestSpdLinear:
     def test_dim_one_reduces_to_scalar_behavior(self):
         p = gen_spd_linear(1, eigen_range=(1.0, 1.0), seed=0, lam=1.0)
         # H = [1], A = H x - b, M = I: same structure as the scalar instance
-        assert p.contraction_factor() == pytest.approx(0.0, abs=1e-9)
+        assert contraction_factor(p.constants, p.lam) == pytest.approx(0.0, abs=1e-9)
         assert np.linalg.norm(p.f_map(p.known_solution) - p.known_solution) <= 1e-12
 
     def test_contraction_below_one_at_default_lambda(self):
         for seed in range(5):
-            assert gen_spd_linear(25, seed=seed).contraction_factor() < 1.0
+            p = gen_spd_linear(25, seed=seed)
+            assert contraction_factor(p.constants, p.lam) < 1.0
 
 
 def _householder_q(v):

@@ -182,7 +182,7 @@ class TestFMap:
 class TestRunFH:
     def test_one_step_exact_when_kappa_zero(self):
         p = gen_scalar_affine(b=2.0, lam=1.0)
-        assert p.contraction_factor() == 0.0
+        assert contraction_factor(p.constants, p.lam) == 0.0
         trace = run_fh(p, [40.0])
         assert trace.steps_used == 1
         assert trace.errors[-1] == 0.0
@@ -203,7 +203,7 @@ class TestRunFH:
 
     def test_monotone_error_decrease(self):
         p = gen_spd_linear(20, seed=4)
-        kappa = p.contraction_factor()
+        kappa = contraction_factor(p.constants, p.lam)
         assert kappa < 1
         trace = run_fh(p, np.zeros(20))
         for n in range(trace.steps_used):
@@ -267,7 +267,7 @@ class TestRunNew:
 
     def test_per_step_contraction_bound(self):
         p = gen_spd_linear(20, seed=9)
-        kappa = p.contraction_factor()
+        kappa = contraction_factor(p.constants, p.lam)
         mu = make_step_sequence("constant", value=0.7)
         trace = run_new(p, np.zeros(20), mu)
         factor = kappa * (1 - 0.7 * (1 - kappa))
@@ -301,7 +301,7 @@ class TestFEvaluationCounts:
         mixed = make_step_sequence("custom-table", table=[0.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.3])
         calls.clear()
         run_scheme(name, p, np.zeros(6), HALF, mixed, StoppingRule(tol=-1.0, max_steps=10))
-        mus = _steps(*casting(name, HALF, mixed), p.contraction_factor(), 10)[1]
+        mus = _steps(*casting(name, HALF, mixed), contraction_factor(p.constants, p.lam), 10)[1]
         assert len(calls) == 1 + int(np.sum(1 + (mus != 0.0)))
 
     def test_zero_mu_reuses_f_of_x(self):
@@ -404,7 +404,7 @@ class TestContractionOfF:
             dim=1,
             known_solution=[0.0],
         )
-        assert p.contraction_factor() >= 1.0
+        assert contraction_factor(p.constants, p.lam) >= 1.0
         trace = run_fh(p, [4.0], StoppingRule(tol=1e-10, max_steps=10))
         assert trace.kappa >= 1.0
         assert not trace.converged
@@ -917,7 +917,7 @@ def test_run_at_kappa_zero_stops_calling_g_once_it_repeats(name, most, keep):
     calls = _counting_f_evaluations(p)
     trace = run_fh(p, x0, stop, keep) if name == "FH" else run_new(p, x0, HALF, stop, keep)
     plain = plain_run_scheme(name, _soft_auto(), x0, mu=HALF, stop=stop, keep_iterates=keep)
-    assert p.contraction_factor() == 0.0 and len(calls) <= most
+    assert contraction_factor(p.constants, p.lam) == 0.0 and len(calls) <= most
     for field in ("residuals", "errors", "iterates", "coordinates"):
         assert _bits(getattr(trace, field)) == _bits(getattr(plain, field)), field
     assert (trace.steps_used, trace.converged, trace.diverged) == (40, False, False)
